@@ -235,12 +235,17 @@ def _parse_grid(doc: dict) -> list:
 
 
 def _experiment_cell(cell: dict) -> dict:
-    spec = GeneratorSpec(kind=cell["kind"], q=cell["q"], d=cell["d"],
-                         n_points=cell["np"], n_spheres=cell["ns"],
-                         seed=cell["seed"], noise=float(cell["noise"]))
-    gconf = generate(spec)
-    opts = ExtractOptions(c_const=Fraction(str(cell["c_const"])),
-                          b0=cell["b0"])
+    try:
+        gconf = generate(GeneratorSpec(
+            kind=cell["kind"], q=cell["q"], d=cell["d"], n_points=cell["np"],
+            n_spheres=cell["ns"], seed=cell["seed"],
+            noise=float(cell["noise"])))
+        opts = ExtractOptions(c_const=Fraction(str(cell["c_const"])),
+                              b0=cell["b0"])
+    except (ValueError, ZeroDivisionError) as exc:
+        # ValueError covers BadGeneratorSpec and NotAPrime
+        name = ", ".join(f"{k}={cell[k]!r}" for k in GRID_AXES)
+        raise CliError(f"grid: cell {name}: {exc}")
     start = time.perf_counter()
     cert = extract_certificate(gconf.config, opts)
     elapsed_ms = int((time.perf_counter() - start) * 1000)

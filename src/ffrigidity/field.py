@@ -49,39 +49,12 @@ class PrimeField:
     def __repr__(self):
         return f"PrimeField({self.q})"
 
-    def element(self, a: int) -> int:
-        """Canonical residue of an arbitrary integer."""
-        return a % self.q
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.q
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.q
-
     def inv(self, a: int) -> int:
         """Multiplicative inverse via Fermat exponentiation a**(q-2)."""
         a %= self.q
         if a == 0:
             raise ZeroDivisionError("inverse of zero in F_q")
         return pow(a, self.q - 2, self.q)
-
-    def div(self, a: int, b: int) -> int:
-        return (a % self.q) * self.inv(b) % self.q
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return pow(self.inv(a), -e, self.q)
-        return pow(a % self.q, e, self.q)
-
-    def dot(self, u, v) -> int:
-        return sum(a * b for a, b in zip(u, v)) % self.q
 
 
 Matrix = list  # list of row lists with entries in [0, q)

@@ -20,10 +20,11 @@ from fractions import Fraction
 
 from .exact import SqrtRational
 from .geometry import (AmbientSpace, Hyperplane, Sphere, all_projective_directions,
-                       canonical_hyperplane, make_space, point_grid, quad_norm,
-                       sphere_points)
+                       canonical_hyperplane, hyperplane_incidence, make_space,
+                       point_grid, quad_norm, sphere_points)
 from .pipeline import Certificate, ExtractOptions, extract_certificate
-from .stats import Config, incidence_count, make_config
+from .stats import (Config, incidence_count, make_config,
+                    near_extremality_from_counts)
 
 PRNG_NAME = "python-random-mt19937"
 
@@ -205,6 +206,11 @@ def generate(spec: GeneratorSpec) -> GeneratedConfig:
     return GeneratedConfig(make_config(space, pts, sph), spec, planted=h)
 
 
+def _distinct_residues(vectors, q: int) -> list:
+    """Vectors reduced mod q, first occurrences only, in input order."""
+    return list(dict.fromkeys(tuple(c % q for c in v) for v in vectors))
+
+
 def pinned_distance_set(pin, points, q: int):
     """Form values ||x - pin|| over the point set."""
     return sorted({quad_norm(tuple((a - b) % q for a, b in zip(x, pin)), q)
@@ -230,20 +236,8 @@ def pinned_sphere_system(pins, points, space: AmbientSpace) -> PinnedSystem:
     (q - |distance set|), which is asserted.
     """
     q, d = space.q, space.d
-    pts = []
-    seen = set()
-    for p in points:
-        t = tuple(c % q for c in p)
-        if t not in seen:
-            seen.add(t)
-            pts.append(t)
-    pin_list = []
-    seen = set()
-    for p in pins:
-        t = tuple(c % q for c in p)
-        if t not in seen:
-            seen.add(t)
-            pin_list.append(t)
+    pts = _distinct_residues(points, q)
+    pin_list = _distinct_residues(pins, q)
     if not pin_list or not pts:
         raise ValueError("need at least one pin and one point")
     spheres = []
@@ -260,11 +254,7 @@ def pinned_sphere_system(pins, points, space: AmbientSpace) -> PinnedSystem:
     surplus = Fraction(total) - Fraction(len(pts) * n_s, q)
     closed = Fraction(len(pts), q) * sum(q - len(v) for v in per_pin.values())
     assert surplus == closed
-    if surplus <= 0:
-        K = SqrtRational.zero()
-    else:
-        radicand = q ** (d - 1) * len(pts) * n_s
-        K = SqrtRational(surplus / radicand, radicand)
+    K = near_extremality_from_counts(total, len(pts), n_s, q, d)
     return PinnedSystem(pins=tuple(pin_list), config=config,
                         per_pin=per_pin, surplus=surplus, K=K)
 
@@ -302,20 +292,8 @@ def dot_product_system(pins, qpoints, space: AmbientSpace) -> DotProductSystem:
     all keep multiplicity one within their own pin.
     """
     q, d = space.q, space.d
-    pts = []
-    seen = set()
-    for p in qpoints:
-        t = tuple(c % q for c in p)
-        if t not in seen:
-            seen.add(t)
-            pts.append(t)
-    pin_list = []
-    seen = set()
-    for p in pins:
-        t = tuple(c % q for c in p)
-        if t not in seen:
-            seen.add(t)
-            pin_list.append(t)
+    pts = _distinct_residues(qpoints, q)
+    pin_list = _distinct_residues(pins, q)
     if not pin_list or not pts:
         raise ValueError("need at least one pin and one point")
     labels = []
@@ -328,20 +306,12 @@ def dot_product_system(pins, qpoints, space: AmbientSpace) -> DotProductSystem:
     for h in labels:
         mult[h] = mult.get(h, 0) + 1
     support = tuple(sorted(mult))
-    incidences = 0
-    for h in labels:
-        incidences += sum(
-            1 for x in pts
-            if sum(a * b for a, b in zip(h.normal, x)) % q == h.offset)
+    incidences = int(hyperplane_incidence(pts, labels, q).sum())
     per_pin_incidences = len(pin_list) * len(pts)
     assert incidences == per_pin_incidences
     n_h = len(labels)
     surplus = Fraction(per_pin_incidences) - Fraction(len(pts) * n_h, q)
-    if surplus <= 0:
-        K = SqrtRational.zero()
-    else:
-        radicand = q ** (d - 1) * len(pts) * n_h
-        K = SqrtRational(surplus / radicand, radicand)
+    K = near_extremality_from_counts(per_pin_incidences, len(pts), n_h, q, d)
     return DotProductSystem(
         pins=tuple(pin_list),
         hyperplanes=support,

@@ -186,36 +186,54 @@ def points_array(points, d: int) -> np.ndarray:
     return arr
 
 
-def sphere_mask(s: Sphere, q: int, pts: np.ndarray) -> np.ndarray:
-    diff = (pts - np.asarray(s.center, dtype=np.int64)) % q
-    return (diff * diff).sum(axis=1) % q == s.r % q
+def hyperplane_incidence(pts, hyperplanes, q: int) -> np.ndarray:
+    """Boolean |P| x |H| matrix whose [i, j] entry says <n_j, x_i> = b_j.
+
+    pts is an integer array of shape (|P|, d) or a sequence of points.
+    """
+    if not hyperplanes:
+        return np.zeros((len(pts), 0), dtype=bool)
+    normals = np.asarray([h.normal for h in hyperplanes], dtype=np.int64)
+    offsets = np.asarray([h.offset for h in hyperplanes], dtype=np.int64)
+    pts = points_array(pts, normals.shape[1])
+    return pts @ normals.T % q == offsets % q
 
 
-def hyperplane_mask(h: Hyperplane, q: int, pts: np.ndarray) -> np.ndarray:
-    return pts @ np.asarray(h.normal, dtype=np.int64) % q == h.offset % q
+def sphere_incidence(pts, spheres, q: int) -> np.ndarray:
+    """Boolean |P| x |S| matrix whose [i, j] entry says ||x_i - c_j|| = r_j.
+
+    The form is expanded as ||x|| - 2<x, c> + ||c||, so no |P| x |S| x d
+    difference array is built.  Coordinates are reduced first; with
+    q < 2**16 every term is then exact in int64.
+    """
+    if not spheres:
+        return np.zeros((len(pts), 0), dtype=bool)
+    centers = np.asarray([s.center for s in spheres], dtype=np.int64) % q
+    radii = np.asarray([s.r for s in spheres], dtype=np.int64)
+    pts = points_array(pts, centers.shape[1]) % q
+    form = ((pts * pts).sum(axis=1)[:, None] - 2 * (pts @ centers.T)
+            + (centers * centers).sum(axis=1))
+    return form % q == radii % q
 
 
 def sphere_points(s: Sphere, space: AmbientSpace):
     """All points of the sphere, in lexicographic order."""
     pts = point_grid(space.q, space.d)
-    sel = pts[sphere_mask(s, space.q, pts)]
+    sel = pts[sphere_incidence(pts, [s], space.q)[:, 0]]
     return [tuple(int(c) for c in row) for row in sel]
 
 
 def hyperplane_points(h: Hyperplane, space: AmbientSpace):
     pts = point_grid(space.q, space.d)
-    sel = pts[hyperplane_mask(h, space.q, pts)]
+    sel = pts[hyperplane_incidence(pts, [h], space.q)[:, 0]]
     return [tuple(int(c) for c in row) for row in sel]
 
 
 def flat_points(flat: Flat, space: AmbientSpace):
     """All q**(d-2) points of the flat, in lexicographic order."""
-    q, d = space.q, space.d
-    pts = point_grid(q, d)
-    mask = np.ones(len(pts), dtype=bool)
-    for row, val in zip(flat.rows, flat.values):
-        mask &= pts @ np.asarray(row, dtype=np.int64) % q == val % q
-    sel = pts[mask]
+    pts = point_grid(space.q, space.d)
+    constraints = [Hyperplane(r, v) for r, v in zip(flat.rows, flat.values)]
+    sel = pts[hyperplane_incidence(pts, constraints, space.q).all(axis=1)]
     return [tuple(int(c) for c in row) for row in sel]
 
 

@@ -12,9 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .geometry import Hyperplane, points_array, radical_hyperplane
+from .geometry import Hyperplane, hyperplane_incidence, radical_hyperplane
 
 
 class EmptyMultiset(ValueError):
@@ -55,15 +53,7 @@ class HyperplaneMultiset:
 
 def richness_counts(points, hyperplanes, q: int, d: int):
     """|P on H| for each hyperplane, via one batched product."""
-    if not hyperplanes:
-        return []
-    pts = points_array(points, d)
-    if len(pts) == 0:
-        return [0] * len(hyperplanes)
-    normals = np.asarray([h.normal for h in hyperplanes], dtype=np.int64)
-    offsets = np.asarray([h.offset for h in hyperplanes], dtype=np.int64)
-    vals = pts @ normals.T % q
-    return [int(c) for c in (vals == offsets[None, :]).sum(axis=0)]
+    return hyperplane_incidence(points, hyperplanes, q).sum(axis=0).tolist()
 
 
 def build_multiset(pairs, config, richness_min=0) -> HyperplaneMultiset:

@@ -26,7 +26,8 @@ from .dichotomy import (Polynomial, affine_dichotomy, minimal_degree)
 from .exact import SqrtRational
 from .field import PrimeField
 from .geometry import (Flat, Hyperplane, flat_contained_in, flat_from_pair,
-                       points_array, IDENTICAL, PARALLEL_DISJOINT)
+                       hyperplane_incidence, sphere_contains, sphere_incidence,
+                       IDENTICAL, PARALLEL_DISJOINT)
 from .multiset import (HyperplaneMultiset, build_multiset, mass_retention,
                        parallel_classes, popular_offset, richness_counts)
 from .stats import Config, energies
@@ -45,12 +46,9 @@ def overlap_energy(points, hyperplanes, q: int, d: int) -> int:
     Computed as the sum of deg(p) * (deg(p) - 1) and cross-checked
     against the pairwise intersection counts, which must agree exactly.
     """
-    pts = points_array(points, d)
-    if len(pts) == 0 or not hyperplanes:
+    if not len(points) or not hyperplanes:
         return 0
-    normals = np.asarray([h.normal for h in hyperplanes], dtype=np.int64)
-    offsets = np.asarray([h.offset for h in hyperplanes], dtype=np.int64)
-    inc = (pts @ normals.T % q == offsets[None, :]).astype(np.int64)
+    inc = hyperplane_incidence(points, hyperplanes, q).astype(np.int64)
     degs = inc.sum(axis=1)
     j_from_degrees = int((degs * (degs - 1)).sum())
     gram = inc.T @ inc
@@ -264,7 +262,7 @@ def extract_certificate(config: Config,
     retained = mass_retention(reg.multiset).retained
 
     p2 = reg.points
-    mu = _coincidence_scale(p2, retained.support, q, d)
+    mu = _coincidence_scale(p2, retained.support, q)
     split = case_split(retained, b0, fq)
 
     flags: list = []
@@ -300,8 +298,8 @@ def extract_certificate(config: Config,
         case = CASE_DIRECTIONAL
 
     point_index = {p: i for i, p in enumerate(config.points)}
-    on_h0 = [p for p in p2
-             if sum(a * b for a, b in zip(h0.normal, p)) % q == h0.offset]
+    on_h0 = [p for p, on in zip(p2, hyperplane_incidence(p2, [h0], q)[:, 0])
+             if on]
     points_idx = tuple(sorted(point_index[p] for p in on_h0))
     lam1 = reg.richness_scale
     assert len(points_idx) >= lam1
@@ -342,23 +340,20 @@ def _pigeonhole_chart(directions, d: int) -> int:
     return counts.index(best) + 1
 
 
-def _coincidence_scale(points, hyperplanes, q: int, d: int) -> int:
-    """Dyadic scale of pairwise hyperplane overlaps on the point set."""
-    hps = list(hyperplanes)
-    if len(hps) < 2:
+def _coincidence_scale(points, hyperplanes, q: int) -> int:
+    """Dyadic scale of the overlaps of non-parallel hyperplane pairs on
+    the point set."""
+    if len(hyperplanes) < 2:
         return 0
-    pts = points_array(points, d)
-    normals = np.asarray([h.normal for h in hps], dtype=np.int64)
-    offsets = np.asarray([h.offset for h in hps], dtype=np.int64)
-    inc = (pts @ normals.T % q == offsets[None, :]).astype(np.int64)
+    inc = hyperplane_incidence(points, hyperplanes, q).astype(np.int64)
     gram = inc.T @ inc
-    overlaps = {}
-    for a in range(len(hps)):
-        for b in range(a + 1, len(hps)):
-            if hps[a].normal != hps[b].normal:
-                overlaps[(a, b)] = int(gram[a, b])
+    ids: dict = {}
+    direction = np.asarray([ids.setdefault(h.normal, len(ids))
+                            for h in hyperplanes])
+    a, b = np.triu_indices(len(hyperplanes), k=1)
+    skew = direction[a] != direction[b]
     try:
-        return heavy_layer_select(overlaps).mu
+        return heavy_layer_select(gram[a[skew], b[skew]].tolist()).mu
     except EmptyOverlaps:
         return 0
 
@@ -366,15 +361,7 @@ def _coincidence_scale(points, hyperplanes, q: int, d: int) -> int:
 def _rich_sphere_subfamily(config: Config, pprime, fraction: Fraction):
     """Largest dyadic richness threshold keeping at least the given
     fraction of the incidence mass between P' and the sphere family."""
-    q, d = config.q, config.d
-    pts = points_array(pprime, d)
-    degs = []
-    for s in config.spheres:
-        if len(pts) == 0:
-            degs.append(0)
-            continue
-        diff = (pts - np.asarray(s.center, dtype=np.int64)) % q
-        degs.append(int(((diff * diff).sum(axis=1) % q == s.r).sum()))
+    degs = sphere_incidence(pprime, config.spheres, config.q).sum(axis=0).tolist()
     total = sum(degs)
     if total == 0:
         return 1, ()
@@ -411,32 +398,13 @@ def retention_check(config: Config, cert: Certificate) -> RetentionReport:
     constants 1 and 2 are asserted.  Energy and size ratios compare the
     structured points against the regularized point set.
     """
-    q, d = config.q, config.d
+    q = config.q
     pprime = [config.points[i] for i in cert.points_idx]
-    pts = points_array(pprime, d)
-    degs = []
-    for s in config.spheres:
-        if len(pts) == 0:
-            degs.append(0)
-            continue
-        diff = (pts - np.asarray(s.center, dtype=np.int64)) % q
-        degs.append(int(((diff * diff).sum(axis=1) % q == s.r).sum()))
-    by_sphere = sum(degs)
-    by_point = 0
-    for p in pprime:
-        for s in config.spheres:
-            dd = sum((a - b) ** 2 for a, b in zip(p, s.center)) % q
-            if dd == s.r:
-                by_point += 1
+    by_sphere = int(sphere_incidence(pprime, config.spheres, q).sum(axis=0).sum())
+    point_sphere_degs = [sum(sphere_contains(s, p, q) for s in config.spheres)
+                         for p in pprime]
+    by_point = sum(point_sphere_degs)
     ok = by_sphere == by_point
-    point_sphere_degs = []
-    for p in pprime:
-        deg = 0
-        for s in config.spheres:
-            dd = sum((a - b) ** 2 for a, b in zip(p, s.center)) % q
-            if dd == s.r:
-                deg += 1
-        point_sphere_degs.append(deg)
     m1 = cert.params.get("M1", 0)
     dmin = min(point_sphere_degs, default=0)
     dmax = max(point_sphere_degs, default=0)
@@ -449,14 +417,9 @@ def retention_check(config: Config, cert: Certificate) -> RetentionReport:
     size_ratio = None
     if cert.regularized_points:
         e_prime = sum(v * v for v in point_sphere_degs)
-        e_reg = 0
-        for p in cert.regularized_points:
-            deg = 0
-            for s in config.spheres:
-                dd = sum((a - b) ** 2 for a, b in zip(p, s.center)) % q
-                if dd == s.r:
-                    deg += 1
-            e_reg += deg * deg
+        reg_degs = sphere_incidence(cert.regularized_points, config.spheres,
+                                    q).sum(axis=1)
+        e_reg = int((reg_degs * reg_degs).sum())
         if e_reg:
             energy_ratio = Fraction(e_prime, e_reg)
         size_ratio = Fraction(len(pprime), len(cert.regularized_points))

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import SqrtRational
-from .geometry import AmbientSpace, Sphere, points_array
+from .geometry import AmbientSpace, Sphere, sphere_incidence
 
 
 class EmptyConfig(ValueError):
@@ -69,15 +69,7 @@ def make_config(space: AmbientSpace, points, spheres) -> Config:
 
 def membership_matrix(config: Config) -> np.ndarray:
     """Boolean |P| x |S| matrix of point-on-sphere incidences."""
-    q = config.q
-    pts = points_array(config.points, config.d)
-    if not config.spheres:
-        return np.zeros((len(config.points), 0), dtype=bool)
-    centers = np.asarray([s.center for s in config.spheres], dtype=np.int64)
-    radii = np.asarray([s.r for s in config.spheres], dtype=np.int64)
-    diff = (pts[:, None, :] - centers[None, :, :]) % q
-    norms = (diff * diff).sum(axis=2) % q
-    return norms == radii[None, :]
+    return sphere_incidence(config.points, config.spheres, config.q)
 
 
 @dataclass(frozen=True)

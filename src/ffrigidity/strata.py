@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import SqrtRational
-from .geometry import points_array, radical_hyperplane
+from .geometry import hyperplane_incidence, radical_hyperplane
 from .multiset import HyperplaneMultiset, richness_counts
 from .stats import Config, membership_matrix, near_extremality_K
 
@@ -252,7 +252,7 @@ def regularize(points, ms: HyperplaneMultiset, q: int, d: int) -> RegularizedCon
     support = list(ms.support)
     if not points or not support:
         raise RegularizationDegenerate("empty points or empty support")
-    degs = _point_degrees(points, support, q, d)
+    degs = hyperplane_incidence(points, support, q).sum(axis=1).tolist()
     buckets: dict = {}
     for p, deg in zip(points, degs):
         if deg > 0:
@@ -280,10 +280,3 @@ def regularize(points, ms: HyperplaneMultiset, q: int, d: int) -> RegularizedCon
         richness_scale=lam1,
     )
 
-
-def _point_degrees(points, hyperplanes, q: int, d: int):
-    pts = points_array(points, d)
-    normals = np.asarray([h.normal for h in hyperplanes], dtype=np.int64)
-    offsets = np.asarray([h.offset for h in hyperplanes], dtype=np.int64)
-    vals = pts @ normals.T % q
-    return [int(c) for c in (vals == offsets[None, :]).sum(axis=1)]

@@ -24,6 +24,11 @@ def _eval_terms(terms, point, q: int) -> int:
     return total % q
 
 
+def _is_int_list(value, n: int) -> bool:
+    return (isinstance(value, list) and len(value) == n
+            and all(isinstance(c, int) for c in value))
+
+
 def verify_certificate(config: Config, cert: dict) -> list:
     """All failed checks for a serialized certificate, empty if valid."""
     q, d = config.q, config.d
@@ -37,6 +42,14 @@ def verify_certificate(config: Config, cert: dict) -> list:
         return []
 
     params = cert.get("params") or {}
+    if not isinstance(params, dict):
+        failures.append("params must be an object")
+        params = {}
+    min_points = params.get("min_points", 0)
+    sphere_min = params.get("sphere_min", 0)
+    if not isinstance(min_points, int) or not isinstance(sphere_min, int):
+        failures.append("params min_points and sphere_min must be integers")
+        min_points = sphere_min = 0
     terms = cert.get("F")
     if not isinstance(terms, list) or not terms:
         failures.append("F must be nonzero")
@@ -81,7 +94,6 @@ def verify_certificate(config: Config, cert: dict) -> list:
         if bad:
             failures.append(f"F fails to vanish on {bad} structured point(s)")
 
-    min_points = params.get("min_points", 0)
     if points is not None and len(points) < min_points:
         failures.append(
             f"only {len(points)} structured points, need {min_points}")
@@ -91,11 +103,17 @@ def verify_certificate(config: Config, cert: dict) -> list:
     if not isinstance(hp, dict):
         failures.append("certificate must name a hyperplane")
     else:
-        normal = [c % q for c in hp.get("normal", [])]
-        offset = hp.get("offset", 0) % q
-        if len(normal) != d or all(c == 0 for c in normal):
+        normal = hp.get("normal")
+        offset = hp.get("offset", 0)
+        if not _is_int_list(normal, d) or all(c % q == 0 for c in normal):
             failures.append("hyperplane normal is malformed")
             normal = None
+        elif not isinstance(offset, int):
+            failures.append("hyperplane offset must be an integer")
+            normal = None
+        else:
+            normal = [c % q for c in normal]
+            offset %= q
     if normal is not None and terms:
         expected = []
         for i, c in enumerate(normal):
@@ -109,7 +127,6 @@ def verify_certificate(config: Config, cert: dict) -> list:
             failures.append("F does not match the named hyperplane")
 
     sidx = cert.get("spheres")
-    sphere_min = params.get("sphere_min", 0)
     if not isinstance(sidx, list):
         failures.append("spheres must be an index list")
     else:
@@ -133,13 +150,16 @@ def verify_certificate(config: Config, cert: dict) -> list:
                         f"need {sphere_min}")
 
     if case == "flat-concentration":
-        flat = (cert.get("aux") or {}).get("witness_flat")
+        aux = cert.get("aux")
+        flat = aux.get("witness_flat") if isinstance(aux, dict) else None
         if not isinstance(flat, dict):
             failures.append("flat-concentration certificate needs a witness flat")
         elif normal is not None:
             rows = flat.get("rows", [])
             values = flat.get("values", [])
-            if len(rows) != 2 or len(values) != 2 or any(len(r) != d for r in rows):
+            if (not isinstance(rows, list) or len(rows) != 2
+                    or not all(_is_int_list(r, d) for r in rows)
+                    or not _is_int_list(values, 2)):
                 failures.append("witness flat is malformed")
             else:
                 fq = PrimeField(q)

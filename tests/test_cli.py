@@ -130,6 +130,27 @@ def test_verify_tampered_certificate_exits_1(tmp_path, capsys):
     assert out.startswith("fail:")
 
 
+@pytest.mark.parametrize("mutate", [
+    lambda doc: doc.update(params="x"),
+    lambda doc: doc["params"].update(min_points="3"),
+    lambda doc: doc["hyperplane"]["normal"].__setitem__(0, "1"),
+    lambda doc: doc["hyperplane"].update(offset="2"),
+    lambda doc: doc.update(case="flat-concentration", aux="x"),
+], ids=["params", "min-points", "normal-entry", "offset", "aux"])
+def test_verify_malformed_certificate_fails(tmp_path, capsys, mutate):
+    cfg = gen_config(tmp_path, capsys)
+    cert = tmp_path / "cert.json"
+    run(capsys, "extract", str(cfg), "--out", str(cert))
+    doc = json.loads(cert.read_text())
+    assert doc["case"] == "directional-coordination"
+    mutate(doc)
+    cert.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(cfg), str(cert))
+    assert code == 1
+    assert out and all(line.startswith("fail:") for line in out.splitlines())
+    assert "Traceback" not in err
+
+
 def grid_file(tmp_path, doc, name="grid.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -189,6 +210,22 @@ def test_experiment_grid_errors(tmp_path, capsys):
                        str(grid_file(tmp_path, dict(BASE_GRID, np=[]),
                                      "g4.json")))
     assert code == 2 and "nonempty" in err
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("bad", [{"q": [9]}, {"kind": ["nope"]},
+                                 {"ns": [5]}, {"c_const": ["x"]}],
+                         ids=["composite-q", "unknown-kind", "odd-ns",
+                              "c-const"])
+def test_experiment_bad_cell_exits_2(tmp_path, capsys, monkeypatch, bad,
+                                     workers):
+    monkeypatch.setenv("FFRIGIDITY_WORKERS", workers)
+    grid = grid_file(tmp_path, dict(BASE_GRID, **bad))
+    code, out, err = run(capsys, "experiment", str(grid))
+    assert code == 2
+    assert err.startswith("error: grid: cell ")
+    assert "Traceback" not in err
+    assert not out
 
 
 def test_experiment_guard_trips(tmp_path, capsys):

@@ -12,10 +12,11 @@ from ffrigidity.geometry import (IDENTICAL, PARALLEL_DISJOINT, Flat,
                                  canonical_direction, canonical_hyperplane,
                                  flat_contained_in, flat_from_pair,
                                  flat_points, hyperplane_contains,
-                                 hyperplane_mask, hyperplane_points,
+                                 hyperplane_incidence, hyperplane_points,
                                  make_space, point_grid, quad_norm,
                                  radical_hyperplane, reflect_point,
-                                 sphere_contains, sphere_mask, sphere_points)
+                                 sphere_contains, sphere_incidence,
+                                 sphere_points)
 
 
 # oracle: enumerate the whole space with itertools and test membership
@@ -85,17 +86,32 @@ def test_point_grid_lexicographic_and_frozen():
 
 
 def test_masks_agree_with_membership():
-    q = 5
-    sp = make_space(q, 3)
-    grid = point_grid(q, 3)
-    s = Sphere((1, 2, 3), 4)
-    h = canonical_hyperplane((1, 0, 2), 3, q)
-    ms = sphere_mask(s, q, grid)
-    mh = hyperplane_mask(h, q, grid)
-    for i, row in enumerate(grid):
-        x = tuple(int(c) for c in row)
-        assert ms[i] == sphere_contains(s, x, q)
-        assert mh[i] == hyperplane_contains(h, x, q)
+    rng = random.Random(11)
+    for q, d in ((5, 3), (7, 3), (5, 4)):
+        grid = point_grid(q, d)
+        spheres = [Sphere(tuple(rng.randrange(q) for _ in range(d)),
+                          rng.randrange(q)) for _ in range(6)]
+        hyperplanes = [canonical_hyperplane(v, rng.randrange(q), q)
+                       for v in (tuple(rng.randrange(q) for _ in range(d))
+                                 for _ in range(6)) if any(v)]
+        ms = sphere_incidence(grid, spheres, q)
+        mh = hyperplane_incidence(grid, hyperplanes, q)
+        assert ms.shape == (len(grid), len(spheres))
+        assert mh.shape == (len(grid), len(hyperplanes))
+        for i, row in enumerate(grid):
+            x = tuple(int(c) for c in row)
+            for j, s in enumerate(spheres):
+                assert ms[i, j] == sphere_contains(s, x, q)
+            for j, h in enumerate(hyperplanes):
+                assert mh[i, j] == hyperplane_contains(h, x, q)
+        pts = [tuple(int(c) for c in row) for row in grid[::7]]
+        assert (sphere_incidence(pts, spheres, q) == ms[::7]).all()
+        assert (hyperplane_incidence(pts, hyperplanes, q) == mh[::7]).all()
+        assert sphere_incidence([], spheres, q).shape == (0, len(spheres))
+        assert hyperplane_incidence([], hyperplanes, q).shape == (
+            0, len(hyperplanes))
+        assert sphere_incidence(pts, [], q).shape == (len(pts), 0)
+        assert hyperplane_incidence(pts, [], q).shape == (len(pts), 0)
 
 
 def test_canonical_direction_scaling_invariance():

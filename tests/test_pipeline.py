@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -9,6 +10,7 @@ from ffrigidity.field import PrimeField
 from ffrigidity.geometry import (Sphere, canonical_hyperplane, flat_from_pair,
                                  flat_points, hyperplane_contains, make_space,
                                  radical_hyperplane)
+from ffrigidity.generators import GeneratorSpec, generate
 from ffrigidity.multiset import HyperplaneMultiset, build_multiset
 from ffrigidity.pipeline import (CASE_DIRECTIONAL, CASE_FLAT, CASE_NO_SIGNAL,
                                  Certificate, ExtractOptions, case_split,
@@ -212,6 +214,50 @@ def test_extract_certificate_postconditions_random():
         assert cert.points_idx == tuple(sorted(set(cert.points_idx)))
         assert len(cert.points_idx) >= cert.params["min_points"]
     assert checked >= 4
+
+
+# sha256 of `extract` JSON, as the CLI writes it, for small configs that
+# end in each of the three cases at d = 3 and d = 4; a change to the
+# counting code must leave these certificate bytes as they are
+GOLDEN_CERTIFICATES = [
+    # kind, q, d, np, ns, seed, noise, c_const, b0, case, sha256
+    ("uniform-random", 5, 3, 20, 8, 0, 0.0, "1/4", None, "directional-coordination",
+     "2dc8f3b20d842ab299f18cb4176a96753d725c9a999a8515ff6111ac822f3a32"),
+    ("uniform-random", 5, 3, 30, 30, 0, 0.0, "1/4", None, "directional-coordination",
+     "efe7d67cd2b1c5ca81764b48b9102a5374878e19faeb0c22074c56de402352fc"),
+    ("reflected-pairs", 7, 3, 30, 30, 0, 0.2, "1/4", None, "directional-coordination",
+     "a1c50dd795817b1c2097e564fcebf3c93d3521f337489c8da3f0c47b853e57c8"),
+    ("uniform-random", 7, 3, 30, 30, 0, 0.0, "1/4", None, "flat-concentration",
+     "8ce275de4506d7dfb7b932259f858d95b2d9324e20903fa1d6e0d0b4c01bd5b0"),
+    ("hyperplane-planted", 7, 3, 30, 20, 1, 0.0, "1/4", None, "flat-concentration",
+     "5a22d45e39b283117de13219594b4711b91cb52f3933858650bf334314c57416"),
+    ("uniform-random", 7, 3, 30, 30, 0, 0.0, "50", None, "no-signal",
+     "bab3020dc024f50b7f2d27e84fa3e9f240125782b67456b7aa8b9fdc3bd17fef"),
+    ("uniform-random", 5, 4, 40, 12, 0, 0.0, "1/4", None, "directional-coordination",
+     "699e3e964f643b701a4b6eff3fa720138128f98aadb017f0e2f59a6f03242d31"),
+    ("reflected-pairs", 5, 4, 40, 12, 1, 0.0, "1/4", None, "directional-coordination",
+     "7dba9042e5ce83abc2746511eb23c7e87dffddd5c1b0660b21ea67d5013a65f2"),
+    ("quadric-planted", 5, 4, 40, 12, 1, 0.0, "1/4", 2, "flat-concentration",
+     "ef61b63cf91e00013d1f9acddbae6cd4fdd0922e661b19dcafc232b2e38e19f6"),
+    ("hyperplane-planted", 5, 4, 40, 12, 2, 0.0, "1/4", 1, "flat-concentration",
+     "a83489bf4d1e9f9d7ae234b25eb437ac59c12d3356a05da62ac2c6c84652bc43"),
+    ("hyperplane-planted", 5, 4, 40, 12, 0, 0.0, "50", None, "no-signal",
+     "d13bdf08479a4dc11bfbf45dd921f5b822d9c75a77c0d0add701534a2d3f1c98"),
+    ("uniform-random", 5, 4, 30, 30, 1, 0.0, "50", None, "no-signal",
+     "510016ea8c9a8d60b33d71ea9a3b1d255eb3d8ecdf7b36dc40995dad17b0c82a"),
+]
+
+
+def test_certificate_bytes_match_golden_digests():
+    for (kind, q, d, np_, ns, seed, noise, c_const, b0, case,
+         digest) in GOLDEN_CERTIFICATES:
+        gconf = generate(GeneratorSpec(kind, q, d, np_, ns, seed, noise))
+        cert = extract_certificate(
+            gconf.config, ExtractOptions(c_const=Fraction(c_const), b0=b0))
+        text = json.dumps(cert.to_dict(), indent=2) + "\n"
+        assert cert.case == case
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (
+            kind, q, d, np_, ns, seed)
 
 
 def test_certificate_json_shape():

@@ -232,8 +232,8 @@ def test_regularize_postconditions():
         hits += 1
         m1, lam1 = reg.degree_scale, reg.richness_scale
         # recount degrees of kept points against the input support
-        from ffrigidity.strata import _point_degrees
-        for deg in _point_degrees(reg.points, list(ms.support), cfg.q, cfg.d):
+        for p in reg.points:
+            deg = sum(hyperplane_contains(h, p, cfg.q) for h in ms.support)
             assert m1 <= deg < 2 * m1
         from ffrigidity.multiset import richness_counts
         for r in richness_counts(reg.points, list(reg.multiset.support),
