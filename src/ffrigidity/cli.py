@@ -35,6 +35,8 @@ EXPERIMENT_HEADER = ["q", "d", "kind", "np", "ns", "noise", "seed", "c_const",
 
 GRID_AXES = ["q", "d", "kind", "np", "ns", "noise", "seed", "b0", "c_const"]
 
+GRID_INT_AXES = ["q", "d", "np", "ns", "seed"]
+
 GRID_DEFAULTS = {"d": [3], "noise": [0.0], "b0": [None], "c_const": ["1/4"]}
 
 GRID_CELL_CAP = 10_000
@@ -172,21 +174,27 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _options_from_args(args) -> ExtractOptions:
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _extract_options(c_const, b0) -> ExtractOptions:
+    """The option check shared by `extract` and experiment grid cells."""
     try:
-        c = Fraction(args.c_const)
+        c = Fraction(str(c_const))
     except (ValueError, ZeroDivisionError):
-        raise CliError(f"c-const: not a rational number: {args.c_const!r}")
+        raise CliError(f"c-const: not a rational number: {c_const!r}")
     if c <= 0:
         raise CliError("c-const: must be positive")
-    if args.b0 is not None and args.b0 < 1:
+    if b0 is not None and (not _is_int(b0) or b0 < 1):
         raise CliError("b0: must be a positive integer")
-    return ExtractOptions(c_const=c, b0=args.b0)
+    return ExtractOptions(c_const=c, b0=b0)
 
 
 def cmd_extract(args) -> int:
     config = config_from_dict(_load_json(args.config, "config"), "config")
-    cert = extract_certificate(config, _options_from_args(args))
+    cert = extract_certificate(config, _extract_options(args.c_const,
+                                                         args.b0))
     _dump_json(cert.to_dict(), args.out)
     return 0
 
@@ -234,15 +242,24 @@ def _parse_grid(doc: dict) -> list:
     return cells
 
 
+def _cell_inputs(cell: dict):
+    for axis in GRID_INT_AXES:
+        if not _is_int(cell[axis]):
+            raise CliError(f"{axis}: must be an integer")
+    try:
+        noise = float(cell["noise"])
+    except (TypeError, ValueError):
+        raise CliError("noise: must be a number")
+    gconf = generate(GeneratorSpec(
+        kind=cell["kind"], q=cell["q"], d=cell["d"], n_points=cell["np"],
+        n_spheres=cell["ns"], seed=cell["seed"], noise=noise))
+    return gconf, _extract_options(cell["c_const"], cell["b0"])
+
+
 def _experiment_cell(cell: dict) -> dict:
     try:
-        gconf = generate(GeneratorSpec(
-            kind=cell["kind"], q=cell["q"], d=cell["d"], n_points=cell["np"],
-            n_spheres=cell["ns"], seed=cell["seed"],
-            noise=float(cell["noise"])))
-        opts = ExtractOptions(c_const=Fraction(str(cell["c_const"])),
-                              b0=cell["b0"])
-    except (ValueError, ZeroDivisionError) as exc:
+        gconf, opts = _cell_inputs(cell)
+    except (CliError, ValueError) as exc:
         # ValueError covers BadGeneratorSpec and NotAPrime
         name = ", ".join(f"{k}={cell[k]!r}" for k in GRID_AXES)
         raise CliError(f"grid: cell {name}: {exc}")
@@ -261,8 +278,8 @@ def _experiment_cell(cell: dict) -> dict:
     return {
         "q": cell["q"], "d": cell["d"], "kind": cell["kind"],
         "np": cell["np"], "ns": cell["ns"],
-        "noise": f"{float(cell['noise']):g}", "seed": cell["seed"],
-        "c_const": str(Fraction(str(cell["c_const"]))),
+        "noise": f"{gconf.spec.noise:g}", "seed": cell["seed"],
+        "c_const": str(opts.c_const),
         "K": f"{float(cert.params['K']):.12g}",
         "case": cert.case,
         "p_prime": n_prime,
@@ -279,7 +296,7 @@ def cmd_experiment(args) -> int:
     cells = _parse_grid(_load_json(args.grid, "grid"))
     workers = os.environ.get("FFRIGIDITY_WORKERS", "1")
     try:
-        workers = max(1, int(workers))
+        workers = min(max(1, int(workers)), os.cpu_count() or 1)
     except ValueError:
         raise CliError("FFRIGIDITY_WORKERS: not an integer")
     if workers > 1 and len(cells) > 1:

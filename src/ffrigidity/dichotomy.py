@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
+import numpy as np
+
 from .field import PrimeField, kernel_basis
 
 BASIS_CAP = 100_000
@@ -88,6 +90,12 @@ class Polynomial:
             total += v
         return total % q
 
+    def evaluate_many(self, points, q: int) -> np.ndarray:
+        """Values at every point at once, as an int64 array."""
+        values = monomial_values(points, [e for e, _ in self.terms], q)
+        coefs = np.asarray([c % q for _, c in self.terms], dtype=np.int64)
+        return (values * coefs).sum(axis=1) % q
+
     def to_pairs(self):
         return [[list(e), c] for e, c in self.terms]
 
@@ -97,19 +105,25 @@ def polynomial_from_vector(basis: MonomialBasis, vec, q: int) -> Polynomial:
     return Polynomial(nvars=basis.nvars, terms=terms)
 
 
+def monomial_values(points, exponents, q: int) -> np.ndarray:
+    """Array of x**e mod q, one row per point and one column per exponent
+    tuple, read from a table of each coordinate's powers 0..max(e)."""
+    out = np.ones((len(points), len(exponents)), dtype=np.int64)
+    if not out.size:
+        return out
+    pts = np.asarray([[x % q for x in p] for p in points], dtype=np.int64)
+    exps = np.asarray(exponents, dtype=np.int64).reshape(len(exponents), -1)
+    powers = np.ones((len(pts), int(exps.max()) + 1), dtype=np.int64)
+    for j in range(exps.shape[1]):
+        for e in range(1, powers.shape[1]):
+            powers[:, e] = powers[:, e - 1] * pts[:, j] % q
+        out = out * powers[:, exps[:, j]] % q
+    return out
+
+
 def evaluation_matrix(points, basis: MonomialBasis, q: int):
     """Row per point, column per monomial, entries taken mod q."""
-    rows = []
-    for p in points:
-        row = []
-        for exps in basis.exponents:
-            v = 1
-            for x, e in zip(p, exps):
-                if e:
-                    v = v * pow(x % q, e, q) % q
-            row.append(v)
-        rows.append(row)
-    return rows
+    return monomial_values(points, basis.exponents, q).tolist()
 
 
 @dataclass(frozen=True)
@@ -142,7 +156,7 @@ def dichotomy(directions, D: int, q: int) -> DichotomyResult:
     if kernel:
         poly = polynomial_from_vector(basis, kernel[0], q)
         assert not poly.is_zero()
-        assert all(poly.evaluate(n, q) == 0 for n in dirs)
+        assert not poly.evaluate_many(dirs, q).any()
         return DichotomyResult("algebraic", poly, len(dirs),
                                len(basis.exponents), D)
     assert len(dirs) >= len(basis.exponents)
@@ -207,10 +221,10 @@ def affine_dichotomy(directions, chart: int, D: int, q: int) -> AffineDichotomyR
     if kernel:
         poly = polynomial_from_vector(basis, kernel[0], q)
         assert not poly.is_zero()
-        assert all(poly.evaluate(t, q) == 0 for t in chart_pts)
+        assert not poly.evaluate_many(chart_pts, q).any()
         hom = homogenize(poly, chart, nvars)
         assert not hom.is_zero() and hom.degree() == poly.degree()
-        assert all(hom.evaluate(n, q) == 0 for n in originals)
+        assert not hom.evaluate_many(originals, q).any()
         return AffineDichotomyResult("algebraic", chart, poly, hom,
                                      len(chart_pts), len(basis.exponents), D)
     assert len(chart_pts) >= len(basis.exponents)

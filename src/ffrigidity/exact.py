@@ -10,7 +10,7 @@ be decided exactly, with no floating-point acceptance flakiness.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import ceil, isqrt
 
 
 class SqrtRational:
@@ -120,3 +120,13 @@ class SqrtRational:
         if self.radicand == 1:
             return f"SqrtRational({self.coef})"
         return f"SqrtRational({self.coef}, sqrt {self.radicand})"
+
+
+def count_cutoff(threshold) -> int:
+    """Least integer at least `threshold` (an int, a Fraction or a
+    SqrtRational).  An integer count meets the threshold exactly when it
+    is at least this cutoff, so a loop over counts compares integers
+    instead of deciding each comparison exactly."""
+    if isinstance(threshold, SqrtRational):
+        return threshold.ceil()
+    return ceil(Fraction(threshold))

@@ -7,6 +7,10 @@ functions of their inputs, so they are safe to call concurrently.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
+import numpy as np
+
 
 class NotAPrime(ValueError):
     """Raised when a modulus is not an odd prime in the supported range."""
@@ -57,6 +61,25 @@ class PrimeField:
         return pow(a, self.q - 2, self.q)
 
 
+@lru_cache(maxsize=32)
+def inverse_table(q: int) -> np.ndarray:
+    """Read-only int64 array whose entry a is the inverse of a mod q.
+
+    Entry 0 is 0.  Built by square-and-multiply on a**(q-2) over all
+    residues at once; with q < 2**16 every product fits in int64.
+    """
+    table = np.ones(q, dtype=np.int64)
+    base = np.arange(q, dtype=np.int64)
+    e = q - 2
+    while e:
+        if e & 1:
+            table = table * base % q
+        base = base * base % q
+        e >>= 1
+    table.setflags(write=False)
+    return table
+
+
 Matrix = list  # list of row lists with entries in [0, q)
 
 
@@ -70,33 +93,41 @@ def rref(mat, field: PrimeField):
     Returns (rows, pivot_columns) where rows is a tuple of row tuples
     with pivot entries normalized to 1 and zeros above and below every
     pivot.  The result is unique, so it doubles as a canonical form.
+
+    Gauss-Jordan elimination on an int64 array, one pivot column at a
+    time.  Only the pivot column and the pivot row are reduced mod q at
+    each step; the rank-one update of the other entries is left
+    unreduced.  Each update adds less than q**2 < 2**32 in absolute
+    value, so entries stay below (rank + 1) * 2**32, far inside int64,
+    until the final reduction.
     """
     q = field.q
-    m = _copy_reduce(mat, q)
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
+    if not len(mat):
+        return (), ()
+    m = np.array(_copy_reduce(mat, q), dtype=np.int64).reshape(len(mat), -1)
+    nrows, ncols = m.shape
+    inv = inverse_table(q)
     pivots = []
     r = 0
     for c in range(ncols):
         if r >= nrows:
             break
-        sel = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                sel = i
-                break
-        if sel is None:
+        col = m[:, c] % q
+        nonzero = np.flatnonzero(col[r:])
+        if not nonzero.size:
             continue
-        m[r], m[sel] = m[sel], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [(x * inv) % q for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [(a - f * b) % q for a, b in zip(m[i], m[r])]
+        sel = r + int(nonzero[0])
+        if sel != r:
+            m[[r, sel]] = m[[sel, r]]
+            col[[r, sel]] = col[[sel, r]]
+        pivot_row = m[r, c:] % q * inv[col[r]] % q
+        col[r] = 0
+        m[:, c:] -= col[:, None] * pivot_row
+        m[r, c:] = pivot_row
         pivots.append(c)
         r += 1
-    return tuple(tuple(row) for row in m), tuple(pivots)
+    m %= q
+    return tuple(tuple(row) for row in m.tolist()), tuple(pivots)
 
 
 def rank(mat, field: PrimeField) -> int:

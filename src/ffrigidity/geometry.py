@@ -140,6 +140,11 @@ def flat_from_pair(h1: Hyperplane, h2: Hyperplane, field: PrimeField):
     Returns IDENTICAL for equal hyperplanes, PARALLEL_DISJOINT for
     distinct parallel ones, and a Flat otherwise.  Canonical hyperplanes
     are parallel exactly when their normal tuples coincide.
+
+    The pipeline computes flats in one array pass
+    (`pipeline.flat_profile`); this scalar form is kept as the oracle
+    its tests and acceptance criterion 7 check it against, as
+    `hyperplane_contains` is kept beside `hyperplane_incidence`.
     """
     if h1 == h2:
         return IDENTICAL
@@ -214,6 +219,21 @@ def sphere_incidence(pts, spheres, q: int) -> np.ndarray:
     form = ((pts * pts).sum(axis=1)[:, None] - 2 * (pts @ centers.T)
             + (centers * centers).sum(axis=1))
     return form % q == radii % q
+
+
+def incidence_gram(inc: np.ndarray) -> np.ndarray:
+    """Column Gram matrix inc.T @ inc of a boolean incidence matrix.
+
+    Entry [a, b] counts the rows incident to both columns a and b.  Row a
+    of the result sums the rows incident to column a, so the work is the
+    number of incidences times the number of columns: numpy's integer
+    matmul has no BLAS kernel and costs rows x columns**2 instead.
+    """
+    m = inc.shape[1]
+    gram = np.empty((m, m), dtype=np.int64)
+    for a in range(m):
+        gram[a] = inc[inc[:, a]].sum(axis=0)
+    return gram
 
 
 def sphere_points(s: Sphere, space: AmbientSpace):

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import Hyperplane, hyperplane_incidence, radical_hyperplane
+from .exact import count_cutoff
+from .geometry import Hyperplane, hyperplane_incidence
 
 
 class EmptyMultiset(ValueError):
@@ -56,27 +57,28 @@ def richness_counts(points, hyperplanes, q: int, d: int):
     return hyperplane_incidence(points, hyperplanes, q).sum(axis=0).tolist()
 
 
-def build_multiset(pairs, config, richness_min=0) -> HyperplaneMultiset:
-    """Aggregate the radical hyperplanes of ordered sphere-index pairs.
+def build_multiset(pp, config, richness_min=0) -> HyperplaneMultiset:
+    """Aggregate the radical hyperplanes of the persistent pairs pp.
 
-    Degenerate (concentric) pairs contribute nothing.  Hyperplanes whose
-    point richness falls below richness_min are dropped together with
-    their multiplicity; richness_min may be an int, a Fraction or an
-    exact square-root value.
+    pp is the `strata.persistent_pairs` result for config; its bisectors
+    and their richness on config.points are reused, not recomputed, and
+    its bisector table must cover every sphere pair of config.
+    Concentric pairs never persist, so every pair contributes.
+    Hyperplanes whose point richness falls below richness_min are
+    dropped together with their multiplicity; richness_min may be an
+    int, a Fraction or an exact square-root value.
     """
-    q, d = config.q, config.d
-    spheres = config.spheres
+    ns = len(config.spheres)
+    assert 2 * len(pp.bisectors) == ns * (ns - 1)
     counts: dict = {}
     provenance: dict = {}
-    for (i, j) in pairs:
-        h = radical_hyperplane(spheres[i], spheres[j], q)
-        if h is None:
-            continue
+    for pair in pp.pairs:
+        i, j = pair
+        h = pp.bisectors[pair if i < j else (j, i)]
         counts[h] = counts.get(h, 0) + 1
-        provenance.setdefault(h, []).append((i, j))
-    support = sorted(counts)
-    rich = richness_counts(config.points, support, q, d)
-    kept = [h for h, r in zip(support, rich) if r >= richness_min]
+        provenance.setdefault(h, []).append(pair)
+    cutoff = count_cutoff(richness_min)
+    kept = [h for h in sorted(counts) if pp.richness[h] >= cutoff]
     return HyperplaneMultiset(
         support=tuple(kept),
         counts={h: counts[h] for h in kept},

@@ -18,16 +18,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from math import isqrt
 
 import numpy as np
 
 from .dichotomy import (Polynomial, affine_dichotomy, minimal_degree)
 from .exact import SqrtRational
-from .field import PrimeField
-from .geometry import (Flat, Hyperplane, flat_contained_in, flat_from_pair,
-                       hyperplane_incidence, sphere_contains, sphere_incidence,
-                       IDENTICAL, PARALLEL_DISJOINT)
+from .field import PrimeField, inverse_table
+from .geometry import (Flat, Hyperplane, flat_contained_in,
+                       hyperplane_incidence, incidence_gram, sphere_contains,
+                       sphere_incidence)
 from .multiset import (HyperplaneMultiset, build_multiset, mass_retention,
                        parallel_classes, popular_offset, richness_counts)
 from .stats import Config, energies
@@ -48,26 +47,69 @@ def overlap_energy(points, hyperplanes, q: int, d: int) -> int:
     """
     if not len(points) or not hyperplanes:
         return 0
-    inc = hyperplane_incidence(points, hyperplanes, q).astype(np.int64)
+    inc = hyperplane_incidence(points, hyperplanes, q)
     degs = inc.sum(axis=1)
     j_from_degrees = int((degs * (degs - 1)).sum())
-    gram = inc.T @ inc
+    gram = incidence_gram(inc)
     j_pairwise = int(gram.sum() - np.trace(gram))
     assert j_from_degrees == j_pairwise
     return j_from_degrees
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlatProfile:
-    multiplicity: dict
-    pairs_by_flat: dict
+    """Intersection flats of a hyperplane family, as arrays.
+
+    Row i of `flats` is the i-th distinct flat in Flat tuple order,
+    flattened as (rows[0], rows[1], values); `multiplicities[i]` is the
+    number of family members containing it.  `pencil` lists the member
+    indices through the witness, the smallest flat of maximal
+    multiplicity.
+    """
+    flats: np.ndarray
+    multiplicities: np.ndarray
     parallel_pairs: int
     max_multiplicity: int
     witness: Flat | None
+    pencil: tuple
+
+    def flat(self, i: int) -> Flat:
+        return _flat_of_key(self.flats[i].tolist())
+
+
+def _flat_of_key(key) -> Flat:
+    d = len(key) // 2 - 1
+    return Flat(rows=(tuple(key[:d]), tuple(key[d:2 * d])),
+                values=tuple(key[2 * d:]))
+
+
+def _pack_digits(digits: np.ndarray, q: int) -> np.ndarray:
+    """Rows of base-q digits packed into int64 words, each a big-endian
+    base-q number of consecutive digits below 2**63, so that comparing
+    and sorting the word rows compares and sorts the digit rows."""
+    per_word = 1
+    while q ** (per_word + 1) < 2 ** 63:
+        per_word += 1
+    words = []
+    for start in range(0, digits.shape[1], per_word):
+        word = np.zeros(len(digits), dtype=np.int64)
+        for column in digits.T[start:start + per_word]:
+            word = word * q + column
+        words.append(word)
+    return np.stack(words, axis=1)
 
 
 def flat_profile(hyperplanes, field: PrimeField) -> FlatProfile:
     """Multiplicity of every intersection flat of a hyperplane family.
+
+    One array pass over all pairs a < b.  Canonical hyperplanes are
+    parallel exactly when their normals coincide.  For the others the
+    reduced row echelon form of the 2 x (d+1) system is written out in
+    closed form: both rows lead with 1, so the row with the smaller lead
+    (a on ties) is the first pivot row; subtracting it from the other,
+    scaling that by the inverse of its lead and eliminating back gives
+    the form `flat_from_pair` computes.  Sorting the flattened forms,
+    packed into base-q words, groups the pairs by flat.
 
     Any two distinct hyperplanes through a common codimension-2 flat
     intersect exactly in it, so the number of unordered pairs mapping to
@@ -77,45 +119,66 @@ def flat_profile(hyperplanes, field: PrimeField) -> FlatProfile:
     its non-parallel partners in at least (partner count) / m_max
     distinct flats.
     """
+    q = field.q
     hps = list(hyperplanes)
-    grouped: dict = {}
-    parallel = 0
-    for a in range(len(hps)):
-        for b in range(a + 1, len(hps)):
-            out = flat_from_pair(hps[a], hps[b], field)
-            if out is PARALLEL_DISJOINT:
-                parallel += 1
-                continue
-            assert out is not IDENTICAL, "support hyperplanes must be distinct"
-            grouped.setdefault(out, []).append((a, b))
-    multiplicity = {}
-    for flat, pairs in grouped.items():
-        f = len(pairs)
-        m = (1 + isqrt(1 + 8 * f)) // 2
-        assert m * (m - 1) == 2 * f
-        multiplicity[flat] = m
-    max_mult = max(multiplicity.values(), default=0)
+    n = len(hps)
+    d = len(hps[0].normal) if hps else 0
+    if n < 2:
+        return FlatProfile(flats=np.zeros((0, 2 * d + 2), dtype=np.int64),
+                           multiplicities=np.zeros(0, dtype=np.int64),
+                           parallel_pairs=0, max_multiplicity=0,
+                           witness=None, pencil=())
+    aug = np.asarray([(*h.normal, h.offset) for h in hps], dtype=np.int64)
+    lead = (aug[:, :d] != 0).argmax(axis=1)
+    assert ((aug >= 0) & (aug < q)).all() and \
+        (aug[np.arange(n), lead] == 1).all(), "hyperplanes must be canonical"
+    a, b = np.triu_indices(n, k=1)
+    normals = _pack_digits(aug[:, :d], q)
+    parallel = (normals[a] == normals[b]).all(axis=1)
+    assert not (parallel & (aug[a, d] == aug[b, d])).any(), \
+        "support hyperplanes must be distinct"
+    a, b = a[~parallel], b[~parallel]
+    first = np.where(lead[b] < lead[a], b, a)
+    rows = np.arange(len(a))
+    top = aug[first]
+    bottom = aug[a + b - first]
+    bottom = (bottom - bottom[rows, lead[first]][:, None] * top) % q
+    second = (bottom[:, :d] != 0).argmax(axis=1)
+    bottom = bottom * inverse_table(q)[bottom[rows, second]][:, None] % q
+    top = (top - top[rows, second][:, None] * bottom) % q
+    keys = np.concatenate([top[:, :d], bottom[:, :d], top[:, d:],
+                           bottom[:, d:]], axis=1)
+
+    packed = _pack_digits(keys, q)
+    order = np.lexsort(packed.T[::-1])
+    packed = packed[order]
+    starts = np.ones(len(packed), dtype=bool)
+    starts[1:] = (packed[1:] != packed[:-1]).any(axis=1)
+    run = np.cumsum(starts) - 1
+    pairs = np.bincount(run)
+    mult = ((1 + np.sqrt(1 + 8 * pairs)) // 2).astype(np.int64)
+    assert (mult * (mult - 1) == 2 * pairs).all()
+    flats = keys[order[starts]]
+    max_mult = int(mult.max(initial=0))
     witness = None
-    if multiplicity:
-        witness = min(l for l, m in multiplicity.items() if m == max_mult)
+    pencil: tuple = ()
     if max_mult:
-        partners = [0] * len(hps)
-        fibers = [set() for _ in hps]
-        for flat, pairs in grouped.items():
-            for a, b in pairs:
-                partners[a] += 1
-                partners[b] += 1
-                fibers[a].add(flat)
-                fibers[b].add(flat)
-        for a in range(len(hps)):
-            assert len(fibers[a]) * max_mult >= partners[a]
-    return FlatProfile(
-        multiplicity=multiplicity,
-        pairs_by_flat={l: tuple(p) for l, p in grouped.items()},
-        parallel_pairs=parallel,
-        max_multiplicity=max_mult,
-        witness=witness,
-    )
+        w = int(mult.argmax())
+        members = np.concatenate([a[order], b[order]])
+        in_witness = np.zeros(n, dtype=bool)
+        in_witness[members[np.tile(run == w, 2)]] = True
+        pencil = tuple(np.flatnonzero(in_witness).tolist())
+        partners = np.bincount(members, minlength=n)
+        member_flat = np.sort(members * len(flats) + np.tile(run, 2))
+        distinct = np.ones(len(member_flat), dtype=bool)
+        distinct[1:] = member_flat[1:] != member_flat[:-1]
+        fibers = np.bincount(member_flat[distinct] // len(flats), minlength=n)
+        assert (fibers * max_mult >= partners).all()
+        witness = _flat_of_key(flats[w].tolist())
+    return FlatProfile(flats=flats, multiplicities=mult,
+                       parallel_pairs=int(parallel.sum()),
+                       max_multiplicity=max_mult, witness=witness,
+                       pencil=pencil)
 
 
 @dataclass(frozen=True)
@@ -133,12 +196,8 @@ def case_split(ms: HyperplaneMultiset, b0: int, field: PrimeField) -> CaseSplit:
     of the support, directional coordination otherwise."""
     profile = flat_profile(ms.support, field)
     if profile.max_multiplicity >= b0 + 1:
-        idx = {i: h for i, h in enumerate(ms.support)}
-        members = set()
-        for a, b in profile.pairs_by_flat[profile.witness]:
-            members.add(idx[a])
-            members.add(idx[b])
-        return CaseSplit(CASE_FLAT, profile.witness, tuple(sorted(members)),
+        members = sorted(ms.support[i] for i in profile.pencil)
+        return CaseSplit(CASE_FLAT, profile.witness, tuple(members),
                          (), profile.max_multiplicity, b0)
     _, directions = parallel_classes(ms)
     return CaseSplit(CASE_DIRECTIONAL, None, (), directions,
@@ -252,7 +311,7 @@ def extract_certificate(config: Config,
                           threshold=opts.richness_override)
     if not pp.pairs:
         return _no_signal(K, b0, "no-persistent-pairs")
-    ms = build_multiset(pp.pairs, config, pp.threshold)
+    ms = build_multiset(pp, config, pp.threshold)
     if not ms.support:
         return _no_signal(K, b0, "empty-multiset")
     try:
@@ -345,15 +404,14 @@ def _coincidence_scale(points, hyperplanes, q: int) -> int:
     the point set."""
     if len(hyperplanes) < 2:
         return 0
-    inc = hyperplane_incidence(points, hyperplanes, q).astype(np.int64)
-    gram = inc.T @ inc
+    gram = incidence_gram(hyperplane_incidence(points, hyperplanes, q))
     ids: dict = {}
     direction = np.asarray([ids.setdefault(h.normal, len(ids))
                             for h in hyperplanes])
     a, b = np.triu_indices(len(hyperplanes), k=1)
     skew = direction[a] != direction[b]
     try:
-        return heavy_layer_select(gram[a[skew], b[skew]].tolist()).mu
+        return heavy_layer_select(gram[a[skew], b[skew]]).mu
     except EmptyOverlaps:
         return 0
 

@@ -10,13 +10,13 @@ both partitions are kept explicit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
 import numpy as np
 
-from .exact import SqrtRational
-from .geometry import hyperplane_incidence, radical_hyperplane
+from .exact import SqrtRational, count_cutoff
+from .geometry import hyperplane_incidence, incidence_gram, radical_hyperplane
 from .multiset import HyperplaneMultiset, richness_counts
 from .stats import Config, membership_matrix, near_extremality_K
 
@@ -47,8 +47,7 @@ class DyadicLayers:
 
 
 def sphere_overlap_matrix(config: Config) -> np.ndarray:
-    mat = membership_matrix(config).astype(np.int64)
-    return mat.T @ mat
+    return incidence_gram(membership_matrix(config))
 
 
 def stratify(config: Config) -> DyadicLayers:
@@ -76,6 +75,26 @@ def stratify(config: Config) -> DyadicLayers:
     )
 
 
+def _bisectors(config: Config):
+    """Radical hyperplane of every unordered distinct pair (None when
+    concentric), and the point richness of every distinct one.  Equal
+    hyperplanes are one shared object."""
+    q, d = config.q, config.d
+    spheres = config.spheres
+    ns = len(spheres)
+    hyperplanes = {}
+    distinct: dict = {}
+    for i in range(ns):
+        for j in range(i + 1, ns):
+            h = radical_hyperplane(spheres[i], spheres[j], q)
+            if h is not None:
+                h = distinct.setdefault(h, h)
+            hyperplanes[(i, j)] = h
+    uniq = sorted(distinct)
+    rich = dict(zip(uniq, richness_counts(config.points, uniq, q, d)))
+    return hyperplanes, rich
+
+
 def pair_richness(config: Config):
     """Radical-hyperplane point richness of every ordered distinct pair.
 
@@ -83,15 +102,7 @@ def pair_richness(config: Config):
     radical hyperplane to |P on H| and degenerate lists the concentric
     pairs, which have none.
     """
-    q, d = config.q, config.d
-    spheres = config.spheres
-    ns = len(spheres)
-    hyperplanes = {}
-    for i in range(ns):
-        for j in range(i + 1, ns):
-            hyperplanes[(i, j)] = radical_hyperplane(spheres[i], spheres[j], q)
-    uniq = sorted({h for h in hyperplanes.values() if h is not None})
-    rich = dict(zip(uniq, richness_counts(config.points, uniq, q, d)))
+    hyperplanes, rich = _bisectors(config)
     richness = {}
     degenerate = []
     for (i, j), h in hyperplanes.items():
@@ -138,8 +149,14 @@ def low_layer_mass(config: Config, j0: int) -> LowLayerReport:
 
 @dataclass(frozen=True)
 class PersistentPairs:
+    """Persistent ordered pairs.  `bisectors` maps every unordered pair
+    i < j to its radical hyperplane (None when concentric) and `richness`
+    maps each distinct bisector to |P on H|, so later stages need not
+    recompute them."""
     threshold: SqrtRational
     pairs: tuple
+    bisectors: dict = dataclass_field(repr=False)
+    richness: dict = dataclass_field(repr=False)
 
 
 def richness_threshold(K: SqrtRational, q: int, d: int,
@@ -162,9 +179,14 @@ def persistent_pairs(config: Config, K: SqrtRational | None = None,
         if K is None:
             K = near_extremality_K(config)
         lam = richness_threshold(K, config.q, config.d, c_const)
-    richness, _ = pair_richness(config)
-    pairs = tuple(sorted(p for p, r in richness.items() if r >= lam))
-    return PersistentPairs(threshold=lam, pairs=pairs)
+    hyperplanes, rich = _bisectors(config)
+    cutoff = count_cutoff(lam)
+    pairs = []
+    for pair, h in hyperplanes.items():
+        if h is not None and rich[h] >= cutoff:
+            pairs += [pair, pair[::-1]]
+    return PersistentPairs(threshold=lam, pairs=tuple(sorted(pairs)),
+                           bisectors=hyperplanes, richness=rich)
 
 
 @dataclass(frozen=True)
@@ -199,32 +221,42 @@ class HeavyLayer:
 def heavy_layer_select(overlaps) -> HeavyLayer:
     """Pick the dyadic value layer maximizing 2**j * (member count).
 
-    Accepts a mapping key -> positive value or a plain iterable of
-    values.  Zero values carry no layer and are ignored; ties go to the
-    larger j.  The selected score is at least the total score divided by
-    the number of nonempty layers, which is the exact pigeonhole this
-    selection exists for.
+    Accepts a mapping key -> positive value or a sequence (or integer
+    array) of values, whose keys are then the positions.  Zero values
+    carry no layer and are ignored; ties go to the larger j.  The
+    selected score is at least the total score divided by the number of
+    nonempty layers, which is the exact pigeonhole this selection exists
+    for.  Layers come from float64 exponents, exact below 2**53.
     """
-    if not isinstance(overlaps, dict):
-        overlaps = dict(enumerate(overlaps))
-    layers: dict = {}
-    for k, v in overlaps.items():
-        if v > 0:
-            layers.setdefault(dyadic_class(v), []).append(k)
-    if not layers:
+    if isinstance(overlaps, dict):
+        keys = list(overlaps)
+        values = np.fromiter(overlaps.values(), dtype=np.int64,
+                             count=len(keys))
+    else:
+        keys = None
+        values = np.asarray(overlaps, dtype=np.int64).ravel()
+    positive = np.flatnonzero(values > 0)
+    if not len(positive):
         raise EmptyOverlaps("no positive overlap values to select from")
-    best = max(layers, key=lambda j: ((1 << j) * len(layers[j]), j))
-    keys = tuple(sorted(layers[best]))
-    score = (1 << best) * len(keys)
-    total_score = sum((1 << j) * len(ks) for j, ks in layers.items())
+    values = values[positive]
+    assert values.max() < 1 << 53
+    layer = np.frexp(values)[1] - 1
+    sizes = np.bincount(layer).tolist()
+    layers = [j for j, n in enumerate(sizes) if n]
+    best = max(layers, key=lambda j: ((1 << j) * sizes[j], j))
+    members = positive[layer == best].tolist()
+    if keys is not None:
+        members = sorted(keys[i] for i in members)
+    score = (1 << best) * sizes[best]
+    total_score = sum((1 << j) * sizes[j] for j in layers)
     assert score * len(layers) >= total_score
     return HeavyLayer(
         mu=1 << best,
         layer=best,
-        keys=keys,
+        keys=tuple(members),
         score=score,
-        layer_mass=sum(overlaps[k] for k in keys),
-        total_mass=sum(v for v in overlaps.values() if v > 0),
+        layer_mass=int(values[layer == best].sum()),
+        total_mass=int(values.sum()),
         nonempty_layers=len(layers),
     )
 

@@ -214,9 +214,17 @@ def test_experiment_grid_errors(tmp_path, capsys):
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("bad", [{"q": [9]}, {"kind": ["nope"]},
-                                 {"ns": [5]}, {"c_const": ["x"]}],
+                                 {"ns": [5]}, {"c_const": ["x"]},
+                                 {"np": ["10"]}, {"ns": ["4"]}, {"q": ["5"]},
+                                 {"d": ["3"]}, {"seed": ["1"]}, {"np": [True]},
+                                 {"noise": [[0]]}, {"c_const": [-1]},
+                                 {"c_const": [0]}, {"b0": [0]},
+                                 {"b0": ["2"]}],
                          ids=["composite-q", "unknown-kind", "odd-ns",
-                              "c-const"])
+                              "c-const", "string-np", "string-ns", "string-q",
+                              "string-d", "string-seed", "bool-np",
+                              "list-noise", "negative-c-const", "zero-c-const",
+                              "zero-b0", "string-b0"])
 def test_experiment_bad_cell_exits_2(tmp_path, capsys, monkeypatch, bad,
                                      workers):
     monkeypatch.setenv("FFRIGIDITY_WORKERS", workers)
@@ -226,6 +234,50 @@ def test_experiment_bad_cell_exits_2(tmp_path, capsys, monkeypatch, bad,
     assert err.startswith("error: grid: cell ")
     assert "Traceback" not in err
     assert not out
+
+
+def test_experiment_cell_options_match_extract(tmp_path, capsys):
+    cfg = gen_config(tmp_path, capsys)
+    for c_const in ("-1", "0"):
+        code, _, err = run(capsys, "extract", str(cfg), "--c-const", c_const)
+        assert code == 2 and err == "error: c-const: must be positive\n"
+        grid = grid_file(tmp_path, dict(BASE_GRID, c_const=[c_const]))
+        code, _, err = run(capsys, "experiment", str(grid))
+        assert code == 2 and err.endswith(": c-const: must be positive\n")
+
+
+def test_workers_capped_at_cpu_count(tmp_path, capsys, monkeypatch):
+    import multiprocessing
+    import os
+
+    pools = []
+
+    class SerialPool:
+        """Stands in for multiprocessing.Pool without starting processes."""
+
+        def __init__(self, processes):
+            pools.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(x) for x in items]
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    monkeypatch.setenv("FFRIGIDITY_WORKERS", "1000")
+    grid = grid_file(tmp_path, BASE_GRID)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    code, capped, _ = run(capsys, "experiment", str(grid))
+    assert code == 0 and pools == [3]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    code, serial, _ = run(capsys, "experiment", str(grid))
+    assert code == 0 and pools == [3]
+    strip = lambda text: [r[:-1] for r in csv.reader(io.StringIO(text))]
+    assert strip(capped) == strip(serial)
 
 
 def test_experiment_guard_trips(tmp_path, capsys):

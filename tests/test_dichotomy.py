@@ -223,3 +223,26 @@ def test_veronese_forced_dependence_random():
             res = veronese_dependence(sorted(hps), D, q)
             assert res.branch == "dependent"
             assert any(res.coefficients)
+
+
+def test_evaluation_matrix_and_evaluate_many_match_pointwise():
+    rng = random.Random(13)
+    for q in (3, 5, 61, 65521):
+        for nvars, degree, homogeneous in ((1, 3, False), (2, 5, True),
+                                           (3, 4, False), (4, 2, True)):
+            basis = monomial_basis(nvars, degree, homogeneous)
+            pts = [tuple(rng.randrange(-2 * q, 2 * q) for _ in range(nvars))
+                   for _ in range(8)] + [(10 ** 30 + 1,) * nvars]
+            mat = evaluation_matrix(pts, basis, q)
+            for p, row in zip(pts, mat):
+                for exps, v in zip(basis.exponents, row):
+                    one = Polynomial(nvars, ((exps, 1),))
+                    assert v == one.evaluate(p, q)
+            poly = Polynomial(nvars, tuple(
+                (e, rng.randrange(1, q)) for e in basis.exponents
+                if rng.random() < 0.5))
+            assert poly.evaluate_many(pts, q).tolist() == [
+                poly.evaluate(p, q) for p in pts]
+            assert evaluation_matrix([], basis, q) == []
+            assert Polynomial(nvars, ()).evaluate_many(pts, q).tolist() == [
+                0] * len(pts)

@@ -2,7 +2,7 @@ import math
 import random
 from fractions import Fraction
 
-from ffrigidity.exact import SqrtRational
+from ffrigidity.exact import SqrtRational, count_cutoff
 
 
 def test_zero_and_sign():
@@ -97,3 +97,16 @@ def test_hash_consistent_with_eq():
 def test_zero_coef_or_radicand_is_zero():
     assert SqrtRational(Fraction(0), 17).is_zero()
     assert SqrtRational(Fraction(5), 0).is_zero()
+
+
+def test_count_cutoff_decides_integer_comparisons():
+    rng = random.Random(9)
+    thresholds = [0, 3, Fraction(7, 2), Fraction(-5, 3),
+                  SqrtRational(Fraction(2), 4), SqrtRational.zero()]
+    thresholds += [SqrtRational(Fraction(rng.randrange(-40, 40),
+                                         rng.randrange(1, 9)),
+                                rng.randrange(1, 400)) for _ in range(60)]
+    for t in thresholds:
+        cutoff = count_cutoff(t)
+        for c in range(-30, 60):
+            assert (c >= t) == (c >= cutoff)

@@ -39,6 +39,30 @@ def solves_homogeneous(mat, v, q):
     return all(sum(a * b for a, b in zip(row, v)) % q == 0 for row in mat)
 
 
+# oracle: textbook Gauss-Jordan on Python integer lists, reducing every
+# entry after every row operation
+def rref_oracle(mat, q):
+    m = [[x % q for x in row] for row in mat]
+    pivots = []
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        sel = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if sel is None:
+            continue
+        m[r], m[sel] = m[sel], m[r]
+        inv = pow(m[r][c], q - 2, q)
+        m[r] = [x * inv % q for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(x - f * y) % q for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return tuple(tuple(row) for row in m), tuple(pivots)
+
+
 def test_is_odd_prime_small():
     primes = {3, 5, 7, 11, 13, 17, 19, 23, 29, 31}
     for n in range(-2, 32):
@@ -163,3 +187,32 @@ def test_mat_vec_and_identity():
     ident = identity_matrix(3)
     assert mat_vec(ident, (2, 5, 6), f) == (2, 5, 6)
     assert mat_vec([[1, 1, 1]], (3, 3, 3), f) == (2,)
+
+
+def test_rref_matches_scalar_elimination():
+    # the array elimination defers reduction mod q; q = 65521 checks that
+    # no entry leaves int64 range on a 60 x 70 matrix, and entries far
+    # outside [0, q) and low-rank products exercise the pivot search
+    rng = random.Random(6)
+    for q in (3, 5, 61, 65521):
+        f = PrimeField(q)
+        for rows, cols in ((1, 1), (2, 4), (3, 3), (7, 5), (5, 9),
+                           (30, 36), (60, 70)):
+            for low_rank in (False, True):
+                if low_rank:
+                    k = rng.randrange(1, min(rows, cols) + 1)
+                    left = [[rng.randrange(q) for _ in range(k)]
+                            for _ in range(rows)]
+                    right = [[rng.randrange(q) for _ in range(cols)]
+                             for _ in range(k)]
+                    mat = [[sum(x * y for x, y in zip(row, col))
+                            for col in zip(*right)] for row in left]
+                else:
+                    mat = [[rng.randrange(-3 * q, 3 * q)
+                            if rng.random() < 0.7 else 0
+                            for _ in range(cols)] for _ in range(rows)]
+                mat[0][0] += 10 ** 30
+                assert rref(mat, f) == rref_oracle(mat, q)
+    assert rref([], PrimeField(5)) == ((), ())
+    assert rref([[]], PrimeField(5)) == (((),), ())
+    assert rref([[0, 0], [0, 0]], PrimeField(5)) == (((0, 0), (0, 0)), ())

@@ -98,7 +98,7 @@ def test_reflected_pairs_mirror_bisectors_hit_planted():
     # at noise 0 every mirror pair must be persistent and the planted
     # plane carries at least one count per mirror pair
     pp = persistent_pairs(cfg)
-    ms = build_multiset(pp.pairs, cfg, pp.threshold)
+    ms = build_multiset(pp, cfg, pp.threshold)
     assert ms.counts[g.planted] >= 12
 
 

@@ -13,8 +13,8 @@ from ffrigidity.geometry import (IDENTICAL, PARALLEL_DISJOINT, Flat,
                                  flat_contained_in, flat_from_pair,
                                  flat_points, hyperplane_contains,
                                  hyperplane_incidence, hyperplane_points,
-                                 make_space, point_grid, quad_norm,
-                                 radical_hyperplane, reflect_point,
+                                 incidence_gram, make_space, point_grid,
+                                 quad_norm, radical_hyperplane, reflect_point,
                                  sphere_contains, sphere_incidence,
                                  sphere_points)
 
@@ -112,6 +112,9 @@ def test_masks_agree_with_membership():
             0, len(hyperplanes))
         assert sphere_incidence(pts, [], q).shape == (len(pts), 0)
         assert hyperplane_incidence(pts, [], q).shape == (len(pts), 0)
+        for inc in (ms, mh, ms[:0], mh[:, :0]):
+            dense = inc.astype(np.int64)
+            assert (incidence_gram(inc) == dense.T @ dense).all()
 
 
 def test_canonical_direction_scaling_invariance():

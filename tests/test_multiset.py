@@ -51,7 +51,7 @@ def test_build_multiset_conservation():
     rng = random.Random(62)
     cfg = random_config(rng)
     pp = persistent_pairs(cfg, threshold=0)
-    ms = build_multiset(pp.pairs, cfg, richness_min=0)
+    ms = build_multiset(pp, cfg, richness_min=0)
     # every non-degenerate ordered pair lands on exactly one hyperplane
     assert ms.mass == len(pp.pairs)
     assert ms.geo_size <= len(pp.pairs)
@@ -68,7 +68,7 @@ def test_build_multiset_all_concentric_empty():
     cfg = make_config(sp, [(1, 0, 0)], [Sphere((0, 0, 0), r) for r in range(3)])
     pp = persistent_pairs(cfg, threshold=0)
     assert pp.pairs == ()
-    ms = build_multiset(pp.pairs, cfg, richness_min=0)
+    ms = build_multiset(pp, cfg, richness_min=0)
     assert ms.support == () and ms.mass == 0
     # retention is the operation that refuses an empty multiset
     with pytest.raises(EmptyMultiset):
@@ -79,8 +79,8 @@ def test_build_multiset_richness_filter():
     rng = random.Random(63)
     cfg = random_config(rng)
     pp = persistent_pairs(cfg, threshold=0)
-    ms_all = build_multiset(pp.pairs, cfg, richness_min=0)
-    ms_cut = build_multiset(pp.pairs, cfg, richness_min=3)
+    ms_all = build_multiset(pp, cfg, richness_min=0)
+    ms_cut = build_multiset(pp, cfg, richness_min=3)
     for h in ms_cut.support:
         r = richness_counts(cfg.points, [h], cfg.q, cfg.d)[0]
         assert r >= 3
@@ -96,7 +96,7 @@ def test_reflected_pair_single_support():
     pts = [(0, a, b) for a in range(q) for b in range(q)]
     cfg = make_config(sp, pts, spheres)
     pp = persistent_pairs(cfg, threshold=1)
-    ms = build_multiset(pp.pairs, cfg, richness_min=1)
+    ms = build_multiset(pp, cfg, richness_min=1)
     h_star = canonical_hyperplane((1, 0, 0), 0, q)
     assert h_star in ms.support
     # each mirror pair contributes its two ordered versions
@@ -143,7 +143,7 @@ def test_parallel_classes_pair_count_oracle():
     rng = random.Random(64)
     cfg = random_config(rng)
     pp = persistent_pairs(cfg, threshold=0)
-    ms = build_multiset(pp.pairs, cfg, richness_min=0)
+    ms = build_multiset(pp, cfg, richness_min=0)
     classes, _ = parallel_classes(ms)
     n = ms.geo_size
     sizes = [len(c.offsets) for c in classes]
@@ -187,7 +187,7 @@ def test_mass_retention_support_bound():
     for _ in range(8):
         cfg = random_config(rng)
         pp = persistent_pairs(cfg, threshold=0)
-        ms = build_multiset(pp.pairs, cfg, richness_min=0)
+        ms = build_multiset(pp, cfg, richness_min=0)
         rep = mass_retention(ms)
         assert 2 * rep.retained_mass >= ms.mass
         assert ms.geo_size * ms.max_multiplicity >= ms.mass
@@ -197,7 +197,7 @@ def test_restrict_preserves_counts():
     rng = random.Random(66)
     cfg = random_config(rng)
     pp = persistent_pairs(cfg, threshold=0)
-    ms = build_multiset(pp.pairs, cfg, richness_min=0)
+    ms = build_multiset(pp, cfg, richness_min=0)
     keep = list(ms.support)[::2]
     sub = ms.restrict(keep)
     assert sub.support == tuple(sorted(keep))

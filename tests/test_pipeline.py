@@ -7,8 +7,10 @@ from fractions import Fraction
 import pytest
 
 from ffrigidity.field import PrimeField
-from ffrigidity.geometry import (Sphere, canonical_hyperplane, flat_from_pair,
-                                 flat_points, hyperplane_contains, make_space,
+from ffrigidity.geometry import (PARALLEL_DISJOINT, Sphere,
+                                 canonical_hyperplane, flat_contained_in,
+                                 flat_from_pair, flat_points,
+                                 hyperplane_contains, make_space,
                                  radical_hyperplane)
 from ffrigidity.generators import GeneratorSpec, generate
 from ffrigidity.multiset import HyperplaneMultiset, build_multiset
@@ -97,8 +99,8 @@ def test_flat_profile_three_coordinate_planes():
           canonical_hyperplane((0, 1, 0), 0, q),
           canonical_hyperplane((0, 0, 1), 0, q)]
     prof = flat_profile(hs, f)
-    assert len(prof.multiplicity) == 3
-    assert set(prof.multiplicity.values()) == {2}
+    assert len(prof.multiplicities) == 3
+    assert set(prof.multiplicities.tolist()) == {2}
     assert prof.parallel_pairs == 0
 
 
@@ -115,11 +117,95 @@ def test_flat_profile_multiplicity_matches_containment_oracle():
             if h not in hs:
                 hs.append(h)
     prof = flat_profile(hs, f)
-    for flat, m in prof.multiplicity.items():
-        pts = flat_points(flat, sp)
+    for i, m in enumerate(prof.multiplicities.tolist()):
+        pts = flat_points(prof.flat(i), sp)
         direct = sum(1 for h in hs
                      if all(hyperplane_contains(h, x, q) for x in pts))
         assert direct == m
+
+
+def _family(rng, q, d, m):
+    """m distinct canonical hyperplanes: a planted pencil through one
+    flat, a parallel class of shared normal, and random members."""
+    def canonical(normal, offset):
+        return canonical_hyperplane(normal, offset, q)
+
+    def random_normal():
+        while True:
+            n = tuple(rng.randrange(q) for _ in range(d))
+            if any(n):
+                return n
+
+    h1 = canonical(random_normal(), rng.randrange(q))
+    h2 = h1
+    while h2.normal == h1.normal:
+        h2 = canonical(random_normal(), rng.randrange(q))
+    pencil = {h1, h2}
+    for _ in range(m // 3):
+        s, t = rng.randrange(q), rng.randrange(1, q)
+        pencil.add(canonical([s * x + t * y for x, y in
+                              zip(h1.normal, h2.normal)],
+                             s * h1.offset + t * h2.offset))
+    normal = random_normal()
+    parallel = {canonical(normal, rng.randrange(q)) for _ in range(m // 4)}
+    family = []
+    for h in sorted(pencil) + sorted(parallel):
+        if len(family) < m and h not in family:
+            family.append(h)
+    while len(family) < m:
+        h = canonical(random_normal(), rng.randrange(q))
+        if h not in family:
+            family.append(h)
+    rng.shuffle(family)
+    return family
+
+
+def _check_against_scalar_oracle(hs, q, d):
+    """flat_profile against pairwise flat_from_pair and containment."""
+    f = PrimeField(q)
+    grouped = {}
+    parallel = 0
+    for a, b in itertools.combinations(range(len(hs)), 2):
+        out = flat_from_pair(hs[a], hs[b], f)
+        if out is PARALLEL_DISJOINT:
+            parallel += 1
+        else:
+            grouped.setdefault(out, set()).update((a, b))
+    prof = flat_profile(hs, f)
+    flats = [prof.flat(i) for i in range(len(prof.flats))]
+    assert flats == sorted(grouped)
+    assert prof.parallel_pairs == parallel
+    space = make_space(q, d) if q ** d <= 4096 else None
+    for flat, m in zip(flats, prof.multiplicities.tolist()):
+        assert m == len(grouped[flat])
+        assert m == sum(flat_contained_in(flat, h, f) for h in hs)
+        if space is not None:
+            pts = flat_points(flat, space)
+            assert m == sum(all(hyperplane_contains(h, x, q) for x in pts)
+                            for h in hs)
+    top = max((len(v) for v in grouped.values()), default=0)
+    assert prof.max_multiplicity == top
+    if top:
+        witness = min(l for l, v in grouped.items() if len(v) == top)
+        assert prof.witness == witness
+        assert prof.pencil == tuple(sorted(grouped[witness]))
+    else:
+        assert prof.witness is None and prof.pencil == ()
+    return prof
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("q", [3, 5, 61, 65521])
+def test_flat_profile_matches_scalar_oracle(q, d):
+    rng = random.Random(q * 10 + d)
+    for m in (0, 1, 2, 3, 9, 24):
+        for _ in range(4):
+            _check_against_scalar_oracle(_family(rng, q, d, m), q, d)
+    hs = _family(rng, q, d, 12)
+    prof = _check_against_scalar_oracle(hs, q, d)
+    assert prof.max_multiplicity >= 3 and prof.parallel_pairs
+    with pytest.raises(AssertionError, match="distinct"):
+        flat_profile(hs + [hs[5]], PrimeField(q))
 
 
 def test_case_split_pencil_triggers_flat_case():

@@ -224,7 +224,7 @@ def test_regularize_postconditions():
         pp = persistent_pairs(cfg, threshold=1)
         if not pp.pairs:
             continue
-        ms = build_multiset(pp.pairs, cfg, richness_min=1)
+        ms = build_multiset(pp, cfg, richness_min=1)
         try:
             reg = regularize(cfg.points, ms, cfg.q, cfg.d)
         except RegularizationDegenerate:
@@ -252,7 +252,7 @@ def test_regularize_uniform_input_unchanged():
     pts = hyperplane_points(h, sp)
     cfg = make_config(sp, pts, [s1, s2])
     pp = persistent_pairs(cfg, threshold=1)
-    ms = build_multiset(pp.pairs, cfg, richness_min=1)
+    ms = build_multiset(pp, cfg, richness_min=1)
     reg = regularize(cfg.points, ms, q, 3)
     assert set(reg.points) == set(cfg.points)
     assert reg.multiset.support == ms.support
@@ -265,6 +265,6 @@ def test_regularize_degenerate_raises():
     h = radical_hyperplane(s1, s2, 5)
     assert not hyperplane_contains(h, (1, 1, 1), 5)
     pp = persistent_pairs(cfg, threshold=0)
-    ms = build_multiset(pp.pairs, cfg, richness_min=0)
+    ms = build_multiset(pp, cfg, richness_min=0)
     with pytest.raises(RegularizationDegenerate):
         regularize(cfg.points, ms, 5, 3)
