@@ -107,17 +107,20 @@ def polynomial_from_vector(basis: MonomialBasis, vec, q: int) -> Polynomial:
 
 def monomial_values(points, exponents, q: int) -> np.ndarray:
     """Array of x**e mod q, one row per point and one column per exponent
-    tuple, read from a table of each coordinate's powers 0..max(e)."""
+    tuple, read from a table of every coordinate's powers 0..max(e)."""
     out = np.ones((len(points), len(exponents)), dtype=np.int64)
     if not out.size:
         return out
     pts = np.asarray([[x % q for x in p] for p in points], dtype=np.int64)
     exps = np.asarray(exponents, dtype=np.int64).reshape(len(exponents), -1)
-    powers = np.ones((len(pts), int(exps.max()) + 1), dtype=np.int64)
-    for j in range(exps.shape[1]):
-        for e in range(1, powers.shape[1]):
-            powers[:, e] = powers[:, e - 1] * pts[:, j] % q
-        out = out * powers[:, exps[:, j]] % q
+    powers = np.empty((int(exps.max()) + 1,) + pts.shape, dtype=np.int64)
+    powers[0] = 1
+    for e in range(1, len(powers)):
+        np.multiply(powers[e - 1], pts, out=powers[e])
+        powers[e] %= q
+    for j, column in enumerate(exps.T):
+        out *= powers[column, :, j].T
+        out %= q
     return out
 
 

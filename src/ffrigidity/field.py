@@ -80,6 +80,44 @@ def inverse_table(q: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=32)
+def _digits_per_word(q: int) -> int:
+    """How many base-q digits an int64 word holds below 2**63."""
+    per_word = 1
+    while q ** (per_word + 1) < 2 ** 63:
+        per_word += 1
+    return per_word
+
+
+def group_rows(digits: np.ndarray, q: int):
+    """Group the equal rows of an int64 array of residues mod q.
+
+    Returns (first, ids): groups are numbered in lexicographic order of
+    their rows, `ids[i]` is the group of row i and `first[g]` is the
+    first row of group g.  Each row is packed into int64 words, each a
+    big-endian base-q number of as many consecutive digits as stay below
+    2**63, so one stable np.lexsort over the words sorts the rows and
+    neighbours that differ start the groups.  (A bare np.unique would
+    import numpy.ma on its first call.)
+    """
+    per_word = _digits_per_word(q)
+    words = []
+    for start in range(0, digits.shape[1], per_word):
+        word = digits[:, start]
+        for column in digits.T[start + 1:start + per_word]:
+            word = word * q + column
+        words.append(word)
+    order = np.lexsort(words[::-1])
+    starts = np.zeros(len(order), dtype=bool)
+    for word in words:
+        word = word[order]
+        starts[1:] |= word[1:] != word[:-1]
+    starts[:1] = True
+    ids = np.empty(len(order), dtype=np.int64)
+    ids[order] = np.cumsum(starts) - 1
+    return order[starts], ids
+
+
 Matrix = list  # list of row lists with entries in [0, q)
 
 

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .field import PrimeField, rref
+from .field import PrimeField, group_rows, inverse_table, rref
 
 ENUMERATION_CAP = 1 << 24
 
@@ -134,6 +134,54 @@ def radical_hyperplane(s1: Sphere, s2: Sphere, q: int):
     return canonical_hyperplane(coeffs, rhs, q)
 
 
+@lru_cache(maxsize=32)
+def pair_indices(n: int):
+    """Read-only np.triu_indices(n, 1): the pairs i < j of a family of n
+    spheres, in the order every per-pair array of the family uses.
+    Cached, because a run meets only a few family sizes."""
+    pairs = np.triu_indices(n, k=1)
+    for a in pairs:
+        a.setflags(write=False)
+    return pairs
+
+
+def radical_hyperplanes(spheres, q: int):
+    """Bisector hyperplanes of every sphere pair i < j, in one array pass.
+
+    Pair k is the k-th pair of `pair_indices(len(spheres))`.  Row by
+    row this is `radical_hyperplane`, which stays as the scalar oracle
+    of the tests: coefficients 2(c_j - c_i), right-hand side
+    r_i - r_j + ||c_j|| - ||c_i||, both scaled by the inverse of the
+    lead coefficient.  Returns (bisectors, index): `bisectors` holds
+    each distinct bisector once as a row (normal, offset), rows in
+    Hyperplane tuple order, and `index[k]` is the row of pair k, or -1
+    for a concentric pair, which has no bisector.  Coordinates are
+    reduced first; with q < 2**16 every term is exact in int64.
+    """
+    n = len(spheres)
+    if n < 2:
+        d = len(spheres[0].center) if n else 0
+        return (np.zeros((0, d + 1), dtype=np.int64),
+                np.zeros(0, dtype=np.int64))
+    centers = np.asarray([s.center for s in spheres], dtype=np.int64) % q
+    d = centers.shape[1]
+    radii = np.asarray([s.r % q for s in spheres], dtype=np.int64)
+    # pair (i, j) gets row j minus row i of [2c | ||c|| - r]
+    terms = np.concatenate(
+        [2 * centers, ((centers * centers).sum(axis=1) - radii)[:, None]],
+        axis=1)
+    i, j = pair_indices(n)
+    rows = (terms[j] - terms[i]) % q
+    live = rows[:, :d].any(axis=1)
+    rows = rows[live]
+    lead = rows[np.arange(len(rows)), (rows[:, :d] != 0).argmax(axis=1)]
+    rows = rows * inverse_table(q)[lead][:, None] % q
+    first, ids = group_rows(rows, q)
+    index = np.full(len(i), -1, dtype=np.int64)
+    index[live] = ids
+    return rows[first], index
+
+
 def flat_from_pair(h1: Hyperplane, h2: Hyperplane, field: PrimeField):
     """Canonical intersection flat of two hyperplanes.
 
@@ -200,15 +248,17 @@ def hyperplane_incidence(pts, hyperplanes, q: int) -> np.ndarray:
         return np.zeros((len(pts), 0), dtype=bool)
     normals = np.asarray([h.normal for h in hyperplanes], dtype=np.int64)
     offsets = np.asarray([h.offset for h in hyperplanes], dtype=np.int64)
-    pts = points_array(pts, normals.shape[1])
-    return pts @ normals.T % q == offsets % q
+    products = points_array(pts, normals.shape[1]) @ normals.T
+    products %= q
+    return products == offsets % q
 
 
 def sphere_incidence(pts, spheres, q: int) -> np.ndarray:
     """Boolean |P| x |S| matrix whose [i, j] entry says ||x_i - c_j|| = r_j.
 
     The form is expanded as ||x|| - 2<x, c> + ||c||, so no |P| x |S| x d
-    difference array is built.  Coordinates are reduced first; with
+    difference array is built, and it is summed in place, so only one
+    |P| x |S| integer array is.  Coordinates are reduced first; with
     q < 2**16 every term is then exact in int64.
     """
     if not spheres:
@@ -216,9 +266,12 @@ def sphere_incidence(pts, spheres, q: int) -> np.ndarray:
     centers = np.asarray([s.center for s in spheres], dtype=np.int64) % q
     radii = np.asarray([s.r for s in spheres], dtype=np.int64)
     pts = points_array(pts, centers.shape[1]) % q
-    form = ((pts * pts).sum(axis=1)[:, None] - 2 * (pts @ centers.T)
-            + (centers * centers).sum(axis=1))
-    return form % q == radii % q
+    form = pts @ centers.T
+    form *= -2
+    form += (pts * pts).sum(axis=1)[:, None]
+    form += (centers * centers).sum(axis=1)
+    form %= q
+    return form == radii % q
 
 
 def incidence_gram(inc: np.ndarray) -> np.ndarray:

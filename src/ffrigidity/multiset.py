@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .exact import count_cutoff
 from .geometry import Hyperplane, hyperplane_incidence
 
@@ -62,27 +64,33 @@ def build_multiset(pp, config, richness_min=0) -> HyperplaneMultiset:
 
     pp is the `strata.persistent_pairs` result for config; its bisectors
     and their richness on config.points are reused, not recomputed, and
-    its bisector table must cover every sphere pair of config.
+    its bisector index must cover every sphere pair of config.
     Concentric pairs never persist, so every pair contributes.
     Hyperplanes whose point richness falls below richness_min are
     dropped together with their multiplicity; richness_min may be an
-    int, a Fraction or an exact square-root value.
+    int, a Fraction or an exact square-root value.  Each hyperplane's
+    provenance lists its persistent pairs in the order of pp.pairs.
     """
     ns = len(config.spheres)
-    assert 2 * len(pp.bisectors) == ns * (ns - 1)
-    counts: dict = {}
-    provenance: dict = {}
-    for pair in pp.pairs:
-        i, j = pair
-        h = pp.bisectors[pair if i < j else (j, i)]
-        counts[h] = counts.get(h, 0) + 1
-        provenance.setdefault(h, []).append(pair)
-    cutoff = count_cutoff(richness_min)
-    kept = [h for h in sorted(counts) if pp.richness[h] >= cutoff]
+    assert 2 * len(pp.pair_bisector) == ns * (ns - 1)
+    bisector = pp.pairs_bisector
+    assert len(bisector) == len(pp.pairs)
+    counts = np.bincount(bisector, minlength=len(pp.bisectors))
+    kept = (counts > 0) & (pp.richness >= count_cutoff(richness_min))
+    grouped = np.argsort(bisector, kind="stable")
+    pairs = [pp.pairs[k] for k in grouped[kept[bisector[grouped]]].tolist()]
+    support = []
+    provenance = {}
+    stop = 0
+    for k, count in zip(np.flatnonzero(kept).tolist(), counts[kept].tolist()):
+        h = pp.bisectors[k]
+        support.append(h)
+        provenance[h] = tuple(pairs[stop:stop + count])
+        stop += count
     return HyperplaneMultiset(
-        support=tuple(kept),
-        counts={h: counts[h] for h in kept},
-        provenance={h: tuple(provenance[h]) for h in kept},
+        support=tuple(support),
+        counts={h: len(provenance[h]) for h in support},
+        provenance=provenance,
     )
 
 
@@ -148,7 +156,7 @@ def mass_retention(ms: HyperplaneMultiset) -> MassRetentionReport:
     total = ms.mass
     geo = ms.geo_size
     threshold = Fraction(total, 2 * geo)
-    heavy = [h for h in ms.support if ms.counts[h] >= threshold]
+    heavy = [h for h in ms.support if 2 * geo * ms.counts[h] >= total]
     retained = ms.restrict(heavy)
     retained_mass = retained.mass
     assert Fraction(retained_mass) >= Fraction(total, 2)

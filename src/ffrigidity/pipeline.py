@@ -23,13 +23,13 @@ import numpy as np
 
 from .dichotomy import (Polynomial, affine_dichotomy, minimal_degree)
 from .exact import SqrtRational
-from .field import PrimeField, inverse_table
+from .field import PrimeField, group_rows, inverse_table
 from .geometry import (Flat, Hyperplane, flat_contained_in,
                        hyperplane_incidence, incidence_gram, sphere_contains,
                        sphere_incidence)
 from .multiset import (HyperplaneMultiset, build_multiset, mass_retention,
                        parallel_classes, popular_offset, richness_counts)
-from .stats import Config, energies
+from .stats import Config, energies, membership_matrix
 from .strata import (EmptyOverlaps, RegularizationDegenerate,
                      heavy_layer_select, persistent_pairs, regularize,
                      richness_threshold)
@@ -83,22 +83,6 @@ def _flat_of_key(key) -> Flat:
                 values=tuple(key[2 * d:]))
 
 
-def _pack_digits(digits: np.ndarray, q: int) -> np.ndarray:
-    """Rows of base-q digits packed into int64 words, each a big-endian
-    base-q number of consecutive digits below 2**63, so that comparing
-    and sorting the word rows compares and sorts the digit rows."""
-    per_word = 1
-    while q ** (per_word + 1) < 2 ** 63:
-        per_word += 1
-    words = []
-    for start in range(0, digits.shape[1], per_word):
-        word = np.zeros(len(digits), dtype=np.int64)
-        for column in digits.T[start:start + per_word]:
-            word = word * q + column
-        words.append(word)
-    return np.stack(words, axis=1)
-
-
 def flat_profile(hyperplanes, field: PrimeField) -> FlatProfile:
     """Multiplicity of every intersection flat of a hyperplane family.
 
@@ -108,8 +92,8 @@ def flat_profile(hyperplanes, field: PrimeField) -> FlatProfile:
     closed form: both rows lead with 1, so the row with the smaller lead
     (a on ties) is the first pivot row; subtracting it from the other,
     scaling that by the inverse of its lead and eliminating back gives
-    the form `flat_from_pair` computes.  Sorting the flattened forms,
-    packed into base-q words, groups the pairs by flat.
+    the form `flat_from_pair` computes.  `field.group_rows` groups the
+    pairs by their flattened forms, and the normals by direction.
 
     Any two distinct hyperplanes through a common codimension-2 flat
     intersect exactly in it, so the number of unordered pairs mapping to
@@ -133,8 +117,8 @@ def flat_profile(hyperplanes, field: PrimeField) -> FlatProfile:
     assert ((aug >= 0) & (aug < q)).all() and \
         (aug[np.arange(n), lead] == 1).all(), "hyperplanes must be canonical"
     a, b = np.triu_indices(n, k=1)
-    normals = _pack_digits(aug[:, :d], q)
-    parallel = (normals[a] == normals[b]).all(axis=1)
+    _, direction = group_rows(aug[:, :d], q)
+    parallel = direction[a] == direction[b]
     assert not (parallel & (aug[a, d] == aug[b, d])).any(), \
         "support hyperplanes must be distinct"
     a, b = a[~parallel], b[~parallel]
@@ -149,27 +133,23 @@ def flat_profile(hyperplanes, field: PrimeField) -> FlatProfile:
     keys = np.concatenate([top[:, :d], bottom[:, :d], top[:, d:],
                            bottom[:, d:]], axis=1)
 
-    packed = _pack_digits(keys, q)
-    order = np.lexsort(packed.T[::-1])
-    packed = packed[order]
-    starts = np.ones(len(packed), dtype=bool)
-    starts[1:] = (packed[1:] != packed[:-1]).any(axis=1)
-    run = np.cumsum(starts) - 1
+    heads, run = group_rows(keys, q)
     pairs = np.bincount(run)
     mult = ((1 + np.sqrt(1 + 8 * pairs)) // 2).astype(np.int64)
     assert (mult * (mult - 1) == 2 * pairs).all()
-    flats = keys[order[starts]]
+    flats = keys[heads]
     max_mult = int(mult.max(initial=0))
     witness = None
     pencil: tuple = ()
     if max_mult:
         w = int(mult.argmax())
-        members = np.concatenate([a[order], b[order]])
+        members = np.concatenate([a, b])
         in_witness = np.zeros(n, dtype=bool)
-        in_witness[members[np.tile(run == w, 2)]] = True
+        in_witness[members[np.concatenate([run, run]) == w]] = True
         pencil = tuple(np.flatnonzero(in_witness).tolist())
         partners = np.bincount(members, minlength=n)
-        member_flat = np.sort(members * len(flats) + np.tile(run, 2))
+        member_flat = np.sort(members * len(flats)
+                              + np.concatenate([run, run]))
         distinct = np.ones(len(member_flat), dtype=bool)
         distinct[1:] = member_flat[1:] != member_flat[:-1]
         fibers = np.bincount(member_flat[distinct] // len(flats), minlength=n)
@@ -303,7 +283,8 @@ def extract_certificate(config: Config,
     opts = options or ExtractOptions()
     q, d = config.q, config.d
     fq = config.space.field
-    stats = energies(config)
+    membership = membership_matrix(config)
+    stats = energies(config, membership)
     K = stats.K
     b0 = opts.b0 if opts.b0 is not None else default_b0(K, d)
 
@@ -364,11 +345,10 @@ def extract_certificate(config: Config,
     assert len(points_idx) >= lam1
 
     sphere_min, spheres_idx = _rich_sphere_subfamily(
-        config, on_h0, opts.sphere_mass_fraction)
+        membership[list(points_idx)], opts.sphere_mass_fraction)
 
     F = linear_form_of(h0, q)
-    for p in on_h0:
-        assert F.evaluate(p, q) == 0
+    assert not F.evaluate_many(on_h0, q).any()
     if witness is not None:
         assert flat_contained_in(witness, h0, fq)
 
@@ -408,18 +388,18 @@ def _coincidence_scale(points, hyperplanes, q: int) -> int:
     ids: dict = {}
     direction = np.asarray([ids.setdefault(h.normal, len(ids))
                             for h in hyperplanes])
-    a, b = np.triu_indices(len(hyperplanes), k=1)
-    skew = direction[a] != direction[b]
+    skew = np.triu(direction[:, None] != direction, 1)
     try:
-        return heavy_layer_select(gram[a[skew], b[skew]]).mu
+        return heavy_layer_select(gram[skew]).mu
     except EmptyOverlaps:
         return 0
 
 
-def _rich_sphere_subfamily(config: Config, pprime, fraction: Fraction):
+def _rich_sphere_subfamily(incidence, fraction: Fraction):
     """Largest dyadic richness threshold keeping at least the given
-    fraction of the incidence mass between P' and the sphere family."""
-    degs = sphere_incidence(pprime, config.spheres, config.q).sum(axis=0).tolist()
+    fraction of the incidence mass between P' and the sphere family,
+    from the P' rows of the membership matrix."""
+    degs = incidence.sum(axis=0).tolist()
     total = sum(degs)
     if total == 0:
         return 1, ()

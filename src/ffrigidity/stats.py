@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import SqrtRational
-from .geometry import AmbientSpace, Sphere, sphere_incidence
+from .geometry import AmbientSpace, Sphere, incidence_gram, sphere_incidence
 
 
 class EmptyConfig(ValueError):
@@ -110,20 +110,21 @@ def incidence_count(config: Config) -> int:
     return int(membership_matrix(config).sum())
 
 
-def energies(config: Config) -> IncidenceStats:
+def energies(config: Config, membership=None) -> IncidenceStats:
     """All first and second moment statistics of the incidence relation.
 
     The off-diagonal energy is computed from the sphere-pair Gram matrix
     rather than from point degrees, so the exact identity
-    energy = incidences + off_diagonal is a real cross-check.
+    energy = incidences + off_diagonal is a real cross-check.  A caller
+    that needs `membership_matrix(config)` itself may pass it in.
     """
-    mat = membership_matrix(config)
+    mat = membership_matrix(config) if membership is None else membership
     point_deg = mat.sum(axis=1).astype(np.int64)
     sphere_deg = mat.sum(axis=0).astype(np.int64)
     incidences = int(point_deg.sum())
     energy = int((point_deg * point_deg).sum())
     dual_energy = int((sphere_deg * sphere_deg).sum())
-    gram = mat.T.astype(np.int64) @ mat.astype(np.int64)
+    gram = incidence_gram(mat)
     off_diagonal = int(gram.sum() - np.trace(gram))
     if config.points and config.spheres:
         K = near_extremality_from_counts(incidences, len(config.points),
@@ -132,8 +133,8 @@ def energies(config: Config) -> IncidenceStats:
         K = SqrtRational.zero()
     return IncidenceStats(
         incidences=incidences,
-        point_degrees=tuple(int(x) for x in point_deg),
-        sphere_degrees=tuple(int(x) for x in sphere_deg),
+        point_degrees=tuple(point_deg.tolist()),
+        sphere_degrees=tuple(sphere_deg.tolist()),
         energy=energy,
         dual_energy=dual_energy,
         off_diagonal=off_diagonal,

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from itertools import compress
 
 import numpy as np
 
 from .exact import SqrtRational, count_cutoff
-from .geometry import hyperplane_incidence, incidence_gram, radical_hyperplane
-from .multiset import HyperplaneMultiset, richness_counts
+from .geometry import (Hyperplane, hyperplane_incidence, incidence_gram,
+                       pair_indices, radical_hyperplane, radical_hyperplanes)
+from .multiset import HyperplaneMultiset
 from .stats import Config, membership_matrix, near_extremality_K
 
 
@@ -50,49 +52,67 @@ def sphere_overlap_matrix(config: Config) -> np.ndarray:
     return incidence_gram(membership_matrix(config))
 
 
+def _dyadic_classes(values: np.ndarray) -> np.ndarray:
+    """`dyadic_class` of every entry of a non-negative integer array (-1
+    for a zero), read off float64 exponents, which are exact below
+    2**53."""
+    assert not len(values) or values.max() < 1 << 53
+    return np.frexp(values)[1] - 1
+
+
 def stratify(config: Config) -> DyadicLayers:
     """Partition ordered distinct sphere pairs by shared point count.
 
     Pairs sharing no point are tallied separately; the layered pairs
-    sum back to the off-diagonal energy exactly.
+    sum back to the off-diagonal energy exactly.  Each layer lists its
+    pairs in (i, j) order.
     """
     gram = sphere_overlap_matrix(config)
-    ns = len(config.spheres)
-    layers: dict = {}
-    zero = 0
-    for i in range(ns):
-        for j in range(ns):
-            if i == j:
-                continue
-            v = int(gram[i, j])
-            if v == 0:
-                zero += 1
-            else:
-                layers.setdefault(dyadic_class(v), []).append((i, j))
-    return DyadicLayers(
-        layers={j: tuple(p) for j, p in sorted(layers.items())},
-        zero_pairs=zero,
-    )
+    i, j = np.nonzero(~np.eye(len(config.spheres), dtype=bool))
+    shared = gram[i, j]
+    positive = shared > 0
+    pairs = list(zip(i[positive].tolist(), j[positive].tolist()))
+    classes = _dyadic_classes(shared[positive])
+    layers = {c: tuple(pairs[k] for k in np.flatnonzero(classes == c).tolist())
+              for c in sorted(set(classes.tolist()))}
+    return DyadicLayers(layers=layers,
+                        zero_pairs=len(positive) - len(pairs))
 
 
 def _bisectors(config: Config):
-    """Radical hyperplane of every unordered distinct pair (None when
-    concentric), and the point richness of every distinct one.  Equal
-    hyperplanes are one shared object."""
-    q, d = config.q, config.d
-    spheres = config.spheres
-    ns = len(spheres)
-    hyperplanes = {}
-    distinct: dict = {}
-    for i in range(ns):
-        for j in range(i + 1, ns):
-            h = radical_hyperplane(spheres[i], spheres[j], q)
-            if h is not None:
-                h = distinct.setdefault(h, h)
-            hyperplanes[(i, j)] = h
-    uniq = sorted(distinct)
-    rich = dict(zip(uniq, richness_counts(config.points, uniq, q, d)))
-    return hyperplanes, rich
+    """The distinct radical hyperplanes of the sphere pairs, in tuple
+    order, their point richness, and the bisector index of every pair
+    i < j (`pair_indices` order; -1 when concentric).  As a guard, the
+    first pair is recomputed by the scalar `radical_hyperplane`."""
+    spheres, q, d = config.spheres, config.q, config.d
+    rows, index = radical_hyperplanes(spheres, q)
+    bisectors = tuple(Hyperplane(tuple(r[:d]), r[d]) for r in rows.tolist())
+    if len(index):
+        h = radical_hyperplane(spheres[0], spheres[1], q)
+        assert index[0] < 0 if h is None else (
+            index[0] >= 0 and bisectors[index[0]] == h)
+    richness = hyperplane_incidence(config.points, bisectors, q).sum(axis=0)
+    return bisectors, richness, index
+
+
+def _pair_richness(richness: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Bisector richness of every pair i < j, -1 for concentric pairs."""
+    out = np.full(len(index), -1, dtype=np.int64)
+    live = index >= 0
+    out[live] = richness[index[live]]
+    return out
+
+
+def _both_orders(i: np.ndarray, j: np.ndarray, ns: int):
+    """Sort the ordered pairs (i, j) and (j, i) of unordered pairs i < j.
+
+    Returns the sorting permutation of the pairs listed (i, j) first,
+    then (j, i), and the sorted pairs as two index arrays.
+    """
+    first = np.concatenate([i, j])
+    second = np.concatenate([j, i])
+    order = np.argsort(first * ns + second)
+    return order, first[order], second[order]
 
 
 def pair_richness(config: Config):
@@ -102,17 +122,16 @@ def pair_richness(config: Config):
     radical hyperplane to |P on H| and degenerate lists the concentric
     pairs, which have none.
     """
-    hyperplanes, rich = _bisectors(config)
-    richness = {}
-    degenerate = []
-    for (i, j), h in hyperplanes.items():
-        if h is None:
-            degenerate.append((i, j))
-            degenerate.append((j, i))
-        else:
-            richness[(i, j)] = rich[h]
-            richness[(j, i)] = rich[h]
-    return richness, tuple(sorted(degenerate))
+    _, richness, index = _bisectors(config)
+    rich = _pair_richness(richness, index)
+    ns = len(config.spheres)
+    i, j = pair_indices(ns)
+    live = rich >= 0
+    order, first, second = _both_orders(i[live], j[live], ns)
+    values = np.concatenate([rich[live], rich[live]])[order].tolist()
+    _, dfirst, dsecond = _both_orders(i[~live], j[~live], ns)
+    return (dict(zip(zip(first.tolist(), second.tolist()), values)),
+            tuple(zip(dfirst.tolist(), dsecond.tolist())))
 
 
 @dataclass(frozen=True)
@@ -134,29 +153,34 @@ def low_layer_mass(config: Config, j0: int) -> LowLayerReport:
     """
     if j0 < 0:
         raise ValueError("j0 must be non-negative")
-    richness, _ = pair_richness(config)
+    _, richness, index = _bisectors(config)
+    rich = _pair_richness(richness, index)
     cutoff = 1 << j0
-    mass = 0
-    counted = 0
-    for r in richness.values():
-        if 1 <= r < cutoff:
-            mass += r
-            counted += 1
+    low = rich[(rich >= 1) & (rich < cutoff)]
+    mass = 2 * int(low.sum())
     bound = cutoff * len(config.spheres) ** 2
     assert mass <= bound
-    return LowLayerReport(mass=mass, bound=bound, j0=j0, pairs_counted=counted)
+    return LowLayerReport(mass=mass, bound=bound, j0=j0,
+                          pairs_counted=2 * len(low))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PersistentPairs:
-    """Persistent ordered pairs.  `bisectors` maps every unordered pair
-    i < j to its radical hyperplane (None when concentric) and `richness`
-    maps each distinct bisector to |P on H|, so later stages need not
-    recompute them."""
+    """Persistent ordered pairs, sorted, with the bisector arrays later
+    stages read instead of recomputing them.
+
+    `bisectors` lists the distinct radical hyperplanes of the sphere
+    pairs in Hyperplane tuple order, `richness[k]` is |P on
+    bisectors[k]|, and `pair_bisector[k]` is the bisector index of the
+    k-th pair i < j in `pair_indices` order, -1 when it is concentric.
+    `pairs_bisector[k]` is the bisector index of `pairs[k]`.
+    """
     threshold: SqrtRational
     pairs: tuple
-    bisectors: dict = dataclass_field(repr=False)
-    richness: dict = dataclass_field(repr=False)
+    bisectors: tuple = dataclass_field(repr=False)
+    richness: np.ndarray = dataclass_field(repr=False)
+    pair_bisector: np.ndarray = dataclass_field(repr=False)
+    pairs_bisector: np.ndarray = dataclass_field(repr=False)
 
 
 def richness_threshold(K: SqrtRational, q: int, d: int,
@@ -179,14 +203,17 @@ def persistent_pairs(config: Config, K: SqrtRational | None = None,
         if K is None:
             K = near_extremality_K(config)
         lam = richness_threshold(K, config.q, config.d, c_const)
-    hyperplanes, rich = _bisectors(config)
-    cutoff = count_cutoff(lam)
-    pairs = []
-    for pair, h in hyperplanes.items():
-        if h is not None and rich[h] >= cutoff:
-            pairs += [pair, pair[::-1]]
-    return PersistentPairs(threshold=lam, pairs=tuple(sorted(pairs)),
-                           bisectors=hyperplanes, richness=rich)
+    bisectors, richness, index = _bisectors(config)
+    keep = _pair_richness(richness, index) >= max(count_cutoff(lam), 0)
+    ns = len(config.spheres)
+    i, j = pair_indices(ns)
+    order, first, second = _both_orders(i[keep], j[keep], ns)
+    return PersistentPairs(threshold=lam,
+                           pairs=tuple(zip(first.tolist(), second.tolist())),
+                           bisectors=bisectors, richness=richness,
+                           pair_bisector=index,
+                           pairs_bisector=np.concatenate(
+                               [index[keep], index[keep]])[order])
 
 
 @dataclass(frozen=True)
@@ -239,8 +266,7 @@ def heavy_layer_select(overlaps) -> HeavyLayer:
     if not len(positive):
         raise EmptyOverlaps("no positive overlap values to select from")
     values = values[positive]
-    assert values.max() < 1 << 53
-    layer = np.frexp(values)[1] - 1
+    layer = _dyadic_classes(values)
     sizes = np.bincount(layer).tolist()
     layers = [j for j, n in enumerate(sizes) if n]
     best = max(layers, key=lambda j: ((1 << j) * sizes[j], j))
@@ -261,6 +287,18 @@ def heavy_layer_select(overlaps) -> HeavyLayer:
     )
 
 
+def _heaviest_class(values: np.ndarray):
+    """The dyadic class whose positive entries have the largest sum, ties
+    to the larger class, and the mask of its entries; (None, None) when
+    no entry is positive.  The float64 sums are exact below 2**53."""
+    classes = _dyadic_classes(values)
+    mass = np.bincount(classes + 1, weights=values)[1:]
+    if not mass.any():
+        return None, None
+    best = len(mass) - 1 - int(np.argmax(mass[::-1]))
+    return best, classes == best
+
+
 @dataclass(frozen=True)
 class RegularizedConfig:
     points: tuple
@@ -276,7 +314,8 @@ def regularize(points, ms: HyperplaneMultiset, q: int, d: int) -> RegularizedCon
     input multiset; the dyadic degree bucket with the largest summed
     degree is kept (ties to the larger class), fixing the degree scale
     M1.  Hyperplane richness is then recounted against the surviving
-    points and bucketed the same way, fixing the richness scale L1.
+    points, from the rows of the same incidence matrix, and bucketed the
+    same way, fixing the richness scale L1.
     Retained points have degree in [M1, 2*M1) with respect to the input
     support, and retained hyperplanes hold between L1 and 2*L1 - 1 of
     the retained points.
@@ -284,26 +323,16 @@ def regularize(points, ms: HyperplaneMultiset, q: int, d: int) -> RegularizedCon
     support = list(ms.support)
     if not points or not support:
         raise RegularizationDegenerate("empty points or empty support")
-    degs = hyperplane_incidence(points, support, q).sum(axis=1).tolist()
-    buckets: dict = {}
-    for p, deg in zip(points, degs):
-        if deg > 0:
-            buckets.setdefault(dyadic_class(deg), []).append((p, deg))
-    if not buckets:
+    inc = hyperplane_incidence(points, support, q)
+    jp, kept = _heaviest_class(inc.sum(axis=1))
+    if jp is None:
         raise RegularizationDegenerate("no point lies on any support hyperplane")
-    jp = max(buckets, key=lambda j: (sum(deg for _, deg in buckets[j]), j))
-    kept_points = tuple(p for p, _ in buckets[jp])
-    m1 = 1 << jp
-
-    rich = richness_counts(kept_points, support, q, d)
-    hbuckets: dict = {}
-    for h, r in zip(support, rich):
-        if r > 0:
-            hbuckets.setdefault(dyadic_class(r), []).append((h, r))
-    if not hbuckets:
+    jh, heavy = _heaviest_class(inc[kept].sum(axis=0))
+    if jh is None:
         raise RegularizationDegenerate("no support hyperplane is rich in the kept points")
-    jh = max(hbuckets, key=lambda j: (sum(r for _, r in hbuckets[j]), j))
-    kept_hyperplanes = [h for h, _ in hbuckets[jh]]
+    kept_points = tuple(compress(points, kept.tolist()))
+    kept_hyperplanes = list(compress(support, heavy.tolist()))
+    m1 = 1 << jp
     lam1 = 1 << jh
     return RegularizedConfig(
         points=kept_points,

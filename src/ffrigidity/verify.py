@@ -9,19 +9,36 @@ an empty list means the certificate verifies.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .field import PrimeField, rref
 from .stats import Config
 
 
-def _eval_terms(terms, point, q: int) -> int:
-    total = 0
+def _power(x: np.ndarray, e: int, q: int) -> np.ndarray:
+    """x**e mod q entrywise for residues x and e >= 1.  By Fermat, e may
+    be replaced by the exponent in [1, q - 1] congruent to it mod q - 1;
+    keeping it positive keeps 0**e = 0."""
+    e = (e - 1) % (q - 1) + 1
+    out = np.ones_like(x)
+    while e:
+        if e & 1:
+            out = out * x % q
+        x = x * x % q
+        e >>= 1
+    return out
+
+
+def _nonvanishing(terms, pts: np.ndarray, q: int) -> int:
+    """Number of rows of pts at which the polynomial is nonzero mod q."""
+    total = np.zeros(len(pts), dtype=np.int64)
     for exps, coef in terms:
-        v = coef % q
-        for x, e in zip(point, exps):
+        v = np.full(len(pts), coef % q, dtype=np.int64)
+        for x, e in zip(pts.T, exps):
             if e:
-                v = v * pow(x % q, e, q) % q
-        total += v
-    return total % q
+                v = v * _power(x % q, e, q) % q
+        total = (total + v) % q
+    return int(np.count_nonzero(total))
 
 
 def _is_int_list(value, n: int) -> bool:
@@ -51,6 +68,7 @@ def verify_certificate(config: Config, cert: dict) -> list:
         failures.append("params min_points and sphere_min must be integers")
         min_points = sphere_min = 0
     terms = cert.get("F")
+    exponents_ok = True
     if not isinstance(terms, list) or not terms:
         failures.append("F must be nonzero")
         terms = []
@@ -67,6 +85,7 @@ def verify_certificate(config: Config, cert: dict) -> list:
                 break
             if len(exps) != d or any(e < 0 for e in exps):
                 failures.append("F has a term with bad exponents")
+                exponents_ok = False
             if coef == 0:
                 failures.append("F must be nonzero")
             cleaned.append((exps, coef))
@@ -88,9 +107,10 @@ def verify_certificate(config: Config, cert: dict) -> list:
         if any(b <= a for a, b in zip(idx, idx[1:])):
             failures.append("point indices must be sorted and distinct")
         points = [config.points[i] for i in idx]
+    pts = np.asarray(points or [], dtype=np.int64).reshape(-1, d)
 
-    if terms and points:
-        bad = sum(1 for p in points if _eval_terms(terms, p, q) != 0)
+    if terms and exponents_ok and points:
+        bad = _nonvanishing(terms, pts, q)
         if bad:
             failures.append(f"F fails to vanish on {bad} structured point(s)")
 
@@ -141,9 +161,8 @@ def verify_certificate(config: Config, cert: dict) -> list:
         if ok and points:
             for i in sidx:
                 s = config.spheres[i]
-                deg = sum(
-                    1 for p in points
-                    if sum((a - b) ** 2 for a, b in zip(p, s.center)) % q == s.r)
+                form = ((pts - s.center) ** 2).sum(axis=1) % q
+                deg = int(np.count_nonzero(form == s.r))
                 if deg < sphere_min:
                     failures.append(
                         f"sphere {i} holds {deg} structured points, "

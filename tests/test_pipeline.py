@@ -1,17 +1,22 @@
 import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from ffrigidity.dichotomy import Polynomial
 from ffrigidity.field import PrimeField
 from ffrigidity.geometry import (PARALLEL_DISJOINT, Sphere,
                                  canonical_hyperplane, flat_contained_in,
                                  flat_from_pair, flat_points,
                                  hyperplane_contains, make_space,
-                                 radical_hyperplane)
+                                 radical_hyperplane, sphere_contains)
 from ffrigidity.generators import GeneratorSpec, generate
 from ffrigidity.multiset import HyperplaneMultiset, build_multiset
 from ffrigidity.pipeline import (CASE_DIRECTIONAL, CASE_FLAT, CASE_NO_SIGNAL,
@@ -406,3 +411,81 @@ def test_verify_rejects_inflated_sphere_claim():
     doc = extract_certificate(cfg).to_dict()
     doc["params"]["sphere_min"] = 10 ** 6
     assert verify_certificate(cfg, doc)
+
+
+def _certified_configs():
+    for kind, q in (("reflected-pairs", 7), ("reflected-pairs", 13),
+                    ("uniform-random", 11), ("hyperplane-planted", 11),
+                    ("quadric-planted", 7)):
+        for seed in range(3):
+            g = generate(GeneratorSpec(kind, q, 3, 5 * q, 10, seed=seed,
+                                       noise=0.1))
+            doc = extract_certificate(g.config).to_dict()
+            if doc["case"] != CASE_NO_SIGNAL:
+                yield g.config, doc
+
+
+def test_verify_sphere_degrees_match_scalar_count():
+    rng = random.Random(17)
+    checked = 0
+    for cfg, doc in _certified_configs():
+        q = cfg.q
+        pts = [cfg.points[i] for i in doc["points"]]
+        degs = [sum(sphere_contains(s, p, q) for p in pts)
+                for s in cfg.spheres]
+        # every listed sphere, rich or not, reports its scalar degree
+        listed = sorted(rng.sample(range(len(cfg.spheres)), 6))
+        need = max(degs) + 1
+        bad = dict(doc, spheres=listed,
+                   params=dict(doc["params"], sphere_min=need))
+        assert verify_certificate(cfg, bad) == [
+            f"sphere {i} holds {degs[i]} structured points, need {need}"
+            for i in listed]
+        # one above the true minimum of a family with a unique minimum
+        low = min(degs[i] for i in doc["spheres"])
+        first = next(i for i in doc["spheres"] if degs[i] == low)
+        family = [i for i in doc["spheres"] if i == first or degs[i] > low]
+        bad = dict(doc, spheres=family,
+                   params=dict(doc["params"], sphere_min=low + 1))
+        assert verify_certificate(cfg, bad) == [
+            f"sphere {first} holds {low} structured points, need {low + 1}"]
+        checked += 1
+    assert checked >= 8
+
+
+def test_verify_counts_nonvanishing_points_of_tampered_f():
+    checked = 0
+    for cfg, doc in _certified_configs():
+        q = cfg.q
+        # F vanishes on P', so F + x0**e * x2 vanishes where x0 x2 = 0
+        for e in (q - 1, q + 1):
+            terms = doc["F"] + [[[e, 0, 1], 1]]
+            poly = Polynomial(3, tuple((tuple(x), c) for x, c in terms))
+            bad = sum(poly.evaluate(cfg.points[i], q) != 0
+                      for i in doc["points"])
+            got = verify_certificate(cfg, dict(doc, F=terms))
+            assert (f"F fails to vanish on {bad} structured point(s)"
+                    in got) == (bad > 0)
+            checked += bad > 0
+        # a negative exponent is reported, not evaluated (0**-1 has no value)
+        got = verify_certificate(cfg, dict(doc, F=[[[-1, 0, 0], 1]]))
+        assert "F has a term with bad exponents" in got
+    assert checked >= 8
+
+
+def test_no_numpy_ma_import():
+    code = (
+        "import sys\n"
+        "from ffrigidity.generators import KINDS, GeneratorSpec, generate\n"
+        "from ffrigidity.pipeline import extract_certificate\n"
+        "from ffrigidity.verify import verify_certificate\n"
+        "for kind in KINDS:\n"
+        "    g = generate(GeneratorSpec(kind, 7, 3, 40, 8, seed=1))\n"
+        "    cert = extract_certificate(g.config)\n"
+        "    assert not verify_certificate(g.config, cert.to_dict())\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -1,10 +1,13 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from ffrigidity.exact import SqrtRational
-from ffrigidity.geometry import Sphere, hyperplane_contains, make_space, radical_hyperplane
+from ffrigidity.geometry import (Hyperplane, Sphere, hyperplane_contains,
+                                 make_space, radical_hyperplane,
+                                 radical_hyperplanes)
 from ffrigidity.stats import energies, make_config
 from ffrigidity.strata import (EmptyOverlaps, RegularizationDegenerate,
                                dyadic_class, heavy_layer_select,
@@ -12,7 +15,7 @@ from ffrigidity.strata import (EmptyOverlaps, RegularizationDegenerate,
                                persistent_pairs, persistent_partner_profile,
                                regularize, richness_threshold,
                                sphere_overlap_matrix, stratify)
-from ffrigidity.multiset import build_multiset
+from ffrigidity.multiset import HyperplaneMultiset, build_multiset
 
 
 def random_config(rng, q=7, d=3, n_points=25, n_spheres=10):
@@ -89,6 +92,115 @@ def test_stratify_matches_overlap_oracle():
         for (i, k) in pairs:
             v = overlap_oracle(cfg, i, k)
             assert dyadic_class(v) == j
+
+
+def test_stratify_matches_scalar_partition():
+    rng = random.Random(41)
+    for _ in range(6):
+        cfg = random_config(rng, n_points=30, n_spheres=rng.randrange(0, 12))
+        gram = sphere_overlap_matrix(cfg)
+        layers, zero = {}, 0
+        for i, j in itertools.permutations(range(len(cfg.spheres)), 2):
+            v = int(gram[i, j])
+            if v == 0:
+                zero += 1
+            else:
+                layers.setdefault(dyadic_class(v), []).append((i, j))
+        got = stratify(cfg)
+        assert list(got.layers) == sorted(layers)
+        assert got.layers == {j: tuple(sorted(p)) for j, p in layers.items()}
+        assert got.zero_pairs == zero
+
+
+def _sphere_family(rng, q, d, n):
+    """n spheres, and the hyperplane H their mirror pairs share.
+
+    Mirror pairs anchor +- t * normal(H) with one radius all have H as
+    bisector; two groups of concentric spheres have none; the rest are
+    random, with coordinates anywhere in [0, q).
+    """
+    normal = (1,) + tuple(rng.randrange(q) for _ in range(d - 1))
+    anchor = tuple(rng.randrange(q) for _ in range(d))
+    h = Hyperplane(normal, sum(a * c for a, c in zip(anchor, normal)) % q)
+    spheres = []
+    for t in range(1, 7):
+        r = rng.randrange(q)
+        for sign in (1, -1):
+            spheres.append(Sphere(tuple((a + sign * t * c) % q
+                                        for a, c in zip(anchor, normal)), r))
+    for _ in range(2):
+        center = tuple(rng.randrange(q) for _ in range(d))
+        spheres += [Sphere(center, rng.randrange(q)) for _ in range(4)]
+    while len(spheres) < 40:
+        spheres.append(Sphere(tuple(rng.randrange(q) for _ in range(d)),
+                              rng.randrange(q)))
+    rng.shuffle(spheres)
+    return spheres[:n], h
+
+
+def _points_near(rng, h, q, d, n):
+    """n random points, half of them on h (canonical, so its lead is 1)."""
+    pts = []
+    for k in range(n):
+        x = [rng.randrange(q) for _ in range(d)]
+        if k % 2:
+            x[0] = (h.offset - sum(a * c for a, c in
+                                   zip(x[1:], h.normal[1:]))) % q
+        pts.append(tuple(x))
+    return pts
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("q", [3, 5, 61, 65521])
+def test_radical_hyperplanes_match_scalar_oracle(q, d):
+    rng = random.Random(q * 10 + d)
+    for n in (0, 1, 2, 40):
+        spheres, h = _sphere_family(rng, q, d, n)
+        rows, index = radical_hyperplanes(spheres, q)
+        rows = [Hyperplane(tuple(r[:d]), r[d]) for r in rows.tolist()]
+        assert rows == sorted(set(rows))
+        pairs = list(itertools.combinations(range(n), 2))
+        assert index.tolist() == [-1 if radical_hyperplane(
+            spheres[a], spheres[b], q) is None else rows.index(
+            radical_hyperplane(spheres[a], spheres[b], q)) for a, b in pairs]
+        assert set(index.tolist()) - {-1} == set(range(len(rows)))
+        if n == 40:
+            assert (index == -1).sum() >= 2 * 6
+            assert (index == rows.index(h)).sum() >= 6
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("q", [3, 5, 61, 65521])
+def test_bisector_consumers_match_scalar_recount(q, d):
+    rng = random.Random(q * 100 + d)
+    for n in (0, 1, 2, 40):
+        spheres, h = _sphere_family(rng, q, d, n)
+        cfg = make_config(make_space(q, d), _points_near(rng, h, q, d, 30),
+                          spheres)
+        ns = len(cfg.spheres)
+        bisector = {(a, b): radical_hyperplane(cfg.spheres[a],
+                                               cfg.spheres[b], q)
+                    for a, b in itertools.permutations(range(ns), 2)}
+        rich = {g: sum(hyperplane_contains(g, p, q) for p in cfg.points)
+                for g in set(bisector.values()) - {None}}
+        richness, degenerate = pair_richness(cfg)
+        assert richness == {pair: rich[g] for pair, g in bisector.items()
+                            if g is not None}
+        assert degenerate == tuple(sorted(pair for pair, g in
+                                          bisector.items() if g is None))
+        for threshold, richness_min in ((0, 0), (2, 3), (9, 12)):
+            persistent = sorted(pair for pair, g in bisector.items()
+                                if g is not None and rich[g] >= threshold)
+            pp = persistent_pairs(cfg, threshold=threshold)
+            assert pp.pairs == tuple(persistent)
+            provenance = {}
+            for pair in persistent:
+                provenance.setdefault(bisector[pair], []).append(pair)
+            kept = sorted(g for g in provenance if rich[g] >= richness_min)
+            ms = build_multiset(pp, cfg, richness_min=richness_min)
+            assert ms.support == tuple(kept)
+            assert ms.counts == {g: len(provenance[g]) for g in kept}
+            assert ms.provenance == {g: tuple(provenance[g]) for g in kept}
 
 
 def test_pair_richness_counts_points_on_bisector():
@@ -268,3 +380,45 @@ def test_regularize_degenerate_raises():
     ms = build_multiset(pp, cfg, richness_min=0)
     with pytest.raises(RegularizationDegenerate):
         regularize(cfg.points, ms, 5, 3)
+
+
+def _heaviest_bucket_oracle(items, value):
+    """The parent loop: bucket by dyadic class of a positive value, keep
+    the bucket of largest summed value, ties to the larger class."""
+    buckets = {}
+    for item in items:
+        if value(item) > 0:
+            buckets.setdefault(dyadic_class(value(item)), []).append(item)
+    if not buckets:
+        return None, []
+    best = max(buckets, key=lambda j: (sum(map(value, buckets[j])), j))
+    return best, buckets[best]
+
+
+def test_regularize_matches_scalar_buckets():
+    # degrees 2, 1, 1 tie the classes 1 and 0 at summed degree 2
+    h1, h2 = Hyperplane((1, 0, 0), 0), Hyperplane((0, 1, 0), 0)
+    ms = HyperplaneMultiset(support=(h1, h2), counts={h1: 1, h2: 1},
+                            provenance={h1: (), h2: ()})
+    reg = regularize([(0, 1, 1), (0, 0, 1), (1, 0, 1)], ms, 5, 3)
+    assert reg.points == ((0, 0, 1),) and reg.degree_scale == 2
+    rng = random.Random(51)
+    for _ in range(40):
+        cfg = random_config(rng, q=5, n_points=25, n_spheres=8)
+        pp = persistent_pairs(cfg, threshold=0)
+        ms = build_multiset(pp, cfg, richness_min=0)
+        if not ms.support:
+            continue
+        q = cfg.q
+        jp, points = _heaviest_bucket_oracle(cfg.points, lambda p: sum(
+            hyperplane_contains(h, p, q) for h in ms.support))
+        jh, support = _heaviest_bucket_oracle(ms.support, lambda h: sum(
+            hyperplane_contains(h, p, q) for p in points))
+        if jp is None or jh is None:
+            with pytest.raises(RegularizationDegenerate):
+                regularize(cfg.points, ms, q, cfg.d)
+            continue
+        reg = regularize(cfg.points, ms, q, cfg.d)
+        assert reg.points == tuple(points) and reg.degree_scale == 1 << jp
+        assert reg.multiset.support == tuple(support)
+        assert reg.richness_scale == 1 << jh
