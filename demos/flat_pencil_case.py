@@ -30,7 +30,6 @@ def main():
           "values:", cert.witness_flat.values)
     print("flat points:", flat_points(cert.witness_flat, sp))
     print("chosen plane:", cert.hyperplane)
-    print("pencil size:", len(cert.pencil))
     print("structured points:", cert.points_idx)
     print("sphere subfamily:", cert.spheres_idx)
 
@@ -39,7 +38,7 @@ def main():
 
     rep = retention_check(cfg, cert)
     print("double count consistent:", rep.double_count_ok)
-    print("kept point fraction:", rep.size_ratio)
+    print("kept point fraction:", len(cert.points_idx) / len(cfg.points))
 
 
 if __name__ == "__main__":

@@ -1,84 +1,25 @@
 """Incidence rigidity over prime fields: exact certificate extraction
 for near-extremal point-sphere configurations, with brute-force oracles
-sized for desk-scale verification."""
+sized for desk-scale verification.
 
-from .dichotomy import (AffineDichotomyResult, BasisTooLarge, DichotomyResult,
-                        EmptyChart, MonomialBasis, Polynomial, VeroneseResult,
-                        affine_dichotomy, dichotomy, enumerate_monomials,
-                        evaluation_matrix, homogenize, linear_form_power,
-                        minimal_degree, monomial_basis, polynomial_from_vector,
-                        veronese_dependence)
-from .exact import SqrtRational
-from .field import (NotAPrime, PrimeField, identity_matrix, is_odd_prime,
-                    kernel_basis, mat_vec, rank, rref)
-from .generators import (BadGeneratorSpec, DotProductSystem, GeneratedConfig,
-                         GeneratorSpec, PinnedSystem, StabilityReport, ZeroPin,
-                         dot_product_system, generate, pin_cap,
-                         pinned_distance_set, pinned_sphere_system,
-                         stability_experiment)
-from .geometry import (IDENTICAL, PARALLEL_DISJOINT, AmbientSpace, Flat,
-                       Hyperplane, IsotropicNormal, SpaceTooLarge, Sphere,
-                       affine_chart, all_projective_directions,
-                       canonical_direction, canonical_hyperplane,
-                       flat_contained_in, flat_from_pair, flat_points,
-                       hyperplane_contains, hyperplane_points, make_space,
-                       point_grid, quad_norm, radical_hyperplane,
-                       reflect_point, sphere_contains, sphere_points)
-from .multiset import (EmptyClass, EmptyMultiset, HyperplaneMultiset,
-                       MassRetentionReport, ParallelClass, build_multiset,
-                       mass_retention, parallel_classes, popular_offset,
-                       richness_counts)
-from .pipeline import (CASE_DIRECTIONAL, CASE_FLAT, CASE_NO_SIGNAL, CaseSplit,
-                       Certificate, ExtractOptions, FlatProfile,
-                       RetentionReport, case_split, default_b0,
-                       extract_certificate, flat_profile, linear_form_of,
-                       overlap_energy, retention_check)
-from .stats import (Config, EmptyConfig, EnergyBoundReport, IncidenceStats,
-                    energies, energy_lower_bound_check, incidence_count,
-                    make_config, membership_matrix, near_extremality_K,
-                    near_extremality_from_counts, surplus)
-from .strata import (DyadicLayers, EmptyOverlaps, HeavyLayer, LowLayerReport,
-                     PartnerProfile, PersistentPairs, RegularizationDegenerate,
-                     RegularizedConfig, dyadic_class, heavy_layer_select,
-                     low_layer_mass, pair_richness, persistent_pairs,
-                     persistent_partner_profile, regularize,
-                     richness_threshold, sphere_overlap_matrix, stratify)
+The top level re-exports the names the README and the demos use; every
+other name is imported from its module."""
+
+from .dichotomy import affine_dichotomy, dichotomy
+from .generators import (GeneratorSpec, dot_product_system, generate, pin_cap,
+                         pinned_sphere_system)
+from .geometry import Sphere, flat_points, make_space, quad_norm
+from .pipeline import extract_certificate, retention_check
+from .stats import energies, make_config
+from .strata import stratify
 from .verify import verify_certificate
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineDichotomyResult", "AmbientSpace", "BadGeneratorSpec",
-    "BasisTooLarge", "CASE_DIRECTIONAL", "CASE_FLAT", "CASE_NO_SIGNAL",
-    "CaseSplit", "Certificate", "Config", "DichotomyResult",
-    "DotProductSystem", "DyadicLayers", "EmptyChart", "EmptyClass",
-    "EmptyConfig", "EmptyMultiset", "EmptyOverlaps", "EnergyBoundReport",
-    "ExtractOptions", "Flat", "FlatProfile", "GeneratedConfig",
-    "GeneratorSpec", "HeavyLayer", "Hyperplane", "HyperplaneMultiset",
-    "IDENTICAL", "IncidenceStats", "IsotropicNormal", "LowLayerReport",
-    "MassRetentionReport", "MonomialBasis", "NotAPrime", "PARALLEL_DISJOINT",
-    "ParallelClass", "PartnerProfile", "PersistentPairs", "PinnedSystem",
-    "Polynomial", "PrimeField", "RegularizationDegenerate",
-    "RegularizedConfig", "RetentionReport", "SpaceTooLarge", "Sphere",
-    "SqrtRational", "StabilityReport", "VeroneseResult", "ZeroPin",
-    "affine_chart", "affine_dichotomy", "all_projective_directions",
-    "build_multiset", "canonical_direction", "canonical_hyperplane",
-    "case_split", "default_b0", "dichotomy", "dot_product_system",
-    "dyadic_class", "energies", "energy_lower_bound_check",
-    "enumerate_monomials", "evaluation_matrix", "extract_certificate",
-    "flat_contained_in", "flat_from_pair", "flat_points", "flat_profile",
-    "generate", "heavy_layer_select", "homogenize", "hyperplane_contains",
-    "hyperplane_points", "identity_matrix", "incidence_count",
-    "is_odd_prime", "kernel_basis", "linear_form_of", "linear_form_power",
-    "low_layer_mass", "make_config", "make_space", "mass_retention",
-    "mat_vec", "membership_matrix", "minimal_degree", "monomial_basis",
-    "near_extremality_K", "near_extremality_from_counts", "overlap_energy",
-    "pair_richness", "parallel_classes", "persistent_pairs",
-    "persistent_partner_profile", "pin_cap", "pinned_distance_set",
-    "pinned_sphere_system", "point_grid", "polynomial_from_vector",
-    "popular_offset", "quad_norm", "radical_hyperplane", "rank",
-    "reflect_point", "regularize", "retention_check", "richness_counts",
-    "richness_threshold", "rref", "sphere_contains", "sphere_overlap_matrix",
-    "sphere_points", "stability_experiment", "stratify", "surplus",
-    "verify_certificate", "veronese_dependence",
+    "GeneratorSpec", "Sphere", "affine_dichotomy", "dichotomy",
+    "dot_product_system", "energies", "extract_certificate", "flat_points",
+    "generate", "make_config", "make_space", "pin_cap",
+    "pinned_sphere_system", "quad_norm", "retention_check", "stratify",
+    "verify_certificate",
 ]

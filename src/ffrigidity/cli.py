@@ -27,7 +27,7 @@ from .field import NotAPrime
 from .pipeline import (CASE_NO_SIGNAL, ExtractOptions, extract_certificate)
 from .stats import Config, energies, make_config
 from .strata import stratify
-from .verify import verify_certificate
+from .verify import _is_int, verify_certificate
 
 EXPERIMENT_HEADER = ["q", "d", "kind", "np", "ns", "noise", "seed", "c_const",
                      "K", "case", "p_prime", "p_prime_frac", "deg_F", "D",
@@ -89,25 +89,28 @@ def config_from_dict(doc: dict, what: str = "config") -> Config:
     d = _require(doc, "d", what)
     raw_points = _require(doc, "points", what)
     raw_spheres = _require(doc, "spheres", what)
-    if not isinstance(q, int) or not isinstance(d, int):
+    if not _is_int(q) or not _is_int(d):
         raise CliError(f"{what}: q and d must be integers")
+    if not isinstance(raw_points, list) or not isinstance(raw_spheres, list):
+        raise CliError(f"{what}: points and spheres must be lists")
     try:
         space = make_space(q, d)
     except (NotAPrime, ValueError) as exc:
         raise CliError(f"{what}: {exc}")
     points = []
     for i, p in enumerate(raw_points):
-        if not isinstance(p, list) or len(p) != d:
+        if not isinstance(p, list) or len(p) != d or not all(map(_is_int, p)):
             raise CliError(f"{what}: points[{i}] must be a list of {d} "
-                           "coordinates")
+                           "integer coordinates")
         points.append(tuple(p))
     spheres = []
     for i, s in enumerate(raw_spheres):
         if (not isinstance(s, dict) or "center" not in s or "r" not in s
                 or not isinstance(s["center"], list)
-                or len(s["center"]) != d):
+                or len(s["center"]) != d
+                or not all(map(_is_int, s["center"])) or not _is_int(s["r"])):
             raise CliError(f"{what}: spheres[{i}] must be "
-                           "{center: [..], r: int}")
+                           f"{{center: [{d} integers], r: integer}}")
         spheres.append(Sphere(tuple(s["center"]), s["r"]))
     try:
         return make_config(space, points, spheres)
@@ -172,10 +175,6 @@ def cmd_analyze(args) -> int:
     }
     _dump_json(out, args.out)
     return 0
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _extract_options(c_const, b0) -> ExtractOptions:

@@ -16,6 +16,7 @@ from math import comb
 import numpy as np
 
 from .field import PrimeField, kernel_basis
+from .geometry import affine_chart
 
 BASIS_CAP = 100_000
 
@@ -198,7 +199,8 @@ def affine_dichotomy(directions, chart: int, D: int, q: int) -> AffineDichotomyR
 
     The chart drops the dimension by one, so the relevant count is
     C(d-1+D, d-1).  An algebraic witness is homogenized and re-verified
-    against the original directions in the chart.
+    against the original directions in the chart.  A chart outside
+    1..d raises ValueError.
     """
     if D < 1:
         raise ValueError("degree must be at least 1")
@@ -209,10 +211,9 @@ def affine_dichotomy(directions, chart: int, D: int, q: int) -> AffineDichotomyR
     in_chart = []
     originals = []
     for n in dirs:
-        if n[chart - 1] % q != 0:
-            s = pow(n[chart - 1] % q, q - 2, q)
-            in_chart.append(tuple((c * s) % q for i, c in enumerate(n)
-                                  if i != chart - 1))
+        u = affine_chart(n, chart, q)
+        if u is not None:
+            in_chart.append(u)
             originals.append(n)
     chart_pts = sorted(set(in_chart))
     if not chart_pts:

@@ -200,12 +200,3 @@ def kernel_basis(mat, field: PrimeField):
             v = [(x * s) % q for x in v]
         basis.append(tuple(v))
     return tuple(basis)
-
-
-def mat_vec(mat, v, field: PrimeField):
-    q = field.q
-    return tuple(sum(a * b for a, b in zip(row, v)) % q for row in mat)
-
-
-def identity_matrix(n: int):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]

@@ -15,7 +15,6 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import count_cutoff
-from .geometry import Hyperplane, hyperplane_incidence
 
 
 class EmptyMultiset(ValueError):
@@ -52,11 +51,6 @@ class HyperplaneMultiset:
             counts={h: self.counts[h] for h in support},
             provenance={h: self.provenance[h] for h in support},
         )
-
-
-def richness_counts(points, hyperplanes, q: int, d: int):
-    """|P on H| for each hyperplane, via one batched product."""
-    return hyperplane_incidence(points, hyperplanes, q).sum(axis=0).tolist()
 
 
 def build_multiset(pp, config, richness_min=0) -> HyperplaneMultiset:

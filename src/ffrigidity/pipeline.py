@@ -16,7 +16,7 @@ returned, and serializes to a fixed-shape JSON document.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -28,11 +28,10 @@ from .geometry import (Flat, Hyperplane, flat_contained_in,
                        hyperplane_incidence, incidence_gram, sphere_contains,
                        sphere_incidence)
 from .multiset import (HyperplaneMultiset, build_multiset, mass_retention,
-                       parallel_classes, popular_offset, richness_counts)
+                       parallel_classes, popular_offset)
 from .stats import Config, energies, membership_matrix
 from .strata import (EmptyOverlaps, RegularizationDegenerate,
-                     heavy_layer_select, persistent_pairs, regularize,
-                     richness_threshold)
+                     heavy_layer_select, persistent_pairs, regularize)
 
 CASE_FLAT = "flat-concentration"
 CASE_DIRECTIONAL = "directional-coordination"
@@ -188,8 +187,6 @@ def case_split(ms: HyperplaneMultiset, b0: int, field: PrimeField) -> CaseSplit:
 class ExtractOptions:
     c_const: Fraction = Fraction(1, 4)
     b0: int | None = None
-    richness_override: int | None = None
-    sphere_mass_fraction: Fraction = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -202,8 +199,6 @@ class Certificate:
     witness_flat: Flat | None
     aux: dict
     params: dict
-    regularized_points: tuple = dataclass_field(default=(), repr=False)
-    pencil: tuple = dataclass_field(default=(), repr=False)
 
     def to_dict(self) -> dict:
         """Fixed-shape serialization; every field is always present."""
@@ -288,8 +283,7 @@ def extract_certificate(config: Config,
     K = stats.K
     b0 = opts.b0 if opts.b0 is not None else default_b0(K, d)
 
-    pp = persistent_pairs(config, K, opts.c_const,
-                          threshold=opts.richness_override)
+    pp = persistent_pairs(config, K, opts.c_const)
     if not pp.pairs:
         return _no_signal(K, b0, "no-persistent-pairs")
     ms = build_multiset(pp, config, pp.threshold)
@@ -308,13 +302,11 @@ def extract_certificate(config: Config,
     flags: list = []
     aux: dict = {"R": None, "chart": None, "D": None}
     witness = None
-    pencil: tuple = ()
     if split.tag == CASE_FLAT:
         witness = split.witness
-        rich = richness_counts(p2, list(split.pencil), q, d)
+        rich = hyperplane_incidence(p2, split.pencil, q).sum(axis=0).tolist()
         top = max(rich)
         h0 = min(h for h, r in zip(split.pencil, rich) if r == top)
-        pencil = split.pencil
         case = CASE_FLAT
     else:
         directions = split.directions
@@ -345,7 +337,7 @@ def extract_certificate(config: Config,
     assert len(points_idx) >= lam1
 
     sphere_min, spheres_idx = _rich_sphere_subfamily(
-        membership[list(points_idx)], opts.sphere_mass_fraction)
+        membership[list(points_idx)])
 
     F = linear_form_of(h0, q)
     assert not F.evaluate_many(on_h0, q).any()
@@ -362,8 +354,6 @@ def extract_certificate(config: Config,
         aux={**aux, "flags": tuple(flags)},
         params={"K": K, "lambda1": lam1, "M1": reg.degree_scale, "mu": mu,
                 "B0": b0, "min_points": lam1, "sphere_min": sphere_min},
-        regularized_points=p2,
-        pencil=pencil,
     )
 
 
@@ -395,10 +385,10 @@ def _coincidence_scale(points, hyperplanes, q: int) -> int:
         return 0
 
 
-def _rich_sphere_subfamily(incidence, fraction: Fraction):
-    """Largest dyadic richness threshold keeping at least the given
-    fraction of the incidence mass between P' and the sphere family,
-    from the P' rows of the membership matrix."""
+def _rich_sphere_subfamily(incidence):
+    """Largest dyadic richness threshold keeping at least half of the
+    incidence mass between P' and the sphere family, from the P' rows of
+    the membership matrix."""
     degs = incidence.sum(axis=0).tolist()
     total = sum(degs)
     if total == 0:
@@ -407,7 +397,7 @@ def _rich_sphere_subfamily(incidence, fraction: Fraction):
     best = 1
     while t <= max(degs):
         retained = sum(v for v in degs if v >= t)
-        if Fraction(retained) >= fraction * total:
+        if 2 * retained >= total:
             best = t
         t *= 2
     spheres_idx = tuple(i for i, v in enumerate(degs) if v >= best)
@@ -422,8 +412,6 @@ class RetentionReport:
     degree_max: int
     in_window: bool
     window_bounds_ok: bool | None
-    energy_ratio: Fraction | None
-    size_ratio: Fraction | None
 
 
 def retention_check(config: Config, cert: Certificate) -> RetentionReport:
@@ -433,8 +421,7 @@ def retention_check(config: Config, cert: Certificate) -> RetentionReport:
     family is computed in both summation orders, which must agree.
     When all retained sphere degrees happen to sit inside the recorded
     window [M1, 2*M1), the implied two-sided incidence bounds with
-    constants 1 and 2 are asserted.  Energy and size ratios compare the
-    structured points against the regularized point set.
+    constants 1 and 2 are asserted.
     """
     q = config.q
     pprime = [config.points[i] for i in cert.points_idx]
@@ -451,16 +438,6 @@ def retention_check(config: Config, cert: Certificate) -> RetentionReport:
     if in_window:
         window_ok = (m1 * len(pprime) <= by_point <= 2 * m1 * len(pprime))
         assert window_ok
-    energy_ratio = None
-    size_ratio = None
-    if cert.regularized_points:
-        e_prime = sum(v * v for v in point_sphere_degs)
-        reg_degs = sphere_incidence(cert.regularized_points, config.spheres,
-                                    q).sum(axis=1)
-        e_reg = int((reg_degs * reg_degs).sum())
-        if e_reg:
-            energy_ratio = Fraction(e_prime, e_reg)
-        size_ratio = Fraction(len(pprime), len(cert.regularized_points))
     return RetentionReport(
         incidences=by_point,
         double_count_ok=ok,
@@ -468,6 +445,4 @@ def retention_check(config: Config, cert: Certificate) -> RetentionReport:
         degree_max=dmax,
         in_window=in_window,
         window_bounds_ok=window_ok,
-        energy_ratio=energy_ratio,
-        size_ratio=size_ratio,
     )

@@ -140,39 +140,3 @@ def energies(config: Config, membership=None) -> IncidenceStats:
         off_diagonal=off_diagonal,
         K=K,
     )
-
-
-def surplus(config: Config) -> Fraction:
-    """I - |P||S|/q as an exact rational (may be negative)."""
-    return Fraction(incidence_count(config)) - Fraction(
-        len(config.points) * len(config.spheres), config.q)
-
-
-@dataclass(frozen=True)
-class EnergyBoundReport:
-    vacuous: bool
-    point_side_holds: bool
-    dual_side_holds: bool
-    incidences: int
-    energy: int
-    dual_energy: int
-    n_points: int
-    n_spheres: int
-
-
-def energy_lower_bound_check(config: Config) -> EnergyBoundReport:
-    """Cauchy-Schwarz floor on both energies: I^2 <= |P| * energy and
-    I^2 <= |S| * dual_energy.  Reported as vacuous when K < 1."""
-    stats = energies(config)
-    vacuous = stats.K < 1
-    isq = stats.incidences * stats.incidences
-    return EnergyBoundReport(
-        vacuous=vacuous,
-        point_side_holds=isq <= len(config.points) * stats.energy,
-        dual_side_holds=isq <= len(config.spheres) * stats.dual_energy,
-        incidences=stats.incidences,
-        energy=stats.energy,
-        dual_energy=stats.dual_energy,
-        n_points=len(config.points),
-        n_spheres=len(config.spheres),
-    )

@@ -48,10 +48,6 @@ class DyadicLayers:
         return sum(len(p) for p in self.layers.values()) + self.zero_pairs
 
 
-def sphere_overlap_matrix(config: Config) -> np.ndarray:
-    return incidence_gram(membership_matrix(config))
-
-
 def _dyadic_classes(values: np.ndarray) -> np.ndarray:
     """`dyadic_class` of every entry of a non-negative integer array (-1
     for a zero), read off float64 exponents, which are exact below
@@ -67,7 +63,7 @@ def stratify(config: Config) -> DyadicLayers:
     sum back to the off-diagonal energy exactly.  Each layer lists its
     pairs in (i, j) order.
     """
-    gram = sphere_overlap_matrix(config)
+    gram = incidence_gram(membership_matrix(config))
     i, j = np.nonzero(~np.eye(len(config.spheres), dtype=bool))
     shared = gram[i, j]
     positive = shared > 0
@@ -217,24 +213,6 @@ def persistent_pairs(config: Config, K: SqrtRational | None = None,
 
 
 @dataclass(frozen=True)
-class PartnerProfile:
-    partner_counts: dict
-    s0: tuple
-    fraction: Fraction
-
-
-def persistent_partner_profile(pp: PersistentPairs, config: Config,
-                               threshold: int) -> PartnerProfile:
-    """Spheres with at least `threshold` persistent partners."""
-    counts = {i: 0 for i in range(len(config.spheres))}
-    for (i, _) in pp.pairs:
-        counts[i] += 1
-    s0 = tuple(i for i, c in sorted(counts.items()) if c >= threshold)
-    frac = Fraction(len(s0), len(config.spheres)) if config.spheres else Fraction(0)
-    return PartnerProfile(partner_counts=counts, s0=s0, fraction=frac)
-
-
-@dataclass(frozen=True)
 class HeavyLayer:
     mu: int
     layer: int
@@ -248,20 +226,14 @@ class HeavyLayer:
 def heavy_layer_select(overlaps) -> HeavyLayer:
     """Pick the dyadic value layer maximizing 2**j * (member count).
 
-    Accepts a mapping key -> positive value or a sequence (or integer
-    array) of values, whose keys are then the positions.  Zero values
-    carry no layer and are ignored; ties go to the larger j.  The
-    selected score is at least the total score divided by the number of
-    nonempty layers, which is the exact pigeonhole this selection exists
-    for.  Layers come from float64 exponents, exact below 2**53.
+    Takes a sequence (or integer array) of values; the keys of the
+    selected layer are their positions.  Zero values carry no layer and
+    are ignored; ties go to the larger j.  The selected score is at
+    least the total score divided by the number of nonempty layers,
+    which is the exact pigeonhole this selection exists for.  Layers
+    come from float64 exponents, exact below 2**53.
     """
-    if isinstance(overlaps, dict):
-        keys = list(overlaps)
-        values = np.fromiter(overlaps.values(), dtype=np.int64,
-                             count=len(keys))
-    else:
-        keys = None
-        values = np.asarray(overlaps, dtype=np.int64).ravel()
+    values = np.asarray(overlaps, dtype=np.int64).ravel()
     positive = np.flatnonzero(values > 0)
     if not len(positive):
         raise EmptyOverlaps("no positive overlap values to select from")
@@ -271,8 +243,6 @@ def heavy_layer_select(overlaps) -> HeavyLayer:
     layers = [j for j, n in enumerate(sizes) if n]
     best = max(layers, key=lambda j: ((1 << j) * sizes[j], j))
     members = positive[layer == best].tolist()
-    if keys is not None:
-        members = sorted(keys[i] for i in members)
     score = (1 << best) * sizes[best]
     total_score = sum((1 << j) * sizes[j] for j in layers)
     assert score * len(layers) >= total_score

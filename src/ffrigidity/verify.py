@@ -41,9 +41,14 @@ def _nonvanishing(terms, pts: np.ndarray, q: int) -> int:
     return int(np.count_nonzero(total))
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_int_list(value, n: int) -> bool:
     return (isinstance(value, list) and len(value) == n
-            and all(isinstance(c, int) for c in value))
+            and all(_is_int(c) for c in value))
 
 
 def verify_certificate(config: Config, cert: dict) -> list:
@@ -64,7 +69,7 @@ def verify_certificate(config: Config, cert: dict) -> list:
         params = {}
     min_points = params.get("min_points", 0)
     sphere_min = params.get("sphere_min", 0)
-    if not isinstance(min_points, int) or not isinstance(sphere_min, int):
+    if not _is_int(min_points) or not _is_int(sphere_min):
         failures.append("params min_points and sphere_min must be integers")
         min_points = sphere_min = 0
     terms = cert.get("F")
@@ -75,14 +80,14 @@ def verify_certificate(config: Config, cert: dict) -> list:
     else:
         cleaned = []
         for item in terms:
-            try:
-                exps, coef = item
-                exps = tuple(int(e) for e in exps)
-                coef = int(coef) % q
-            except (TypeError, ValueError):
+            if (not isinstance(item, list) or len(item) != 2
+                    or not isinstance(item[0], list)
+                    or not all(map(_is_int, item[0]))
+                    or not _is_int(item[1])):
                 failures.append("F has a malformed term")
                 cleaned = []
                 break
+            exps, coef = tuple(item[0]), item[1] % q
             if len(exps) != d or any(e < 0 for e in exps):
                 failures.append("F has a term with bad exponents")
                 exponents_ok = False
@@ -99,7 +104,7 @@ def verify_certificate(config: Config, cert: dict) -> list:
         failures.append("points must be an index list")
         idx = []
     for i in idx:
-        if not isinstance(i, int) or not 0 <= i < len(config.points):
+        if not _is_int(i) or not 0 <= i < len(config.points):
             failures.append(f"point index {i!r} out of range")
             points = None
             break
@@ -128,7 +133,7 @@ def verify_certificate(config: Config, cert: dict) -> list:
         if not _is_int_list(normal, d) or all(c % q == 0 for c in normal):
             failures.append("hyperplane normal is malformed")
             normal = None
-        elif not isinstance(offset, int):
+        elif not _is_int(offset):
             failures.append("hyperplane offset must be an integer")
             normal = None
         else:
@@ -152,7 +157,7 @@ def verify_certificate(config: Config, cert: dict) -> list:
     else:
         ok = True
         for i in sidx:
-            if not isinstance(i, int) or not 0 <= i < len(config.spheres):
+            if not _is_int(i) or not 0 <= i < len(config.spheres):
                 failures.append(f"sphere index {i!r} out of range")
                 ok = False
                 break

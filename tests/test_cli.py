@@ -108,6 +108,29 @@ def test_analyze_missing_field_exits_2(tmp_path, capsys):
     assert "spheres" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "extract"])
+@pytest.mark.parametrize("mutate, where", [
+    (lambda doc: doc["points"][1].__setitem__(0, 1.5), "points[1]"),
+    (lambda doc: doc["points"][1].__setitem__(2, True), "points[1]"),
+    (lambda doc: doc["points"][1].__setitem__(1, "2"), "points[1]"),
+    (lambda doc: doc["spheres"][2]["center"].__setitem__(0, "1"),
+     "spheres[2]"),
+    (lambda doc: doc["spheres"][2].update(r="3"), "spheres[2]"),
+    (lambda doc: doc["spheres"][2].update(r=False), "spheres[2]"),
+    (lambda doc: doc.update(points=5), "points"),
+], ids=["float-coordinate", "bool-coordinate", "string-coordinate",
+        "string-center", "string-radius", "bool-radius", "points-not-list"])
+def test_config_non_integer_value_exits_2(tmp_path, capsys, command, mutate,
+                                          where):
+    cfg = gen_config(tmp_path, capsys)
+    doc = json.loads(cfg.read_text())
+    mutate(doc)
+    cfg.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(cfg))
+    assert code == 2 and out == ""
+    assert where in err and "Traceback" not in err
+
+
 def test_extract_bad_c_const_exits_2(tmp_path, capsys):
     cfg = gen_config(tmp_path, capsys)
     code, _, err = run(capsys, "extract", str(cfg), "--c-const", "abc")
@@ -130,13 +153,40 @@ def test_verify_tampered_certificate_exits_1(tmp_path, capsys):
     assert out.startswith("fail:")
 
 
+def _bool_witness_flat(doc):
+    # a flat inside the named hyperplane, with JSON true for one entry
+    normal = doc["hyperplane"]["normal"]
+    other = [0, 0, True] if normal[0] else [True, 0, 0]
+    doc["case"] = "flat-concentration"
+    doc["aux"]["witness_flat"] = {"rows": [normal, other],
+                                  "values": [doc["hyperplane"]["offset"], 0]}
+
+
+def _float_exponent(doc):
+    exps = doc["F"][-1][0]  # the last term has degree 1
+    exps[exps.index(1)] = 1.0
+
+
 @pytest.mark.parametrize("mutate", [
     lambda doc: doc.update(params="x"),
     lambda doc: doc["params"].update(min_points="3"),
     lambda doc: doc["hyperplane"]["normal"].__setitem__(0, "1"),
     lambda doc: doc["hyperplane"].update(offset="2"),
     lambda doc: doc.update(case="flat-concentration", aux="x"),
-], ids=["params", "min-points", "normal-entry", "offset", "aux"])
+    lambda doc: doc["points"].__setitem__(1, True),
+    lambda doc: doc["params"].update(min_points=True),
+    lambda doc: doc["params"].update(sphere_min=True),
+    lambda doc: (doc.update(spheres=[True] + doc["spheres"]),
+                 doc["params"].update(sphere_min=0)),
+    lambda doc: doc["hyperplane"]["normal"].__setitem__(0, True),
+    lambda doc: doc["hyperplane"].update(offset=True),
+    _bool_witness_flat,
+    lambda doc: next(t for t in doc["F"] if t[1] == 1).__setitem__(1, True),
+    _float_exponent,
+], ids=["params", "min-points", "normal-entry", "offset", "aux",
+        "point-index-bool", "min-points-bool", "sphere-min-bool",
+        "sphere-index-bool", "normal-bool", "offset-bool",
+        "witness-flat-bool", "f-coefficient-bool", "f-exponent-float"])
 def test_verify_malformed_certificate_fails(tmp_path, capsys, mutate):
     cfg = gen_config(tmp_path, capsys)
     cert = tmp_path / "cert.json"

@@ -117,6 +117,13 @@ def test_affine_dichotomy_chart_miss():
         affine_dichotomy([(0, 1, 2)], chart=1, D=1, q=5)
 
 
+@pytest.mark.parametrize("chart", [0, 4])
+def test_affine_dichotomy_chart_out_of_range(chart):
+    dirs = all_projective_directions(5, 3)
+    with pytest.raises(ValueError, match="out of range"):
+        affine_dichotomy(dirs, chart=chart, D=1, q=5)
+
+
 def test_affine_dichotomy_homogenized_vanishes_on_chart_dirs():
     rng = random.Random(72)
     q = 7

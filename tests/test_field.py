@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from ffrigidity.field import (NotAPrime, PrimeField, identity_matrix,
-                              is_odd_prime, kernel_basis, mat_vec, rank, rref)
+from ffrigidity.field import (NotAPrime, PrimeField, is_odd_prime,
+                              kernel_basis, rank, rref)
 
 
 # oracle: rank by exhaustive search for the largest invertible minor,
@@ -180,13 +180,6 @@ def test_pivot_columns_have_unit_columns():
         for k, col in enumerate(pivots):
             for i, row in enumerate(rows):
                 assert row[col] == (1 if i == k else 0)
-
-
-def test_mat_vec_and_identity():
-    f = PrimeField(7)
-    ident = identity_matrix(3)
-    assert mat_vec(ident, (2, 5, 6), f) == (2, 5, 6)
-    assert mat_vec([[1, 1, 1]], (3, 3, 3), f) == (2,)
 
 
 def test_rref_matches_scalar_elimination():

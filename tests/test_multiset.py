@@ -4,12 +4,11 @@ from fractions import Fraction
 import pytest
 
 from ffrigidity.geometry import (Hyperplane, Sphere, canonical_hyperplane,
-                                 hyperplane_contains, make_space,
+                                 hyperplane_incidence, make_space,
                                  radical_hyperplane)
 from ffrigidity.multiset import (EmptyClass, EmptyMultiset, HyperplaneMultiset,
                                  ParallelClass, build_multiset, mass_retention,
-                                 parallel_classes, popular_offset,
-                                 richness_counts)
+                                 parallel_classes, popular_offset)
 from ffrigidity.stats import make_config
 from ffrigidity.strata import persistent_pairs
 
@@ -33,18 +32,6 @@ def manual_multiset(counts_by_hyperplane):
         counts=counts,
         provenance={h: () for h in counts},
     )
-
-
-def test_richness_counts_match_direct_loop():
-    rng = random.Random(61)
-    q, d = 7, 3
-    pts = [tuple(rng.randrange(q) for _ in range(d)) for _ in range(20)]
-    hs = [canonical_hyperplane(tuple(rng.randrange(q) for _ in range(d)) or (1, 0, 0), rng.randrange(q), q)
-          for _ in range(8) ]
-    hs = [h for h in hs if any(h.normal)]
-    got = richness_counts(pts, hs, q, d)
-    for h, r in zip(hs, got):
-        assert r == sum(1 for p in pts if hyperplane_contains(h, p, q))
 
 
 def test_build_multiset_conservation():
@@ -82,8 +69,7 @@ def test_build_multiset_richness_filter():
     ms_all = build_multiset(pp, cfg, richness_min=0)
     ms_cut = build_multiset(pp, cfg, richness_min=3)
     for h in ms_cut.support:
-        r = richness_counts(cfg.points, [h], cfg.q, cfg.d)[0]
-        assert r >= 3
+        assert hyperplane_incidence(cfg.points, [h], cfg.q).sum() >= 3
     assert set(ms_cut.support) <= set(ms_all.support)
 
 

@@ -5,10 +5,9 @@ import pytest
 
 from ffrigidity.exact import SqrtRational
 from ffrigidity.geometry import Sphere, hyperplane_points, make_space, canonical_hyperplane
-from ffrigidity.stats import (EmptyConfig, energies, energy_lower_bound_check,
-                              incidence_count, make_config, membership_matrix,
-                              near_extremality_K, near_extremality_from_counts,
-                              surplus)
+from ffrigidity.stats import (EmptyConfig, energies, incidence_count,
+                              make_config, membership_matrix,
+                              near_extremality_K, near_extremality_from_counts)
 
 
 def random_config(rng, q=7, d=3, n_points=20, n_spheres=12):
@@ -172,20 +171,8 @@ def test_planted_hyperplane_k_positive():
     i = incidence_count(cfg)
     k = near_extremality_K(cfg)
     expected_surplus = Fraction(i) - Fraction(len(pts), q)
-    assert surplus(cfg) == expected_surplus
     if expected_surplus > 0:
         assert not k.is_zero()
-
-
-def test_energy_lower_bound_report():
-    rng = random.Random(35)
-    for _ in range(10):
-        cfg = random_config(rng)
-        rep = energy_lower_bound_check(cfg)
-        st = energies(cfg)
-        assert rep.point_side_holds and rep.dual_side_holds
-        assert st.energy * len(cfg.points) >= st.incidences ** 2
-        assert st.dual_energy * len(cfg.spheres) >= st.incidences ** 2
 
 
 def test_equality_case_uniform_degrees():

@@ -6,15 +6,15 @@ import pytest
 
 from ffrigidity.exact import SqrtRational
 from ffrigidity.geometry import (Hyperplane, Sphere, hyperplane_contains,
+                                 hyperplane_incidence, incidence_gram,
                                  make_space, radical_hyperplane,
                                  radical_hyperplanes)
-from ffrigidity.stats import energies, make_config
+from ffrigidity.stats import energies, make_config, membership_matrix
 from ffrigidity.strata import (EmptyOverlaps, RegularizationDegenerate,
                                dyadic_class, heavy_layer_select,
                                low_layer_mass, pair_richness,
-                               persistent_pairs, persistent_partner_profile,
-                               regularize, richness_threshold,
-                               sphere_overlap_matrix, stratify)
+                               persistent_pairs, regularize,
+                               richness_threshold, stratify)
 from ffrigidity.multiset import HyperplaneMultiset, build_multiset
 
 
@@ -76,7 +76,7 @@ def test_stratify_reconciles_with_off_diagonal():
         cfg = random_config(rng)
         layers = stratify(cfg)
         st = energies(cfg)
-        gram = sphere_overlap_matrix(cfg)
+        gram = incidence_gram(membership_matrix(cfg))
         mass = sum(int(gram[i, j]) for pairs in layers.layers.values()
                    for (i, j) in pairs)
         assert mass == st.off_diagonal
@@ -98,7 +98,7 @@ def test_stratify_matches_scalar_partition():
     rng = random.Random(41)
     for _ in range(6):
         cfg = random_config(rng, n_points=30, n_spheres=rng.randrange(0, 12))
-        gram = sphere_overlap_matrix(cfg)
+        gram = incidence_gram(membership_matrix(cfg))
         layers, zero = {}, 0
         for i, j in itertools.permutations(range(len(cfg.spheres)), 2):
             v = int(gram[i, j])
@@ -276,14 +276,6 @@ def test_persistent_pairs_symmetric_and_profile():
     pairs = set(pp.pairs)
     for (i, j) in pairs:
         assert (j, i) in pairs
-    prof = persistent_partner_profile(pp, cfg, threshold=1)
-    for i, c in prof.partner_counts.items():
-        assert c == sum(1 for (a, _) in pairs if a == i)
-    assert prof.s0 == tuple(i for i, c in sorted(prof.partner_counts.items())
-                            if c >= 1)
-    empty = persistent_partner_profile(
-        persistent_pairs(cfg, threshold=cfg.q ** 2 + 1), cfg, threshold=1)
-    assert empty.s0 == ()
 
 
 def test_heavy_layer_spec_example():
@@ -296,9 +288,9 @@ def test_heavy_layer_spec_example():
 
 
 def test_heavy_layer_uniform_values():
-    hl = heavy_layer_select({"a": 5, "b": 5, "c": 5})
+    hl = heavy_layer_select([5, 5, 5])
     assert hl.layer == 2
-    assert set(hl.keys) == {"a", "b", "c"}
+    assert hl.keys == (0, 1, 2)
     assert hl.score == 12
 
 
@@ -347,9 +339,8 @@ def test_regularize_postconditions():
         for p in reg.points:
             deg = sum(hyperplane_contains(h, p, cfg.q) for h in ms.support)
             assert m1 <= deg < 2 * m1
-        from ffrigidity.multiset import richness_counts
-        for r in richness_counts(reg.points, list(reg.multiset.support),
-                                 cfg.q, cfg.d):
+        for r in hyperplane_incidence(reg.points, reg.multiset.support,
+                                      cfg.q).sum(axis=0).tolist():
             assert lam1 <= r < 2 * lam1
     assert hits >= 5
 
