@@ -108,11 +108,16 @@ def polynomial_from_vector(basis: MonomialBasis, vec, q: int) -> Polynomial:
 
 def monomial_values(points, exponents, q: int) -> np.ndarray:
     """Array of x**e mod q, one row per point and one column per exponent
-    tuple, read from a table of every coordinate's powers 0..max(e)."""
+    tuple, read from a table of every coordinate's powers 0..max(e).
+    Points are an int64 array or a sequence of points, whose coordinates
+    may be Python ints beyond int64 and are reduced one by one."""
     out = np.ones((len(points), len(exponents)), dtype=np.int64)
     if not out.size:
         return out
-    pts = np.asarray([[x % q for x in p] for p in points], dtype=np.int64)
+    if isinstance(points, np.ndarray):
+        pts = points.astype(np.int64, copy=False) % q
+    else:
+        pts = np.asarray([[x % q for x in p] for p in points], dtype=np.int64)
     exps = np.asarray(exponents, dtype=np.int64).reshape(len(exponents), -1)
     powers = np.empty((int(exps.max()) + 1,) + pts.shape, dtype=np.int64)
     powers[0] = 1

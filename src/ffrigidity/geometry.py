@@ -233,6 +233,7 @@ def point_grid(q: int, d: int) -> np.ndarray:
 
 
 def points_array(points, d: int) -> np.ndarray:
+    """Points as an int64 (|P|, d) array; an int64 array is not copied."""
     arr = np.asarray(points, dtype=np.int64)
     if arr.size == 0:
         arr = arr.reshape(0, d)
@@ -277,16 +278,14 @@ def sphere_incidence(pts, spheres, q: int) -> np.ndarray:
 def incidence_gram(inc: np.ndarray) -> np.ndarray:
     """Column Gram matrix inc.T @ inc of a boolean incidence matrix.
 
-    Entry [a, b] counts the rows incident to both columns a and b.  Row a
-    of the result sums the rows incident to column a, so the work is the
-    number of incidences times the number of columns: numpy's integer
-    matmul has no BLAS kernel and costs rows x columns**2 instead.
+    Entry [a, b] counts the rows incident to both columns a and b.  It is
+    one float32 BLAS product (numpy's integer matmul has no BLAS kernel),
+    which is exact: every partial sum is an integer of at most the row
+    count, and float32 holds every integer below 2**24.
     """
-    m = inc.shape[1]
-    gram = np.empty((m, m), dtype=np.int64)
-    for a in range(m):
-        gram[a] = inc[inc[:, a]].sum(axis=0)
-    return gram
+    assert inc.shape[0] < 1 << 24, "too many rows for an exact float32 Gram"
+    x = inc.astype(np.float32)
+    return (x.T @ x).astype(np.int64)
 
 
 def sphere_points(s: Sphere, space: AmbientSpace):

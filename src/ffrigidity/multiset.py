@@ -1,10 +1,9 @@
-"""Multisets of bisector hyperplanes with provenance.
+"""Multisets of bisector hyperplanes.
 
 A sphere-pair family induces a multiset of radical hyperplanes: the
 support is the set of distinct canonical hyperplanes, each carrying a
-multiplicity (how many ordered pairs produced it) and the list of those
-originating pairs.  Weighted sums over the multiset always mean
-"multiplicity times per-hyperplane quantity".
+multiplicity (how many ordered pairs produced it).  Weighted sums over
+the multiset always mean "multiplicity times per-hyperplane quantity".
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ class EmptyClass(ValueError):
 class HyperplaneMultiset:
     support: tuple
     counts: dict
-    provenance: dict
 
     @property
     def mass(self) -> int:
@@ -49,7 +47,6 @@ class HyperplaneMultiset:
         return HyperplaneMultiset(
             support=support,
             counts={h: self.counts[h] for h in support},
-            provenance={h: self.provenance[h] for h in support},
         )
 
 
@@ -62,8 +59,7 @@ def build_multiset(pp, config, richness_min=0) -> HyperplaneMultiset:
     Concentric pairs never persist, so every pair contributes.
     Hyperplanes whose point richness falls below richness_min are
     dropped together with their multiplicity; richness_min may be an
-    int, a Fraction or an exact square-root value.  Each hyperplane's
-    provenance lists its persistent pairs in the order of pp.pairs.
+    int, a Fraction or an exact square-root value.
     """
     ns = len(config.spheres)
     assert 2 * len(pp.pair_bisector) == ns * (ns - 1)
@@ -71,20 +67,10 @@ def build_multiset(pp, config, richness_min=0) -> HyperplaneMultiset:
     assert len(bisector) == len(pp.pairs)
     counts = np.bincount(bisector, minlength=len(pp.bisectors))
     kept = (counts > 0) & (pp.richness >= count_cutoff(richness_min))
-    grouped = np.argsort(bisector, kind="stable")
-    pairs = [pp.pairs[k] for k in grouped[kept[bisector[grouped]]].tolist()]
-    support = []
-    provenance = {}
-    stop = 0
-    for k, count in zip(np.flatnonzero(kept).tolist(), counts[kept].tolist()):
-        h = pp.bisectors[k]
-        support.append(h)
-        provenance[h] = tuple(pairs[stop:stop + count])
-        stop += count
+    support = tuple(pp.bisectors[k] for k in np.flatnonzero(kept).tolist())
     return HyperplaneMultiset(
-        support=tuple(support),
-        counts={h: len(provenance[h]) for h in support},
-        provenance=provenance,
+        support=support,
+        counts=dict(zip(support, counts[kept].tolist())),
     )
 
 

@@ -284,18 +284,18 @@ def extract_certificate(config: Config,
     b0 = opts.b0 if opts.b0 is not None else default_b0(K, d)
 
     pp = persistent_pairs(config, K, opts.c_const)
-    if not pp.pairs:
+    if not len(pp.pairs):
         return _no_signal(K, b0, "no-persistent-pairs")
     ms = build_multiset(pp, config, pp.threshold)
     if not ms.support:
         return _no_signal(K, b0, "empty-multiset")
     try:
-        reg = regularize(config.points, ms, q, d)
+        reg = regularize(config.point_array, ms, q, d)
     except RegularizationDegenerate:
         return _no_signal(K, b0, "regularization-degenerate")
     retained = mass_retention(reg.multiset).retained
 
-    p2 = reg.points
+    p2 = config.point_array[reg.point_idx]
     mu = _coincidence_scale(p2, retained.support, q)
     split = case_split(retained, b0, fq)
 
@@ -329,18 +329,16 @@ def extract_certificate(config: Config,
         h0 = Hyperplane(popular.direction, offset)
         case = CASE_DIRECTIONAL
 
-    point_index = {p: i for i, p in enumerate(config.points)}
-    on_h0 = [p for p, on in zip(p2, hyperplane_incidence(p2, [h0], q)[:, 0])
-             if on]
-    points_idx = tuple(sorted(point_index[p] for p in on_h0))
+    on_h0 = hyperplane_incidence(p2, [h0], q)[:, 0]
+    idx = reg.point_idx[on_h0]
+    points_idx = tuple(idx.tolist())
     lam1 = reg.richness_scale
     assert len(points_idx) >= lam1
 
-    sphere_min, spheres_idx = _rich_sphere_subfamily(
-        membership[list(points_idx)])
+    sphere_min, spheres_idx = _rich_sphere_subfamily(membership[idx])
 
     F = linear_form_of(h0, q)
-    assert not F.evaluate_many(on_h0, q).any()
+    assert not F.evaluate_many(p2[on_h0], q).any()
     if witness is not None:
         assert flat_contained_in(witness, h0, fq)
 

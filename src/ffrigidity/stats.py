@@ -9,8 +9,9 @@ exact so that downstream thresholds never suffer float rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -24,9 +25,12 @@ class EmptyConfig(ValueError):
 
 @dataclass(frozen=True)
 class Config:
+    """`point_array` is `points` as a read-only int64 (|P|, d) array for
+    the counting kernels; derived from `points`, it is not compared."""
     space: AmbientSpace
     points: tuple
     spheres: tuple
+    point_array: np.ndarray = field(compare=False, hash=False, repr=False)
 
     @property
     def q(self) -> int:
@@ -44,15 +48,13 @@ def make_config(space: AmbientSpace, points, spheres) -> Config:
     the same input is always identical.
     """
     q, d = space.q, space.d
-    seen = set()
-    pts = []
-    for p in points:
-        if len(p) != d:
-            raise ValueError(f"point {p!r} does not have dimension {d}")
-        t = tuple(c % q for c in p)
-        if t not in seen:
-            seen.add(t)
-            pts.append(t)
+    pts = tuple(dict.fromkeys(tuple([c % q for c in p]) for p in points))
+    bad = [p for p in pts if len(p) != d]
+    if bad:
+        raise ValueError(f"point {bad[0]!r} does not have dimension {d}")
+    arr = np.fromiter(chain.from_iterable(pts), dtype=np.int64,
+                      count=len(pts) * d).reshape(len(pts), d)
+    arr.setflags(write=False)
     seen = set()
     sph = []
     for s in spheres:
@@ -64,12 +66,13 @@ def make_config(space: AmbientSpace, points, spheres) -> Config:
         if t not in seen:
             seen.add(t)
             sph.append(t)
-    return Config(space=space, points=tuple(pts), spheres=tuple(sph))
+    return Config(space=space, points=pts, spheres=tuple(sph),
+                  point_array=arr)
 
 
 def membership_matrix(config: Config) -> np.ndarray:
     """Boolean |P| x |S| matrix of point-on-sphere incidences."""
-    return sphere_incidence(config.points, config.spheres, config.q)
+    return sphere_incidence(config.point_array, config.spheres, config.q)
 
 
 @dataclass(frozen=True)

@@ -87,7 +87,8 @@ def _bisectors(config: Config):
         h = radical_hyperplane(spheres[0], spheres[1], q)
         assert index[0] < 0 if h is None else (
             index[0] >= 0 and bisectors[index[0]] == h)
-    richness = hyperplane_incidence(config.points, bisectors, q).sum(axis=0)
+    richness = hyperplane_incidence(config.point_array, bisectors,
+                                    q).sum(axis=0)
     return bisectors, richness, index
 
 
@@ -165,6 +166,7 @@ class PersistentPairs:
     """Persistent ordered pairs, sorted, with the bisector arrays later
     stages read instead of recomputing them.
 
+    `pairs` holds the pairs (i, j) as a read-only (n, 2) int64 array.
     `bisectors` lists the distinct radical hyperplanes of the sphere
     pairs in Hyperplane tuple order, `richness[k]` is |P on
     bisectors[k]|, and `pair_bisector[k]` is the bisector index of the
@@ -172,7 +174,7 @@ class PersistentPairs:
     `pairs_bisector[k]` is the bisector index of `pairs[k]`.
     """
     threshold: SqrtRational
-    pairs: tuple
+    pairs: np.ndarray
     bisectors: tuple = dataclass_field(repr=False)
     richness: np.ndarray = dataclass_field(repr=False)
     pair_bisector: np.ndarray = dataclass_field(repr=False)
@@ -204,8 +206,9 @@ def persistent_pairs(config: Config, K: SqrtRational | None = None,
     ns = len(config.spheres)
     i, j = pair_indices(ns)
     order, first, second = _both_orders(i[keep], j[keep], ns)
-    return PersistentPairs(threshold=lam,
-                           pairs=tuple(zip(first.tolist(), second.tolist())),
+    pairs = np.stack([first, second], axis=1)
+    pairs.setflags(write=False)
+    return PersistentPairs(threshold=lam, pairs=pairs,
                            bisectors=bisectors, richness=richness,
                            pair_bisector=index,
                            pairs_bisector=np.concatenate(
@@ -269,9 +272,10 @@ def _heaviest_class(values: np.ndarray):
     return best, classes == best
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegularizedConfig:
-    points: tuple
+    """`point_idx`: the positions of the kept input points, increasing."""
+    point_idx: np.ndarray
     multiset: HyperplaneMultiset
     degree_scale: int
     richness_scale: int
@@ -291,7 +295,7 @@ def regularize(points, ms: HyperplaneMultiset, q: int, d: int) -> RegularizedCon
     the retained points.
     """
     support = list(ms.support)
-    if not points or not support:
+    if not len(points) or not support:
         raise RegularizationDegenerate("empty points or empty support")
     inc = hyperplane_incidence(points, support, q)
     jp, kept = _heaviest_class(inc.sum(axis=1))
@@ -300,12 +304,11 @@ def regularize(points, ms: HyperplaneMultiset, q: int, d: int) -> RegularizedCon
     jh, heavy = _heaviest_class(inc[kept].sum(axis=0))
     if jh is None:
         raise RegularizationDegenerate("no support hyperplane is rich in the kept points")
-    kept_points = tuple(compress(points, kept.tolist()))
     kept_hyperplanes = list(compress(support, heavy.tolist()))
     m1 = 1 << jp
     lam1 = 1 << jh
     return RegularizedConfig(
-        points=kept_points,
+        point_idx=np.flatnonzero(kept),
         multiset=ms.restrict(kept_hyperplanes),
         degree_scale=m1,
         richness_scale=lam1,

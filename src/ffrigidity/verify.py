@@ -163,11 +163,13 @@ def verify_certificate(config: Config, cert: dict) -> list:
                 break
         if ok and any(b <= a for a, b in zip(sidx, sidx[1:])):
             failures.append("sphere indices must be sorted and distinct")
-        if ok and points:
-            for i in sidx:
-                s = config.spheres[i]
-                form = ((pts - s.center) ** 2).sum(axis=1) % q
-                deg = int(np.count_nonzero(form == s.r))
+        if ok and points and sidx:
+            listed = [config.spheres[i] for i in sidx]
+            c = np.asarray([s.center for s in listed], dtype=np.int64)
+            form = sum((x[:, None] - cx) ** 2 for x, cx in zip(pts.T, c.T)) % q
+            radii = np.asarray([s.r for s in listed], dtype=np.int64)
+            degs = (form == radii).sum(axis=0).tolist()
+            for i, deg in zip(sidx, degs):
                 if deg < sphere_min:
                     failures.append(
                         f"sphere {i} holds {deg} structured points, "

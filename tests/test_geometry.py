@@ -117,6 +117,39 @@ def test_masks_agree_with_membership():
             assert (incidence_gram(inc) == dense.T @ dense).all()
 
 
+def _row_sum_gram(inc):
+    """The earlier loop: row a of the Gram sums the rows incident to
+    column a, in integer arithmetic throughout."""
+    m = inc.shape[1]
+    gram = np.empty((m, m), dtype=np.int64)
+    for a in range(m):
+        gram[a] = inc[inc[:, a]].sum(axis=0)
+    return gram
+
+
+def test_incidence_gram_matches_row_sum_loop():
+    rng = np.random.default_rng(17)
+    shapes = [(0, 6), (9, 0), (0, 0), (1, 8), (1, 1), (70000, 3)]
+    shapes += [tuple(rng.integers(1, 400, size=2).tolist()) for _ in range(25)]
+    for rows, cols in shapes:
+        inc = rng.random((rows, cols)) < rng.random()
+        gram = incidence_gram(inc)
+        assert gram.dtype == np.int64 and gram.shape == (cols, cols)
+        assert (gram == _row_sum_gram(inc)).all()
+    # column counts past float16 and bfloat16 range stay exact
+    tall = np.ones((70000, 2), dtype=bool)
+    tall[::3, 1] = False
+    assert incidence_gram(tall).tolist() == [[70000, 46666], [46666, 46666]]
+
+
+def test_incidence_gram_refuses_rows_beyond_float32_exactness():
+    # a zero-stride view: 2**24 rows without allocating them
+    inc = np.lib.stride_tricks.as_strided(np.ones(1, dtype=bool),
+                                          shape=(1 << 24, 2), strides=(0, 0))
+    with pytest.raises(AssertionError):
+        incidence_gram(inc)
+
+
 def test_canonical_direction_scaling_invariance():
     q = 7
     for v in ((2, 4, 6), (3, 6, 2), (0, 0, 5)):

@@ -30,7 +30,6 @@ def manual_multiset(counts_by_hyperplane):
     return HyperplaneMultiset(
         support=tuple(sorted(counts)),
         counts=counts,
-        provenance={h: () for h in counts},
     )
 
 
@@ -43,18 +42,18 @@ def test_build_multiset_conservation():
     assert ms.mass == len(pp.pairs)
     assert ms.geo_size <= len(pp.pairs)
     assert sum(ms.counts.values()) == ms.mass
-    for h, pairs in ms.provenance.items():
-        assert len(pairs) == ms.counts[h]
-        for (i, j) in pairs:
-            assert radical_hyperplane(cfg.spheres[i], cfg.spheres[j],
-                                      cfg.q) == h
+    counts = {}
+    for i, j in pp.pairs.tolist():
+        h = radical_hyperplane(cfg.spheres[i], cfg.spheres[j], cfg.q)
+        counts[h] = counts.get(h, 0) + 1
+    assert ms.counts == counts
 
 
 def test_build_multiset_all_concentric_empty():
     sp = make_space(5, 3)
     cfg = make_config(sp, [(1, 0, 0)], [Sphere((0, 0, 0), r) for r in range(3)])
     pp = persistent_pairs(cfg, threshold=0)
-    assert pp.pairs == ()
+    assert pp.pairs.shape == (0, 2)
     ms = build_multiset(pp, cfg, richness_min=0)
     assert ms.support == () and ms.mass == 0
     # retention is the operation that refuses an empty multiset
@@ -189,4 +188,3 @@ def test_restrict_preserves_counts():
     assert sub.support == tuple(sorted(keep))
     for h in sub.support:
         assert sub.counts[h] == ms.counts[h]
-        assert sub.provenance[h] == ms.provenance[h]

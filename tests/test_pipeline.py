@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -34,7 +35,6 @@ def manual_multiset(counts_by_hyperplane):
     return HyperplaneMultiset(
         support=tuple(sorted(counts)),
         counts=counts,
-        provenance={h: () for h in counts},
     )
 
 
@@ -336,6 +336,33 @@ def test_certificate_bytes_match_golden_digests():
         assert cert.case == case
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (
             kind, q, d, np_, ns, seed)
+
+
+class _UnreadablePoints(tuple):
+    """Point tuples whose length and truth value can be read, but which
+    refuse iteration and indexing."""
+
+    def __iter__(self):
+        raise AssertionError("config.points iterated")
+
+    def __getitem__(self, key):
+        raise AssertionError("config.points indexed")
+
+
+def test_extract_reads_points_only_through_point_array():
+    # a stage that rebuilds the point array from the tuples trips this
+    cases = [(row[:7], ExtractOptions(c_const=Fraction(row[7]), b0=row[8]))
+             for row in GOLDEN_CERTIFICATES]
+    cases.append((("reflected-pairs", 31, 3, 400, 40, 0, 0.1), None))
+    for spec, opts in cases:
+        cfg = generate(GeneratorSpec(*spec)).config
+        tripwire = dataclasses.replace(
+            cfg, points=_UnreadablePoints(cfg.points))
+        with pytest.raises(AssertionError):
+            list(tripwire.points)
+        assert len(tripwire.points) == len(cfg.points)
+        assert json.dumps(extract_certificate(tripwire, opts).to_dict()) \
+            == json.dumps(extract_certificate(cfg, opts).to_dict())
 
 
 def test_certificate_json_shape():

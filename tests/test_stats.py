@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ffrigidity.exact import SqrtRational
@@ -54,6 +55,29 @@ def test_make_config_dedups_and_canonicalizes():
     assert len(cfg.points) == 2  # (6,7,8) reduces to (1,2,3)
     assert len(cfg.spheres) == 1
     assert cfg.points[0] == (1, 2, 3)  # first occurrence kept
+    assert cfg.point_array.tolist() == [[1, 2, 3], [0, 0, 0]]
+    with pytest.raises(ValueError, match="does not have dimension 3"):
+        make_config(sp, [(1, 2, 3), (1, 2)], [])
+
+
+def test_config_equality_ignores_point_array():
+    # configs are compared with == and != (the benchmark's traced pass
+    # does), so the array must stay out of equality and hashing
+    sp = make_space(7, 3)
+    pts = [(1, 2, 3), (8, 9, 10), (4, 0, 6)]
+    a = make_config(sp, pts, [Sphere((1, 1, 1), 2)])
+    b = make_config(sp, pts, [Sphere((1, 1, 1), 2)])
+    assert a.point_array is not b.point_array
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert a != make_config(sp, pts[:2], [Sphere((1, 1, 1), 2)])
+    assert a.point_array.dtype == np.int64
+    assert a.point_array.tolist() == [list(p) for p in a.points]
+    with pytest.raises(ValueError):
+        a.point_array[0, 0] = 5
+    for d in (3, 4):
+        empty = make_config(make_space(5, d), [], [])
+        assert empty.point_array.shape == (0, d)
+        assert empty.point_array.dtype == np.int64
 
 
 def test_empty_sides_allowed_but_k_guarded():

@@ -192,7 +192,7 @@ def test_bisector_consumers_match_scalar_recount(q, d):
             persistent = sorted(pair for pair, g in bisector.items()
                                 if g is not None and rich[g] >= threshold)
             pp = persistent_pairs(cfg, threshold=threshold)
-            assert pp.pairs == tuple(persistent)
+            assert pp.pairs.tolist() == [list(p) for p in persistent]
             provenance = {}
             for pair in persistent:
                 provenance.setdefault(bisector[pair], []).append(pair)
@@ -200,7 +200,6 @@ def test_bisector_consumers_match_scalar_recount(q, d):
             ms = build_multiset(pp, cfg, richness_min=richness_min)
             assert ms.support == tuple(kept)
             assert ms.counts == {g: len(provenance[g]) for g in kept}
-            assert ms.provenance == {g: tuple(provenance[g]) for g in kept}
 
 
 def test_pair_richness_counts_points_on_bisector():
@@ -259,21 +258,21 @@ def test_persistent_pairs_k_zero_keeps_all():
     cfg = random_config(rng, n_spheres=6)
     richness, degenerate = pair_richness(cfg)
     pp = persistent_pairs(cfg, K=SqrtRational.zero())
-    assert set(pp.pairs) == set(richness)
+    assert set(map(tuple, pp.pairs.tolist())) == set(richness)
 
 
 def test_persistent_pairs_huge_threshold_empty():
     rng = random.Random(47)
     cfg = random_config(rng, n_spheres=6)
     pp = persistent_pairs(cfg, threshold=cfg.q ** 2 + 1)
-    assert pp.pairs == ()
+    assert pp.pairs.shape == (0, 2)
 
 
 def test_persistent_pairs_symmetric_and_profile():
     rng = random.Random(48)
     cfg = random_config(rng, n_spheres=8)
     pp = persistent_pairs(cfg, threshold=1)
-    pairs = set(pp.pairs)
+    pairs = set(map(tuple, pp.pairs.tolist()))
     for (i, j) in pairs:
         assert (j, i) in pairs
 
@@ -326,7 +325,7 @@ def test_regularize_postconditions():
     for _ in range(12):
         cfg = random_config(rng, n_points=30, n_spheres=10)
         pp = persistent_pairs(cfg, threshold=1)
-        if not pp.pairs:
+        if not len(pp.pairs):
             continue
         ms = build_multiset(pp, cfg, richness_min=1)
         try:
@@ -335,11 +334,12 @@ def test_regularize_postconditions():
             continue
         hits += 1
         m1, lam1 = reg.degree_scale, reg.richness_scale
+        kept = [cfg.points[i] for i in reg.point_idx.tolist()]
         # recount degrees of kept points against the input support
-        for p in reg.points:
+        for p in kept:
             deg = sum(hyperplane_contains(h, p, cfg.q) for h in ms.support)
             assert m1 <= deg < 2 * m1
-        for r in hyperplane_incidence(reg.points, reg.multiset.support,
+        for r in hyperplane_incidence(kept, reg.multiset.support,
                                       cfg.q).sum(axis=0).tolist():
             assert lam1 <= r < 2 * lam1
     assert hits >= 5
@@ -357,7 +357,7 @@ def test_regularize_uniform_input_unchanged():
     pp = persistent_pairs(cfg, threshold=1)
     ms = build_multiset(pp, cfg, richness_min=1)
     reg = regularize(cfg.points, ms, q, 3)
-    assert set(reg.points) == set(cfg.points)
+    assert reg.point_idx.tolist() == list(range(len(cfg.points)))
     assert reg.multiset.support == ms.support
 
 
@@ -389,10 +389,9 @@ def _heaviest_bucket_oracle(items, value):
 def test_regularize_matches_scalar_buckets():
     # degrees 2, 1, 1 tie the classes 1 and 0 at summed degree 2
     h1, h2 = Hyperplane((1, 0, 0), 0), Hyperplane((0, 1, 0), 0)
-    ms = HyperplaneMultiset(support=(h1, h2), counts={h1: 1, h2: 1},
-                            provenance={h1: (), h2: ()})
+    ms = HyperplaneMultiset(support=(h1, h2), counts={h1: 1, h2: 1})
     reg = regularize([(0, 1, 1), (0, 0, 1), (1, 0, 1)], ms, 5, 3)
-    assert reg.points == ((0, 0, 1),) and reg.degree_scale == 2
+    assert reg.point_idx.tolist() == [1] and reg.degree_scale == 2
     rng = random.Random(51)
     for _ in range(40):
         cfg = random_config(rng, q=5, n_points=25, n_spheres=8)
@@ -409,7 +408,8 @@ def test_regularize_matches_scalar_buckets():
             with pytest.raises(RegularizationDegenerate):
                 regularize(cfg.points, ms, q, cfg.d)
             continue
-        reg = regularize(cfg.points, ms, q, cfg.d)
-        assert reg.points == tuple(points) and reg.degree_scale == 1 << jp
+        reg = regularize(cfg.point_array, ms, q, cfg.d)
+        assert [cfg.points[i] for i in reg.point_idx.tolist()] == points
+        assert reg.degree_scale == 1 << jp
         assert reg.multiset.support == tuple(support)
         assert reg.richness_scale == 1 << jh
