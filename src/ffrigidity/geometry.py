@@ -240,39 +240,84 @@ def points_array(points, d: int) -> np.ndarray:
     return arr
 
 
+# Cells per row block of the incidence kernels: each block's float64
+# sums and quotients then take at most 256 KiB apiece, whatever |P| is.
+_BLOCK_CELLS = 1 << 15
+
+
+def _vanishing(pts: np.ndarray, forms: np.ndarray, col_terms: np.ndarray,
+               q: int, row_terms: np.ndarray | None = None) -> np.ndarray:
+    """Boolean matrix whose [i, j] entry says
+    pts[i] . forms[j] + row_terms[i] + col_terms[j] = 0 (mod q),
+    without a row term when row_terms is None.
+
+    The kernels reduce their coordinates mod q first, so the absolute
+    values of the terms of a sum add up to less than 4*d*q*q + q: every
+    partial sum is an integer that float64 holds exactly, in any
+    summation order, and so is the sum v.  The sums are one float64 BLAS
+    product of the rows [x | 1 | row term] and the columns
+    [form | col term | 1], row block by row block of at most 2**15
+    cells, so no |P| x m temporary is built.  An entry is divisible by q
+    exactly when v == rint(v * (1/q)) * q: the right side is always an
+    exact multiple of q, and when q divides v the rounded quotient is
+    exact, because its error stays below 1/2 while 4*d*q*q < 2**50.
+    """
+    n, (m, d) = len(pts), forms.shape
+    assert 4 * d * q * q < 1 << 50, "modulus too large for exact float64 sums"
+    out = np.empty((n, m), dtype=bool)
+    k = d + 1 if row_terms is None else d + 2
+    rows = np.empty((n, k))
+    rows[:, :d] = pts
+    rows[:, d] = 1
+    cols = np.empty((k, m))
+    cols[:d] = forms.T
+    cols[d] = col_terms
+    if row_terms is not None:
+        rows[:, d + 1] = row_terms
+        cols[d + 1] = 1
+    step = max(1, _BLOCK_CELLS // m)
+    inv = 1.0 / q
+    for start in range(0, n, step):
+        v = rows[start:start + step] @ cols
+        t = v * inv
+        np.rint(t, out=t)
+        t *= q
+        np.equal(v, t, out=out[start:start + step])
+        del v, t  # freed before the next block allocates its own
+    return out
+
+
 def hyperplane_incidence(pts, hyperplanes, q: int) -> np.ndarray:
     """Boolean |P| x |H| matrix whose [i, j] entry says <n_j, x_i> = b_j.
 
-    pts is an integer array of shape (|P|, d) or a sequence of points.
+    pts is an integer array of shape (|P|, d) or a sequence of points;
+    hyperplanes is a sequence of Hyperplanes or an integer array of rows
+    (normal, offset).
     """
-    if not hyperplanes:
+    if not len(hyperplanes):
         return np.zeros((len(pts), 0), dtype=bool)
-    normals = np.asarray([h.normal for h in hyperplanes], dtype=np.int64)
-    offsets = np.asarray([h.offset for h in hyperplanes], dtype=np.int64)
-    products = points_array(pts, normals.shape[1]) @ normals.T
-    products %= q
-    return products == offsets % q
+    if not isinstance(hyperplanes, np.ndarray):
+        hyperplanes = [(*h.normal, h.offset) for h in hyperplanes]
+    aug = np.asarray(hyperplanes, dtype=np.int64) % q
+    d = aug.shape[1] - 1
+    return _vanishing(points_array(pts, d) % q, aug[:, :d], -aug[:, d], q)
 
 
 def sphere_incidence(pts, spheres, q: int) -> np.ndarray:
     """Boolean |P| x |S| matrix whose [i, j] entry says ||x_i - c_j|| = r_j.
 
     The form is expanded as ||x|| - 2<x, c> + ||c||, so no |P| x |S| x d
-    difference array is built, and it is summed in place, so only one
-    |P| x |S| integer array is.  Coordinates are reduced first; with
-    q < 2**16 every term is then exact in int64.
+    difference array is built: the point norms are the row terms and
+    ||c|| - r the column terms of `_vanishing`.
     """
     if not spheres:
         return np.zeros((len(pts), 0), dtype=bool)
-    centers = np.asarray([s.center for s in spheres], dtype=np.int64) % q
-    radii = np.asarray([s.r for s in spheres], dtype=np.int64)
+    aug = np.asarray([(*s.center, s.r) for s in spheres], dtype=np.int64) % q
+    centers = aug[:, :-1]
     pts = points_array(pts, centers.shape[1]) % q
-    form = pts @ centers.T
-    form *= -2
-    form += (pts * pts).sum(axis=1)[:, None]
-    form += (centers * centers).sum(axis=1)
-    form %= q
-    return form == radii % q
+    return _vanishing(pts, -2 * centers,
+                      (centers * centers).sum(axis=1) - aug[:, -1], q,
+                      row_terms=(pts * pts).sum(axis=1))
 
 
 def incidence_gram(inc: np.ndarray) -> np.ndarray:

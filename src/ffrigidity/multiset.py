@@ -110,7 +110,7 @@ def popular_offset(pc: ParallelClass, q: int):
         raise EmptyClass("parallel class has no hyperplanes")
     m0 = max(pc.offsets.values())
     b0 = min(b for b, m in pc.offsets.items() if m == m0)
-    assert Fraction(m0) >= Fraction(pc.mass, q)
+    assert m0 * q >= pc.mass
     return b0, m0
 
 
@@ -139,8 +139,8 @@ def mass_retention(ms: HyperplaneMultiset) -> MassRetentionReport:
     heavy = [h for h in ms.support if 2 * geo * ms.counts[h] >= total]
     retained = ms.restrict(heavy)
     retained_mass = retained.mass
-    assert Fraction(retained_mass) >= Fraction(total, 2)
-    assert Fraction(geo) >= Fraction(total, ms.max_multiplicity)
+    assert 2 * retained_mass >= total
+    assert geo * ms.max_multiplicity >= total
     return MassRetentionReport(
         retained=retained,
         threshold=threshold,

@@ -289,14 +289,23 @@ def extract_certificate(config: Config,
     ms = build_multiset(pp, config, pp.threshold)
     if not ms.support:
         return _no_signal(K, b0, "empty-multiset")
+    # the support lies in the bisector set, the retained support in the
+    # support, and the pencil and h0 in the retained support: every
+    # incidence below is a slice of the bisector incidence, whose columns
+    # off the support are released here
+    inc = pp.incidence.take(_positions(pp.bisectors, ms.support), axis=1)
+    del pp
     try:
-        reg = regularize(config.point_array, ms, q, d)
+        reg = regularize(inc, ms)
     except RegularizationDegenerate:
         return _no_signal(K, b0, "regularization-degenerate")
     retained = mass_retention(reg.multiset).retained
 
-    p2 = config.point_array[reg.point_idx]
-    mu = _coincidence_scale(p2, retained.support, q)
+    # only the P' rows of the retained columns outlive case_split, whose
+    # flat profile is the extract's memory peak
+    inc = inc.take(reg.point_idx, axis=0).take(
+        _positions(ms.support, retained.support), axis=1)
+    mu = _coincidence_scale(inc, retained.support)
     split = case_split(retained, b0, fq)
 
     flags: list = []
@@ -304,7 +313,8 @@ def extract_certificate(config: Config,
     witness = None
     if split.tag == CASE_FLAT:
         witness = split.witness
-        rich = hyperplane_incidence(p2, split.pencil, q).sum(axis=0).tolist()
+        rich = inc.take(_positions(retained.support, split.pencil),
+                        axis=1).sum(axis=0).tolist()
         top = max(rich)
         h0 = min(h for h, r in zip(split.pencil, rich) if r == top)
         case = CASE_FLAT
@@ -329,7 +339,7 @@ def extract_certificate(config: Config,
         h0 = Hyperplane(popular.direction, offset)
         case = CASE_DIRECTIONAL
 
-    on_h0 = hyperplane_incidence(p2, [h0], q)[:, 0]
+    on_h0 = inc[:, _positions(retained.support, [h0])[0]]
     idx = reg.point_idx[on_h0]
     points_idx = tuple(idx.tolist())
     lam1 = reg.richness_scale
@@ -338,7 +348,7 @@ def extract_certificate(config: Config,
     sphere_min, spheres_idx = _rich_sphere_subfamily(membership[idx])
 
     F = linear_form_of(h0, q)
-    assert not F.evaluate_many(p2[on_h0], q).any()
+    assert not F.evaluate_many(config.point_array[idx], q).any()
     if witness is not None:
         assert flat_contained_in(witness, h0, fq)
 
@@ -367,12 +377,19 @@ def _pigeonhole_chart(directions, d: int) -> int:
     return counts.index(best) + 1
 
 
-def _coincidence_scale(points, hyperplanes, q: int) -> int:
+def _positions(family: tuple, members) -> list:
+    """The index in a hyperplane family of each of the members."""
+    at = dict(zip(family, range(len(family))))
+    return [at[h] for h in members]
+
+
+def _coincidence_scale(inc: np.ndarray, hyperplanes) -> int:
     """Dyadic scale of the overlaps of non-parallel hyperplane pairs on
-    the point set."""
+    a point set, from its incidence matrix on the hyperplanes (one
+    column each, in order)."""
     if len(hyperplanes) < 2:
         return 0
-    gram = incidence_gram(hyperplane_incidence(points, hyperplanes, q))
+    gram = incidence_gram(inc)
     ids: dict = {}
     direction = np.asarray([ids.setdefault(h.normal, len(ids))
                             for h in hyperplanes])

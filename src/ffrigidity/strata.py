@@ -77,9 +77,10 @@ def stratify(config: Config) -> DyadicLayers:
 
 def _bisectors(config: Config):
     """The distinct radical hyperplanes of the sphere pairs, in tuple
-    order, their point richness, and the bisector index of every pair
-    i < j (`pair_indices` order; -1 when concentric).  As a guard, the
-    first pair is recomputed by the scalar `radical_hyperplane`."""
+    order, their |P| x |B| point incidence, and the bisector index of
+    every pair i < j (`pair_indices` order; -1 when concentric).  As a
+    guard, the first pair is recomputed by the scalar
+    `radical_hyperplane`."""
     spheres, q, d = config.spheres, config.q, config.d
     rows, index = radical_hyperplanes(spheres, q)
     bisectors = tuple(Hyperplane(tuple(r[:d]), r[d]) for r in rows.tolist())
@@ -87,9 +88,8 @@ def _bisectors(config: Config):
         h = radical_hyperplane(spheres[0], spheres[1], q)
         assert index[0] < 0 if h is None else (
             index[0] >= 0 and bisectors[index[0]] == h)
-    richness = hyperplane_incidence(config.point_array, bisectors,
-                                    q).sum(axis=0)
-    return bisectors, richness, index
+    return bisectors, hyperplane_incidence(config.point_array, rows,
+                                           q), index
 
 
 def _pair_richness(richness: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -119,8 +119,8 @@ def pair_richness(config: Config):
     radical hyperplane to |P on H| and degenerate lists the concentric
     pairs, which have none.
     """
-    _, richness, index = _bisectors(config)
-    rich = _pair_richness(richness, index)
+    _, incidence, index = _bisectors(config)
+    rich = _pair_richness(incidence.sum(axis=0), index)
     ns = len(config.spheres)
     i, j = pair_indices(ns)
     live = rich >= 0
@@ -150,8 +150,8 @@ def low_layer_mass(config: Config, j0: int) -> LowLayerReport:
     """
     if j0 < 0:
         raise ValueError("j0 must be non-negative")
-    _, richness, index = _bisectors(config)
-    rich = _pair_richness(richness, index)
+    _, incidence, index = _bisectors(config)
+    rich = _pair_richness(incidence.sum(axis=0), index)
     cutoff = 1 << j0
     low = rich[(rich >= 1) & (rich < cutoff)]
     mass = 2 * int(low.sum())
@@ -168,14 +168,16 @@ class PersistentPairs:
 
     `pairs` holds the pairs (i, j) as a read-only (n, 2) int64 array.
     `bisectors` lists the distinct radical hyperplanes of the sphere
-    pairs in Hyperplane tuple order, `richness[k]` is |P on
-    bisectors[k]|, and `pair_bisector[k]` is the bisector index of the
+    pairs in Hyperplane tuple order, `incidence` is the boolean
+    |P| x |bisectors| matrix of the points on them, `richness` its column
+    sums, and `pair_bisector[k]` is the bisector index of the
     k-th pair i < j in `pair_indices` order, -1 when it is concentric.
     `pairs_bisector[k]` is the bisector index of `pairs[k]`.
     """
     threshold: SqrtRational
     pairs: np.ndarray
     bisectors: tuple = dataclass_field(repr=False)
+    incidence: np.ndarray = dataclass_field(repr=False)
     richness: np.ndarray = dataclass_field(repr=False)
     pair_bisector: np.ndarray = dataclass_field(repr=False)
     pairs_bisector: np.ndarray = dataclass_field(repr=False)
@@ -201,7 +203,8 @@ def persistent_pairs(config: Config, K: SqrtRational | None = None,
         if K is None:
             K = near_extremality_K(config)
         lam = richness_threshold(K, config.q, config.d, c_const)
-    bisectors, richness, index = _bisectors(config)
+    bisectors, incidence, index = _bisectors(config)
+    richness = incidence.sum(axis=0)
     keep = _pair_richness(richness, index) >= max(count_cutoff(lam), 0)
     ns = len(config.spheres)
     i, j = pair_indices(ns)
@@ -209,7 +212,8 @@ def persistent_pairs(config: Config, K: SqrtRational | None = None,
     pairs = np.stack([first, second], axis=1)
     pairs.setflags(write=False)
     return PersistentPairs(threshold=lam, pairs=pairs,
-                           bisectors=bisectors, richness=richness,
+                           bisectors=bisectors, incidence=incidence,
+                           richness=richness,
                            pair_bisector=index,
                            pairs_bisector=np.concatenate(
                                [index[keep], index[keep]])[order])
@@ -281,23 +285,25 @@ class RegularizedConfig:
     richness_scale: int
 
 
-def regularize(points, ms: HyperplaneMultiset, q: int, d: int) -> RegularizedConfig:
+def regularize(inc: np.ndarray, ms: HyperplaneMultiset) -> RegularizedConfig:
     """One point-degree pass, then one hyperplane-richness pass.
 
-    Point degrees are counted against the geometric support of the
-    input multiset; the dyadic degree bucket with the largest summed
-    degree is kept (ties to the larger class), fixing the degree scale
-    M1.  Hyperplane richness is then recounted against the surviving
-    points, from the rows of the same incidence matrix, and bucketed the
-    same way, fixing the richness scale L1.
+    `inc` is the boolean incidence matrix of the input points on the
+    geometric support of the input multiset, one column per support
+    hyperplane in support order.  Point degrees are its row sums; the
+    dyadic degree bucket with the largest summed degree is kept (ties to
+    the larger class), fixing the degree scale M1.  Hyperplane richness
+    is then recounted against the surviving points, from the kept rows
+    of the same matrix, and bucketed the same way, fixing the richness
+    scale L1.
     Retained points have degree in [M1, 2*M1) with respect to the input
     support, and retained hyperplanes hold between L1 and 2*L1 - 1 of
     the retained points.
     """
-    support = list(ms.support)
-    if not len(points) or not support:
+    support = ms.support
+    assert inc.shape[1] == len(support), "one column per support hyperplane"
+    if not inc.shape[0] or not support:
         raise RegularizationDegenerate("empty points or empty support")
-    inc = hyperplane_incidence(points, support, q)
     jp, kept = _heaviest_class(inc.sum(axis=1))
     if jp is None:
         raise RegularizationDegenerate("no point lies on any support hyperplane")
@@ -313,4 +319,3 @@ def regularize(points, ms: HyperplaneMultiset, q: int, d: int) -> RegularizedCon
         degree_scale=m1,
         richness_scale=lam1,
     )
-

@@ -1,9 +1,11 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ffrigidity import geometry
 from ffrigidity.field import PrimeField
 from ffrigidity.geometry import (IDENTICAL, PARALLEL_DISJOINT, Flat,
                                  Hyperplane, IsotropicNormal, SpaceTooLarge,
@@ -148,6 +150,100 @@ def test_incidence_gram_refuses_rows_beyond_float32_exactness():
                                           shape=(1 << 24, 2), strides=(0, 0))
     with pytest.raises(AssertionError):
         incidence_gram(inc)
+
+
+def _edge_value(rng, q):
+    """0, q - 1 or a random residue, shifted by a multiple of q: the
+    field's edge values and unreduced representatives of them, some far
+    beyond the range where float64 sums of their products are exact."""
+    shift = rng.choice((-1 << 40, -1, 0, 0, 1, 1 << 40))
+    return rng.choice((0, q - 1, rng.randrange(q))) + q * shift
+
+
+def _edge_families(rng, q, d, n, m):
+    """n points, m spheres and m hyperplanes with unreduced coordinates,
+    and the spheres and hyperplanes reduced, for the scalar oracles."""
+    def vec():
+        return tuple(_edge_value(rng, q) for _ in range(d))
+    pts = np.asarray([vec() for _ in range(n)], dtype=np.int64).reshape(n, d)
+    spheres = [Sphere(vec(), _edge_value(rng, q)) for _ in range(m)]
+    hyperplanes = [Hyperplane(vec(), _edge_value(rng, q)) for _ in range(m)]
+    reduced_s = [Sphere(tuple(c % q for c in s.center), s.r % q)
+                 for s in spheres]
+    reduced_h = [Hyperplane(tuple(c % q for c in h.normal), h.offset % q)
+                 for h in hyperplanes]
+    return pts, spheres, hyperplanes, reduced_s, reduced_h
+
+
+def _oracle(contains, family, pts, q):
+    points = [tuple(row) for row in pts.tolist()]
+    return np.asarray([[contains(f, x, q) for f in family] for x in points],
+                      dtype=bool).reshape(len(points), len(family))
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("q", [3, 61, 65521])
+def test_incidence_kernels_match_scalar_oracles_at_block_edges(q, d):
+    rng = random.Random(q * 10 + d)
+    m = 1025
+    step = geometry._BLOCK_CELLS // m
+    pts, spheres, hyperplanes, reduced_s, reduced_h = _edge_families(
+        rng, q, d, step + 1, m)
+    ms = _oracle(sphere_contains, reduced_s, pts, q)
+    mh = _oracle(hyperplane_contains, reduced_h, pts, q)
+    assert ms.any() and mh.any() and not ms.all() and not mh.all()
+    # no points, one point, exactly one row block, one block and one row
+    for n in (0, 1, step, step + 1):
+        assert (sphere_incidence(pts[:n], spheres, q) == ms[:n]).all()
+        assert (hyperplane_incidence(pts[:n], hyperplanes, q)
+                == mh[:n]).all()
+    points = [tuple(row) for row in pts[:3].tolist()]
+    assert (sphere_incidence(points, spheres, q) == ms[:3]).all()
+    assert (hyperplane_incidence(points, hyperplanes, q) == mh[:3]).all()
+    rows = np.asarray([(*h.normal, h.offset) for h in hyperplanes])
+    assert (hyperplane_incidence(pts, rows, q) == mh).all()
+
+
+@pytest.mark.parametrize("q, d", [(61, 3), (65521, 4)])
+def test_incidence_kernels_with_more_columns_than_a_block(q, d):
+    # more than 2**15 columns: every row block is a single row
+    rng = random.Random(q + d)
+    m = geometry._BLOCK_CELLS + 1
+    pts, spheres, hyperplanes, reduced_s, reduced_h = _edge_families(
+        rng, q, d, 2, m)
+    ms = _oracle(sphere_contains, reduced_s, pts, q)
+    mh = _oracle(hyperplane_contains, reduced_h, pts, q)
+    assert ms.any() and mh.any() and not ms.all() and not mh.all()
+    assert (sphere_incidence(pts, spheres, q) == ms).all()
+    assert (hyperplane_incidence(pts, hyperplanes, q) == mh).all()
+
+
+def test_incidence_kernels_refuse_modulus_beyond_float64_exactness():
+    q = 1 << 25  # 4 * d * q * q reaches 2**50 already at d = 1
+    pts = np.zeros((2, 3), dtype=np.int64)
+    with pytest.raises(AssertionError):
+        sphere_incidence(pts, [Sphere((0, 0, 0), 0)], q)
+    with pytest.raises(AssertionError):
+        hyperplane_incidence(pts, [Hyperplane((1, 0, 0), 0)], q)
+
+
+def test_sphere_incidence_memory_is_bounded():
+    # the |P| x |S| bool output is 0.23 MB; whole-matrix int64
+    # temporaries would take 1.9 MB each
+    rng = np.random.default_rng(19)
+    q = 61
+    pts = rng.integers(0, q, size=(2000, 3))
+    spheres = [Sphere(tuple(c), r) for c, r in zip(
+        rng.integers(0, q, size=(120, 3)).tolist(),
+        rng.integers(0, q, size=120).tolist())]
+    tracemalloc.start()
+    try:
+        inc = sphere_incidence(pts, spheres, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inc.shape == (2000, 120) and inc.any()
+    assert peak < 1 << 20
 
 
 def test_canonical_direction_scaling_invariance():

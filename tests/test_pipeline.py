@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from ffrigidity import geometry, pipeline, stats, strata
 from ffrigidity.dichotomy import Polynomial
 from ffrigidity.field import PrimeField
 from ffrigidity.geometry import (PARALLEL_DISJOINT, Sphere,
@@ -336,6 +338,31 @@ def test_certificate_bytes_match_golden_digests():
         assert cert.case == case
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (
             kind, q, d, np_, ns, seed)
+
+
+def test_extract_computes_each_incidence_once(monkeypatch):
+    # the bisector incidence is sliced, never recomputed, past strata
+    calls = collections.Counter()
+
+    def counting(kernel):
+        def wrapper(*args, **kwargs):
+            calls[kernel.__name__] += 1
+            return kernel(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((strata, "hyperplane_incidence"),
+                         (pipeline, "hyperplane_incidence"),
+                         (pipeline, "sphere_incidence"),
+                         (stats, "sphere_incidence")):
+        monkeypatch.setattr(module, name, counting(getattr(geometry, name)))
+    for (kind, q, d, np_, ns, seed, noise, c_const, b0, case,
+         _) in GOLDEN_CERTIFICATES:
+        calls.clear()
+        gconf = generate(GeneratorSpec(kind, q, d, np_, ns, seed, noise))
+        cert = extract_certificate(
+            gconf.config, ExtractOptions(c_const=Fraction(c_const), b0=b0))
+        assert cert.case == case
+        assert calls == {"hyperplane_incidence": 1, "sphere_incidence": 1}
 
 
 class _UnreadablePoints(tuple):

@@ -200,6 +200,10 @@ def test_bisector_consumers_match_scalar_recount(q, d):
             ms = build_multiset(pp, cfg, richness_min=richness_min)
             assert ms.support == tuple(kept)
             assert ms.counts == {g: len(provenance[g]) for g in kept}
+        assert pp.incidence.tolist() == [
+            [hyperplane_contains(g, p, q) for g in pp.bisectors]
+            for p in cfg.points]
+        assert pp.richness.tolist() == [rich[g] for g in pp.bisectors]
 
 
 def test_pair_richness_counts_points_on_bisector():
@@ -329,7 +333,8 @@ def test_regularize_postconditions():
             continue
         ms = build_multiset(pp, cfg, richness_min=1)
         try:
-            reg = regularize(cfg.points, ms, cfg.q, cfg.d)
+            reg = regularize(
+                hyperplane_incidence(cfg.points, ms.support, cfg.q), ms)
         except RegularizationDegenerate:
             continue
         hits += 1
@@ -356,7 +361,7 @@ def test_regularize_uniform_input_unchanged():
     cfg = make_config(sp, pts, [s1, s2])
     pp = persistent_pairs(cfg, threshold=1)
     ms = build_multiset(pp, cfg, richness_min=1)
-    reg = regularize(cfg.points, ms, q, 3)
+    reg = regularize(hyperplane_incidence(cfg.points, ms.support, q), ms)
     assert reg.point_idx.tolist() == list(range(len(cfg.points)))
     assert reg.multiset.support == ms.support
 
@@ -370,7 +375,7 @@ def test_regularize_degenerate_raises():
     pp = persistent_pairs(cfg, threshold=0)
     ms = build_multiset(pp, cfg, richness_min=0)
     with pytest.raises(RegularizationDegenerate):
-        regularize(cfg.points, ms, 5, 3)
+        regularize(hyperplane_incidence(cfg.points, ms.support, 5), ms)
 
 
 def _heaviest_bucket_oracle(items, value):
@@ -390,7 +395,8 @@ def test_regularize_matches_scalar_buckets():
     # degrees 2, 1, 1 tie the classes 1 and 0 at summed degree 2
     h1, h2 = Hyperplane((1, 0, 0), 0), Hyperplane((0, 1, 0), 0)
     ms = HyperplaneMultiset(support=(h1, h2), counts={h1: 1, h2: 1})
-    reg = regularize([(0, 1, 1), (0, 0, 1), (1, 0, 1)], ms, 5, 3)
+    pts = [(0, 1, 1), (0, 0, 1), (1, 0, 1)]
+    reg = regularize(hyperplane_incidence(pts, ms.support, 5), ms)
     assert reg.point_idx.tolist() == [1] and reg.degree_scale == 2
     rng = random.Random(51)
     for _ in range(40):
@@ -400,15 +406,16 @@ def test_regularize_matches_scalar_buckets():
         if not ms.support:
             continue
         q = cfg.q
+        inc = hyperplane_incidence(cfg.point_array, ms.support, q)
         jp, points = _heaviest_bucket_oracle(cfg.points, lambda p: sum(
             hyperplane_contains(h, p, q) for h in ms.support))
         jh, support = _heaviest_bucket_oracle(ms.support, lambda h: sum(
             hyperplane_contains(h, p, q) for p in points))
         if jp is None or jh is None:
             with pytest.raises(RegularizationDegenerate):
-                regularize(cfg.points, ms, q, cfg.d)
+                regularize(inc, ms)
             continue
-        reg = regularize(cfg.point_array, ms, q, cfg.d)
+        reg = regularize(inc, ms)
         assert [cfg.points[i] for i in reg.point_idx.tolist()] == points
         assert reg.degree_scale == 1 << jp
         assert reg.multiset.support == tuple(support)
