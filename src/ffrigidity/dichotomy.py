@@ -225,8 +225,8 @@ def affine_dichotomy(directions, chart: int, D: int, q: int) -> AffineDichotomyR
         raise EmptyChart(f"no direction lies in chart {chart}")
     basis = monomial_basis(nvars - 1, D, homogeneous=False)
     field = PrimeField(q)
-    mat = evaluation_matrix(chart_pts, basis, q)
-    kernel = kernel_basis(mat, field)
+    kernel = kernel_basis(monomial_values(chart_pts, basis.exponents, q),
+                          field)
     if kernel:
         poly = polynomial_from_vector(basis, kernel[0], q)
         assert not poly.is_zero()

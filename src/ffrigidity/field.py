@@ -93,10 +93,10 @@ def group_rows(digits: np.ndarray, q: int):
     """Group the equal rows of an int64 array of residues mod q.
 
     Returns (first, ids): groups are numbered in lexicographic order of
-    their rows, `ids[i]` is the group of row i and `first[g]` is the
-    first row of group g.  Each row is packed into int64 words, each a
-    big-endian base-q number of as many consecutive digits as stay below
-    2**63, so one stable np.lexsort over the words sorts the rows and
+    their rows, `ids[i]` is the group of row i and `first[g]` is a row
+    of group g.  Each row is packed into int64 words, each a big-endian
+    base-q number of as many consecutive digits as stay below 2**63, so
+    np.argsort (for one word) or np.lexsort sorts the rows and
     neighbours that differ start the groups.  (A bare np.unique would
     import numpy.ma on its first call.)
     """
@@ -107,7 +107,7 @@ def group_rows(digits: np.ndarray, q: int):
         for column in digits.T[start + 1:start + per_word]:
             word = word * q + column
         words.append(word)
-    order = np.lexsort(words[::-1])
+    order = np.argsort(words[0]) if len(words) < 2 else np.lexsort(words[::-1])
     starts = np.zeros(len(order), dtype=bool)
     for word in words:
         word = word[order]
@@ -118,36 +118,38 @@ def group_rows(digits: np.ndarray, q: int):
     return order[starts], ids
 
 
-Matrix = list  # list of row lists with entries in [0, q)
+# The most multiply-adds of one BLAS product here and in `geometry`.
+# OpenBLAS runs a product below about 2**20 of them on the calling
+# thread; a larger one wakes its helper threads, and on a shared 2-CPU
+# host it then takes from 0.3 to 8 ms at (245 x 251).T @ (245 x 251)
+# while a single thread takes 0.65 ms in 2**19-sized strips.
+PRODUCT_MACS = 1 << 19
+# Columns per panel of `rref`.
+_PANEL = 24
 
 
-def _copy_reduce(mat, q: int):
-    return [[x % q for x in row] for row in mat]
+def _gauss_jordan(m: np.ndarray, q: int, track: bool = False):
+    """Gauss-Jordan elimination, in place, of an int64 array of residues.
 
-
-def rref(mat, field: PrimeField):
-    """Reduced row echelon form.
-
-    Returns (rows, pivot_columns) where rows is a tuple of row tuples
-    with pivot entries normalized to 1 and zeros above and below every
-    pivot.  The result is unique, so it doubles as a canonical form.
-
-    Gauss-Jordan elimination on an int64 array, one pivot column at a
-    time.  Only the pivot column and the pivot row are reduced mod q at
-    each step; the rank-one update of the other entries is left
+    Returns (pivot_columns, order): row i of the result started as row
+    order[i].  Only the pivot column and the pivot row are reduced mod q
+    at each step; the rank-one update of the other entries is left
     unreduced.  Each update adds less than q**2 < 2**32 in absolute
     value, so entries stay below (rank + 1) * 2**32, far inside int64,
     until the final reduction.
+
+    With `track`, m is a panel with as many zero columns appended:
+    pivots are sought in the panel only, and the j-th pivot row, when
+    chosen, is written as 1 in appended column j.  The appended columns
+    then end up holding the combination of the chosen rows (as they
+    were) that was added to each row, or that each pivot row became.
     """
-    q = field.q
-    if not len(mat):
-        return (), ()
-    m = np.array(_copy_reduce(mat, q), dtype=np.int64).reshape(len(mat), -1)
     nrows, ncols = m.shape
     inv = inverse_table(q)
+    order = np.arange(nrows)
     pivots = []
     r = 0
-    for c in range(ncols):
+    for c in range(ncols // 2 if track else ncols):
         if r >= nrows:
             break
         col = m[:, c] % q
@@ -158,6 +160,9 @@ def rref(mat, field: PrimeField):
         if sel != r:
             m[[r, sel]] = m[[sel, r]]
             col[[r, sel]] = col[[sel, r]]
+            order[[r, sel]] = order[[sel, r]]
+        if track:
+            m[r, ncols // 2 + r] = 1
         pivot_row = m[r, c:] % q * inv[col[r]] % q
         col[r] = 0
         m[:, c:] -= col[:, None] * pivot_row
@@ -165,6 +170,71 @@ def rref(mat, field: PrimeField):
         pivots.append(c)
         r += 1
     m %= q
+    return pivots, order
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for int64 arrays of residues mod q < 2**16 with at most 2**20
+    columns in a: one float64 product per row block of at most
+    `PRODUCT_MACS` multiply-adds, exact because every partial sum is an
+    integer below 2**52."""
+    out = np.empty((len(a), b.shape[1]), dtype=np.int64)
+    step = max(1, PRODUCT_MACS // max(1, b.size))
+    b = b.astype(np.float64)
+    for start in range(0, len(a), step):
+        out[start:start + step] = a[start:start + step] @ b
+    return out
+
+
+def rref(mat, field: PrimeField):
+    """Reduced row echelon form.
+
+    Returns (rows, pivot_columns) where rows is a tuple of row tuples
+    with pivot entries normalized to 1 and zeros above and below every
+    pivot.  The result is unique, so it doubles as a canonical form.
+    `mat` is a list of row lists or an integer array.
+
+    Up to `_PANEL` columns this is `_gauss_jordan`.  Wider matrices go
+    in column panels of `_PANEL`: the rows below the pivots found so far
+    are eliminated on the panel alone, tracking the combinations of the
+    k rows chosen as pivots (`track`), and then on every column by two
+    products: those rows get the combinations, and the rows above the
+    panel's lose their entries in its pivot columns.
+    """
+    q = field.q
+    if not len(mat):
+        return (), ()
+    if isinstance(mat, np.ndarray):
+        m = mat.astype(np.int64) % q
+    else:
+        m = np.array([[x % q for x in row] for row in mat],
+                     dtype=np.int64).reshape(len(mat), -1)
+    nrows, ncols = m.shape
+    if ncols <= _PANEL:
+        pivots = _gauss_jordan(m, q)[0]
+        return tuple(tuple(row) for row in m.tolist()), tuple(pivots)
+    pivots = []
+    for c0 in range(0, ncols, _PANEL):
+        r0 = len(pivots)
+        if r0 >= nrows:
+            break
+        width = min(_PANEL, ncols - c0)
+        panel = np.zeros((nrows - r0, 2 * width), dtype=np.int64)
+        panel[:, :width] = m[r0:, c0:c0 + width]
+        found, order = _gauss_jordan(panel, q, track=True)
+        if not found:
+            continue
+        k = len(found)
+        cols = [c0 + j for j in found]
+        below = m[r0:][order]
+        chosen = below[:k].copy()
+        below[:k] = 0
+        below += _product(panel[:, width:width + k], chosen)
+        below %= q
+        m[r0:] = below
+        m[:r0] -= _product(m[:r0, cols], below[:k])
+        m[:r0] %= q
+        pivots += cols
     return tuple(tuple(row) for row in m.tolist()), tuple(pivots)
 
 

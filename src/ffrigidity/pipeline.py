@@ -24,9 +24,8 @@ import numpy as np
 from .dichotomy import (Polynomial, affine_dichotomy, minimal_degree)
 from .exact import SqrtRational
 from .field import PrimeField, group_rows, inverse_table
-from .geometry import (Flat, Hyperplane, flat_contained_in,
-                       hyperplane_incidence, incidence_gram, sphere_contains,
-                       sphere_incidence)
+from .geometry import (Flat, Hyperplane, flat_contained_in, incidence_gram,
+                       sphere_contains, sphere_incidence)
 from .multiset import (HyperplaneMultiset, build_multiset, mass_retention,
                        parallel_classes, popular_offset)
 from .stats import Config, energies, membership_matrix
@@ -38,126 +37,129 @@ CASE_DIRECTIONAL = "directional-coordination"
 CASE_NO_SIGNAL = "no-signal"
 
 
-def overlap_energy(points, hyperplanes, q: int, d: int) -> int:
-    """Number of ordered triples (p, H, H') with H != H' both through p.
-
-    Computed as the sum of deg(p) * (deg(p) - 1) and cross-checked
-    against the pairwise intersection counts, which must agree exactly.
-    """
-    if not len(points) or not hyperplanes:
-        return 0
-    inc = hyperplane_incidence(points, hyperplanes, q)
-    degs = inc.sum(axis=1)
-    j_from_degrees = int((degs * (degs - 1)).sum())
-    gram = incidence_gram(inc)
-    j_pairwise = int(gram.sum() - np.trace(gram))
-    assert j_from_degrees == j_pairwise
-    return j_from_degrees
+# Pairs per row block of `flat_profile`: its arrays, 64 KiB per int64
+# row, then stay in a 2 MiB L2 cache.  Over the null-flats-q19 supports
+# (m about 245) a call took 3.3-4.8 ms against 5.0-7.4 ms at 2**15.
+_BLOCK_PAIRS = 1 << 13
 
 
 @dataclass(frozen=True, eq=False)
 class FlatProfile:
-    """Intersection flats of a hyperplane family, as arrays.
-
-    Row i of `flats` is the i-th distinct flat in Flat tuple order,
-    flattened as (rows[0], rows[1], values); `multiplicities[i]` is the
-    number of family members containing it.  `pencil` lists the member
-    indices through the witness, the smallest flat of maximal
-    multiplicity.
-    """
-    flats: np.ndarray
-    multiplicities: np.ndarray
+    """The largest number of family members through one codimension-2
+    flat (0 when all pairs are parallel), the least such flat in Flat
+    tuple order and the increasing indices of the members through it."""
     parallel_pairs: int
     max_multiplicity: int
     witness: Flat | None
     pencil: tuple
 
-    def flat(self, i: int) -> Flat:
-        return _flat_of_key(self.flats[i].tolist())
-
-
-def _flat_of_key(key) -> Flat:
-    d = len(key) // 2 - 1
-    return Flat(rows=(tuple(key[:d]), tuple(key[d:2 * d])),
-                values=tuple(key[2 * d:]))
-
 
 def flat_profile(hyperplanes, field: PrimeField) -> FlatProfile:
-    """Multiplicity of every intersection flat of a hyperplane family.
+    """Largest flat multiplicity of a hyperplane family, with its witness.
 
-    One array pass over all pairs a < b.  Canonical hyperplanes are
-    parallel exactly when their normals coincide.  For the others the
-    reduced row echelon form of the 2 x (d+1) system is written out in
-    closed form: both rows lead with 1, so the row with the smaller lead
-    (a on ties) is the first pivot row; subtracting it from the other,
-    scaling that by the inverse of its lead and eliminating back gives
-    the form `flat_from_pair` computes.  `field.group_rows` groups the
-    pairs by their flattened forms, and the normals by direction.
-
-    Any two distinct hyperplanes through a common codimension-2 flat
-    intersect exactly in it, so the number of unordered pairs mapping to
-    a flat L is C(m(L), 2) with m(L) the number of family members
-    containing L.  That identity recovers every m(L) from the pair
-    grouping and is asserted, as is the fiber bound: each member meets
-    its non-parallel partners in at least (partner count) / m_max
-    distinct flats.
+    For non-parallel members a < b (canonical ones are parallel exactly
+    when their normals coincide), b restricted to a, the row
+    b - b[lead a] * a scaled to lead 1, fixes the flat a & b.  Grouped by
+    (a, restricted row), a flat of members a1 < ... < ak is a group of
+    k - 1 in row a1 and smaller ones later: m_max is one more than the
+    largest group, the pencil a largest group with its row, and the
+    witness the least flat of the largest groups, one pair each reduced
+    in closed form.  Rows go in blocks of at most `_BLOCK_PAIRS` pairs
+    (one row at least), so memory is O(block + m).  Asserted: canonical,
+    distinct input; nesting groups (a flat of k members gives one group
+    of each size 1 .. k - 1); the fiber bound per row (later partners <=
+    groups * (m_max - 1)); the members through the witness, by a
+    row-span test, are the pencil.
     """
     q = field.q
-    hps = list(hyperplanes)
-    n = len(hps)
-    d = len(hps[0].normal) if hps else 0
+    n = len(hyperplanes)
     if n < 2:
-        return FlatProfile(flats=np.zeros((0, 2 * d + 2), dtype=np.int64),
-                           multiplicities=np.zeros(0, dtype=np.int64),
-                           parallel_pairs=0, max_multiplicity=0,
-                           witness=None, pencil=())
-    aug = np.asarray([(*h.normal, h.offset) for h in hps], dtype=np.int64)
+        return FlatProfile(0, 0, None, ())
+    aug = np.asarray([(*h.normal, h.offset) for h in hyperplanes],
+                     dtype=np.int64)
+    d = aug.shape[1] - 1
     lead = (aug[:, :d] != 0).argmax(axis=1)
     assert ((aug >= 0) & (aug < q)).all() and \
         (aug[np.arange(n), lead] == 1).all(), "hyperplanes must be canonical"
-    a, b = np.triu_indices(n, k=1)
-    _, direction = group_rows(aug[:, :d], q)
-    parallel = direction[a] == direction[b]
-    assert not (parallel & (aug[a, d] == aug[b, d])).any(), \
-        "support hyperplanes must be distinct"
-    a, b = a[~parallel], b[~parallel]
-    first = np.where(lead[b] < lead[a], b, a)
-    rows = np.arange(len(a))
-    top = aug[first]
-    bottom = aug[a + b - first]
-    bottom = (bottom - bottom[rows, lead[first]][:, None] * top) % q
-    second = (bottom[:, :d] != 0).argmax(axis=1)
-    bottom = bottom * inverse_table(q)[bottom[rows, second]][:, None] % q
-    top = (top - top[rows, second][:, None] * bottom) % q
-    keys = np.concatenate([top[:, :d], bottom[:, :d], top[:, d:],
-                           bottom[:, d:]], axis=1)
-
-    heads, run = group_rows(keys, q)
-    pairs = np.bincount(run)
-    mult = ((1 + np.sqrt(1 + 8 * pairs)) // 2).astype(np.int64)
-    assert (mult * (mult - 1) == 2 * pairs).all()
-    flats = keys[heads]
-    max_mult = int(mult.max(initial=0))
-    witness = None
-    pencil: tuple = ()
-    if max_mult:
-        w = int(mult.argmax())
-        members = np.concatenate([a, b])
-        in_witness = np.zeros(n, dtype=bool)
-        in_witness[members[np.concatenate([run, run]) == w]] = True
-        pencil = tuple(np.flatnonzero(in_witness).tolist())
-        partners = np.bincount(members, minlength=n)
-        member_flat = np.sort(members * len(flats)
-                              + np.concatenate([run, run]))
-        distinct = np.ones(len(member_flat), dtype=bool)
-        distinct[1:] = member_flat[1:] != member_flat[:-1]
-        fibers = np.bincount(member_flat[distinct] // len(flats), minlength=n)
-        assert (fibers * max_mult >= partners).all()
-        witness = _flat_of_key(flats[w].tolist())
-    return FlatProfile(flats=flats, multiplicities=mult,
-                       parallel_pairs=int(parallel.sum()),
-                       max_multiplicity=max_mult, witness=witness,
-                       pencil=pencil)
+    cols = np.ascontiguousarray(aug.T)
+    # a is written as `width` base-q digits ahead of the restricted row
+    width = next(w for w in range(1, 64) if q ** w >= n)
+    later = n - 1 - np.arange(n)
+    ends = np.concatenate([[0], np.cumsum(later)])
+    partners, groups, size_counts = np.zeros((3, n), dtype=np.int64)
+    best, pencil, parallel = (0, None), (), 0
+    a0 = 0
+    while a0 < n - 1:
+        a1 = int(np.searchsorted(ends, ends[a0] + _BLOCK_PAIRS, "right"))
+        rows = np.arange(a0, min(max(a1 - 1, a0 + 1), n - 1))
+        a0 = int(rows[-1]) + 1
+        a = np.repeat(rows, later[rows])
+        b = np.arange(len(a)) + np.repeat(
+            rows + 1 - (ends[rows] - ends[rows[0]]), later[rows])
+        # one column per pair, so every step runs over contiguous rows;
+        # x - x // q * q, because int64 % is several times slower
+        r = cols.take(a, axis=1)
+        r *= aug.take(b * (d + 1) + lead.take(a))
+        np.subtract(cols.take(b, axis=1), r, out=r)
+        r -= r // q * q
+        # canonical b is parallel to a exactly when this normal vanishes
+        skew = r[:d].any(axis=0)
+        assert (skew | (r[d] != 0)).all(), \
+            "support hyperplanes must be distinct"
+        parallel += len(a) - int(np.count_nonzero(skew))
+        a, b = a[skew], b[skew]
+        digits = np.empty((width + d + 1, len(a)), dtype=np.int64)
+        rest = a
+        for i in range(width - 1, 0, -1):
+            digits[i] = rest - rest // q * q
+            rest = rest // q
+        digits[0] = rest
+        restricted = digits[width:]
+        np.compress(skew, r, axis=1, out=restricted)
+        lead_value = restricted[d - 1].copy()
+        for row in restricted[d - 2::-1]:
+            np.copyto(lead_value, row, where=row != 0)
+        restricted *= inverse_table(q).take(lead_value)
+        restricted -= restricted // q * q
+        heads, run = group_rows(digits.T, q)
+        count = np.bincount(run)
+        partners += np.bincount(a, minlength=n)
+        groups += np.bincount(a[heads], minlength=n)
+        size_counts += np.bincount(count, minlength=n)
+        top = int(count.max(initial=0))
+        if top < max(best[0], 1):
+            continue
+        # reduced form of (a, restricted row) for one pair per largest
+        # group: the restricted row vanishes at a's lead already
+        maximal = np.flatnonzero(count == top)
+        at = heads[maximal]
+        cut = restricted[:, at].T
+        pivot = (cut[:, :d] != 0).argmax(axis=1)
+        other = aug[a[at]]
+        other = (other - other[np.arange(len(at)), pivot][:, None] * cut) % q
+        swap = (pivot < lead[a[at]])[:, None]
+        upper, lower = np.where(swap, cut, other), np.where(swap, other, cut)
+        keys = np.concatenate([upper[:, :d], lower[:, :d], upper[:, d:],
+                               lower[:, d:]], axis=1)
+        i = int(np.lexsort(keys.T[::-1])[0])
+        key = keys[i].tolist()
+        if top > best[0] or key < best[1]:
+            best = (top, key)
+            pencil = (int(a[at[i]]), *b[run == maximal[i]].tolist())
+    top, key = best
+    if not top:
+        return FlatProfile(parallel, 0, None, ())
+    assert (np.diff(size_counts[1:]) <= 0).all(), "pair groups must nest"
+    assert (partners <= groups * top).all(), "fiber bound"
+    witness = Flat(rows=(tuple(key[:d]), tuple(key[d:2 * d])),
+                   values=tuple(key[2 * d:]))
+    # a member contains the witness exactly when it is the combination
+    # of the two reduced rows taken at their pivot columns
+    w = np.column_stack([witness.rows, witness.values])
+    residual = (aug - aug[:, (w[:, :d] != 0).argmax(axis=1)] @ w) % q
+    assert np.flatnonzero(~residual.any(axis=1)).tolist() == list(pencil), \
+        "the pencil must be the members containing the witness"
+    return FlatProfile(parallel, top + 1, witness, pencil)
 
 
 @dataclass(frozen=True)

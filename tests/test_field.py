@@ -1,8 +1,10 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
+from ffrigidity import field
 from ffrigidity.field import (NotAPrime, PrimeField, is_odd_prime,
                               kernel_basis, rank, rref)
 
@@ -209,3 +211,27 @@ def test_rref_matches_scalar_elimination():
     assert rref([], PrimeField(5)) == ((), ())
     assert rref([[]], PrimeField(5)) == (((),), ())
     assert rref([[0, 0], [0, 0]], PrimeField(5)) == (((0, 0), (0, 0)), ())
+
+
+@pytest.mark.parametrize("panel", [1, 7, None])
+def test_rref_panels_match_scalar_elimination(monkeypatch, panel):
+    # wide and tall matrices, panels with no pivot (zero column blocks)
+    # and panels whose pivots run out mid-panel, at several panel widths
+    # (None keeps the module's own); an int64 array gives the same form
+    if panel is not None:
+        monkeypatch.setattr(field, "_PANEL", panel)
+    rng = random.Random(11)
+    for q in (3, 19, 65521):
+        f = PrimeField(q)
+        for rows, cols, k in ((40, 75, 40), (75, 40, 40), (50, 60, 13),
+                              (12, 90, 12), (90, 12, 5)):
+            left = [[rng.randrange(q) for _ in range(k)] for _ in range(rows)]
+            right = [[rng.randrange(q) for _ in range(cols)]
+                     for _ in range(k)]
+            mat = [[sum(x * y for x, y in zip(row, col)) % q
+                    for col in zip(*right)] for row in left]
+            for row in mat:
+                row[20:40] = [0] * len(row[20:40])
+            expected = rref_oracle(mat, q)
+            assert rref(mat, f) == expected
+            assert rref(np.array(mat, dtype=np.int64), f) == expected

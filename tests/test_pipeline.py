@@ -7,12 +7,13 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from ffrigidity import geometry, pipeline, stats, strata
+from ffrigidity import field, geometry, pipeline, stats, strata
 from ffrigidity.dichotomy import Polynomial
 from ffrigidity.field import PrimeField
 from ffrigidity.geometry import (PARALLEL_DISJOINT, Sphere,
@@ -25,8 +26,7 @@ from ffrigidity.multiset import HyperplaneMultiset, build_multiset
 from ffrigidity.pipeline import (CASE_DIRECTIONAL, CASE_FLAT, CASE_NO_SIGNAL,
                                  Certificate, ExtractOptions, case_split,
                                  default_b0, extract_certificate,
-                                 flat_profile, linear_form_of, overlap_energy,
-                                 retention_check)
+                                 flat_profile, linear_form_of, retention_check)
 from ffrigidity.stats import make_config
 from ffrigidity.strata import persistent_pairs
 from ffrigidity.verify import verify_certificate
@@ -52,42 +52,6 @@ def pencil_config(q=7):
     return make_config(sp, points, spheres)
 
 
-def test_overlap_energy_single_hyperplane():
-    q = 5
-    h = canonical_hyperplane((1, 0, 0), 0, q)
-    pts = [(0, a, b) for a in range(q) for b in range(q)]
-    assert overlap_energy(pts, [h], q, 3) == 0
-
-
-def test_overlap_energy_two_hyperplanes_through_flat():
-    q = 5
-    h1 = canonical_hyperplane((1, 0, 0), 0, q)
-    h2 = canonical_hyperplane((0, 1, 0), 0, q)
-    pts = [(0, 0, t) for t in range(q)]  # k = 5 points on the flat
-    assert overlap_energy(pts, [h1, h2], q, 3) == 2 * q
-
-
-def test_overlap_energy_matches_triple_loop():
-    rng = random.Random(81)
-    q = 7
-    hs = []
-    while len(hs) < 6:
-        n = tuple(rng.randrange(q) for _ in range(3))
-        if any(n):
-            h = canonical_hyperplane(n, rng.randrange(q), q)
-            if h not in hs:
-                hs.append(h)
-    pts = [tuple(rng.randrange(q) for _ in range(3)) for _ in range(15)]
-    direct = 0
-    for p in pts:
-        for h1 in hs:
-            for h2 in hs:
-                if h1 != h2 and hyperplane_contains(h1, p, q) \
-                        and hyperplane_contains(h2, p, q):
-                    direct += 1
-    assert overlap_energy(pts, hs, q, 3) == direct
-
-
 def test_flat_profile_pencil():
     q = 7
     f = PrimeField(q)
@@ -99,6 +63,20 @@ def test_flat_profile_pencil():
     assert witness_pts == [(0, 0, t) for t in range(q)]
 
 
+def _pair_flats(hs, f):
+    """The scalar oracle: every pair's flat_from_pair, grouped by flat,
+    and the number of parallel pairs."""
+    grouped = {}
+    parallel = 0
+    for a, b in itertools.combinations(range(len(hs)), 2):
+        out = flat_from_pair(hs[a], hs[b], f)
+        if out is PARALLEL_DISJOINT:
+            parallel += 1
+        else:
+            grouped.setdefault(out, set()).update((a, b))
+    return grouped, parallel
+
+
 def test_flat_profile_three_coordinate_planes():
     q = 5
     f = PrimeField(q)
@@ -106,9 +84,13 @@ def test_flat_profile_three_coordinate_planes():
           canonical_hyperplane((0, 1, 0), 0, q),
           canonical_hyperplane((0, 0, 1), 0, q)]
     prof = flat_profile(hs, f)
-    assert len(prof.multiplicities) == 3
-    assert set(prof.multiplicities.tolist()) == {2}
+    assert prof.max_multiplicity == 2
     assert prof.parallel_pairs == 0
+    # the three coordinate axes; the least in Flat order is x2 = x3 = 0
+    assert prof.witness == min(flat_from_pair(a, b, f)
+                               for a, b in itertools.combinations(hs, 2))
+    assert prof.witness == flat_from_pair(hs[1], hs[2], f)
+    assert prof.pencil == (1, 2)
 
 
 def test_flat_profile_multiplicity_matches_containment_oracle():
@@ -123,12 +105,17 @@ def test_flat_profile_multiplicity_matches_containment_oracle():
             h = canonical_hyperplane(n, rng.randrange(q), q)
             if h not in hs:
                 hs.append(h)
+    members = {}
+    for flat in _pair_flats(hs, f)[0]:
+        pts = flat_points(flat, sp)
+        members[flat] = tuple(i for i, h in enumerate(hs)
+                              if all(hyperplane_contains(h, x, q)
+                                     for x in pts))
+    top = max(len(v) for v in members.values())
     prof = flat_profile(hs, f)
-    for i, m in enumerate(prof.multiplicities.tolist()):
-        pts = flat_points(prof.flat(i), sp)
-        direct = sum(1 for h in hs
-                     if all(hyperplane_contains(h, x, q) for x in pts))
-        assert direct == m
+    assert prof.max_multiplicity == top
+    assert prof.witness == min(l for l, v in members.items() if len(v) == top)
+    assert prof.pencil == members[prof.witness]
 
 
 def _family(rng, q, d, m):
@@ -167,52 +154,112 @@ def _family(rng, q, d, m):
     return family
 
 
-def _check_against_scalar_oracle(hs, q, d):
-    """flat_profile against pairwise flat_from_pair and containment."""
+def _check_against_scalar_oracle(hs, q, d, monkeypatch):
+    """flat_profile against pairwise flat_from_pair and containment, with
+    row blocks of one row, of a few pairs and of the default size."""
     f = PrimeField(q)
-    grouped = {}
-    parallel = 0
-    for a, b in itertools.combinations(range(len(hs)), 2):
-        out = flat_from_pair(hs[a], hs[b], f)
-        if out is PARALLEL_DISJOINT:
-            parallel += 1
-        else:
-            grouped.setdefault(out, set()).update((a, b))
-    prof = flat_profile(hs, f)
-    flats = [prof.flat(i) for i in range(len(prof.flats))]
-    assert flats == sorted(grouped)
-    assert prof.parallel_pairs == parallel
+    grouped, parallel = _pair_flats(hs, f)
     space = make_space(q, d) if q ** d <= 4096 else None
-    for flat, m in zip(flats, prof.multiplicities.tolist()):
-        assert m == len(grouped[flat])
-        assert m == sum(flat_contained_in(flat, h, f) for h in hs)
+    for flat, members in grouped.items():
+        assert members == {i for i, h in enumerate(hs)
+                           if flat_contained_in(flat, h, f)}
         if space is not None:
             pts = flat_points(flat, space)
-            assert m == sum(all(hyperplane_contains(h, x, q) for x in pts)
-                            for h in hs)
+            assert members == {i for i, h in enumerate(hs) if all(
+                hyperplane_contains(h, x, q) for x in pts)}
     top = max((len(v) for v in grouped.values()), default=0)
-    assert prof.max_multiplicity == top
-    if top:
-        witness = min(l for l, v in grouped.items() if len(v) == top)
-        assert prof.witness == witness
-        assert prof.pencil == tuple(sorted(grouped[witness]))
-    else:
-        assert prof.witness is None and prof.pencil == ()
-    return prof
+    profiles = []
+    for block in (1, 7, pipeline._BLOCK_PAIRS):
+        monkeypatch.setattr(pipeline, "_BLOCK_PAIRS", block)
+        prof = flat_profile(hs, f)
+        assert prof.parallel_pairs == parallel
+        assert prof.max_multiplicity == top
+        if top:
+            witness = min(l for l, v in grouped.items() if len(v) == top)
+            assert prof.witness == witness
+            assert prof.pencil == tuple(sorted(grouped[witness]))
+        else:
+            assert prof.witness is None and prof.pencil == ()
+        profiles.append(prof)
+    monkeypatch.undo()
+    return profiles[-1]
 
 
 @pytest.mark.parametrize("d", [3, 4])
 @pytest.mark.parametrize("q", [3, 5, 61, 65521])
-def test_flat_profile_matches_scalar_oracle(q, d):
+def test_flat_profile_matches_scalar_oracle(q, d, monkeypatch):
     rng = random.Random(q * 10 + d)
     for m in (0, 1, 2, 3, 9, 24):
         for _ in range(4):
-            _check_against_scalar_oracle(_family(rng, q, d, m), q, d)
+            _check_against_scalar_oracle(_family(rng, q, d, m), q, d,
+                                         monkeypatch)
     hs = _family(rng, q, d, 12)
-    prof = _check_against_scalar_oracle(hs, q, d)
+    prof = _check_against_scalar_oracle(hs, q, d, monkeypatch)
     assert prof.max_multiplicity >= 3 and prof.parallel_pairs
     with pytest.raises(AssertionError, match="distinct"):
         flat_profile(hs + [hs[5]], PrimeField(q))
+
+
+@pytest.mark.parametrize("q", [5, 61])
+def test_flat_profile_refuses_non_canonical_input(q):
+    hs = _family(random.Random(q), q, 3, 6)
+    h = hs[5]
+    scaled = h._replace(normal=tuple(2 * x % q for x in h.normal),
+                        offset=2 * h.offset % q)
+    for bad in (scaled, h._replace(offset=h.offset + q),
+                h._replace(offset=-1)):
+        with pytest.raises(AssertionError, match="canonical"):
+            flat_profile(hs[:5] + [bad], PrimeField(q))
+
+
+def test_flat_profile_calls_no_scalar_elimination(monkeypatch):
+    """Neither the scalar flat_from_pair nor rref is reached, even when
+    every pair is its own maximal group (no three members share a flat)
+    and every block has to compute its candidate witnesses."""
+    rng = random.Random(7)
+    general = [canonical_hyperplane(
+        [rng.randrange(1, 65521) for _ in range(3)], rng.randrange(65521),
+        65521) for _ in range(14)]
+    families = [(general, 65521), (_family(rng, 65521, 3, 24), 65521),
+                (_family(rng, 61, 3, 24), 61)]
+    expected = []
+    for hs, q in families:
+        grouped, parallel = _pair_flats(hs, PrimeField(q))
+        top = max(len(v) for v in grouped.values())
+        witness = min(l for l, v in grouped.items() if len(v) == top)
+        expected.append((parallel, top, witness,
+                         tuple(sorted(grouped[witness]))))
+    assert expected[0][1] == 2
+    assert len(_pair_flats(general, PrimeField(65521))[0]) == 14 * 13 // 2
+
+    def forbidden(*args, **kwargs):
+        raise RuntimeError("scalar elimination called")
+
+    for module, name in ((field, "rref"), (geometry, "rref"),
+                         (geometry, "flat_from_pair")):
+        monkeypatch.setattr(module, name, forbidden)
+    for block in (1, 7, pipeline._BLOCK_PAIRS):
+        monkeypatch.setattr(pipeline, "_BLOCK_PAIRS", block)
+        for (hs, q), want in zip(families, expected):
+            prof = flat_profile(hs, PrimeField(q))
+            assert (prof.parallel_pairs, prof.max_multiplicity,
+                    prof.witness, prof.pencil) == want
+
+
+def test_flat_profile_memory_is_bounded():
+    """Row blocks keep the profile of a 1500-member family to a few MB
+    (the all-pairs pass peaked at about 314 MB here)."""
+    q = 61
+    hs = _family(random.Random(1500), q, 3, 1500)
+    tracemalloc.start()
+    try:
+        prof = flat_profile(hs, PrimeField(q))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the planted pencil holds all q + 1 planes through its line
+    assert prof.max_multiplicity == q + 1
+    assert peak < 16 << 20
 
 
 def test_case_split_pencil_triggers_flat_case():
@@ -350,11 +397,12 @@ def test_extract_computes_each_incidence_once(monkeypatch):
             return kernel(*args, **kwargs)
         return wrapper
 
-    for module, name in ((strata, "hyperplane_incidence"),
-                         (pipeline, "hyperplane_incidence"),
-                         (pipeline, "sphere_incidence"),
-                         (stats, "sphere_incidence")):
-        monkeypatch.setattr(module, name, counting(getattr(geometry, name)))
+    # every name an extract stage could call a kernel through
+    for module in (strata, pipeline, stats):
+        for name in ("hyperplane_incidence", "sphere_incidence"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counting(getattr(geometry, name)))
     for (kind, q, d, np_, ns, seed, noise, c_const, b0, case,
          _) in GOLDEN_CERTIFICATES:
         calls.clear()
