@@ -22,7 +22,6 @@ from .exact import SqrtRational
 from .geometry import (AmbientSpace, Hyperplane, Sphere, all_projective_directions,
                        canonical_hyperplane, hyperplane_incidence, make_space,
                        point_grid, quad_norm, sphere_points)
-from .pipeline import Certificate, ExtractOptions, extract_certificate
 from .stats import (Config, incidence_count, make_config,
                     near_extremality_from_counts)
 
@@ -322,41 +321,3 @@ def dot_product_system(pins, qpoints, space: AmbientSpace) -> DotProductSystem:
         merged=len(labels) - len(support),
     )
 
-
-@dataclass(frozen=True)
-class StabilityReport:
-    concentrated: bool
-    K: SqrtRational
-    threshold: float
-    structured_size: int
-    total_size: int
-    degree: int | None
-    certificate: Certificate
-
-
-def stability_experiment(config: Config, complexity_cap: int, eta: float,
-                         options: ExtractOptions | None = None) -> StabilityReport:
-    """Concentration test: does extraction find a polynomial of degree at
-    most the cap whose structured point set has size at least
-    |P| ** (1 - eta)?  Otherwise the near-extremality parameter itself
-    is the reported obstruction."""
-    if not 0 <= eta < 1:
-        raise ValueError("eta must lie in [0, 1)")
-    cert = extract_certificate(config, options)
-    threshold = len(config.points) ** (1.0 - eta)
-    degree = cert.F.degree() if cert.F is not None else None
-    concentrated = (
-        cert.case != "no-signal"
-        and degree is not None
-        and 1 <= degree <= complexity_cap
-        and len(cert.points_idx) >= threshold
-    )
-    return StabilityReport(
-        concentrated=concentrated,
-        K=cert.params["K"],
-        threshold=threshold,
-        structured_size=len(cert.points_idx),
-        total_size=len(config.points),
-        degree=degree,
-        certificate=cert,
-    )

@@ -24,13 +24,12 @@ import numpy as np
 from .dichotomy import (Polynomial, affine_dichotomy, minimal_degree)
 from .exact import SqrtRational
 from .field import PrimeField, group_rows, inverse_table
-from .geometry import (Flat, Hyperplane, flat_contained_in, incidence_gram,
-                       sphere_contains, sphere_incidence)
+from .geometry import (Flat, Hyperplane, flat_contained_in, sphere_contains,
+                       sphere_incidence)
 from .multiset import (HyperplaneMultiset, build_multiset, mass_retention,
                        parallel_classes, popular_offset)
 from .stats import Config, energies, membership_matrix
-from .strata import (EmptyOverlaps, RegularizationDegenerate,
-                     heavy_layer_select, persistent_pairs, regularize)
+from .strata import RegularizationDegenerate, persistent_pairs, regularize
 
 CASE_FLAT = "flat-concentration"
 CASE_DIRECTIONAL = "directional-coordination"
@@ -204,12 +203,9 @@ class Certificate:
 
     def to_dict(self) -> dict:
         """Fixed-shape serialization; every field is always present."""
-        params = dict(self.params)
-        k = params.get("K")
-        if isinstance(k, SqrtRational):
-            params["K"] = float(k)
-        aux = self.aux
+        aux, params = self.aux, self.params
         return {
+            "schema": 2,
             "case": self.case,
             "F": self.F.to_pairs() if self.F is not None else None,
             "hyperplane": (
@@ -219,23 +215,21 @@ class Certificate:
             "points": list(self.points_idx),
             "spheres": list(self.spheres_idx),
             "aux": {
-                "R": aux["R"].to_pairs() if aux.get("R") is not None else None,
-                "chart": aux.get("chart"),
-                "D": aux.get("D"),
-                "flags": list(aux.get("flags", ())),
+                "R": aux["R"].to_pairs() if aux["R"] is not None else None,
+                "chart": aux["chart"],
+                "D": aux["D"],
+                "flags": list(aux["flags"]),
                 "witness_flat": (
                     {"rows": [list(r) for r in self.witness_flat.rows],
                      "values": list(self.witness_flat.values)}
                     if self.witness_flat is not None else None),
             },
             "params": {
-                "K": params.get("K", 0.0),
-                "lambda1": params.get("lambda1", 0),
-                "M1": params.get("M1", 0),
-                "mu": params.get("mu", 0),
-                "B0": params.get("B0", 0),
-                "min_points": params.get("min_points", 0),
-                "sphere_min": params.get("sphere_min", 0),
+                "K": float(params["K"]),
+                "M1": params["M1"],
+                "B0": params["B0"],
+                "min_points": params["min_points"],
+                "sphere_min": params["sphere_min"],
             },
         }
 
@@ -260,8 +254,7 @@ def _no_signal(K: SqrtRational, b0: int, reason: str) -> Certificate:
         case=CASE_NO_SIGNAL, F=None, hyperplane=None, points_idx=(),
         spheres_idx=(), witness_flat=None,
         aux={"R": None, "chart": None, "D": None, "flags": (reason,)},
-        params={"K": K, "lambda1": 0, "M1": 0, "mu": 0, "B0": b0,
-                "min_points": 0, "sphere_min": 0},
+        params={"K": K, "M1": 0, "B0": b0, "min_points": 0, "sphere_min": 0},
     )
 
 
@@ -307,7 +300,6 @@ def extract_certificate(config: Config,
     # flat profile is the extract's memory peak
     inc = inc.take(reg.point_idx, axis=0).take(
         _positions(ms.support, retained.support), axis=1)
-    mu = _coincidence_scale(inc, retained.support)
     split = case_split(retained, b0, fq)
 
     flags: list = []
@@ -362,8 +354,8 @@ def extract_certificate(config: Config,
         spheres_idx=spheres_idx,
         witness_flat=witness,
         aux={**aux, "flags": tuple(flags)},
-        params={"K": K, "lambda1": lam1, "M1": reg.degree_scale, "mu": mu,
-                "B0": b0, "min_points": lam1, "sphere_min": sphere_min},
+        params={"K": K, "M1": reg.degree_scale, "B0": b0, "min_points": lam1,
+                "sphere_min": sphere_min},
     )
 
 
@@ -383,23 +375,6 @@ def _positions(family: tuple, members) -> list:
     """The index in a hyperplane family of each of the members."""
     at = dict(zip(family, range(len(family))))
     return [at[h] for h in members]
-
-
-def _coincidence_scale(inc: np.ndarray, hyperplanes) -> int:
-    """Dyadic scale of the overlaps of non-parallel hyperplane pairs on
-    a point set, from its incidence matrix on the hyperplanes (one
-    column each, in order)."""
-    if len(hyperplanes) < 2:
-        return 0
-    gram = incidence_gram(inc)
-    ids: dict = {}
-    direction = np.asarray([ids.setdefault(h.normal, len(ids))
-                            for h in hyperplanes])
-    skew = np.triu(direction[:, None] != direction, 1)
-    try:
-        return heavy_layer_select(gram[skew]).mu
-    except EmptyOverlaps:
-        return 0
 
 
 def _rich_sphere_subfamily(incidence):
@@ -447,7 +422,7 @@ def retention_check(config: Config, cert: Certificate) -> RetentionReport:
                          for p in pprime]
     by_point = sum(point_sphere_degs)
     ok = by_sphere == by_point
-    m1 = cert.params.get("M1", 0)
+    m1 = cert.params["M1"]
     dmin = min(point_sphere_degs, default=0)
     dmax = max(point_sphere_degs, default=0)
     in_window = bool(pprime) and m1 > 0 and dmin >= m1 and dmax < 2 * m1

@@ -23,10 +23,6 @@ from .multiset import HyperplaneMultiset
 from .stats import Config, membership_matrix, near_extremality_K
 
 
-class EmptyOverlaps(ValueError):
-    pass
-
-
 class RegularizationDegenerate(ValueError):
     pass
 
@@ -217,51 +213,6 @@ def persistent_pairs(config: Config, K: SqrtRational | None = None,
                            pair_bisector=index,
                            pairs_bisector=np.concatenate(
                                [index[keep], index[keep]])[order])
-
-
-@dataclass(frozen=True)
-class HeavyLayer:
-    mu: int
-    layer: int
-    keys: tuple
-    score: int
-    layer_mass: int
-    total_mass: int
-    nonempty_layers: int
-
-
-def heavy_layer_select(overlaps) -> HeavyLayer:
-    """Pick the dyadic value layer maximizing 2**j * (member count).
-
-    Takes a sequence (or integer array) of values; the keys of the
-    selected layer are their positions.  Zero values carry no layer and
-    are ignored; ties go to the larger j.  The selected score is at
-    least the total score divided by the number of nonempty layers,
-    which is the exact pigeonhole this selection exists for.  Layers
-    come from float64 exponents, exact below 2**53.
-    """
-    values = np.asarray(overlaps, dtype=np.int64).ravel()
-    positive = np.flatnonzero(values > 0)
-    if not len(positive):
-        raise EmptyOverlaps("no positive overlap values to select from")
-    values = values[positive]
-    layer = _dyadic_classes(values)
-    sizes = np.bincount(layer).tolist()
-    layers = [j for j, n in enumerate(sizes) if n]
-    best = max(layers, key=lambda j: ((1 << j) * sizes[j], j))
-    members = positive[layer == best].tolist()
-    score = (1 << best) * sizes[best]
-    total_score = sum((1 << j) * sizes[j] for j in layers)
-    assert score * len(layers) >= total_score
-    return HeavyLayer(
-        mu=1 << best,
-        layer=best,
-        keys=tuple(members),
-        score=score,
-        layer_mass=int(values[layer == best].sum()),
-        total_mass=int(values.sum()),
-        nonempty_layers=len(layers),
-    )
 
 
 def _heaviest_class(values: np.ndarray):

@@ -56,6 +56,9 @@ def verify_certificate(config: Config, cert: dict) -> list:
     q, d = config.q, config.d
     failures: list = []
 
+    schema = cert.get("schema")
+    if not (_is_int(schema) and schema == 2):
+        return [f"schema must be 2, not {schema!r}"]
     case = cert.get("case")
     if case not in ("flat-concentration", "directional-coordination",
                     "no-signal"):
@@ -67,8 +70,8 @@ def verify_certificate(config: Config, cert: dict) -> list:
     if not isinstance(params, dict):
         failures.append("params must be an object")
         params = {}
-    min_points = params.get("min_points", 0)
-    sphere_min = params.get("sphere_min", 0)
+    min_points = params.get("min_points")
+    sphere_min = params.get("sphere_min")
     if not _is_int(min_points) or not _is_int(sphere_min):
         failures.append("params min_points and sphere_min must be integers")
         min_points = sphere_min = 0
@@ -129,7 +132,7 @@ def verify_certificate(config: Config, cert: dict) -> list:
         failures.append("certificate must name a hyperplane")
     else:
         normal = hp.get("normal")
-        offset = hp.get("offset", 0)
+        offset = hp.get("offset")
         if not _is_int_list(normal, d) or all(c % q == 0 for c in normal):
             failures.append("hyperplane normal is malformed")
             normal = None

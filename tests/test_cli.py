@@ -183,10 +183,16 @@ def _float_exponent(doc):
     _bool_witness_flat,
     lambda doc: next(t for t in doc["F"] if t[1] == 1).__setitem__(1, True),
     _float_exponent,
+    lambda doc: doc["hyperplane"].pop("offset"),
+    lambda doc: doc["params"].pop("min_points"),
+    lambda doc: doc.pop("schema"),
+    lambda doc: doc.update(schema=1),
 ], ids=["params", "min-points", "normal-entry", "offset", "aux",
         "point-index-bool", "min-points-bool", "sphere-min-bool",
         "sphere-index-bool", "normal-bool", "offset-bool",
-        "witness-flat-bool", "f-coefficient-bool", "f-exponent-float"])
+        "witness-flat-bool", "f-coefficient-bool", "f-exponent-float",
+        "offset-missing", "min-points-missing", "schema-missing",
+        "schema-1"])
 def test_verify_malformed_certificate_fails(tmp_path, capsys, mutate):
     cfg = gen_config(tmp_path, capsys)
     cert = tmp_path / "cert.json"

@@ -7,12 +7,10 @@ from ffrigidity.exact import SqrtRational
 from ffrigidity.generators import (PRNG_NAME, BadGeneratorSpec,
                                    GeneratorSpec, ZeroPin,
                                    dot_product_system, generate, pin_cap,
-                                   pinned_distance_set, pinned_sphere_system,
-                                   stability_experiment)
+                                   pinned_distance_set, pinned_sphere_system)
 from ffrigidity.geometry import (hyperplane_contains, make_space,
                                  quad_norm, radical_hyperplane)
 from ffrigidity.multiset import build_multiset
-from ffrigidity.pipeline import CASE_NO_SIGNAL, ExtractOptions
 from ffrigidity.stats import incidence_count, near_extremality_K
 from ffrigidity.strata import persistent_pairs
 
@@ -183,23 +181,3 @@ def test_dot_system_surplus_positive_for_small_value_sets():
     assert sys.surplus == Fraction(7) - Fraction(7, 7)
     assert float(sys.K) > 0
 
-
-def test_stability_planted_config_is_concentrated():
-    g = generate(spec("reflected-pairs", np_=21, ns=14, seed=3))
-    rep = stability_experiment(g.config, complexity_cap=3, eta=0.5)
-    assert rep.concentrated
-    assert rep.degree == 1
-    assert rep.structured_size >= rep.threshold
-    assert rep.certificate.case != CASE_NO_SIGNAL
-
-
-def test_stability_zero_cap_never_concentrates():
-    g = generate(spec("reflected-pairs", np_=21, ns=14, seed=3))
-    rep = stability_experiment(g.config, complexity_cap=0, eta=0.5)
-    assert not rep.concentrated
-
-
-def test_stability_rejects_bad_eta():
-    g = generate(spec("uniform-random", np_=10, ns=4))
-    with pytest.raises(ValueError):
-        stability_experiment(g.config, complexity_cap=2, eta=1.0)

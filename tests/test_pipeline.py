@@ -297,7 +297,7 @@ def test_extract_flat_concentration_end_to_end():
     for p in axis:
         assert hyperplane_contains(cert.hyperplane, p, 7)
     assert verify_certificate(cfg, cert.to_dict()) == []
-    assert len(cert.points_idx) >= cert.params["lambda1"]
+    assert len(cert.points_idx) >= cert.params["min_points"]
 
 
 def test_extract_no_signal_on_concentric_family():
@@ -349,29 +349,29 @@ def test_extract_certificate_postconditions_random():
 GOLDEN_CERTIFICATES = [
     # kind, q, d, np, ns, seed, noise, c_const, b0, case, sha256
     ("uniform-random", 5, 3, 20, 8, 0, 0.0, "1/4", None, "directional-coordination",
-     "2dc8f3b20d842ab299f18cb4176a96753d725c9a999a8515ff6111ac822f3a32"),
+     "9d79b1fcb29ec8976cd2352d898b06d831dfe6ae8cfe1c7f8341fa01e070fb1f"),
     ("uniform-random", 5, 3, 30, 30, 0, 0.0, "1/4", None, "directional-coordination",
-     "efe7d67cd2b1c5ca81764b48b9102a5374878e19faeb0c22074c56de402352fc"),
+     "f7782cad66c63a6b6e02ea07d8da35f5742ecc3a693f15e22adbd9d89c269ef9"),
     ("reflected-pairs", 7, 3, 30, 30, 0, 0.2, "1/4", None, "directional-coordination",
-     "a1c50dd795817b1c2097e564fcebf3c93d3521f337489c8da3f0c47b853e57c8"),
+     "e4a2768e845b220d798f99489fc61f333f57f844a1e9cefeb9c4ad4f39caae31"),
     ("uniform-random", 7, 3, 30, 30, 0, 0.0, "1/4", None, "flat-concentration",
-     "8ce275de4506d7dfb7b932259f858d95b2d9324e20903fa1d6e0d0b4c01bd5b0"),
+     "40e07edbc30a2bcabc8d1730f59bded1636106d85067508eb33d8a50eeb0e5ef"),
     ("hyperplane-planted", 7, 3, 30, 20, 1, 0.0, "1/4", None, "flat-concentration",
-     "5a22d45e39b283117de13219594b4711b91cb52f3933858650bf334314c57416"),
+     "23df3c21cc0ffa5682a720b791d47e410ad390313ee9ed37753c38af9f4f1023"),
     ("uniform-random", 7, 3, 30, 30, 0, 0.0, "50", None, "no-signal",
-     "bab3020dc024f50b7f2d27e84fa3e9f240125782b67456b7aa8b9fdc3bd17fef"),
+     "1c25e33e63e624dee932136cf057910cc30c0e574eda1f5b78e7060cc98e6c91"),
     ("uniform-random", 5, 4, 40, 12, 0, 0.0, "1/4", None, "directional-coordination",
-     "699e3e964f643b701a4b6eff3fa720138128f98aadb017f0e2f59a6f03242d31"),
+     "127aec43f6bfd5488eaeaac9941dc94297c9a8fc817e37af2eb47ba24db6038f"),
     ("reflected-pairs", 5, 4, 40, 12, 1, 0.0, "1/4", None, "directional-coordination",
-     "7dba9042e5ce83abc2746511eb23c7e87dffddd5c1b0660b21ea67d5013a65f2"),
+     "854bec0fa216c8b35fb768cbe285d969c0e171c6659f3800ad888e61cdc33464"),
     ("quadric-planted", 5, 4, 40, 12, 1, 0.0, "1/4", 2, "flat-concentration",
-     "ef61b63cf91e00013d1f9acddbae6cd4fdd0922e661b19dcafc232b2e38e19f6"),
+     "39563847eb09b86bf73886ee6ef91594b6c1940083d5cd492dea8868032978eb"),
     ("hyperplane-planted", 5, 4, 40, 12, 2, 0.0, "1/4", 1, "flat-concentration",
-     "a83489bf4d1e9f9d7ae234b25eb437ac59c12d3356a05da62ac2c6c84652bc43"),
+     "d50d79c9521c1a29594bc1523888864c24251ebf5ce680f7237acf06c7891779"),
     ("hyperplane-planted", 5, 4, 40, 12, 0, 0.0, "50", None, "no-signal",
-     "d13bdf08479a4dc11bfbf45dd921f5b822d9c75a77c0d0add701534a2d3f1c98"),
+     "dc607945b4a98083c55bd982c7e4fe9b9769be990274b131f72d886aef1167d4"),
     ("uniform-random", 5, 4, 30, 30, 1, 0.0, "50", None, "no-signal",
-     "510016ea8c9a8d60b33d71ea9a3b1d255eb3d8ecdf7b36dc40995dad17b0c82a"),
+     "ae554a92128fbd01b9c15bef64e10e57e9697910155cdbdb941bdb3a3296e963"),
 ]
 
 
@@ -388,7 +388,8 @@ def test_certificate_bytes_match_golden_digests():
 
 
 def test_extract_computes_each_incidence_once(monkeypatch):
-    # the bisector incidence is sliced, never recomputed, past strata
+    # the bisector incidence is sliced, never recomputed, past strata;
+    # the one Gram is the |S| x |S| one of the energies
     calls = collections.Counter()
 
     def counting(kernel):
@@ -399,7 +400,8 @@ def test_extract_computes_each_incidence_once(monkeypatch):
 
     # every name an extract stage could call a kernel through
     for module in (strata, pipeline, stats):
-        for name in ("hyperplane_incidence", "sphere_incidence"):
+        for name in ("hyperplane_incidence", "sphere_incidence",
+                     "incidence_gram"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name,
                                     counting(getattr(geometry, name)))
@@ -410,7 +412,8 @@ def test_extract_computes_each_incidence_once(monkeypatch):
         cert = extract_certificate(
             gconf.config, ExtractOptions(c_const=Fraction(c_const), b0=b0))
         assert cert.case == case
-        assert calls == {"hyperplane_incidence": 1, "sphere_incidence": 1}
+        assert calls == {"hyperplane_incidence": 1, "sphere_incidence": 1,
+                         "incidence_gram": 1}
 
 
 class _UnreadablePoints(tuple):
@@ -444,11 +447,12 @@ def test_certificate_json_shape():
     cfg = pencil_config(7)
     cert = extract_certificate(cfg)
     doc = cert.to_dict()
-    assert list(doc) == ["case", "F", "hyperplane", "points", "spheres",
-                         "aux", "params"]
+    assert list(doc) == ["schema", "case", "F", "hyperplane", "points",
+                         "spheres", "aux", "params"]
+    assert doc["schema"] == 2
     assert list(doc["aux"]) == ["R", "chart", "D", "flags", "witness_flat"]
-    assert list(doc["params"]) == ["K", "lambda1", "M1", "mu", "B0",
-                                   "min_points", "sphere_min"]
+    assert list(doc["params"]) == ["K", "M1", "B0", "min_points",
+                                   "sphere_min"]
     json.dumps(doc)  # must be serializable as-is
     # deg-1 polynomial serialization: list of (exponents, coefficient)
     for exps, coef in doc["F"]:

@@ -10,8 +10,7 @@ from ffrigidity.geometry import (Hyperplane, Sphere, hyperplane_contains,
                                  make_space, radical_hyperplane,
                                  radical_hyperplanes)
 from ffrigidity.stats import energies, make_config, membership_matrix
-from ffrigidity.strata import (EmptyOverlaps, RegularizationDegenerate,
-                               dyadic_class, heavy_layer_select,
+from ffrigidity.strata import (RegularizationDegenerate, dyadic_class,
                                low_layer_mass, pair_richness,
                                persistent_pairs, regularize,
                                richness_threshold, stratify)
@@ -279,48 +278,6 @@ def test_persistent_pairs_symmetric_and_profile():
     pairs = set(map(tuple, pp.pairs.tolist()))
     for (i, j) in pairs:
         assert (j, i) in pairs
-
-
-def test_heavy_layer_spec_example():
-    hl = heavy_layer_select([1, 1, 1, 1, 8])
-    assert hl.layer == 3
-    assert hl.mu == 8
-    assert hl.score == 8
-    assert hl.layer_mass == 8
-    assert hl.keys == (4,)
-
-
-def test_heavy_layer_uniform_values():
-    hl = heavy_layer_select([5, 5, 5])
-    assert hl.layer == 2
-    assert hl.keys == (0, 1, 2)
-    assert hl.score == 12
-
-
-def test_heavy_layer_tie_goes_to_larger_class():
-    # scores: j=0 -> 4, j=2 -> 4; tie resolved upward
-    hl = heavy_layer_select([1, 1, 1, 1, 4])
-    assert hl.layer == 2
-
-
-def test_heavy_layer_score_pigeonhole_random():
-    rng = random.Random(49)
-    for _ in range(200):
-        vals = [rng.randrange(0, 40) for _ in range(rng.randrange(1, 25))]
-        if not any(vals):
-            continue
-        hl = heavy_layer_select(vals)
-        total_score = sum((1 << dyadic_class(v)) for v in vals if v > 0)
-        # the score is within a factor 2 of the mass it stands for
-        assert hl.layer_mass >= hl.score > hl.layer_mass / 2
-        assert hl.score * hl.nonempty_layers >= total_score
-
-
-def test_heavy_layer_empty_rejected():
-    with pytest.raises(EmptyOverlaps):
-        heavy_layer_select([0, 0])
-    with pytest.raises(EmptyOverlaps):
-        heavy_layer_select([])
 
 
 def test_regularize_postconditions():
