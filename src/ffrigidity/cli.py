@@ -30,8 +30,8 @@ from .strata import stratify
 from .verify import _is_int, verify_certificate
 
 EXPERIMENT_HEADER = ["q", "d", "kind", "np", "ns", "noise", "seed", "c_const",
-                     "K", "case", "p_prime", "p_prime_frac", "deg_F", "D",
-                     "B0", "recovered", "runtime_ms"]
+                     "K", "case", "p_prime", "p_prime_frac", "deg_F", "B0",
+                     "recovered", "runtime_ms"]
 
 GRID_AXES = ["q", "d", "kind", "np", "ns", "noise", "seed", "b0", "c_const"]
 
@@ -85,6 +85,8 @@ def config_to_dict(config: Config, meta: dict | None = None) -> dict:
 
 
 def config_from_dict(doc: dict, what: str = "config") -> Config:
+    if not isinstance(doc, dict):
+        raise CliError(f"{what}: top level must be an object")
     q = _require(doc, "q", what)
     d = _require(doc, "d", what)
     raw_points = _require(doc, "points", what)
@@ -273,7 +275,6 @@ def _experiment_cell(cell: dict) -> dict:
     else:
         recovered = ""
     deg = cert.F.degree() if cert.F is not None else ""
-    dval = cert.aux.get("D")
     return {
         "q": cell["q"], "d": cell["d"], "kind": cell["kind"],
         "np": cell["np"], "ns": cell["ns"],
@@ -284,7 +285,6 @@ def _experiment_cell(cell: dict) -> dict:
         "p_prime": n_prime,
         "p_prime_frac": f"{n_prime / n_points:.6g}",
         "deg_F": deg,
-        "D": dval if dval is not None else "",
         "B0": cert.params["B0"],
         "recovered": recovered,
         "runtime_ms": elapsed_ms,

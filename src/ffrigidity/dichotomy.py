@@ -241,16 +241,6 @@ def affine_dichotomy(directions, chart: int, D: int, q: int) -> AffineDichotomyR
                                  len(chart_pts), len(basis.exponents), D)
 
 
-def minimal_degree(n_size: int, d: int) -> int:
-    """Smallest D >= 1 with C(d-1+D, d-1) > n_size."""
-    if n_size < 0:
-        raise ValueError("direction count must be non-negative")
-    D = 1
-    while comb(d - 1 + D, d - 1) <= n_size:
-        D += 1
-    return D
-
-
 @dataclass(frozen=True)
 class VeroneseResult:
     branch: str  # "dependent" or "too-few"

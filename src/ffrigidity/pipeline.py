@@ -7,8 +7,8 @@ on the geometry of the surviving hyperplane family: either many of them
 share a codimension-2 flat (flat concentration) and the certificate
 hyperplane is the richest member of that pencil, or the family spreads
 over many directions (directional coordination) and the certificate
-comes from the most popular direction and offset, with a low-degree
-form recording the directional structure.
+hyperplane has the most popular direction and, within it, the most
+popular offset.
 
 Every certificate is re-verified against its own claims before being
 returned, and serializes to a fixed-shape JSON document.
@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dichotomy import (Polynomial, affine_dichotomy, minimal_degree)
+from .dichotomy import Polynomial
 from .exact import SqrtRational
 from .field import PrimeField, group_rows, inverse_table
 from .geometry import (Flat, Hyperplane, flat_contained_in, sphere_contains,
@@ -166,9 +166,7 @@ class CaseSplit:
     tag: str
     witness: Flat | None
     pencil: tuple
-    directions: tuple
     max_multiplicity: int
-    b0: int
 
 
 def case_split(ms: HyperplaneMultiset, b0: int, field: PrimeField) -> CaseSplit:
@@ -178,10 +176,8 @@ def case_split(ms: HyperplaneMultiset, b0: int, field: PrimeField) -> CaseSplit:
     if profile.max_multiplicity >= b0 + 1:
         members = sorted(ms.support[i] for i in profile.pencil)
         return CaseSplit(CASE_FLAT, profile.witness, tuple(members),
-                         (), profile.max_multiplicity, b0)
-    _, directions = parallel_classes(ms)
-    return CaseSplit(CASE_DIRECTIONAL, None, (), directions,
-                     profile.max_multiplicity, b0)
+                         profile.max_multiplicity)
+    return CaseSplit(CASE_DIRECTIONAL, None, (), profile.max_multiplicity)
 
 
 @dataclass(frozen=True)
@@ -198,14 +194,14 @@ class Certificate:
     points_idx: tuple
     spheres_idx: tuple
     witness_flat: Flat | None
-    aux: dict
+    flags: tuple
     params: dict
 
     def to_dict(self) -> dict:
         """Fixed-shape serialization; every field is always present."""
-        aux, params = self.aux, self.params
+        params = self.params
         return {
-            "schema": 2,
+            "schema": 3,
             "case": self.case,
             "F": self.F.to_pairs() if self.F is not None else None,
             "hyperplane": (
@@ -215,10 +211,7 @@ class Certificate:
             "points": list(self.points_idx),
             "spheres": list(self.spheres_idx),
             "aux": {
-                "R": aux["R"].to_pairs() if aux["R"] is not None else None,
-                "chart": aux["chart"],
-                "D": aux["D"],
-                "flags": list(aux["flags"]),
+                "flags": list(self.flags),
                 "witness_flat": (
                     {"rows": [list(r) for r in self.witness_flat.rows],
                      "values": list(self.witness_flat.values)}
@@ -226,7 +219,6 @@ class Certificate:
             },
             "params": {
                 "K": float(params["K"]),
-                "M1": params["M1"],
                 "B0": params["B0"],
                 "min_points": params["min_points"],
                 "sphere_min": params["sphere_min"],
@@ -252,9 +244,8 @@ def linear_form_of(h: Hyperplane, q: int) -> Polynomial:
 def _no_signal(K: SqrtRational, b0: int, reason: str) -> Certificate:
     return Certificate(
         case=CASE_NO_SIGNAL, F=None, hyperplane=None, points_idx=(),
-        spheres_idx=(), witness_flat=None,
-        aux={"R": None, "chart": None, "D": None, "flags": (reason,)},
-        params={"K": K, "M1": 0, "B0": b0, "min_points": 0, "sphere_min": 0},
+        spheres_idx=(), witness_flat=None, flags=(reason,),
+        params={"K": K, "B0": b0, "min_points": 0, "sphere_min": 0},
     )
 
 
@@ -302,8 +293,6 @@ def extract_certificate(config: Config,
         _positions(ms.support, retained.support), axis=1)
     split = case_split(retained, b0, fq)
 
-    flags: list = []
-    aux: dict = {"R": None, "chart": None, "D": None}
     witness = None
     if split.tag == CASE_FLAT:
         witness = split.witness
@@ -313,18 +302,6 @@ def extract_certificate(config: Config,
         h0 = min(h for h, r in zip(split.pencil, rich) if r == top)
         case = CASE_FLAT
     else:
-        directions = split.directions
-        D = minimal_degree(len(directions), d)
-        if D >= q:
-            flags.append("interpolation-trivial")
-        chart = _pigeonhole_chart(directions, d)
-        result = affine_dichotomy(directions, chart, D, q)
-        if result.branch == "algebraic":
-            aux["R"] = result.chart_poly
-        else:
-            flags.append("dichotomy-large")
-        aux["chart"] = chart
-        aux["D"] = D
         classes, _ = parallel_classes(retained)
         top_mass = max(c.mass for c in classes)
         popular = min((c for c in classes if c.mass == top_mass),
@@ -353,22 +330,9 @@ def extract_certificate(config: Config,
         points_idx=points_idx,
         spheres_idx=spheres_idx,
         witness_flat=witness,
-        aux={**aux, "flags": tuple(flags)},
-        params={"K": K, "M1": reg.degree_scale, "B0": b0, "min_points": lam1,
-                "sphere_min": sphere_min},
+        flags=(),
+        params={"K": K, "B0": b0, "min_points": lam1, "sphere_min": sphere_min},
     )
-
-
-def _pigeonhole_chart(directions, d: int) -> int:
-    """Chart with the most directions; some chart holds at least |N|/d."""
-    counts = [0] * d
-    for n in directions:
-        for i, c in enumerate(n):
-            if c:
-                counts[i] += 1
-    best = max(counts)
-    assert best * d >= len(directions)
-    return counts.index(best) + 1
 
 
 def _positions(family: tuple, members) -> list:
@@ -402,18 +366,13 @@ class RetentionReport:
     double_count_ok: bool
     degree_min: int
     degree_max: int
-    in_window: bool
-    window_bounds_ok: bool | None
 
 
 def retention_check(config: Config, cert: Certificate) -> RetentionReport:
-    """Double-counting and degree-window checks for the retained points.
+    """Double-counting check for the retained points.
 
     The incidence count between the structured points and the sphere
     family is computed in both summation orders, which must agree.
-    When all retained sphere degrees happen to sit inside the recorded
-    window [M1, 2*M1), the implied two-sided incidence bounds with
-    constants 1 and 2 are asserted.
     """
     q = config.q
     pprime = [config.points[i] for i in cert.points_idx]
@@ -421,20 +380,9 @@ def retention_check(config: Config, cert: Certificate) -> RetentionReport:
     point_sphere_degs = [sum(sphere_contains(s, p, q) for s in config.spheres)
                          for p in pprime]
     by_point = sum(point_sphere_degs)
-    ok = by_sphere == by_point
-    m1 = cert.params["M1"]
-    dmin = min(point_sphere_degs, default=0)
-    dmax = max(point_sphere_degs, default=0)
-    in_window = bool(pprime) and m1 > 0 and dmin >= m1 and dmax < 2 * m1
-    window_ok = None
-    if in_window:
-        window_ok = (m1 * len(pprime) <= by_point <= 2 * m1 * len(pprime))
-        assert window_ok
     return RetentionReport(
         incidences=by_point,
-        double_count_ok=ok,
-        degree_min=dmin,
-        degree_max=dmax,
-        in_window=in_window,
-        window_bounds_ok=window_ok,
+        double_count_ok=by_sphere == by_point,
+        degree_min=min(point_sphere_degs, default=0),
+        degree_max=max(point_sphere_degs, default=0),
     )

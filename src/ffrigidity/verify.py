@@ -1,10 +1,12 @@
 """Independent certificate checking against raw JSON documents.
 
-This module deliberately avoids the extraction pipeline: it re-derives
-every claim from the configuration and the serialized certificate
-alone, so that any single-field tampering of a valid document trips at
-least one check.  Each failure is reported as a human-readable string;
-an empty list means the certificate verifies.
+This module deliberately avoids the extraction pipeline: it checks
+each claim against the configuration and the serialized certificate
+alone.  It does not yet re-derive everything: K and the two floors
+`min_points` and `sphere_min` are still taken from the document, not
+recomputed from the configuration, so a document that lowers its own
+floors still verifies.  Each failure is reported as a human-readable
+string; an empty list means the certificate verifies.
 """
 
 from __future__ import annotations
@@ -57,8 +59,8 @@ def verify_certificate(config: Config, cert: dict) -> list:
     failures: list = []
 
     schema = cert.get("schema")
-    if not (_is_int(schema) and schema == 2):
-        return [f"schema must be 2, not {schema!r}"]
+    if not (_is_int(schema) and schema == 3):
+        return [f"schema must be 3, not {schema!r}"]
     case = cert.get("case")
     if case not in ("flat-concentration", "directional-coordination",
                     "no-signal"):

@@ -131,6 +131,21 @@ def test_config_non_integer_value_exits_2(tmp_path, capsys, command, mutate,
     assert where in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "extract", "verify"])
+@pytest.mark.parametrize("top", [5, None, "q"],
+                         ids=["int", "null", "string"])
+def test_config_top_level_not_object_exits_2(tmp_path, capsys, command,
+                                             top):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(top))
+    cert = tmp_path / "cert.json"
+    cert.write_text("{}")
+    argv = [command, str(cfg)] + ([str(cert)] if command == "verify" else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: config: ") and "Traceback" not in err
+
+
 def test_extract_bad_c_const_exits_2(tmp_path, capsys):
     cfg = gen_config(tmp_path, capsys)
     code, _, err = run(capsys, "extract", str(cfg), "--c-const", "abc")
@@ -187,12 +202,13 @@ def _float_exponent(doc):
     lambda doc: doc["params"].pop("min_points"),
     lambda doc: doc.pop("schema"),
     lambda doc: doc.update(schema=1),
+    lambda doc: doc.update(schema=2),
 ], ids=["params", "min-points", "normal-entry", "offset", "aux",
         "point-index-bool", "min-points-bool", "sphere-min-bool",
         "sphere-index-bool", "normal-bool", "offset-bool",
         "witness-flat-bool", "f-coefficient-bool", "f-exponent-float",
         "offset-missing", "min-points-missing", "schema-missing",
-        "schema-1"])
+        "schema-1", "schema-2"])
 def test_verify_malformed_certificate_fails(tmp_path, capsys, mutate):
     cfg = gen_config(tmp_path, capsys)
     cert = tmp_path / "cert.json"
@@ -224,12 +240,12 @@ def test_experiment_csv_shape(tmp_path, capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["q", "d", "kind", "np", "ns", "noise", "seed",
                        "c_const", "K", "case", "p_prime", "p_prime_frac",
-                       "deg_F", "D", "B0", "recovered", "runtime_ms"]
+                       "deg_F", "B0", "recovered", "runtime_ms"]
     assert len(rows) == 3
     for row in rows[1:]:
         assert row[0] == "5" and row[2] == "reflected-pairs"
         assert row[7] == "1/4"
-        assert row[15] == "1"  # planted plane recovered
+        assert row[14] == "1"  # planted plane recovered
 
 
 def test_experiment_deterministic_modulo_runtime(tmp_path, capsys):

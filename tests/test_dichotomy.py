@@ -8,7 +8,7 @@ from ffrigidity.dichotomy import (BasisTooLarge, EmptyChart, Polynomial,
                                   affine_dichotomy, dichotomy,
                                   enumerate_monomials, evaluation_matrix,
                                   homogenize, linear_form_power,
-                                  minimal_degree, monomial_basis,
+                                  monomial_basis,
                                   polynomial_from_vector, veronese_dependence)
 from ffrigidity.geometry import all_projective_directions, canonical_hyperplane
 
@@ -158,16 +158,6 @@ def test_homogenize_roundtrip_on_chart():
     for a in range(q):
         for b in range(q):
             assert hom.evaluate((1, a, b), q) == p.evaluate((a, b), q)
-
-
-def test_minimal_degree_examples():
-    assert minimal_degree(10, 3) == 4
-    assert minimal_degree(0, 3) == 1
-    assert minimal_degree(2, 3) == 1
-    for n in range(40):
-        D = minimal_degree(n, 3)
-        assert comb(2 + D, 2) > n
-        assert D == 1 or comb(2 + D - 1, 2) <= n
 
 
 # oracle: evaluate (<n,x> - b)^D pointwise and compare against the

@@ -281,7 +281,6 @@ def test_case_split_parallel_family_directional():
     ms = manual_multiset(dict.fromkeys(hs, 2))
     split = case_split(ms, b0=1, field=f)
     assert split.tag == CASE_DIRECTIONAL
-    assert split.directions == ((1, 0, 0),)
     assert split.max_multiplicity == 0
 
 
@@ -307,7 +306,7 @@ def test_extract_no_signal_on_concentric_family():
     cert = extract_certificate(cfg)
     assert cert.case == CASE_NO_SIGNAL
     assert cert.F is None and cert.hyperplane is None
-    assert cert.aux["flags"] == ("no-persistent-pairs",)
+    assert cert.flags == ("no-persistent-pairs",)
     assert verify_certificate(cfg, cert.to_dict()) == []
 
 
@@ -349,29 +348,29 @@ def test_extract_certificate_postconditions_random():
 GOLDEN_CERTIFICATES = [
     # kind, q, d, np, ns, seed, noise, c_const, b0, case, sha256
     ("uniform-random", 5, 3, 20, 8, 0, 0.0, "1/4", None, "directional-coordination",
-     "9d79b1fcb29ec8976cd2352d898b06d831dfe6ae8cfe1c7f8341fa01e070fb1f"),
+     "77eb9cffc2e0eb18304108d57955ba7ec32f6a48a390212132f030cb083db002"),
     ("uniform-random", 5, 3, 30, 30, 0, 0.0, "1/4", None, "directional-coordination",
-     "f7782cad66c63a6b6e02ea07d8da35f5742ecc3a693f15e22adbd9d89c269ef9"),
+     "846f69db5b33f70ac52bf1f72ed3d2684abf8917465089a3626ca4aedc15218e"),
     ("reflected-pairs", 7, 3, 30, 30, 0, 0.2, "1/4", None, "directional-coordination",
-     "e4a2768e845b220d798f99489fc61f333f57f844a1e9cefeb9c4ad4f39caae31"),
+     "e79105f09a8a5e002e8eb8a0b924c1d501255391fe58acaab6ceceb8699341f0"),
     ("uniform-random", 7, 3, 30, 30, 0, 0.0, "1/4", None, "flat-concentration",
-     "40e07edbc30a2bcabc8d1730f59bded1636106d85067508eb33d8a50eeb0e5ef"),
+     "249a85a71ba197c71584e731cb876402718eba6c9ed89761ce5eca694e29cdb5"),
     ("hyperplane-planted", 7, 3, 30, 20, 1, 0.0, "1/4", None, "flat-concentration",
-     "23df3c21cc0ffa5682a720b791d47e410ad390313ee9ed37753c38af9f4f1023"),
+     "c48503b7b909a93570163c64c0e22b5955f66c993f03cbb0192d377be12cf18e"),
     ("uniform-random", 7, 3, 30, 30, 0, 0.0, "50", None, "no-signal",
-     "1c25e33e63e624dee932136cf057910cc30c0e574eda1f5b78e7060cc98e6c91"),
+     "30eb43671c92fd6ee47e3dc75936183f726c1b55de12cc67f03d4d5c2f9f8c2e"),
     ("uniform-random", 5, 4, 40, 12, 0, 0.0, "1/4", None, "directional-coordination",
-     "127aec43f6bfd5488eaeaac9941dc94297c9a8fc817e37af2eb47ba24db6038f"),
+     "6f48f2a47145d1ec05f0816499fc605e0af989c15721b30c1dfaf88df5e8ba2a"),
     ("reflected-pairs", 5, 4, 40, 12, 1, 0.0, "1/4", None, "directional-coordination",
-     "854bec0fa216c8b35fb768cbe285d969c0e171c6659f3800ad888e61cdc33464"),
+     "52d7c5bc419991f6e63c7f7a06e24c36b1ddcb1438e341b090b79121967bdf96"),
     ("quadric-planted", 5, 4, 40, 12, 1, 0.0, "1/4", 2, "flat-concentration",
-     "39563847eb09b86bf73886ee6ef91594b6c1940083d5cd492dea8868032978eb"),
+     "daaf5f11fa09361829d81e7562108573eb39d3e9c1d103c07eff75bc77971612"),
     ("hyperplane-planted", 5, 4, 40, 12, 2, 0.0, "1/4", 1, "flat-concentration",
-     "d50d79c9521c1a29594bc1523888864c24251ebf5ce680f7237acf06c7891779"),
+     "0095dd6d494b1f0e7e0515e94ed59061e9f61cc08a9ac4f360c87d169fe33478"),
     ("hyperplane-planted", 5, 4, 40, 12, 0, 0.0, "50", None, "no-signal",
-     "dc607945b4a98083c55bd982c7e4fe9b9769be990274b131f72d886aef1167d4"),
+     "e963fea6ff8c9acf1953a93add166835316d81685ab3cfba8cbc44e31d764da3"),
     ("uniform-random", 5, 4, 30, 30, 1, 0.0, "50", None, "no-signal",
-     "ae554a92128fbd01b9c15bef64e10e57e9697910155cdbdb941bdb3a3296e963"),
+     "ded68e0542249d20f44a38503403282d41778f266b214b6faa781cdd22943d87"),
 ]
 
 
@@ -416,6 +415,30 @@ def test_extract_computes_each_incidence_once(monkeypatch):
                          "incidence_gram": 1}
 
 
+def test_directional_extract_runs_no_dichotomy(monkeypatch):
+    # h0 comes from the popular direction and offset alone; no vanishing
+    # form is solved for on the extract path
+    def refuse(*args, **kwargs):
+        raise AssertionError("extract reached the dichotomy")
+
+    modules = [m for n, m in sys.modules.items()
+               if n == "ffrigidity" or n.startswith("ffrigidity.")]
+    for module in modules:
+        for name in ("affine_dichotomy", "kernel_basis"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    directional = [row for row in GOLDEN_CERTIFICATES
+                   if row[9] == CASE_DIRECTIONAL]
+    assert len(directional) == 5
+    for (kind, q, d, np_, ns, seed, noise, c_const, b0, case,
+         _) in directional:
+        cfg = generate(GeneratorSpec(kind, q, d, np_, ns, seed, noise)).config
+        cert = extract_certificate(
+            cfg, ExtractOptions(c_const=Fraction(c_const), b0=b0))
+        assert cert.case == case
+        assert verify_certificate(cfg, cert.to_dict()) == []
+
+
 class _UnreadablePoints(tuple):
     """Point tuples whose length and truth value can be read, but which
     refuse iteration and indexing."""
@@ -449,10 +472,9 @@ def test_certificate_json_shape():
     doc = cert.to_dict()
     assert list(doc) == ["schema", "case", "F", "hyperplane", "points",
                          "spheres", "aux", "params"]
-    assert doc["schema"] == 2
-    assert list(doc["aux"]) == ["R", "chart", "D", "flags", "witness_flat"]
-    assert list(doc["params"]) == ["K", "M1", "B0", "min_points",
-                                   "sphere_min"]
+    assert doc["schema"] == 3
+    assert list(doc["aux"]) == ["flags", "witness_flat"]
+    assert list(doc["params"]) == ["K", "B0", "min_points", "sphere_min"]
     json.dumps(doc)  # must be serializable as-is
     # deg-1 polynomial serialization: list of (exponents, coefficient)
     for exps, coef in doc["F"]:
@@ -473,8 +495,6 @@ def test_retention_check_reports():
     rep = retention_check(cfg, cert)
     assert rep.double_count_ok
     assert rep.incidences >= 0
-    if rep.in_window:
-        assert rep.window_bounds_ok
 
 
 def test_verify_rejects_zero_polynomial():
