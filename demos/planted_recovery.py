@@ -3,8 +3,8 @@
 
 The generator puts every point on a hidden plane H and builds spheres in
 mirror pairs straddling it, so each pair's bisector is H itself.  The
-extraction pipeline should hand back a degree-1 polynomial cutting out
-exactly that plane.  We sweep a few seeds and some noise levels; the
+extraction pipeline should hand back exactly that plane, with the
+points it carries.  We sweep a few seeds and some noise levels; the
 bisector stays rich even with a fair share of off-plane points, so
 recovery holds up well past mild noise at this size.
 """
@@ -34,7 +34,6 @@ def main():
     print("planted plane:", g.planted)
     cert = extract_certificate(g.config)
     print("case:", cert.case)
-    print("recovered F:", cert.F.terms)
     print("recovered plane:", cert.hyperplane)
     print("structured points:", len(cert.points_idx), "of",
           len(g.config.points))

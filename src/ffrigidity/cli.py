@@ -14,7 +14,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -30,8 +29,8 @@ from .strata import stratify
 from .verify import _is_int, verify_certificate
 
 EXPERIMENT_HEADER = ["q", "d", "kind", "np", "ns", "noise", "seed", "c_const",
-                     "K", "case", "p_prime", "p_prime_frac", "deg_F", "B0",
-                     "recovered", "runtime_ms"]
+                     "K", "case", "p_prime", "p_prime_frac", "B0", "recovered",
+                     "runtime_ms"]
 
 GRID_AXES = ["q", "d", "kind", "np", "ns", "noise", "seed", "b0", "c_const"]
 
@@ -274,7 +273,6 @@ def _experiment_cell(cell: dict) -> dict:
                             and cert.hyperplane == gconf.planted))
     else:
         recovered = ""
-    deg = cert.F.degree() if cert.F is not None else ""
     return {
         "q": cell["q"], "d": cell["d"], "kind": cell["kind"],
         "np": cell["np"], "ns": cell["ns"],
@@ -284,7 +282,6 @@ def _experiment_cell(cell: dict) -> dict:
         "case": cert.case,
         "p_prime": n_prime,
         "p_prime_frac": f"{n_prime / n_points:.6g}",
-        "deg_F": deg,
         "B0": cert.params["B0"],
         "recovered": recovered,
         "runtime_ms": elapsed_ms,
@@ -293,18 +290,7 @@ def _experiment_cell(cell: dict) -> dict:
 
 def cmd_experiment(args) -> int:
     cells = _parse_grid(_load_json(args.grid, "grid"))
-    workers = os.environ.get("FFRIGIDITY_WORKERS", "1")
-    try:
-        workers = min(max(1, int(workers)), os.cpu_count() or 1)
-    except ValueError:
-        raise CliError("FFRIGIDITY_WORKERS: not an integer")
-    if workers > 1 and len(cells) > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(workers) as pool:
-            rows = pool.map(_experiment_cell, cells)
-    else:
-        rows = [_experiment_cell(c) for c in cells]
+    rows = [_experiment_cell(c) for c in cells]
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=EXPERIMENT_HEADER,
                             lineterminator="\n")

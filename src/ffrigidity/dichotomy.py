@@ -97,9 +97,6 @@ class Polynomial:
         coefs = np.asarray([c % q for _, c in self.terms], dtype=np.int64)
         return (values * coefs).sum(axis=1) % q
 
-    def to_pairs(self):
-        return [[list(e), c] for e, c in self.terms]
-
 
 def polynomial_from_vector(basis: MonomialBasis, vec, q: int) -> Polynomial:
     terms = tuple((e, c % q) for e, c in zip(basis.exponents, vec) if c % q)

@@ -89,15 +89,13 @@ def parallel_classes(ms: HyperplaneMultiset):
 
     Canonical normals are equal exactly when the hyperplanes are
     parallel, so the classes partition the support.  Returns the classes
-    sorted by direction together with the direction set.
+    sorted by direction.
     """
     grouped: dict = {}
     for h in ms.support:
         grouped.setdefault(h.normal, {})[h.offset] = ms.counts[h]
-    classes = [ParallelClass(direction=n, offsets=offs)
-               for n, offs in sorted(grouped.items())]
-    directions = tuple(c.direction for c in classes)
-    return classes, directions
+    return [ParallelClass(direction=n, offsets=offs)
+            for n, offs in sorted(grouped.items())]
 
 
 def popular_offset(pc: ParallelClass, q: int):

@@ -10,8 +10,9 @@ over many directions (directional coordination) and the certificate
 hyperplane has the most popular direction and, within it, the most
 popular offset.
 
-Every certificate is re-verified against its own claims before being
-returned, and serializes to a fixed-shape JSON document.
+A certificate is that hyperplane, the points it carries and a rich
+sphere subfamily.  Its claims are asserted before it is returned, and
+it serializes to a fixed-shape JSON document.
 """
 
 from __future__ import annotations
@@ -21,11 +22,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dichotomy import Polynomial
 from .exact import SqrtRational
 from .field import PrimeField, group_rows, inverse_table
-from .geometry import (Flat, Hyperplane, flat_contained_in, sphere_contains,
-                       sphere_incidence)
+from .geometry import (Flat, Hyperplane, flat_contained_in,
+                       hyperplane_incidence, sphere_contains, sphere_incidence)
 from .multiset import (HyperplaneMultiset, build_multiset, mass_retention,
                        parallel_classes, popular_offset)
 from .stats import Config, energies, membership_matrix
@@ -189,7 +189,6 @@ class ExtractOptions:
 @dataclass(frozen=True)
 class Certificate:
     case: str
-    F: Polynomial | None
     hyperplane: Hyperplane | None
     points_idx: tuple
     spheres_idx: tuple
@@ -201,9 +200,8 @@ class Certificate:
         """Fixed-shape serialization; every field is always present."""
         params = self.params
         return {
-            "schema": 3,
+            "schema": 4,
             "case": self.case,
-            "F": self.F.to_pairs() if self.F is not None else None,
             "hyperplane": (
                 {"normal": list(self.hyperplane.normal),
                  "offset": self.hyperplane.offset}
@@ -226,24 +224,9 @@ class Certificate:
         }
 
 
-def linear_form_of(h: Hyperplane, q: int) -> Polynomial:
-    """<n, x> - b as a degree-1 polynomial in d variables."""
-    d = len(h.normal)
-    terms = []
-    for i, c in enumerate(h.normal):
-        if c % q:
-            e = [0] * d
-            e[i] = 1
-            terms.append((tuple(e), c % q))
-    if h.offset % q:
-        terms.append(((0,) * d, (-h.offset) % q))
-    terms.sort(key=lambda t: (sum(t[0]), tuple(-x for x in t[0])))
-    return Polynomial(nvars=d, terms=tuple(terms))
-
-
 def _no_signal(K: SqrtRational, b0: int, reason: str) -> Certificate:
     return Certificate(
-        case=CASE_NO_SIGNAL, F=None, hyperplane=None, points_idx=(),
+        case=CASE_NO_SIGNAL, hyperplane=None, points_idx=(),
         spheres_idx=(), witness_flat=None, flags=(reason,),
         params={"K": K, "B0": b0, "min_points": 0, "sphere_min": 0},
     )
@@ -302,7 +285,7 @@ def extract_certificate(config: Config,
         h0 = min(h for h, r in zip(split.pencil, rich) if r == top)
         case = CASE_FLAT
     else:
-        classes, _ = parallel_classes(retained)
+        classes = parallel_classes(retained)
         top_mass = max(c.mass for c in classes)
         popular = min((c for c in classes if c.mass == top_mass),
                       key=lambda c: c.direction)
@@ -318,14 +301,12 @@ def extract_certificate(config: Config,
 
     sphere_min, spheres_idx = _rich_sphere_subfamily(membership[idx])
 
-    F = linear_form_of(h0, q)
-    assert not F.evaluate_many(config.point_array[idx], q).any()
+    assert hyperplane_incidence(config.point_array[idx], [h0], q).all()
     if witness is not None:
         assert flat_contained_in(witness, h0, fq)
 
     return Certificate(
         case=case,
-        F=F,
         hyperplane=h0,
         points_idx=points_idx,
         spheres_idx=spheres_idx,

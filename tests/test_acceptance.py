@@ -19,7 +19,7 @@ from ffrigidity.dichotomy import (affine_dichotomy, dichotomy, homogenize,
 from ffrigidity.field import PrimeField
 from ffrigidity.generators import (GeneratorSpec, dot_product_system,
                                    generate, pinned_sphere_system)
-from ffrigidity.geometry import (Sphere, canonical_hyperplane,
+from ffrigidity.geometry import (Hyperplane, Sphere, canonical_hyperplane,
                                  flat_from_pair, hyperplane_contains,
                                  make_space, quad_norm, radical_hyperplane,
                                  sphere_points)
@@ -224,7 +224,7 @@ def test_criterion_06_pigeonhole_bounds(grid_configs):
     assert families
     offsets_checked = 0
     for cfg, ms in families:
-        classes, _ = parallel_classes(ms)
+        classes = parallel_classes(ms)
         for cl in classes:
             b0, m0 = popular_offset(cl, cfg.q)
             assert m0 * cfg.q >= cl.mass
@@ -257,19 +257,6 @@ def test_criterion_07_fiber_bound(grid_configs):
               f"{checked} hyperplanes across {len(families)} families")
 
 
-def _planted_matches(cert, planted, q):
-    if cert.F is None or cert.F.degree() != 1:
-        return False
-    normal = [0, 0, 0]
-    offset = 0
-    for exps, coef in cert.F.terms:
-        if sum(exps) == 1:
-            normal[list(exps).index(1)] = coef % q
-        else:
-            offset = (-coef) % q
-    return canonical_hyperplane(tuple(normal), offset, q) == planted
-
-
 def test_criterion_08_planted_recovery():
     slow = 0.0
     for q in (5, 7, 11):
@@ -282,7 +269,6 @@ def test_criterion_08_planted_recovery():
             elapsed = time.perf_counter() - start
             slow = max(slow, elapsed)
             assert elapsed < 5.0
-            assert _planted_matches(cert, g.planted, q)
             assert cert.hyperplane == g.planted
             assert cert.points_idx == tuple(range(len(g.config.points)))
     hits = 0
@@ -324,21 +310,17 @@ def test_criterion_09_mutation_suite():
             pts[pos] += delta
             assert verify_certificate(cfg, mutated(points=pts))
             rejected += 1
-    # every coefficient of F, every nonzero shift
-    for pos in range(len(base["F"])):
-        for delta in range(1, q):
-            terms = [list(t) for t in base["F"]]
-            terms[pos] = [terms[pos][0], (terms[pos][1] + delta) % q]
-            assert verify_certificate(cfg, mutated(F=terms))
-            rejected += 1
-    # zero polynomial
-    assert verify_certificate(cfg, mutated(F=[]))
-    rejected += 1
+
+    def misses(hp):
+        h = Hyperplane(tuple(hp["normal"]), hp["offset"])
+        return sum(not hyperplane_contains(h, p, q) for p in cfg.points)
+
     # hyperplane offset, every nonzero shift
     for delta in range(1, q):
         hp = dict(base["hyperplane"])
         hp["offset"] = (hp["offset"] + delta) % q
-        assert verify_certificate(cfg, mutated(hyperplane=hp))
+        assert f"hyperplane misses {misses(hp)} structured point(s)" in \
+            verify_certificate(cfg, mutated(hyperplane=hp))
         rejected += 1
     # hyperplane normal entries
     for pos in range(3):
@@ -349,7 +331,9 @@ def test_criterion_09_mutation_suite():
             hp["normal"] = normal
             if hp["normal"] == base["hyperplane"]["normal"]:
                 continue
-            assert verify_certificate(cfg, mutated(hyperplane=hp))
+            assert misses(hp) > 0
+            assert f"hyperplane misses {misses(hp)} structured point(s)" \
+                in verify_certificate(cfg, mutated(hyperplane=hp))
             rejected += 1
     report(9, f"{rejected} single-field mutations, 0 false accepts")
 

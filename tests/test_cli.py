@@ -177,11 +177,6 @@ def _bool_witness_flat(doc):
                                   "values": [doc["hyperplane"]["offset"], 0]}
 
 
-def _float_exponent(doc):
-    exps = doc["F"][-1][0]  # the last term has degree 1
-    exps[exps.index(1)] = 1.0
-
-
 @pytest.mark.parametrize("mutate", [
     lambda doc: doc.update(params="x"),
     lambda doc: doc["params"].update(min_points="3"),
@@ -196,19 +191,17 @@ def _float_exponent(doc):
     lambda doc: doc["hyperplane"]["normal"].__setitem__(0, True),
     lambda doc: doc["hyperplane"].update(offset=True),
     _bool_witness_flat,
-    lambda doc: next(t for t in doc["F"] if t[1] == 1).__setitem__(1, True),
-    _float_exponent,
     lambda doc: doc["hyperplane"].pop("offset"),
     lambda doc: doc["params"].pop("min_points"),
     lambda doc: doc.pop("schema"),
     lambda doc: doc.update(schema=1),
     lambda doc: doc.update(schema=2),
+    lambda doc: doc.update(schema=3),
 ], ids=["params", "min-points", "normal-entry", "offset", "aux",
         "point-index-bool", "min-points-bool", "sphere-min-bool",
         "sphere-index-bool", "normal-bool", "offset-bool",
-        "witness-flat-bool", "f-coefficient-bool", "f-exponent-float",
-        "offset-missing", "min-points-missing", "schema-missing",
-        "schema-1", "schema-2"])
+        "witness-flat-bool", "offset-missing", "min-points-missing",
+        "schema-missing", "schema-1", "schema-2", "schema-3"])
 def test_verify_malformed_certificate_fails(tmp_path, capsys, mutate):
     cfg = gen_config(tmp_path, capsys)
     cert = tmp_path / "cert.json"
@@ -240,12 +233,12 @@ def test_experiment_csv_shape(tmp_path, capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["q", "d", "kind", "np", "ns", "noise", "seed",
                        "c_const", "K", "case", "p_prime", "p_prime_frac",
-                       "deg_F", "B0", "recovered", "runtime_ms"]
+                       "B0", "recovered", "runtime_ms"]
     assert len(rows) == 3
     for row in rows[1:]:
         assert row[0] == "5" and row[2] == "reflected-pairs"
         assert row[7] == "1/4"
-        assert row[14] == "1"  # planted plane recovered
+        assert row[13] == "1"  # planted plane recovered
 
 
 def test_experiment_deterministic_modulo_runtime(tmp_path, capsys):
@@ -254,15 +247,6 @@ def test_experiment_deterministic_modulo_runtime(tmp_path, capsys):
     _, out2, _ = run(capsys, "experiment", str(grid))
     strip = lambda text: [r[:-1] for r in csv.reader(io.StringIO(text))]
     assert strip(out1) == strip(out2)
-
-
-def test_experiment_parallel_matches_serial(tmp_path, capsys, monkeypatch):
-    grid = grid_file(tmp_path, dict(BASE_GRID, seed=[1, 2, 3, 4]))
-    _, serial, _ = run(capsys, "experiment", str(grid))
-    monkeypatch.setenv("FFRIGIDITY_WORKERS", "2")
-    _, parallel, _ = run(capsys, "experiment", str(grid))
-    strip = lambda text: [r[:-1] for r in csv.reader(io.StringIO(text))]
-    assert strip(serial) == strip(parallel)
 
 
 def test_experiment_grid_errors(tmp_path, capsys):
@@ -284,7 +268,14 @@ def test_experiment_grid_errors(tmp_path, capsys):
     assert code == 2 and "nonempty" in err
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
+GOOD_CELL = {"q": 5, "kind": "reflected-pairs", "np": 10, "ns": 4, "d": 3,
+             "seed": 1, "noise": 0.0, "c_const": "1/4", "b0": None}
+
+
+# position 1: the bad value is its axis's only value, so every cell is
+# bad; position 2: it follows a good value of the same axis, so the
+# first cell runs and the grid fails part way, still writing no CSV
+@pytest.mark.parametrize("position", [1, 2])
 @pytest.mark.parametrize("bad", [{"q": [9]}, {"kind": ["nope"]},
                                  {"ns": [5]}, {"c_const": ["x"]},
                                  {"np": ["10"]}, {"ns": ["4"]}, {"q": ["5"]},
@@ -297,9 +288,10 @@ def test_experiment_grid_errors(tmp_path, capsys):
                               "string-d", "string-seed", "bool-np",
                               "list-noise", "negative-c-const", "zero-c-const",
                               "zero-b0", "string-b0"])
-def test_experiment_bad_cell_exits_2(tmp_path, capsys, monkeypatch, bad,
-                                     workers):
-    monkeypatch.setenv("FFRIGIDITY_WORKERS", workers)
+def test_experiment_bad_cell_exits_2(tmp_path, capsys, bad, position):
+    if position == 2:
+        bad = {axis: [GOOD_CELL[axis], *values]
+               for axis, values in bad.items()}
     grid = grid_file(tmp_path, dict(BASE_GRID, **bad))
     code, out, err = run(capsys, "experiment", str(grid))
     assert code == 2
@@ -318,54 +310,12 @@ def test_experiment_cell_options_match_extract(tmp_path, capsys):
         assert code == 2 and err.endswith(": c-const: must be positive\n")
 
 
-def test_workers_capped_at_cpu_count(tmp_path, capsys, monkeypatch):
-    import multiprocessing
-    import os
-
-    pools = []
-
-    class SerialPool:
-        """Stands in for multiprocessing.Pool without starting processes."""
-
-        def __init__(self, processes):
-            pools.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return [fn(x) for x in items]
-
-    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
-    monkeypatch.setenv("FFRIGIDITY_WORKERS", "1000")
-    grid = grid_file(tmp_path, BASE_GRID)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    code, capped, _ = run(capsys, "experiment", str(grid))
-    assert code == 0 and pools == [3]
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    code, serial, _ = run(capsys, "experiment", str(grid))
-    assert code == 0 and pools == [3]
-    strip = lambda text: [r[:-1] for r in csv.reader(io.StringIO(text))]
-    assert strip(capped) == strip(serial)
-
-
 def test_experiment_guard_trips(tmp_path, capsys):
     grid = grid_file(tmp_path, BASE_GRID)
     code, out, err = run(capsys, "experiment", str(grid), "--guard-k", "-1")
     assert code == 1
     assert "guard" in err
     assert out  # the CSV is still written in full
-
-
-def test_bad_workers_env_exits_2(tmp_path, capsys, monkeypatch):
-    grid = grid_file(tmp_path, BASE_GRID)
-    monkeypatch.setenv("FFRIGIDITY_WORKERS", "many")
-    code, _, err = run(capsys, "experiment", str(grid))
-    assert code == 2
-    assert "FFRIGIDITY_WORKERS" in err
 
 
 def test_missing_file_exits_2(tmp_path, capsys):

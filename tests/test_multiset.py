@@ -118,10 +118,10 @@ def test_parallel_classes_grouping():
         canonical_hyperplane((1, 0, 0), 1, q): 1,
         canonical_hyperplane((0, 1, 0), 0, q): 1,
     })
-    classes, directions = parallel_classes(ms)
+    classes = parallel_classes(ms)
     assert len(classes) == 2
     assert sorted(len(c.offsets) for c in classes) == [1, 2]
-    assert directions == ((0, 1, 0), (1, 0, 0))
+    assert [c.direction for c in classes] == [(0, 1, 0), (1, 0, 0)]
 
 
 def test_parallel_classes_pair_count_oracle():
@@ -129,7 +129,7 @@ def test_parallel_classes_pair_count_oracle():
     cfg = random_config(rng)
     pp = persistent_pairs(cfg, threshold=0)
     ms = build_multiset(pp, cfg, richness_min=0)
-    classes, _ = parallel_classes(ms)
+    classes = parallel_classes(ms)
     n = ms.geo_size
     sizes = [len(c.offsets) for c in classes]
     cross = n * n - sum(s * s for s in sizes)

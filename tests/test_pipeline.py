@@ -1,3 +1,4 @@
+import ast
 import collections
 import dataclasses
 import hashlib
@@ -14,7 +15,6 @@ from pathlib import Path
 import pytest
 
 from ffrigidity import field, geometry, pipeline, stats, strata
-from ffrigidity.dichotomy import Polynomial
 from ffrigidity.field import PrimeField
 from ffrigidity.geometry import (PARALLEL_DISJOINT, Sphere,
                                  canonical_hyperplane, flat_contained_in,
@@ -26,7 +26,7 @@ from ffrigidity.multiset import HyperplaneMultiset, build_multiset
 from ffrigidity.pipeline import (CASE_DIRECTIONAL, CASE_FLAT, CASE_NO_SIGNAL,
                                  Certificate, ExtractOptions, case_split,
                                  default_b0, extract_certificate,
-                                 flat_profile, linear_form_of, retention_check)
+                                 flat_profile, retention_check)
 from ffrigidity.stats import make_config
 from ffrigidity.strata import persistent_pairs
 from ffrigidity.verify import verify_certificate
@@ -305,7 +305,7 @@ def test_extract_no_signal_on_concentric_family():
                       [Sphere((0, 0, 0), r) for r in range(3)])
     cert = extract_certificate(cfg)
     assert cert.case == CASE_NO_SIGNAL
-    assert cert.F is None and cert.hyperplane is None
+    assert cert.hyperplane is None
     assert cert.flags == ("no-persistent-pairs",)
     assert verify_certificate(cfg, cert.to_dict()) == []
 
@@ -336,7 +336,7 @@ def test_extract_certificate_postconditions_random():
         checked += 1
         q_ = cfg.q
         for i in cert.points_idx:
-            assert cert.F.evaluate(cfg.points[i], q_) == 0
+            assert hyperplane_contains(cert.hyperplane, cfg.points[i], q_)
         assert cert.points_idx == tuple(sorted(set(cert.points_idx)))
         assert len(cert.points_idx) >= cert.params["min_points"]
     assert checked >= 4
@@ -348,29 +348,29 @@ def test_extract_certificate_postconditions_random():
 GOLDEN_CERTIFICATES = [
     # kind, q, d, np, ns, seed, noise, c_const, b0, case, sha256
     ("uniform-random", 5, 3, 20, 8, 0, 0.0, "1/4", None, "directional-coordination",
-     "77eb9cffc2e0eb18304108d57955ba7ec32f6a48a390212132f030cb083db002"),
+     "44a907a10c699b21fe342dbb7cce89b7adeac19aa5635172971a6437370daa2e"),
     ("uniform-random", 5, 3, 30, 30, 0, 0.0, "1/4", None, "directional-coordination",
-     "846f69db5b33f70ac52bf1f72ed3d2684abf8917465089a3626ca4aedc15218e"),
+     "647dbd9aa10fe608acdd86cd5539b29121af841dfac732eeac107634f9ef155c"),
     ("reflected-pairs", 7, 3, 30, 30, 0, 0.2, "1/4", None, "directional-coordination",
-     "e79105f09a8a5e002e8eb8a0b924c1d501255391fe58acaab6ceceb8699341f0"),
+     "fb4eadd4642e1e9753507d6c175da84d46fceea33c0c379c20697010dcf64afa"),
     ("uniform-random", 7, 3, 30, 30, 0, 0.0, "1/4", None, "flat-concentration",
-     "249a85a71ba197c71584e731cb876402718eba6c9ed89761ce5eca694e29cdb5"),
+     "43dc2f9a187d5ee6ae2c4fd86397bf07360e04d040749ebc10e8b294be56e1ba"),
     ("hyperplane-planted", 7, 3, 30, 20, 1, 0.0, "1/4", None, "flat-concentration",
-     "c48503b7b909a93570163c64c0e22b5955f66c993f03cbb0192d377be12cf18e"),
+     "0867159399f81aeaa5a11bbf81d49b36b5f96432f65c024c6b5c10c97f37d03f"),
     ("uniform-random", 7, 3, 30, 30, 0, 0.0, "50", None, "no-signal",
-     "30eb43671c92fd6ee47e3dc75936183f726c1b55de12cc67f03d4d5c2f9f8c2e"),
+     "9b3b475dd2a145cb8b130c93396797680e536b32e84cc70aee5560f9d0e8a6a3"),
     ("uniform-random", 5, 4, 40, 12, 0, 0.0, "1/4", None, "directional-coordination",
-     "6f48f2a47145d1ec05f0816499fc605e0af989c15721b30c1dfaf88df5e8ba2a"),
+     "c9fd64cef732ba8650b4310372b77b19f205f090ef9e0d61806414d2056db4d5"),
     ("reflected-pairs", 5, 4, 40, 12, 1, 0.0, "1/4", None, "directional-coordination",
-     "52d7c5bc419991f6e63c7f7a06e24c36b1ddcb1438e341b090b79121967bdf96"),
+     "0977c6b7fc9a78ee7cb32e48fe5ae7e359309020f5c31527925c367fffa177eb"),
     ("quadric-planted", 5, 4, 40, 12, 1, 0.0, "1/4", 2, "flat-concentration",
-     "daaf5f11fa09361829d81e7562108573eb39d3e9c1d103c07eff75bc77971612"),
+     "77b6bc342655b88fac340b1a8687e860ab621ae313c8971780f6fe2b6b0f11ef"),
     ("hyperplane-planted", 5, 4, 40, 12, 2, 0.0, "1/4", 1, "flat-concentration",
-     "0095dd6d494b1f0e7e0515e94ed59061e9f61cc08a9ac4f360c87d169fe33478"),
+     "ebc172df7993342fba642437a396365a91c2363d7e724f5111c0ddb963a143a1"),
     ("hyperplane-planted", 5, 4, 40, 12, 0, 0.0, "50", None, "no-signal",
-     "e963fea6ff8c9acf1953a93add166835316d81685ab3cfba8cbc44e31d764da3"),
+     "fbb24175ff296bac47bdfdc8ab315f0a3653cccc3220417bfbd6f7b3cb7e8a27"),
     ("uniform-random", 5, 4, 30, 30, 1, 0.0, "50", None, "no-signal",
-     "ded68e0542249d20f44a38503403282d41778f266b214b6faa781cdd22943d87"),
+     "853231cbbe11819451c5cae39adb43f9e09c47b161b3bd6f101e59ad6ea32df6"),
 ]
 
 
@@ -388,12 +388,16 @@ def test_certificate_bytes_match_golden_digests():
 
 def test_extract_computes_each_incidence_once(monkeypatch):
     # the bisector incidence is sliced, never recomputed, past strata;
-    # the one Gram is the |S| x |S| one of the energies
+    # the one Gram is the |S| x |S| one of the energies, and the only
+    # other hyperplane incidence is the final guard's column of P' on h0
     calls = collections.Counter()
+    hyperplane_args = []
 
     def counting(kernel):
         def wrapper(*args, **kwargs):
             calls[kernel.__name__] += 1
+            if kernel is geometry.hyperplane_incidence:
+                hyperplane_args.append(args[1])
             return kernel(*args, **kwargs)
         return wrapper
 
@@ -407,12 +411,15 @@ def test_extract_computes_each_incidence_once(monkeypatch):
     for (kind, q, d, np_, ns, seed, noise, c_const, b0, case,
          _) in GOLDEN_CERTIFICATES:
         calls.clear()
+        hyperplane_args.clear()
         gconf = generate(GeneratorSpec(kind, q, d, np_, ns, seed, noise))
         cert = extract_certificate(
             gconf.config, ExtractOptions(c_const=Fraction(c_const), b0=b0))
         assert cert.case == case
-        assert calls == {"hyperplane_incidence": 1, "sphere_incidence": 1,
-                         "incidence_gram": 1}
+        guard = [[cert.hyperplane]] if case != CASE_NO_SIGNAL else []
+        assert hyperplane_args[1:] == guard
+        assert calls == {"hyperplane_incidence": 1 + len(guard),
+                         "sphere_incidence": 1, "incidence_gram": 1}
 
 
 def test_directional_extract_runs_no_dichotomy(monkeypatch):
@@ -470,23 +477,13 @@ def test_certificate_json_shape():
     cfg = pencil_config(7)
     cert = extract_certificate(cfg)
     doc = cert.to_dict()
-    assert list(doc) == ["schema", "case", "F", "hyperplane", "points",
+    assert list(doc) == ["schema", "case", "hyperplane", "points",
                          "spheres", "aux", "params"]
-    assert doc["schema"] == 3
+    assert doc["schema"] == 4
+    assert list(doc["hyperplane"]) == ["normal", "offset"]
     assert list(doc["aux"]) == ["flags", "witness_flat"]
     assert list(doc["params"]) == ["K", "B0", "min_points", "sphere_min"]
     json.dumps(doc)  # must be serializable as-is
-    # deg-1 polynomial serialization: list of (exponents, coefficient)
-    for exps, coef in doc["F"]:
-        assert len(exps) == 3 and 0 < coef < 7
-
-
-def test_linear_form_of_vanishes_exactly_on_plane():
-    q = 7
-    h = canonical_hyperplane((1, 2, 3), 4, q)
-    f = linear_form_of(h, q)
-    for x in itertools.product(range(q), repeat=3):
-        assert (f.evaluate(x, q) == 0) == hyperplane_contains(h, x, q)
 
 
 def test_retention_check_reports():
@@ -495,13 +492,6 @@ def test_retention_check_reports():
     rep = retention_check(cfg, cert)
     assert rep.double_count_ok
     assert rep.incidences >= 0
-
-
-def test_verify_rejects_zero_polynomial():
-    cfg = pencil_config(7)
-    doc = extract_certificate(cfg).to_dict()
-    doc["F"] = []
-    assert any("nonzero" in msg for msg in verify_certificate(cfg, doc))
 
 
 def test_verify_rejects_wrong_hyperplane():
@@ -565,24 +555,76 @@ def test_verify_sphere_degrees_match_scalar_count():
     assert checked >= 8
 
 
-def test_verify_counts_nonvanishing_points_of_tampered_f():
+def test_verify_counts_points_off_the_hyperplane():
+    rng = random.Random(23)
     checked = 0
     for cfg, doc in _certified_configs():
         q = cfg.q
-        # F vanishes on P', so F + x0**e * x2 vanishes where x0 x2 = 0
-        for e in (q - 1, q + 1):
-            terms = doc["F"] + [[[e, 0, 1], 1]]
-            poly = Polynomial(3, tuple((tuple(x), c) for x, c in terms))
-            bad = sum(poly.evaluate(cfg.points[i], q) != 0
-                      for i in doc["points"])
-            got = verify_certificate(cfg, dict(doc, F=terms))
-            assert (f"F fails to vanish on {bad} structured point(s)"
-                    in got) == (bad > 0)
-            checked += bad > 0
-        # a negative exponent is reported, not evaluated (0**-1 has no value)
-        got = verify_certificate(cfg, dict(doc, F=[[[-1, 0, 0], 1]]))
-        assert "F has a term with bad exponents" in got
-    assert checked >= 8
+        h = geometry.Hyperplane(tuple(doc["hyperplane"]["normal"]),
+                                doc["hyperplane"]["offset"])
+        on = [hyperplane_contains(h, p, q) for p in cfg.points]
+        assert all(on[i] for i in doc["points"])
+        off = [i for i in range(len(cfg.points)) if not on[i]]
+        spare = sorted(set(range(len(cfg.points))) - set(doc["points"])
+                       - set(off))
+        for k in (1, 3, len(off)):
+            # k points off H, and up to two points of H not in P'; adding
+            # points raises no sphere degree, so the miss is the one failure
+            extra = rng.sample(off, min(k, len(off))) + spare[:2]
+            points = sorted(doc["points"] + extra)
+            bad = sum(not on[i] for i in points)
+            got = verify_certificate(cfg, dict(doc, points=points))
+            if bad:
+                assert got == [f"hyperplane misses {bad} structured point(s)"]
+                checked += 1
+            else:
+                assert got == []
+    assert checked >= 24
+
+
+def _import_names(module) -> set:
+    """Names a module imports: `from` imports by name, and plain imports
+    by module."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names |= {(node.level, node.module, a.name) for a in node.names}
+        elif isinstance(node, ast.Import):
+            names |= {(0, a.name, None) for a in node.names}
+    return names
+
+
+def test_verify_and_pipeline_imports():
+    from ffrigidity import verify
+    assert _import_names(verify) == {(1, "field", "PrimeField"),
+                                     (1, "field", "rref"),
+                                     (1, "stats", "Config"),
+                                     (0, "numpy", None)}
+    assert not any("dichotomy" in (module, name)
+                   for _, module, name in _import_names(pipeline))
+
+
+def test_extract_and_verify_reach_no_dichotomy_code():
+    ran = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.endswith(
+                "dichotomy.py"):
+            ran.add(frame.f_code.co_name)
+
+    for (kind, q, d, np_, ns, seed, noise, c_const, b0, case,
+         _) in GOLDEN_CERTIFICATES:
+        cfg = generate(GeneratorSpec(kind, q, d, np_, ns, seed, noise)).config
+        opts = ExtractOptions(c_const=Fraction(c_const), b0=b0)
+        sys.setprofile(profile)
+        try:
+            doc = extract_certificate(cfg, opts).to_dict()
+            failures = verify_certificate(cfg, doc)
+        finally:
+            sys.setprofile(None)
+        assert failures == []
+    assert ran == set()
 
 
 def test_no_numpy_ma_import():
