@@ -246,21 +246,21 @@ def _cell_inputs(cell: dict):
     for axis in GRID_INT_AXES:
         if not _is_int(cell[axis]):
             raise CliError(f"{axis}: must be an integer")
-    try:
-        noise = float(cell["noise"])
-    except (TypeError, ValueError):
+    noise = cell["noise"]
+    if isinstance(noise, bool) or not isinstance(noise, (int, float)):
         raise CliError("noise: must be a number")
     gconf = generate(GeneratorSpec(
         kind=cell["kind"], q=cell["q"], d=cell["d"], n_points=cell["np"],
-        n_spheres=cell["ns"], seed=cell["seed"], noise=noise))
+        n_spheres=cell["ns"], seed=cell["seed"], noise=float(noise)))
     return gconf, _extract_options(cell["c_const"], cell["b0"])
 
 
 def _experiment_cell(cell: dict) -> dict:
     try:
         gconf, opts = _cell_inputs(cell)
-    except (CliError, ValueError) as exc:
-        # ValueError covers BadGeneratorSpec and NotAPrime
+    except (CliError, ValueError, OverflowError) as exc:
+        # ValueError covers BadGeneratorSpec and NotAPrime, OverflowError
+        # an integer noise beyond float range
         name = ", ".join(f"{k}={cell[k]!r}" for k in GRID_AXES)
         raise CliError(f"grid: cell {name}: {exc}")
     start = time.perf_counter()

@@ -118,74 +118,6 @@ def group_rows(digits: np.ndarray, q: int):
     return order[starts], ids
 
 
-# The most multiply-adds of one BLAS product here and in `geometry`.
-# OpenBLAS runs a product below about 2**20 of them on the calling
-# thread; a larger one wakes its helper threads, and on a shared 2-CPU
-# host it then takes from 0.3 to 8 ms at (245 x 251).T @ (245 x 251)
-# while a single thread takes 0.65 ms in 2**19-sized strips.
-PRODUCT_MACS = 1 << 19
-# Columns per panel of `rref`.
-_PANEL = 24
-
-
-def _gauss_jordan(m: np.ndarray, q: int, track: bool = False):
-    """Gauss-Jordan elimination, in place, of an int64 array of residues.
-
-    Returns (pivot_columns, order): row i of the result started as row
-    order[i].  Only the pivot column and the pivot row are reduced mod q
-    at each step; the rank-one update of the other entries is left
-    unreduced.  Each update adds less than q**2 < 2**32 in absolute
-    value, so entries stay below (rank + 1) * 2**32, far inside int64,
-    until the final reduction.
-
-    With `track`, m is a panel with as many zero columns appended:
-    pivots are sought in the panel only, and the j-th pivot row, when
-    chosen, is written as 1 in appended column j.  The appended columns
-    then end up holding the combination of the chosen rows (as they
-    were) that was added to each row, or that each pivot row became.
-    """
-    nrows, ncols = m.shape
-    inv = inverse_table(q)
-    order = np.arange(nrows)
-    pivots = []
-    r = 0
-    for c in range(ncols // 2 if track else ncols):
-        if r >= nrows:
-            break
-        col = m[:, c] % q
-        nonzero = np.flatnonzero(col[r:])
-        if not nonzero.size:
-            continue
-        sel = r + int(nonzero[0])
-        if sel != r:
-            m[[r, sel]] = m[[sel, r]]
-            col[[r, sel]] = col[[sel, r]]
-            order[[r, sel]] = order[[sel, r]]
-        if track:
-            m[r, ncols // 2 + r] = 1
-        pivot_row = m[r, c:] % q * inv[col[r]] % q
-        col[r] = 0
-        m[:, c:] -= col[:, None] * pivot_row
-        m[r, c:] = pivot_row
-        pivots.append(c)
-        r += 1
-    m %= q
-    return pivots, order
-
-
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for int64 arrays of residues mod q < 2**16 with at most 2**20
-    columns in a: one float64 product per row block of at most
-    `PRODUCT_MACS` multiply-adds, exact because every partial sum is an
-    integer below 2**52."""
-    out = np.empty((len(a), b.shape[1]), dtype=np.int64)
-    step = max(1, PRODUCT_MACS // max(1, b.size))
-    b = b.astype(np.float64)
-    for start in range(0, len(a), step):
-        out[start:start + step] = a[start:start + step] @ b
-    return out
-
-
 def rref(mat, field: PrimeField):
     """Reduced row echelon form.
 
@@ -194,12 +126,12 @@ def rref(mat, field: PrimeField):
     pivot.  The result is unique, so it doubles as a canonical form.
     `mat` is a list of row lists or an integer array.
 
-    Up to `_PANEL` columns this is `_gauss_jordan`.  Wider matrices go
-    in column panels of `_PANEL`: the rows below the pivots found so far
-    are eliminated on the panel alone, tracking the combinations of the
-    k rows chosen as pivots (`track`), and then on every column by two
-    products: those rows get the combinations, and the rows above the
-    panel's lose their entries in its pivot columns.
+    One Gauss-Jordan loop on an int64 array of residues.  Only the pivot
+    column and the pivot row are reduced mod q at each step; the
+    rank-one update of the other entries is left unreduced.  Each
+    update adds less than q**2 < 2**32 in absolute value, so entries
+    stay below (rank + 1) * 2**32, far inside int64, until the final
+    reduction.
     """
     q = field.q
     if not len(mat):
@@ -210,36 +142,27 @@ def rref(mat, field: PrimeField):
         m = np.array([[x % q for x in row] for row in mat],
                      dtype=np.int64).reshape(len(mat), -1)
     nrows, ncols = m.shape
-    if ncols <= _PANEL:
-        pivots = _gauss_jordan(m, q)[0]
-        return tuple(tuple(row) for row in m.tolist()), tuple(pivots)
+    inv = inverse_table(q)
     pivots = []
-    for c0 in range(0, ncols, _PANEL):
-        r0 = len(pivots)
-        if r0 >= nrows:
+    for c in range(ncols):
+        r = len(pivots)
+        if r >= nrows:
             break
-        width = min(_PANEL, ncols - c0)
-        panel = np.zeros((nrows - r0, 2 * width), dtype=np.int64)
-        panel[:, :width] = m[r0:, c0:c0 + width]
-        found, order = _gauss_jordan(panel, q, track=True)
-        if not found:
+        col = m[:, c] % q
+        nonzero = np.flatnonzero(col[r:])
+        if not nonzero.size:
             continue
-        k = len(found)
-        cols = [c0 + j for j in found]
-        below = m[r0:][order]
-        chosen = below[:k].copy()
-        below[:k] = 0
-        below += _product(panel[:, width:width + k], chosen)
-        below %= q
-        m[r0:] = below
-        m[:r0] -= _product(m[:r0, cols], below[:k])
-        m[:r0] %= q
-        pivots += cols
+        sel = r + int(nonzero[0])
+        if sel != r:
+            m[[r, sel]] = m[[sel, r]]
+            col[[r, sel]] = col[[sel, r]]
+        pivot_row = m[r, c:] % q * inv[col[r]] % q
+        col[r] = 0
+        m[:, c:] -= col[:, None] * pivot_row
+        m[r, c:] = pivot_row
+        pivots.append(c)
+    m %= q
     return tuple(tuple(row) for row in m.tolist()), tuple(pivots)
-
-
-def rank(mat, field: PrimeField) -> int:
-    return len(rref(mat, field)[1])
 
 
 def kernel_basis(mat, field: PrimeField):

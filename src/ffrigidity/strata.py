@@ -108,25 +108,6 @@ def _both_orders(i: np.ndarray, j: np.ndarray, ns: int):
     return order, first[order], second[order]
 
 
-def pair_richness(config: Config):
-    """Radical-hyperplane point richness of every ordered distinct pair.
-
-    Returns (richness, degenerate) where richness maps each pair with a
-    radical hyperplane to |P on H| and degenerate lists the concentric
-    pairs, which have none.
-    """
-    _, incidence, index = _bisectors(config)
-    rich = _pair_richness(incidence.sum(axis=0), index)
-    ns = len(config.spheres)
-    i, j = pair_indices(ns)
-    live = rich >= 0
-    order, first, second = _both_orders(i[live], j[live], ns)
-    values = np.concatenate([rich[live], rich[live]])[order].tolist()
-    _, dfirst, dsecond = _both_orders(i[~live], j[~live], ns)
-    return (dict(zip(zip(first.tolist(), second.tolist()), values)),
-            tuple(zip(dfirst.tolist(), dsecond.tolist())))
-
-
 @dataclass(frozen=True)
 class LowLayerReport:
     mass: int

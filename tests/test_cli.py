@@ -280,13 +280,17 @@ GOOD_CELL = {"q": 5, "kind": "reflected-pairs", "np": 10, "ns": 4, "d": 3,
                                  {"ns": [5]}, {"c_const": ["x"]},
                                  {"np": ["10"]}, {"ns": ["4"]}, {"q": ["5"]},
                                  {"d": ["3"]}, {"seed": ["1"]}, {"np": [True]},
-                                 {"noise": [[0]]}, {"c_const": [-1]},
+                                 {"noise": [[0]]}, {"noise": [True]},
+                                 {"noise": ["0.1"]}, {"noise": [10 ** 400]},
+                                 {"c_const": [-1]},
                                  {"c_const": [0]}, {"b0": [0]},
                                  {"b0": ["2"]}],
                          ids=["composite-q", "unknown-kind", "odd-ns",
                               "c-const", "string-np", "string-ns", "string-q",
                               "string-d", "string-seed", "bool-np",
-                              "list-noise", "negative-c-const", "zero-c-const",
+                              "list-noise", "bool-noise", "string-noise",
+                              "huge-noise",
+                              "negative-c-const", "zero-c-const",
                               "zero-b0", "string-b0"])
 def test_experiment_bad_cell_exits_2(tmp_path, capsys, bad, position):
     if position == 2:

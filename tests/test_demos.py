@@ -1,5 +1,7 @@
-"""The demos run to completion, and the top-level package exports every
-name that they and the README quick start import from it."""
+"""The demos run to completion, the top-level package exports every
+name that they and the README quick start import from it, and every
+public library function has a caller outside the tests or is a kept
+oracle."""
 
 import ast
 import inspect
@@ -46,3 +48,40 @@ def test_public_surface():
     assert used and used <= set(ffrigidity.__all__)
     # the benchmark's tracer replaces this re-exported function
     assert inspect.isfunction(ffrigidity.dichotomy)
+
+
+# Public library functions that nothing under src/, demos/ or bench/
+# references, each kept for the test or criterion that reads it.
+KEPT_ORACLES = (
+    ("dichotomy.veronese_dependence",
+     "criterion 11; bench/run.py LAYERS imports its module"),
+    ("geometry.flat_from_pair", "scalar oracle of pipeline.flat_profile"),
+    ("geometry.hyperplane_contains",
+     "pointwise oracle of hyperplane_incidence"),
+    ("geometry.hyperplane_points", "builds planted test configs"),
+    ("strata.dyadic_class", "scalar oracle of the dyadic layers"),
+    ("strata.low_layer_mass", "criterion 3"),
+)
+
+
+def test_no_unreferenced_library_functions():
+    public = set()
+    for path in (ROOT / "src" / "ffrigidity").glob("*.py"):
+        public |= {(f"{path.stem}.{node.name}", node.name)
+                   for node in ast.parse(path.read_text()).body
+                   if isinstance(node, ast.FunctionDef)
+                   and not node.name.startswith("_")}
+    referenced = set()
+    for top in ("src", "demos", "bench"):
+        for path in (ROOT / top).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    referenced.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    referenced.add(node.attr)
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    referenced |= {alias.name.rpartition(".")[2]
+                                   for alias in node.names}
+    unreferenced = {qualified for qualified, name in public
+                    if name not in referenced}
+    assert unreferenced == {qualified for qualified, _ in KEPT_ORACLES}

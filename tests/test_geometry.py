@@ -8,15 +8,14 @@ import pytest
 from ffrigidity import geometry
 from ffrigidity.field import PrimeField
 from ffrigidity.geometry import (IDENTICAL, PARALLEL_DISJOINT, Flat,
-                                 Hyperplane, IsotropicNormal, SpaceTooLarge,
-                                 Sphere, affine_chart,
-                                 all_projective_directions,
-                                 canonical_direction, canonical_hyperplane,
+                                 Hyperplane, SpaceTooLarge, Sphere,
+                                 affine_chart, all_projective_directions,
+                                 canonical_hyperplane,
                                  flat_contained_in, flat_from_pair,
                                  flat_points, hyperplane_contains,
                                  hyperplane_incidence, hyperplane_points,
                                  incidence_gram, make_space, point_grid,
-                                 quad_norm, radical_hyperplane, reflect_point,
+                                 quad_norm, radical_hyperplane,
                                  sphere_contains, sphere_incidence,
                                  sphere_points)
 
@@ -248,16 +247,6 @@ def test_sphere_incidence_memory_is_bounded():
     assert peak < 1 << 20
 
 
-def test_canonical_direction_scaling_invariance():
-    q = 7
-    for v in ((2, 4, 6), (3, 6, 2), (0, 0, 5)):
-        base = canonical_direction(v, q)
-        assert next(c for c in base if c) == 1
-        for s in range(1, q):
-            scaled = tuple(s * c % q for c in v)
-            assert canonical_direction(scaled, q) == base
-
-
 def test_canonical_hyperplane_same_solution_set():
     q = 5
     sp = make_space(q, 3)
@@ -347,37 +336,6 @@ def test_flats_canonical_for_equal_solution_sets():
     flat_b = flat_from_pair(h1, h3, f)
     flat_c = flat_from_pair(h2, h3, f)
     assert flat_a == flat_b == flat_c
-
-
-def test_reflect_point_involution_and_fixed_plane():
-    q = 7
-    f = PrimeField(q)
-    h = canonical_hyperplane((1, 1, 1), 4, q)
-    assert quad_norm(h.normal, q) != 0
-    sp = make_space(q, 3)
-    rng = random.Random(24)
-    for _ in range(20):
-        x = tuple(rng.randrange(q) for _ in range(3))
-        y = reflect_point(x, h, f)
-        assert reflect_point(y, h, f) == x
-        if hyperplane_contains(h, x, q):
-            assert y == x
-    # reflection preserves form distance to any fixed plane point
-    a = hyperplane_points(h, sp)[0]
-    for _ in range(20):
-        x = tuple(rng.randrange(q) for _ in range(3))
-        y = reflect_point(x, h, f)
-        dx = quad_norm(tuple((c - b) % q for c, b in zip(x, a)), q)
-        dy = quad_norm(tuple((c - b) % q for c, b in zip(y, a)), q)
-        assert dx == dy
-
-
-def test_reflect_point_isotropic_normal_rejected():
-    q = 5
-    f = PrimeField(q)
-    h = Hyperplane((1, 2, 0), 0)  # norm 1 + 4 = 0 mod 5
-    with pytest.raises(IsotropicNormal):
-        reflect_point((1, 1, 1), h, f)
 
 
 def test_affine_chart():

@@ -11,8 +11,7 @@ from ffrigidity.geometry import (Hyperplane, Sphere, hyperplane_contains,
                                  radical_hyperplanes)
 from ffrigidity.stats import energies, make_config, membership_matrix
 from ffrigidity.strata import (RegularizationDegenerate, dyadic_class,
-                               low_layer_mass, pair_richness,
-                               persistent_pairs, regularize,
+                               low_layer_mass, persistent_pairs, regularize,
                                richness_threshold, stratify)
 from ffrigidity.multiset import HyperplaneMultiset, build_multiset
 
@@ -182,16 +181,13 @@ def test_bisector_consumers_match_scalar_recount(q, d):
                     for a, b in itertools.permutations(range(ns), 2)}
         rich = {g: sum(hyperplane_contains(g, p, q) for p in cfg.points)
                 for g in set(bisector.values()) - {None}}
-        richness, degenerate = pair_richness(cfg)
-        assert richness == {pair: rich[g] for pair, g in bisector.items()
-                            if g is not None}
-        assert degenerate == tuple(sorted(pair for pair, g in
-                                          bisector.items() if g is None))
         for threshold, richness_min in ((0, 0), (2, 3), (9, 12)):
             persistent = sorted(pair for pair, g in bisector.items()
                                 if g is not None and rich[g] >= threshold)
             pp = persistent_pairs(cfg, threshold=threshold)
             assert pp.pairs.tolist() == [list(p) for p in persistent]
+            assert pp.richness[pp.pairs_bisector].tolist() == [
+                rich[bisector[p]] for p in persistent]
             provenance = {}
             for pair in persistent:
                 provenance.setdefault(bisector[pair], []).append(pair)
@@ -203,19 +199,6 @@ def test_bisector_consumers_match_scalar_recount(q, d):
             [hyperplane_contains(g, p, q) for g in pp.bisectors]
             for p in cfg.points]
         assert pp.richness.tolist() == [rich[g] for g in pp.bisectors]
-
-
-def test_pair_richness_counts_points_on_bisector():
-    rng = random.Random(43)
-    cfg = random_config(rng, n_points=18, n_spheres=6)
-    richness, degenerate = pair_richness(cfg)
-    q = cfg.q
-    for (i, j), r in richness.items():
-        h = radical_hyperplane(cfg.spheres[i], cfg.spheres[j], q)
-        direct = sum(1 for p in cfg.points if hyperplane_contains(h, p, q))
-        assert direct == r
-    for (i, j) in degenerate:
-        assert cfg.spheres[i].center == cfg.spheres[j].center
 
 
 def test_low_layer_mass_bound_over_j_range():
@@ -244,9 +227,9 @@ def test_low_layer_all_concentric_zero():
                       [Sphere((0, 0, 0), r) for r in range(4)])
     rep = low_layer_mass(cfg, 5)
     assert rep.mass == 0
-    richness, degenerate = pair_richness(cfg)
-    assert not richness
-    assert len(degenerate) == 4 * 3
+    for s1, s2 in itertools.permutations(cfg.spheres, 2):
+        assert radical_hyperplane(s1, s2, cfg.q) is None
+    assert persistent_pairs(cfg, threshold=0).pairs.shape == (0, 2)
 
 
 def test_richness_threshold_formula():
@@ -259,9 +242,11 @@ def test_richness_threshold_formula():
 def test_persistent_pairs_k_zero_keeps_all():
     rng = random.Random(46)
     cfg = random_config(rng, n_spheres=6)
-    richness, degenerate = pair_richness(cfg)
+    live = {(i, j) for i, j in itertools.permutations(range(6), 2)
+            if radical_hyperplane(cfg.spheres[i], cfg.spheres[j],
+                                  cfg.q) is not None}
     pp = persistent_pairs(cfg, K=SqrtRational.zero())
-    assert set(map(tuple, pp.pairs.tolist())) == set(richness)
+    assert set(map(tuple, pp.pairs.tolist())) == live
 
 
 def test_persistent_pairs_huge_threshold_empty():
