@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -289,6 +290,9 @@ def _experiment_cell(cell: dict) -> dict:
 
 
 def cmd_experiment(args) -> int:
+    # every comparison with NaN is false, so it would never trip
+    if math.isnan(args.guard_k):
+        raise CliError("guard-k: must be a number")
     cells = _parse_grid(_load_json(args.grid, "grid"))
     rows = [_experiment_cell(c) for c in cells]
     buf = io.StringIO()

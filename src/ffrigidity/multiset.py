@@ -9,45 +9,40 @@ the multiset always mean "multiplicity times per-hyperplane quantity".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .exact import count_cutoff
+from .field import group_rows
 
 
 class EmptyMultiset(ValueError):
     pass
 
 
-class EmptyClass(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HyperplaneMultiset:
-    support: tuple
-    counts: dict
+    """`support`: the distinct hyperplanes as (m, d+1) int64 rows
+    (normal, offset) in Hyperplane tuple order; `counts`: their int64
+    multiplicities; `columns`: each row's column in the bisector
+    incidence (`strata.PersistentPairs.incidence`), increasing."""
+    support: np.ndarray
+    counts: np.ndarray
+    columns: np.ndarray
 
     @property
     def mass(self) -> int:
-        return sum(self.counts.values())
-
-    @property
-    def geo_size(self) -> int:
-        return len(self.support)
+        return int(self.counts.sum())
 
     @property
     def max_multiplicity(self) -> int:
-        return max(self.counts.values()) if self.counts else 0
+        return int(self.counts.max(initial=0))
 
     def restrict(self, keep) -> "HyperplaneMultiset":
-        keep = set(keep)
-        support = tuple(h for h in self.support if h in keep)
-        return HyperplaneMultiset(
-            support=support,
-            counts={h: self.counts[h] for h in support},
-        )
+        """The members at a boolean mask or increasing indices of the
+        support, in support order."""
+        return HyperplaneMultiset(self.support[keep], self.counts[keep],
+                                  self.columns[keep])
 
 
 def build_multiset(pp, config, richness_min=0) -> HyperplaneMultiset:
@@ -66,60 +61,34 @@ def build_multiset(pp, config, richness_min=0) -> HyperplaneMultiset:
     bisector = pp.pairs_bisector
     assert len(bisector) == len(pp.pairs)
     counts = np.bincount(bisector, minlength=len(pp.bisectors))
-    kept = (counts > 0) & (pp.richness >= count_cutoff(richness_min))
-    support = tuple(pp.bisectors[k] for k in np.flatnonzero(kept).tolist())
-    return HyperplaneMultiset(
-        support=support,
-        counts=dict(zip(support, counts[kept].tolist())),
-    )
+    columns = np.flatnonzero(
+        (counts > 0) & (pp.richness >= count_cutoff(richness_min)))
+    return HyperplaneMultiset(pp.bisectors[columns], counts[columns], columns)
 
 
-@dataclass(frozen=True)
-class ParallelClass:
-    direction: tuple
-    offsets: dict
-
-    @property
-    def mass(self) -> int:
-        return sum(self.offsets.values())
-
-
-def parallel_classes(ms: HyperplaneMultiset):
-    """Group the support by normal direction.
+def popular_hyperplane(ms: HyperplaneMultiset, q: int) -> int:
+    """The support row of the most frequent offset in the heaviest
+    parallel class.
 
     Canonical normals are equal exactly when the hyperplanes are
-    parallel, so the classes partition the support.  Returns the classes
-    sorted by direction.
+    parallel, so the classes, grouped by normal, partition the support.
+    Ties go to the least direction, then to the least offset.  The
+    winner carries at least a 1/q share of its class mass, because only
+    q offsets exist.  The float64 class masses are exact below 2**53.
     """
-    grouped: dict = {}
-    for h in ms.support:
-        grouped.setdefault(h.normal, {})[h.offset] = ms.counts[h]
-    return [ParallelClass(direction=n, offsets=offs)
-            for n, offs in sorted(grouped.items())]
-
-
-def popular_offset(pc: ParallelClass, q: int):
-    """Most frequent offset in a parallel class, smallest value on ties.
-
-    The winner carries at least a 1/q share of the class mass, because
-    only q offsets exist.
-    """
-    if not pc.offsets:
-        raise EmptyClass("parallel class has no hyperplanes")
-    m0 = max(pc.offsets.values())
-    b0 = min(b for b, m in pc.offsets.items() if m == m0)
-    assert m0 * q >= pc.mass
-    return b0, m0
+    d = ms.support.shape[1] - 1
+    _, cls = group_rows(ms.support[:, :d], q)
+    mass = np.bincount(cls, weights=ms.counts)
+    # classes are numbered in direction order, members in offset order
+    members = np.flatnonzero(cls == np.argmax(mass))
+    k = int(members[np.argmax(ms.counts[members])])
+    assert ms.counts[k] * q >= mass.max()
+    return k
 
 
 @dataclass(frozen=True)
 class MassRetentionReport:
     retained: HyperplaneMultiset
-    threshold: Fraction
-    total_mass: int
-    retained_mass: int
-    geo_size: int
-    max_multiplicity: int
 
 
 def mass_retention(ms: HyperplaneMultiset) -> MassRetentionReport:
@@ -129,21 +98,11 @@ def mass_retention(ms: HyperplaneMultiset) -> MassRetentionReport:
     and the support cannot be smaller than mass / max multiplicity; both
     pigeonhole facts are asserted exactly.
     """
-    if not ms.support:
+    geo = len(ms.support)
+    if not geo:
         raise EmptyMultiset("cannot retain mass of an empty multiset")
     total = ms.mass
-    geo = ms.geo_size
-    threshold = Fraction(total, 2 * geo)
-    heavy = [h for h in ms.support if 2 * geo * ms.counts[h] >= total]
-    retained = ms.restrict(heavy)
-    retained_mass = retained.mass
-    assert 2 * retained_mass >= total
+    retained = ms.restrict(2 * geo * ms.counts >= total)
+    assert 2 * retained.mass >= total
     assert geo * ms.max_multiplicity >= total
-    return MassRetentionReport(
-        retained=retained,
-        threshold=threshold,
-        total_mass=total,
-        retained_mass=retained_mass,
-        geo_size=geo,
-        max_multiplicity=ms.max_multiplicity,
-    )
+    return MassRetentionReport(retained=retained)

@@ -27,7 +27,7 @@ from .field import PrimeField, group_rows, inverse_table
 from .geometry import (Flat, Hyperplane, flat_contained_in,
                        hyperplane_incidence, sphere_contains, sphere_incidence)
 from .multiset import (HyperplaneMultiset, build_multiset, mass_retention,
-                       parallel_classes, popular_offset)
+                       popular_hyperplane)
 from .stats import Config, energies, membership_matrix
 from .strata import RegularizationDegenerate, persistent_pairs, regularize
 
@@ -53,9 +53,10 @@ class FlatProfile:
     pencil: tuple
 
 
-def flat_profile(hyperplanes, field: PrimeField) -> FlatProfile:
+def flat_profile(aug: np.ndarray, field: PrimeField) -> FlatProfile:
     """Largest flat multiplicity of a hyperplane family, with its witness.
 
+    The family `aug` is an (m, d+1) int64 array of rows (normal, offset).
     For non-parallel members a < b (canonical ones are parallel exactly
     when their normals coincide), b restricted to a, the row
     b - b[lead a] * a scaled to lead 1, fixes the flat a & b.  Grouped by
@@ -71,11 +72,9 @@ def flat_profile(hyperplanes, field: PrimeField) -> FlatProfile:
     row-span test, are the pencil.
     """
     q = field.q
-    n = len(hyperplanes)
+    n = len(aug)
     if n < 2:
         return FlatProfile(0, 0, None, ())
-    aug = np.asarray([(*h.normal, h.offset) for h in hyperplanes],
-                     dtype=np.int64)
     d = aug.shape[1] - 1
     lead = (aug[:, :d] != 0).argmax(axis=1)
     assert ((aug >= 0) & (aug < q)).all() and \
@@ -163,6 +162,8 @@ def flat_profile(hyperplanes, field: PrimeField) -> FlatProfile:
 
 @dataclass(frozen=True)
 class CaseSplit:
+    """`pencil`: the increasing support indices of the members through
+    the witness flat; empty in the directional case."""
     tag: str
     witness: Flat | None
     pencil: tuple
@@ -174,8 +175,7 @@ def case_split(ms: HyperplaneMultiset, b0: int, field: PrimeField) -> CaseSplit:
     of the support, directional coordination otherwise."""
     profile = flat_profile(ms.support, field)
     if profile.max_multiplicity >= b0 + 1:
-        members = sorted(ms.support[i] for i in profile.pencil)
-        return CaseSplit(CASE_FLAT, profile.witness, tuple(members),
+        return CaseSplit(CASE_FLAT, profile.witness, profile.pencil,
                          profile.max_multiplicity)
     return CaseSplit(CASE_DIRECTIONAL, None, (), profile.max_multiplicity)
 
@@ -256,13 +256,13 @@ def extract_certificate(config: Config,
     if not len(pp.pairs):
         return _no_signal(K, b0, "no-persistent-pairs")
     ms = build_multiset(pp, config, pp.threshold)
-    if not ms.support:
+    if not len(ms.support):
         return _no_signal(K, b0, "empty-multiset")
     # the support lies in the bisector set, the retained support in the
     # support, and the pencil and h0 in the retained support: every
     # incidence below is a slice of the bisector incidence, whose columns
     # off the support are released here
-    inc = pp.incidence.take(_positions(pp.bisectors, ms.support), axis=1)
+    inc = pp.incidence.take(ms.columns, axis=1)
     del pp
     try:
         reg = regularize(inc, ms)
@@ -273,28 +273,19 @@ def extract_certificate(config: Config,
     # only the P' rows of the retained columns outlive case_split, whose
     # flat profile is the extract's memory peak
     inc = inc.take(reg.point_idx, axis=0).take(
-        _positions(ms.support, retained.support), axis=1)
+        np.searchsorted(ms.columns, retained.columns), axis=1)
     split = case_split(retained, b0, fq)
 
-    witness = None
+    # k is h0's row in the retained support, which is in tuple order:
+    # the first pencil member of the largest richness is the least one
     if split.tag == CASE_FLAT:
-        witness = split.witness
-        rich = inc.take(_positions(retained.support, split.pencil),
-                        axis=1).sum(axis=0).tolist()
-        top = max(rich)
-        h0 = min(h for h, r in zip(split.pencil, rich) if r == top)
-        case = CASE_FLAT
+        rich = inc.take(split.pencil, axis=1).sum(axis=0)
+        k = split.pencil[int(np.argmax(rich))]
     else:
-        classes = parallel_classes(retained)
-        top_mass = max(c.mass for c in classes)
-        popular = min((c for c in classes if c.mass == top_mass),
-                      key=lambda c: c.direction)
-        offset, _ = popular_offset(popular, q)
-        h0 = Hyperplane(popular.direction, offset)
-        case = CASE_DIRECTIONAL
-
-    on_h0 = inc[:, _positions(retained.support, [h0])[0]]
-    idx = reg.point_idx[on_h0]
+        k = popular_hyperplane(retained, q)
+    *normal, offset = retained.support[k].tolist()
+    h0 = Hyperplane(tuple(normal), offset)
+    idx = reg.point_idx[inc[:, k]]
     points_idx = tuple(idx.tolist())
     lam1 = reg.richness_scale
     assert len(points_idx) >= lam1
@@ -302,24 +293,18 @@ def extract_certificate(config: Config,
     sphere_min, spheres_idx = _rich_sphere_subfamily(membership[idx])
 
     assert hyperplane_incidence(config.point_array[idx], [h0], q).all()
-    if witness is not None:
-        assert flat_contained_in(witness, h0, fq)
+    if split.witness is not None:
+        assert flat_contained_in(split.witness, h0, fq)
 
     return Certificate(
-        case=case,
+        case=split.tag,
         hyperplane=h0,
         points_idx=points_idx,
         spheres_idx=spheres_idx,
-        witness_flat=witness,
+        witness_flat=split.witness,
         flags=(),
         params={"K": K, "B0": b0, "min_points": lam1, "sphere_min": sphere_min},
     )
-
-
-def _positions(family: tuple, members) -> list:
-    """The index in a hyperplane family of each of the members."""
-    at = dict(zip(family, range(len(family))))
-    return [at[h] for h in members]
 
 
 def _rich_sphere_subfamily(incidence):

@@ -78,8 +78,6 @@ def membership_matrix(config: Config) -> np.ndarray:
 @dataclass(frozen=True)
 class IncidenceStats:
     incidences: int
-    point_degrees: tuple
-    sphere_degrees: tuple
     energy: int
     dual_energy: int
     off_diagonal: int
@@ -136,8 +134,6 @@ def energies(config: Config, membership=None) -> IncidenceStats:
         K = SqrtRational.zero()
     return IncidenceStats(
         incidences=incidences,
-        point_degrees=tuple(point_deg.tolist()),
-        sphere_degrees=tuple(sphere_deg.tolist()),
         energy=energy,
         dual_energy=dual_energy,
         off_diagonal=off_diagonal,

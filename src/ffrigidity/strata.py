@@ -12,13 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from itertools import compress
 
 import numpy as np
 
 from .exact import SqrtRational, count_cutoff
-from .geometry import (Hyperplane, hyperplane_incidence, incidence_gram,
-                       pair_indices, radical_hyperplane, radical_hyperplanes)
+from .geometry import (hyperplane_incidence, incidence_gram, pair_indices,
+                       radical_hyperplane, radical_hyperplanes)
 from .multiset import HyperplaneMultiset
 from .stats import Config, membership_matrix, near_extremality_K
 
@@ -72,20 +71,18 @@ def stratify(config: Config) -> DyadicLayers:
 
 
 def _bisectors(config: Config):
-    """The distinct radical hyperplanes of the sphere pairs, in tuple
-    order, their |P| x |B| point incidence, and the bisector index of
-    every pair i < j (`pair_indices` order; -1 when concentric).  As a
-    guard, the first pair is recomputed by the scalar
-    `radical_hyperplane`."""
-    spheres, q, d = config.spheres, config.q, config.d
+    """The distinct radical hyperplanes of the sphere pairs as (B, d+1)
+    int64 rows (normal, offset) in Hyperplane tuple order, their |P| x |B|
+    point incidence, and the bisector index of every pair i < j
+    (`pair_indices` order; -1 when concentric).  As a guard, the first
+    pair is recomputed by the scalar `radical_hyperplane`."""
+    spheres, q = config.spheres, config.q
     rows, index = radical_hyperplanes(spheres, q)
-    bisectors = tuple(Hyperplane(tuple(r[:d]), r[d]) for r in rows.tolist())
     if len(index):
         h = radical_hyperplane(spheres[0], spheres[1], q)
         assert index[0] < 0 if h is None else (
-            index[0] >= 0 and bisectors[index[0]] == h)
-    return bisectors, hyperplane_incidence(config.point_array, rows,
-                                           q), index
+            index[0] >= 0 and rows[index[0]].tolist() == [*h.normal, h.offset])
+    return rows, hyperplane_incidence(config.point_array, rows, q), index
 
 
 def _pair_richness(richness: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -144,16 +141,17 @@ class PersistentPairs:
     stages read instead of recomputing them.
 
     `pairs` holds the pairs (i, j) as a read-only (n, 2) int64 array.
-    `bisectors` lists the distinct radical hyperplanes of the sphere
-    pairs in Hyperplane tuple order, `incidence` is the boolean
-    |P| x |bisectors| matrix of the points on them, `richness` its column
-    sums, and `pair_bisector[k]` is the bisector index of the
-    k-th pair i < j in `pair_indices` order, -1 when it is concentric.
-    `pairs_bisector[k]` is the bisector index of `pairs[k]`.
+    `bisectors` holds the distinct radical hyperplanes of the sphere
+    pairs as (B, d+1) int64 rows (normal, offset) in Hyperplane tuple
+    order, `incidence` is the boolean |P| x B matrix of the points on
+    them, `richness` its column sums, and `pair_bisector[k]` is the
+    bisector index of the k-th pair i < j in `pair_indices` order, -1
+    when it is concentric.  `pairs_bisector[k]` is the bisector index
+    of `pairs[k]`.
     """
     threshold: SqrtRational
     pairs: np.ndarray
-    bisectors: tuple = dataclass_field(repr=False)
+    bisectors: np.ndarray = dataclass_field(repr=False)
     incidence: np.ndarray = dataclass_field(repr=False)
     richness: np.ndarray = dataclass_field(repr=False)
     pair_bisector: np.ndarray = dataclass_field(repr=False)
@@ -232,9 +230,8 @@ def regularize(inc: np.ndarray, ms: HyperplaneMultiset) -> RegularizedConfig:
     support, and retained hyperplanes hold between L1 and 2*L1 - 1 of
     the retained points.
     """
-    support = ms.support
-    assert inc.shape[1] == len(support), "one column per support hyperplane"
-    if not inc.shape[0] or not support:
+    assert inc.shape[1] == len(ms.support), "one column per support hyperplane"
+    if not inc.size:
         raise RegularizationDegenerate("empty points or empty support")
     jp, kept = _heaviest_class(inc.sum(axis=1))
     if jp is None:
@@ -242,12 +239,9 @@ def regularize(inc: np.ndarray, ms: HyperplaneMultiset) -> RegularizedConfig:
     jh, heavy = _heaviest_class(inc[kept].sum(axis=0))
     if jh is None:
         raise RegularizationDegenerate("no support hyperplane is rich in the kept points")
-    kept_hyperplanes = list(compress(support, heavy.tolist()))
-    m1 = 1 << jp
-    lam1 = 1 << jh
     return RegularizedConfig(
         point_idx=np.flatnonzero(kept),
-        multiset=ms.restrict(kept_hyperplanes),
-        degree_scale=m1,
-        richness_scale=lam1,
+        multiset=ms.restrict(heavy),
+        degree_scale=1 << jp,
+        richness_scale=1 << jh,
     )

@@ -24,7 +24,7 @@ from ffrigidity.geometry import (Hyperplane, Sphere, canonical_hyperplane,
                                  make_space, quad_norm, radical_hyperplane,
                                  sphere_points)
 from ffrigidity.multiset import (build_multiset, mass_retention,
-                                 parallel_classes, popular_offset)
+                                 popular_hyperplane)
 from ffrigidity.pipeline import extract_certificate, flat_profile
 from ffrigidity.stats import energies, incidence_count, make_config
 from ffrigidity.strata import low_layer_mass, persistent_pairs
@@ -214,28 +214,40 @@ def _grid_multisets(grid_configs):
     for g in grid_configs:
         pp = persistent_pairs(g.config)
         ms = build_multiset(pp, g.config, pp.threshold)
-        if ms.support:
+        if len(ms.support):
             out.append((g.config, ms))
     return out
+
+
+def _hyperplanes(rows):
+    return [Hyperplane(tuple(r[:-1]), r[-1]) for r in rows.tolist()]
 
 
 def test_criterion_06_pigeonhole_bounds(grid_configs):
     families = _grid_multisets(grid_configs)
     assert families
-    offsets_checked = 0
+    classes_checked = 0
     for cfg, ms in families:
-        classes = parallel_classes(ms)
-        for cl in classes:
-            b0, m0 = popular_offset(cl, cfg.q)
-            assert m0 * cfg.q >= cl.mass
-            assert ms.counts[canonical_hyperplane(cl.direction, b0,
-                                                  cfg.q)] == m0
-            offsets_checked += 1
+        # the scalar oracle: offsets and multiplicities by normal
+        classes = {}
+        for h, m in zip(_hyperplanes(ms.support), ms.counts.tolist()):
+            classes.setdefault(h.normal, {})[h.offset] = m
+        for offsets in classes.values():
+            assert max(offsets.values()) * cfg.q >= sum(offsets.values())
+            classes_checked += 1
+        mass = {n: sum(offsets.values()) for n, offsets in classes.items()}
+        direction = min(n for n, m in mass.items() if m == max(mass.values()))
+        offsets = classes[direction]
+        offset = min(b for b, m in offsets.items()
+                     if m == max(offsets.values()))
+        k = popular_hyperplane(ms, cfg.q)
+        assert _hyperplanes(ms.support[k:k + 1]) == [
+            Hyperplane(direction, offset)]
         kept = mass_retention(ms)
-        assert 2 * kept.retained_mass >= ms.mass
-        assert ms.geo_size * ms.max_multiplicity >= ms.mass
-    report(6, f"popular-offset and retention pigeonholes on "
-              f"{len(families)} grid multisets, {offsets_checked} "
+        assert 2 * kept.retained.mass >= ms.mass
+        assert len(ms.support) * ms.max_multiplicity >= ms.mass
+    report(6, f"popular-hyperplane and retention pigeonholes on "
+              f"{len(families)} grid multisets, {classes_checked} "
               "parallel classes")
 
 
@@ -247,8 +259,9 @@ def test_criterion_07_fiber_bound(grid_configs):
         field = PrimeField(cfg.q)
         prof = flat_profile(ms.support, field)
         B = prof.max_multiplicity
-        for h in ms.support:
-            partners = [h2 for h2 in ms.support
+        support = _hyperplanes(ms.support)
+        for h in support:
+            partners = [h2 for h2 in support
                         if h2 != h and h2.normal != h.normal]
             fibers = {flat_from_pair(h, h2, field) for h2 in partners}
             assert len(partners) <= len(fibers) * max(B - 1, 0)

@@ -322,6 +322,16 @@ def test_experiment_guard_trips(tmp_path, capsys):
     assert out  # the CSV is still written in full
 
 
+def test_experiment_guard_rejects_nan(tmp_path, capsys):
+    out_csv = tmp_path / "rows.csv"
+    grid = grid_file(tmp_path, BASE_GRID)
+    code, out, err = run(capsys, "experiment", str(grid), "--guard-k", "nan",
+                         "--out", str(out_csv))
+    assert code == 2
+    assert err == "error: guard-k: must be a number\n"
+    assert not out and not out_csv.exists()  # no cell ran
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", str(tmp_path / "nope.json"))
     assert code == 2

@@ -97,7 +97,8 @@ def test_reflected_pairs_mirror_bisectors_hit_planted():
     # plane carries at least one count per mirror pair
     pp = persistent_pairs(cfg)
     ms = build_multiset(pp, cfg, pp.threshold)
-    assert ms.counts[g.planted] >= 12
+    planted = ms.support.tolist().index([*g.planted.normal, g.planted.offset])
+    assert ms.counts[planted] >= 12
 
 
 def test_reflected_pairs_centers_share_normal_line():

@@ -1,14 +1,15 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ffrigidity.geometry import (Hyperplane, Sphere, canonical_hyperplane,
                                  hyperplane_incidence, make_space,
                                  radical_hyperplane)
-from ffrigidity.multiset import (EmptyClass, EmptyMultiset, HyperplaneMultiset,
-                                 ParallelClass, build_multiset, mass_retention,
-                                 parallel_classes, popular_offset)
+from ffrigidity.multiset import (EmptyMultiset, HyperplaneMultiset,
+                                 build_multiset, mass_retention,
+                                 popular_hyperplane)
 from ffrigidity.stats import make_config
 from ffrigidity.strata import persistent_pairs
 
@@ -26,11 +27,20 @@ def random_config(rng, q=7, d=3, n_points=25, n_spheres=10):
 
 
 def manual_multiset(counts_by_hyperplane):
-    counts = dict(counts_by_hyperplane)
+    """Rows in Hyperplane tuple order, each its own incidence column."""
+    hs = sorted(counts_by_hyperplane)
     return HyperplaneMultiset(
-        support=tuple(sorted(counts)),
-        counts=counts,
+        support=np.array([(*h.normal, h.offset) for h in hs], dtype=np.int64),
+        counts=np.array([counts_by_hyperplane[h] for h in hs],
+                        dtype=np.int64),
+        columns=np.arange(len(hs)),
     )
+
+
+def as_dict(ms):
+    """{Hyperplane: multiplicity}, in support order."""
+    return {Hyperplane(tuple(r[:-1]), r[-1]): c
+            for r, c in zip(ms.support.tolist(), ms.counts.tolist())}
 
 
 def test_build_multiset_conservation():
@@ -40,13 +50,15 @@ def test_build_multiset_conservation():
     ms = build_multiset(pp, cfg, richness_min=0)
     # every non-degenerate ordered pair lands on exactly one hyperplane
     assert ms.mass == len(pp.pairs)
-    assert ms.geo_size <= len(pp.pairs)
-    assert sum(ms.counts.values()) == ms.mass
+    assert len(ms.support) <= len(pp.pairs)
+    assert sum(ms.counts.tolist()) == ms.mass
     counts = {}
     for i, j in pp.pairs.tolist():
         h = radical_hyperplane(cfg.spheres[i], cfg.spheres[j], cfg.q)
         counts[h] = counts.get(h, 0) + 1
-    assert ms.counts == counts
+    assert as_dict(ms) == counts
+    assert list(as_dict(ms)) == sorted(counts)
+    assert (pp.bisectors[ms.columns] == ms.support).all()
 
 
 def test_build_multiset_all_concentric_empty():
@@ -55,7 +67,7 @@ def test_build_multiset_all_concentric_empty():
     pp = persistent_pairs(cfg, threshold=0)
     assert pp.pairs.shape == (0, 2)
     ms = build_multiset(pp, cfg, richness_min=0)
-    assert ms.support == () and ms.mass == 0
+    assert ms.support.shape == (0, 4) and ms.mass == 0
     # retention is the operation that refuses an empty multiset
     with pytest.raises(EmptyMultiset):
         mass_retention(ms)
@@ -67,9 +79,9 @@ def test_build_multiset_richness_filter():
     pp = persistent_pairs(cfg, threshold=0)
     ms_all = build_multiset(pp, cfg, richness_min=0)
     ms_cut = build_multiset(pp, cfg, richness_min=3)
-    for h in ms_cut.support:
+    for h in as_dict(ms_cut):
         assert hyperplane_incidence(cfg.points, [h], cfg.q).sum() >= 3
-    assert set(ms_cut.support) <= set(ms_all.support)
+    assert as_dict(ms_cut).items() <= as_dict(ms_all).items()
 
 
 def test_reflected_pair_single_support():
@@ -83,59 +95,51 @@ def test_reflected_pair_single_support():
     pp = persistent_pairs(cfg, threshold=1)
     ms = build_multiset(pp, cfg, richness_min=1)
     h_star = canonical_hyperplane((1, 0, 0), 0, q)
-    assert h_star in ms.support
     # each mirror pair contributes its two ordered versions
-    assert ms.counts[h_star] >= 6
+    assert as_dict(ms)[h_star] >= 6
 
 
-def test_popular_offset_spec_examples():
+def _popular(counts_by_hyperplane, q):
+    ms = manual_multiset(counts_by_hyperplane)
+    k = popular_hyperplane(ms, q)
+    return list(as_dict(ms).items())[k]
+
+
+def test_popular_hyperplane_spec_examples():
     q = 5
-    cls = ParallelClass(direction=(1, 0, 0),
-                        offsets={0: 3, 1: 1, 4: 1})
-    b0, m0 = popular_offset(cls, q)
-    assert (b0, m0) == (0, 3)
-    assert Fraction(m0) >= Fraction(cls.mass, q)
+    offsets = {0: 3, 1: 1, 4: 1}
+    h, m0 = _popular({Hyperplane((1, 0, 0), b): m
+                      for b, m in offsets.items()}, q)
+    assert (h, m0) == (Hyperplane((1, 0, 0), 0), 3)
+    assert Fraction(m0) >= Fraction(sum(offsets.values()), q)
 
-    single = ParallelClass(direction=(1, 0, 0), offsets={2: 7})
-    assert popular_offset(single, q) == (2, 7)
+    assert _popular({Hyperplane((1, 0, 0), 2): 7}, q) == (
+        Hyperplane((1, 0, 0), 2), 7)
 
-    uniform = ParallelClass(direction=(1, 0, 0),
-                            offsets={b: 1 for b in range(q)})
-    b0, m0 = popular_offset(uniform, q)
-    assert (b0, m0) == (0, 1)
-    assert Fraction(m0) == Fraction(uniform.mass, q)
+    # a uniform class: the least offset, at exactly a 1/q share
+    uniform = {Hyperplane((1, 0, 0), b): 1 for b in range(q)}
+    h, m0 = _popular(uniform, q)
+    assert (h, m0) == (Hyperplane((1, 0, 0), 0), 1)
+    assert Fraction(m0) == Fraction(sum(uniform.values()), q)
 
-
-def test_popular_offset_empty_class():
-    with pytest.raises(EmptyClass):
-        popular_offset(ParallelClass(direction=(1, 0, 0), offsets={}), 5)
+    # classes of equal mass: the least direction, then the least offset
+    assert _popular({Hyperplane((1, 0, 0), 0): 2, Hyperplane((0, 1, 0), 3): 1,
+                     Hyperplane((0, 1, 0), 1): 1}, q) == (
+        Hyperplane((0, 1, 0), 1), 1)
+    # the heaviest class wins over the largest single multiplicity
+    assert _popular({Hyperplane((1, 0, 0), 0): 3, Hyperplane((0, 1, 4), 2): 2,
+                     Hyperplane((0, 1, 4), 4): 2}, q) == (
+        Hyperplane((0, 1, 4), 2), 2)
 
 
 def test_parallel_classes_grouping():
     q = 5
-    ms = manual_multiset({
-        canonical_hyperplane((1, 0, 0), 0, q): 1,
-        canonical_hyperplane((1, 0, 0), 1, q): 1,
-        canonical_hyperplane((0, 1, 0), 0, q): 1,
-    })
-    classes = parallel_classes(ms)
-    assert len(classes) == 2
-    assert sorted(len(c.offsets) for c in classes) == [1, 2]
-    assert [c.direction for c in classes] == [(0, 1, 0), (1, 0, 0)]
-
-
-def test_parallel_classes_pair_count_oracle():
-    rng = random.Random(64)
-    cfg = random_config(rng)
-    pp = persistent_pairs(cfg, threshold=0)
-    ms = build_multiset(pp, cfg, richness_min=0)
-    classes = parallel_classes(ms)
-    n = ms.geo_size
-    sizes = [len(c.offsets) for c in classes]
-    cross = n * n - sum(s * s for s in sizes)
-    direct = sum(1 for h1 in ms.support for h2 in ms.support
-                 if h1.normal != h2.normal)
-    assert cross == direct
+    hs = [canonical_hyperplane((1, 0, 0), 0, q),
+          canonical_hyperplane((1, 0, 0), 1, q),
+          canonical_hyperplane((0, 1, 0), 0, q)]
+    # one member each: the class of normal (1, 0, 0) holds two of them
+    assert _popular(dict.fromkeys(hs, 1), q) == (hs[0], 1)
+    assert _popular({hs[0]: 1, hs[1]: 1, hs[2]: 3}, q) == (hs[2], 3)
 
 
 def test_mass_retention_spec_example():
@@ -143,11 +147,13 @@ def test_mass_retention_spec_example():
     hs = [canonical_hyperplane((1, 0, 0), b, q) for b in range(4)]
     ms = manual_multiset(dict(zip(hs, (8, 1, 1, 2))))
     rep = mass_retention(ms)
-    assert rep.threshold == Fraction(12, 8)
-    kept_counts = sorted(rep.retained.counts.values())
-    assert kept_counts == [2, 8]
-    assert rep.retained_mass == 10
-    assert rep.retained_mass * 2 >= 12
+    threshold = Fraction(ms.mass, 2 * len(ms.support))
+    assert threshold == Fraction(12, 8)
+    assert as_dict(rep.retained) == {h: m for h, m in as_dict(ms).items()
+                                     if m >= threshold}
+    assert sorted(rep.retained.counts.tolist()) == [2, 8]
+    assert rep.retained.mass == 10
+    assert rep.retained.mass * 2 >= 12
 
 
 def test_mass_retention_uniform_keeps_all():
@@ -155,7 +161,7 @@ def test_mass_retention_uniform_keeps_all():
     hs = [canonical_hyperplane((1, 0, 0), b, q) for b in range(5)]
     ms = manual_multiset(dict.fromkeys(hs, 3))
     rep = mass_retention(ms)
-    assert rep.retained.support == ms.support
+    assert as_dict(rep.retained) == as_dict(ms)
 
 
 def test_mass_retention_single_hyperplane():
@@ -163,8 +169,8 @@ def test_mass_retention_single_hyperplane():
     h = canonical_hyperplane((1, 2, 3), 1, q)
     ms = manual_multiset({h: 9})
     rep = mass_retention(ms)
-    assert rep.retained.support == (h,)
-    assert rep.retained_mass == 9
+    assert as_dict(rep.retained) == {h: 9}
+    assert rep.retained.mass == 9
 
 
 def test_mass_retention_support_bound():
@@ -174,8 +180,11 @@ def test_mass_retention_support_bound():
         pp = persistent_pairs(cfg, threshold=0)
         ms = build_multiset(pp, cfg, richness_min=0)
         rep = mass_retention(ms)
-        assert 2 * rep.retained_mass >= ms.mass
-        assert ms.geo_size * ms.max_multiplicity >= ms.mass
+        geo = len(ms.support)
+        assert 2 * rep.retained.mass >= ms.mass
+        assert geo * ms.max_multiplicity >= ms.mass
+        assert as_dict(rep.retained) == {h: m for h, m in as_dict(ms).items()
+                                         if 2 * geo * m >= ms.mass}
 
 
 def test_restrict_preserves_counts():
@@ -183,8 +192,11 @@ def test_restrict_preserves_counts():
     cfg = random_config(rng)
     pp = persistent_pairs(cfg, threshold=0)
     ms = build_multiset(pp, cfg, richness_min=0)
-    keep = list(ms.support)[::2]
-    sub = ms.restrict(keep)
-    assert sub.support == tuple(sorted(keep))
-    for h in sub.support:
-        assert sub.counts[h] == ms.counts[h]
+    members = list(as_dict(ms).items())
+    every_other = np.arange(0, len(members), 2)
+    mask = np.zeros(len(members), dtype=bool)
+    mask[every_other] = True
+    for keep in (every_other, mask):
+        sub = ms.restrict(keep)
+        assert list(as_dict(sub).items()) == members[::2]
+        assert sub.columns.tolist() == ms.columns.tolist()[::2]

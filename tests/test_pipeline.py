@@ -12,6 +12,7 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ffrigidity import field, geometry, pipeline, stats, strata
@@ -32,11 +33,19 @@ from ffrigidity.strata import persistent_pairs
 from ffrigidity.verify import verify_certificate
 
 
+def rows(hs):
+    """Hyperplanes as an int64 array of rows (normal, offset)."""
+    return np.array([(*h.normal, h.offset) for h in hs], dtype=np.int64)
+
+
 def manual_multiset(counts_by_hyperplane):
-    counts = dict(counts_by_hyperplane)
+    """Rows in Hyperplane tuple order, each its own incidence column."""
+    hs = sorted(counts_by_hyperplane)
     return HyperplaneMultiset(
-        support=tuple(sorted(counts)),
-        counts=counts,
+        support=rows(hs),
+        counts=np.array([counts_by_hyperplane[h] for h in hs],
+                        dtype=np.int64),
+        columns=np.arange(len(hs)),
     )
 
 
@@ -57,7 +66,7 @@ def test_flat_profile_pencil():
     f = PrimeField(q)
     # k planes a*x1 + b*x2 = 0 all contain the z axis
     hs = [canonical_hyperplane((1, b, 0), 0, q) for b in range(4)]
-    prof = flat_profile(hs, f)
+    prof = flat_profile(rows(hs), f)
     assert prof.max_multiplicity == 4
     witness_pts = flat_points(prof.witness, make_space(q, 3))
     assert witness_pts == [(0, 0, t) for t in range(q)]
@@ -83,7 +92,7 @@ def test_flat_profile_three_coordinate_planes():
     hs = [canonical_hyperplane((1, 0, 0), 0, q),
           canonical_hyperplane((0, 1, 0), 0, q),
           canonical_hyperplane((0, 0, 1), 0, q)]
-    prof = flat_profile(hs, f)
+    prof = flat_profile(rows(hs), f)
     assert prof.max_multiplicity == 2
     assert prof.parallel_pairs == 0
     # the three coordinate axes; the least in Flat order is x2 = x3 = 0
@@ -112,7 +121,7 @@ def test_flat_profile_multiplicity_matches_containment_oracle():
                               if all(hyperplane_contains(h, x, q)
                                      for x in pts))
     top = max(len(v) for v in members.values())
-    prof = flat_profile(hs, f)
+    prof = flat_profile(rows(hs), f)
     assert prof.max_multiplicity == top
     assert prof.witness == min(l for l, v in members.items() if len(v) == top)
     assert prof.pencil == members[prof.witness]
@@ -171,7 +180,7 @@ def _check_against_scalar_oracle(hs, q, d, monkeypatch):
     profiles = []
     for block in (1, 7, pipeline._BLOCK_PAIRS):
         monkeypatch.setattr(pipeline, "_BLOCK_PAIRS", block)
-        prof = flat_profile(hs, f)
+        prof = flat_profile(rows(hs), f)
         assert prof.parallel_pairs == parallel
         assert prof.max_multiplicity == top
         if top:
@@ -197,7 +206,7 @@ def test_flat_profile_matches_scalar_oracle(q, d, monkeypatch):
     prof = _check_against_scalar_oracle(hs, q, d, monkeypatch)
     assert prof.max_multiplicity >= 3 and prof.parallel_pairs
     with pytest.raises(AssertionError, match="distinct"):
-        flat_profile(hs + [hs[5]], PrimeField(q))
+        flat_profile(rows(hs + [hs[5]]), PrimeField(q))
 
 
 @pytest.mark.parametrize("q", [5, 61])
@@ -209,7 +218,7 @@ def test_flat_profile_refuses_non_canonical_input(q):
     for bad in (scaled, h._replace(offset=h.offset + q),
                 h._replace(offset=-1)):
         with pytest.raises(AssertionError, match="canonical"):
-            flat_profile(hs[:5] + [bad], PrimeField(q))
+            flat_profile(rows(hs[:5] + [bad]), PrimeField(q))
 
 
 def test_flat_profile_calls_no_scalar_elimination(monkeypatch):
@@ -241,7 +250,7 @@ def test_flat_profile_calls_no_scalar_elimination(monkeypatch):
     for block in (1, 7, pipeline._BLOCK_PAIRS):
         monkeypatch.setattr(pipeline, "_BLOCK_PAIRS", block)
         for (hs, q), want in zip(families, expected):
-            prof = flat_profile(hs, PrimeField(q))
+            prof = flat_profile(rows(hs), PrimeField(q))
             assert (prof.parallel_pairs, prof.max_multiplicity,
                     prof.witness, prof.pencil) == want
 
@@ -250,10 +259,10 @@ def test_flat_profile_memory_is_bounded():
     """Row blocks keep the profile of a 1500-member family to a few MB
     (the all-pairs pass peaked at about 314 MB here)."""
     q = 61
-    hs = _family(random.Random(1500), q, 3, 1500)
+    family = rows(_family(random.Random(1500), q, 3, 1500))
     tracemalloc.start()
     try:
-        prof = flat_profile(hs, PrimeField(q))
+        prof = flat_profile(family, PrimeField(q))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -269,7 +278,8 @@ def test_case_split_pencil_triggers_flat_case():
     ms = manual_multiset(dict.fromkeys(hs, 1))
     split = case_split(ms, b0=4, field=f)
     assert split.tag == CASE_FLAT
-    assert set(split.pencil) == set(hs)
+    assert split.pencil == tuple(range(5))
+    assert (ms.support[list(split.pencil)] == rows(sorted(hs))).all()
     split2 = case_split(ms, b0=5, field=f)  # boundary: m_max = 5 = b0
     assert split2.tag == CASE_DIRECTIONAL
 

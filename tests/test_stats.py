@@ -124,8 +124,9 @@ def test_degree_sums_equal_incidences():
     for _ in range(10):
         cfg = random_config(rng)
         st = energies(cfg)
-        assert sum(st.point_degrees) == st.incidences
-        assert sum(st.sphere_degrees) == st.incidences
+        mat = membership_matrix(cfg)
+        assert sum(mat.sum(axis=1).tolist()) == st.incidences
+        assert sum(mat.sum(axis=0).tolist()) == st.incidences
 
 
 def test_energy_identity_and_off_diagonal_oracle():
@@ -133,8 +134,9 @@ def test_energy_identity_and_off_diagonal_oracle():
     for _ in range(12):
         cfg = random_config(rng, n_points=15, n_spheres=8)
         st = energies(cfg)
-        assert st.energy == sum(d * d for d in st.point_degrees)
-        assert st.dual_energy == sum(d * d for d in st.sphere_degrees)
+        mat = membership_matrix(cfg)
+        assert st.energy == sum(d * d for d in mat.sum(axis=1).tolist())
+        assert st.dual_energy == sum(d * d for d in mat.sum(axis=0).tolist())
         assert st.off_diagonal == off_diagonal_oracle(cfg)
         assert st.energy == st.incidences + st.off_diagonal
         assert st.incidences ** 2 <= len(cfg.points) * st.energy

@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ffrigidity.exact import SqrtRational
@@ -14,6 +15,11 @@ from ffrigidity.strata import (RegularizationDegenerate, dyadic_class,
                                low_layer_mass, persistent_pairs, regularize,
                                richness_threshold, stratify)
 from ffrigidity.multiset import HyperplaneMultiset, build_multiset
+
+
+def hyperplanes(rows):
+    """The Hyperplane tuples of an array of rows (normal, offset)."""
+    return [Hyperplane(tuple(r[:-1]), r[-1]) for r in rows.tolist()]
 
 
 def random_config(rng, q=7, d=3, n_points=25, n_spheres=10):
@@ -155,7 +161,7 @@ def test_radical_hyperplanes_match_scalar_oracle(q, d):
     for n in (0, 1, 2, 40):
         spheres, h = _sphere_family(rng, q, d, n)
         rows, index = radical_hyperplanes(spheres, q)
-        rows = [Hyperplane(tuple(r[:d]), r[d]) for r in rows.tolist()]
+        rows = hyperplanes(rows)
         assert rows == sorted(set(rows))
         pairs = list(itertools.combinations(range(n), 2))
         assert index.tolist() == [-1 if radical_hyperplane(
@@ -179,8 +185,9 @@ def test_bisector_consumers_match_scalar_recount(q, d):
         bisector = {(a, b): radical_hyperplane(cfg.spheres[a],
                                                cfg.spheres[b], q)
                     for a, b in itertools.permutations(range(ns), 2)}
+        distinct = sorted(set(bisector.values()) - {None})
         rich = {g: sum(hyperplane_contains(g, p, q) for p in cfg.points)
-                for g in set(bisector.values()) - {None}}
+                for g in distinct}
         for threshold, richness_min in ((0, 0), (2, 3), (9, 12)):
             persistent = sorted(pair for pair, g in bisector.items()
                                 if g is not None and rich[g] >= threshold)
@@ -193,12 +200,15 @@ def test_bisector_consumers_match_scalar_recount(q, d):
                 provenance.setdefault(bisector[pair], []).append(pair)
             kept = sorted(g for g in provenance if rich[g] >= richness_min)
             ms = build_multiset(pp, cfg, richness_min=richness_min)
-            assert ms.support == tuple(kept)
-            assert ms.counts == {g: len(provenance[g]) for g in kept}
+            assert hyperplanes(ms.support) == kept
+            assert ms.counts.tolist() == [len(provenance[g]) for g in kept]
+            assert ms.columns.tolist() == [distinct.index(g) for g in kept]
+        assert pp.bisectors.dtype == np.int64
+        assert hyperplanes(pp.bisectors) == distinct
         assert pp.incidence.tolist() == [
-            [hyperplane_contains(g, p, q) for g in pp.bisectors]
+            [hyperplane_contains(g, p, q) for g in distinct]
             for p in cfg.points]
-        assert pp.richness.tolist() == [rich[g] for g in pp.bisectors]
+        assert pp.richness.tolist() == [rich[g] for g in distinct]
 
 
 def test_low_layer_mass_bound_over_j_range():
@@ -274,6 +284,7 @@ def test_regularize_postconditions():
         if not len(pp.pairs):
             continue
         ms = build_multiset(pp, cfg, richness_min=1)
+        support = hyperplanes(ms.support)
         try:
             reg = regularize(
                 hyperplane_incidence(cfg.points, ms.support, cfg.q), ms)
@@ -284,10 +295,11 @@ def test_regularize_postconditions():
         kept = [cfg.points[i] for i in reg.point_idx.tolist()]
         # recount degrees of kept points against the input support
         for p in kept:
-            deg = sum(hyperplane_contains(h, p, cfg.q) for h in ms.support)
+            deg = sum(hyperplane_contains(h, p, cfg.q) for h in support)
             assert m1 <= deg < 2 * m1
-        for r in hyperplane_incidence(kept, reg.multiset.support,
-                                      cfg.q).sum(axis=0).tolist():
+        for h in hyperplanes(reg.multiset.support):
+            assert h in support
+            r = sum(hyperplane_contains(h, p, cfg.q) for p in kept)
             assert lam1 <= r < 2 * lam1
     assert hits >= 5
 
@@ -305,7 +317,8 @@ def test_regularize_uniform_input_unchanged():
     ms = build_multiset(pp, cfg, richness_min=1)
     reg = regularize(hyperplane_incidence(cfg.points, ms.support, q), ms)
     assert reg.point_idx.tolist() == list(range(len(cfg.points)))
-    assert reg.multiset.support == ms.support
+    assert hyperplanes(reg.multiset.support) == [h]
+    assert reg.multiset.counts.tolist() == ms.counts.tolist() == [2]
 
 
 def test_regularize_degenerate_raises():
@@ -335,8 +348,9 @@ def _heaviest_bucket_oracle(items, value):
 
 def test_regularize_matches_scalar_buckets():
     # degrees 2, 1, 1 tie the classes 1 and 0 at summed degree 2
-    h1, h2 = Hyperplane((1, 0, 0), 0), Hyperplane((0, 1, 0), 0)
-    ms = HyperplaneMultiset(support=(h1, h2), counts={h1: 1, h2: 1})
+    ms = HyperplaneMultiset(support=np.array([[0, 1, 0, 0], [1, 0, 0, 0]]),
+                            counts=np.ones(2, dtype=np.int64),
+                            columns=np.arange(2))
     pts = [(0, 1, 1), (0, 0, 1), (1, 0, 1)]
     reg = regularize(hyperplane_incidence(pts, ms.support, 5), ms)
     assert reg.point_idx.tolist() == [1] and reg.degree_scale == 2
@@ -345,13 +359,14 @@ def test_regularize_matches_scalar_buckets():
         cfg = random_config(rng, q=5, n_points=25, n_spheres=8)
         pp = persistent_pairs(cfg, threshold=0)
         ms = build_multiset(pp, cfg, richness_min=0)
-        if not ms.support:
+        if not len(ms.support):
             continue
         q = cfg.q
         inc = hyperplane_incidence(cfg.point_array, ms.support, q)
+        members = dict(zip(hyperplanes(ms.support), ms.counts.tolist()))
         jp, points = _heaviest_bucket_oracle(cfg.points, lambda p: sum(
-            hyperplane_contains(h, p, q) for h in ms.support))
-        jh, support = _heaviest_bucket_oracle(ms.support, lambda h: sum(
+            hyperplane_contains(h, p, q) for h in members))
+        jh, support = _heaviest_bucket_oracle(members, lambda h: sum(
             hyperplane_contains(h, p, q) for p in points))
         if jp is None or jh is None:
             with pytest.raises(RegularizationDegenerate):
@@ -360,5 +375,6 @@ def test_regularize_matches_scalar_buckets():
         reg = regularize(inc, ms)
         assert [cfg.points[i] for i in reg.point_idx.tolist()] == points
         assert reg.degree_scale == 1 << jp
-        assert reg.multiset.support == tuple(support)
+        assert hyperplanes(reg.multiset.support) == support
+        assert reg.multiset.counts.tolist() == [members[h] for h in support]
         assert reg.richness_scale == 1 << jh
