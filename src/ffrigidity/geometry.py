@@ -128,7 +128,7 @@ def pair_indices(n: int):
     return pairs
 
 
-def radical_hyperplanes(spheres, q: int):
+def radical_hyperplanes(spheres, q: int, d: int):
     """Bisector hyperplanes of every sphere pair i < j, in one array pass.
 
     Pair k is the k-th pair of `pair_indices(len(spheres))`.  Row by
@@ -138,16 +138,15 @@ def radical_hyperplanes(spheres, q: int):
     lead coefficient.  Returns (bisectors, index): `bisectors` holds
     each distinct bisector once as a row (normal, offset), rows in
     Hyperplane tuple order, and `index[k]` is the row of pair k, or -1
-    for a concentric pair, which has no bisector.  Coordinates are
+    for a concentric pair, which has no bisector; with fewer than two
+    spheres both are empty, the rows still d + 1 wide.  Coordinates are
     reduced first; with q < 2**16 every term is exact in int64.
     """
     n = len(spheres)
     if n < 2:
-        d = len(spheres[0].center) if n else 0
         return (np.zeros((0, d + 1), dtype=np.int64),
                 np.zeros(0, dtype=np.int64))
     centers = np.asarray([s.center for s in spheres], dtype=np.int64) % q
-    d = centers.shape[1]
     radii = np.asarray([s.r % q for s in spheres], dtype=np.int64)
     # pair (i, j) gets row j minus row i of [2c | ||c|| - r]
     terms = np.concatenate(

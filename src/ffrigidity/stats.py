@@ -34,7 +34,7 @@ class Config:
 
     @property
     def q(self) -> int:
-        return self.space.q
+        return self.space.field.q
 
     @property
     def d(self) -> int:

@@ -77,7 +77,7 @@ def _bisectors(config: Config):
     (`pair_indices` order; -1 when concentric).  As a guard, the first
     pair is recomputed by the scalar `radical_hyperplane`."""
     spheres, q = config.spheres, config.q
-    rows, index = radical_hyperplanes(spheres, q)
+    rows, index = radical_hyperplanes(spheres, q, config.d)
     if len(index):
         h = radical_hyperplane(spheres[0], spheres[1], q)
         assert index[0] < 0 if h is None else (

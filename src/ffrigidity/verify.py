@@ -3,7 +3,8 @@
 This module deliberately avoids the extraction pipeline: it checks
 each claim against the configuration and the serialized certificate
 alone, with its own formulas: every listed point lies on the named
-hyperplane, every listed sphere holds at least `sphere_min` of them,
+hyperplane, every listed sphere holds at least `sphere_min` of them
+(by the difference form sum((x - c)**2) - r, in float64 row blocks),
 and a witness flat lies in the hyperplane.  It does not yet re-derive
 everything: K and the two floors `min_points` and `sphere_min` are
 still taken from the document, not recomputed from the configuration,
@@ -28,6 +29,55 @@ def _is_int(value) -> bool:
 def _is_int_list(value, n: int) -> bool:
     return (isinstance(value, list) and len(value) == n
             and all(_is_int(c) for c in value))
+
+
+def _indices(value, n: int, name: str, failures: list):
+    """A JSON list of indices below n as an int64 array, or None if an
+    entry is not one; a value that is not a list reads as [].  Only a
+    failing list is scanned entry by entry, for its first bad entry."""
+    if not isinstance(value, list):
+        failures.append(f"{name}s must be an index list")
+        value = []
+    if not (set(map(type, value)) <= {int}
+            and (not value or 0 <= min(value) and max(value) < n)):
+        bad = [i for i in value if not _is_int(i) or not 0 <= i < n]
+        if bad:
+            failures.append(f"{name} index {bad[0]!r} out of range")
+            return None
+    idx = np.fromiter(value, dtype=np.int64, count=len(value))
+    if (idx[1:] <= idx[:-1]).any():
+        failures.append(f"{name} indices must be sorted and distinct")
+    return idx
+
+
+# Cells per row block of the sphere check: each float64 array of a
+# block then fits in 256 KiB, inside L2, for any |P'| and |S'| <= 2**15.
+_BLOCK_CELLS = 1 << 15
+
+
+def _sphere_degrees(pts: np.ndarray, spheres, q: int) -> np.ndarray:
+    """How many rows of pts lie on each sphere, from the difference form
+    sum((x - c)**2) - r of coordinates reduced mod q, accumulated in place
+    in float64 row blocks.  Below d*q*q < 2**52 in absolute value, a form
+    is exact, and q divides it exactly when rint(form / q) * q == form:
+    correctly rounded division is exact on a multiple of q."""
+    (n, d), m = pts.shape, len(spheres)
+    assert d * q * q < 1 << 52, "modulus too large for exact float64 forms"
+    c = np.asarray([(*center, r) for center, r in spheres], dtype=np.int64)
+    x, c = (pts % q).T.astype(float), (c % q).astype(float)
+    step = max(1, _BLOCK_CELLS // m)
+    degrees = np.zeros(m, dtype=np.int64)
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        form = np.subtract(x[0, rows, None], c[:, 0])
+        form *= form
+        for j in range(1, d):
+            term = np.subtract(x[j, rows, None], c[:, j])
+            term *= term
+            form += term
+        form -= c[:, d]
+        degrees += (np.rint(form / q) * q == form).sum(axis=0)
+    return degrees
 
 
 def verify_certificate(config: Config, cert: dict) -> list:
@@ -71,55 +121,23 @@ def verify_certificate(config: Config, cert: dict) -> list:
             normal = [c % q for c in normal]
             offset %= q
 
-    idx = cert.get("points")
-    points = []
-    if not isinstance(idx, list):
-        failures.append("points must be an index list")
-        idx = []
-    for i in idx:
-        if not _is_int(i) or not 0 <= i < len(config.points):
-            failures.append(f"point index {i!r} out of range")
-            points = None
-            break
-    if points is not None:
-        if any(b <= a for a, b in zip(idx, idx[1:])):
-            failures.append("point indices must be sorted and distinct")
-        points = [config.points[i] for i in idx]
-    pts = np.asarray(points or [], dtype=np.int64).reshape(-1, d)
+    idx = _indices(cert.get("points"), len(config.points), "point", failures)
+    pts = None if idx is None else config.point_array[idx]
 
-    if normal is not None and points:
-        off = (pts @ np.asarray(normal, dtype=np.int64) - offset) % q
-        bad = int(np.count_nonzero(off))
+    if normal is not None and pts is not None and len(pts):
+        bad = int(np.count_nonzero((pts @ np.asarray(normal) - offset) % q))
         if bad:
             failures.append(f"hyperplane misses {bad} structured point(s)")
+    if pts is not None and len(pts) < min_points:
+        failures.append(f"only {len(pts)} structured points, need {min_points}")
 
-    if points is not None and len(points) < min_points:
-        failures.append(
-            f"only {len(points)} structured points, need {min_points}")
-
-    sidx = cert.get("spheres")
-    if not isinstance(sidx, list):
-        failures.append("spheres must be an index list")
-    else:
-        ok = True
-        for i in sidx:
-            if not _is_int(i) or not 0 <= i < len(config.spheres):
-                failures.append(f"sphere index {i!r} out of range")
-                ok = False
-                break
-        if ok and any(b <= a for a, b in zip(sidx, sidx[1:])):
-            failures.append("sphere indices must be sorted and distinct")
-        if ok and points and sidx:
-            listed = [config.spheres[i] for i in sidx]
-            c = np.asarray([s.center for s in listed], dtype=np.int64)
-            form = sum((x[:, None] - cx) ** 2 for x, cx in zip(pts.T, c.T)) % q
-            radii = np.asarray([s.r for s in listed], dtype=np.int64)
-            degs = (form == radii).sum(axis=0).tolist()
-            for i, deg in zip(sidx, degs):
-                if deg < sphere_min:
-                    failures.append(
-                        f"sphere {i} holds {deg} structured points, "
-                        f"need {sphere_min}")
+    sidx = _indices(cert.get("spheres"), len(config.spheres), "sphere",
+                    failures)
+    if sidx is not None and len(sidx) and pts is not None and len(pts):
+        degs = _sphere_degrees(pts, [config.spheres[i] for i in sidx], q)
+        failures += [f"sphere {i} holds {deg} structured points, "
+                     f"need {sphere_min}" for i, deg in
+                     zip(sidx.tolist(), degs.tolist()) if deg < sphere_min]
 
     if case == "flat-concentration":
         aux = cert.get("aux")

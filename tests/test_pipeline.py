@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ffrigidity import field, geometry, pipeline, stats, strata
+from ffrigidity import field, geometry, pipeline, stats, strata, verify
 from ffrigidity.field import PrimeField
 from ffrigidity.geometry import (PARALLEL_DISJOINT, Sphere,
                                  canonical_hyperplane, flat_contained_in,
@@ -525,6 +525,49 @@ def test_verify_rejects_inflated_sphere_claim():
     assert verify_certificate(cfg, doc)
 
 
+def _index_case():
+    """A directional certificate with 24 of 30 points and 18 of 30
+    spheres, min_points 16."""
+    g = generate(GeneratorSpec("reflected-pairs", 7, 3, 30, 30, 0, 0.2))
+    doc = json.loads(json.dumps(extract_certificate(g.config).to_dict()))
+    assert (len(doc["points"]), len(doc["spheres"])) == (24, 18)
+    assert doc["params"]["min_points"] == 16
+    return g.config, doc
+
+
+@pytest.mark.parametrize("key", ["points", "spheres"])
+@pytest.mark.parametrize("bad", [10 ** 30, -1, 30, 1.0, "3", True, None])
+def test_verify_names_the_first_bad_index(key, bad):
+    cfg, doc = _index_case()
+    name = key[:-1]
+    assert verify_certificate(cfg, doc) == []
+    for pos in (0, 5, len(doc[key])):
+        # the entries after a bad one, valid or not, are not read
+        for tail in ([], [-2], ["x"]):
+            idx = doc[key][:pos] + [bad] + doc[key][pos:] + tail
+            assert verify_certificate(cfg, dict(doc, **{key: idx})) == [
+                f"{name} index {bad!r} out of range"]
+
+
+@pytest.mark.parametrize("key", ["points", "spheres"])
+def test_verify_index_list_failure_lines(key):
+    cfg, doc = _index_case()
+    name, idx = key[:-1], doc[key]
+    unordered = f"{name} indices must be sorted and distinct"
+    for bad in (idx[:1] + idx, idx[:5] + idx[4:], idx[::-1],
+                [idx[1], idx[0]] + idx[2:], idx[:-2] + [idx[-1], idx[-2]]):
+        assert verify_certificate(cfg, dict(doc, **{key: bad})) == [unordered]
+    lines = [f"{key} must be an index list"]
+    if key == "points":
+        lines.append("only 0 structured points, need 16")
+    for bad in ("x", 3, None, {"0": 1}, tuple(idx)):
+        assert verify_certificate(cfg, dict(doc, **{key: bad})) == lines
+    missing = {k: v for k, v in doc.items() if k != key}
+    assert verify_certificate(cfg, missing) == lines
+    # an empty list is a list: only the point floor fails
+    assert verify_certificate(cfg, dict(doc, **{key: []})) == lines[1:]
+
+
 def _certified_configs():
     for kind, q in (("reflected-pairs", 7), ("reflected-pairs", 13),
                     ("uniform-random", 11), ("hyperplane-planted", 11),
@@ -563,6 +606,49 @@ def test_verify_sphere_degrees_match_scalar_count():
             f"sphere {first} holds {low} structured points, need {low + 1}"]
         checked += 1
     assert checked >= 8
+
+
+@pytest.mark.parametrize("block", [None, 1, 8 * 130])
+@pytest.mark.parametrize("d", [3, 4])
+def test_verify_sphere_degrees_exact_at_the_modulus_edge(d, block,
+                                                         monkeypatch):
+    # coordinates and centres at 0, q - 1 and q - 2 give the largest
+    # differences; 301 points x 130 spheres span several row blocks: of
+    # one row, or of 252 (the default) or 8 rows with a shorter last one
+    q = 65521
+    rng = random.Random(d)
+    corners = list(itertools.product((0, q - 1, q - 2), repeat=d))
+    mixed = lambda: tuple(rng.choice((0, q - 1, q - 2, rng.randrange(q)))
+                          for _ in range(d))
+    points = list(dict.fromkeys(corners + [mixed() for _ in range(900)]))
+    points = points[:301]
+    spheres = {}
+    while len(spheres) < 130:
+        c = rng.choice(corners) if rng.random() < 0.7 else mixed()
+        x = rng.choice(corners if rng.random() < 0.7 else points)
+        r = sum((a - b) ** 2 for a, b in zip(x, c)) % q
+        spheres[Sphere(c, r if rng.random() < 0.9 else rng.randrange(q))] = 0
+    spheres = list(spheres)
+    assert len(points) == 301
+    degs = [sum(sphere_contains(s, p, q) for p in points) for s in spheres]
+    assert sum(degs) >= 2 * len(spheres) and max(degs) >= 10 and 0 in degs
+    if block is not None:
+        monkeypatch.setattr(verify, "_BLOCK_CELLS", block)
+    got = verify._sphere_degrees(np.array(points, dtype=np.int64), spheres, q)
+    assert got.tolist() == degs
+    # the same counts through a whole document
+    cfg = make_config(make_space(q, d), points, spheres)
+    need = max(degs) + 1
+    doc = {"schema": 4, "case": CASE_DIRECTIONAL,
+           "hyperplane": {"normal": [1] + [0] * (d - 1), "offset": 0},
+           "points": list(range(len(points))),
+           "spheres": list(range(len(spheres))),
+           "params": {"min_points": 0, "sphere_min": need}}
+    off = sum(p[0] != 0 for p in points)
+    assert verify_certificate(cfg, doc) == [
+        f"hyperplane misses {off} structured point(s)"] + [
+        f"sphere {i} holds {deg} structured points, need {need}"
+        for i, deg in enumerate(degs)]
 
 
 def test_verify_counts_points_off_the_hyperplane():
@@ -635,6 +721,34 @@ def test_extract_and_verify_reach_no_dichotomy_code():
             sys.setprofile(None)
         assert failures == []
     assert ran == set()
+
+
+def test_verify_runs_no_pipeline_code():
+    # stats.py runs (Config.q and Config.d are properties), and field.py
+    # for a witness flat; no pipeline layer may run while verifying
+    package = Path(verify.__file__).parent
+    ran = collections.defaultdict(set)
+
+    def profile(frame, event, arg):
+        path = Path(frame.f_code.co_filename)
+        if event == "call" and path.parent == package:
+            ran[path.stem].add(frame.f_code.co_name)
+
+    for (kind, q, d, np_, ns, seed, noise, c_const, b0, case,
+         _) in GOLDEN_CERTIFICATES:
+        cfg = generate(GeneratorSpec(kind, q, d, np_, ns, seed, noise)).config
+        opts = ExtractOptions(c_const=Fraction(c_const), b0=b0)
+        doc = json.loads(json.dumps(extract_certificate(cfg, opts).to_dict()))
+        sys.setprofile(profile)
+        try:
+            failures = verify_certificate(cfg, doc)
+        finally:
+            sys.setprofile(None)
+        assert failures == []
+    assert not ran.keys() & {"geometry", "strata", "multiset", "pipeline",
+                             "dichotomy"}, dict(ran)
+    assert {"_indices", "_sphere_degrees"} <= ran["verify"]
+    assert "rref" in ran["field"]
 
 
 def test_no_numpy_ma_import():

@@ -160,7 +160,8 @@ def test_radical_hyperplanes_match_scalar_oracle(q, d):
     rng = random.Random(q * 10 + d)
     for n in (0, 1, 2, 40):
         spheres, h = _sphere_family(rng, q, d, n)
-        rows, index = radical_hyperplanes(spheres, q)
+        rows, index = radical_hyperplanes(spheres, q, d)
+        assert rows.shape[1] == d + 1
         rows = hyperplanes(rows)
         assert rows == sorted(set(rows))
         pairs = list(itertools.combinations(range(n), 2))
@@ -204,6 +205,8 @@ def test_bisector_consumers_match_scalar_recount(q, d):
             assert ms.counts.tolist() == [len(provenance[g]) for g in kept]
             assert ms.columns.tolist() == [distinct.index(g) for g in kept]
         assert pp.bisectors.dtype == np.int64
+        assert pp.bisectors.shape == (len(distinct), d + 1)
+        assert ms.support.shape == (len(kept), d + 1)
         assert hyperplanes(pp.bisectors) == distinct
         assert pp.incidence.tolist() == [
             [hyperplane_contains(g, p, q) for g in distinct]
