@@ -15,13 +15,17 @@ from it, so nothing competes with the planted hyperplane.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .exact import SqrtRational
-from .geometry import (AmbientSpace, Hyperplane, Sphere, all_projective_directions,
-                       canonical_hyperplane, hyperplane_incidence, make_space,
-                       point_grid, quad_norm, sphere_points)
+from .geometry import (AmbientSpace, Hyperplane, SpaceTooLarge, Sphere,
+                       all_projective_directions, canonical_hyperplane,
+                       hyperplane_incidence, make_space, point_grid,
+                       quad_norm, sphere_incidence)
 from .stats import (Config, incidence_count, make_config,
                     near_extremality_from_counts)
 
@@ -54,12 +58,13 @@ class GeneratedConfig:
     quadric_r: int | None = None
 
 
-def _decode(index: int, q: int, d: int) -> tuple:
-    out = []
-    for _ in range(d):
-        out.append(index % q)
-        index //= q
-    return tuple(reversed(out))
+def _digits(codes, q: int, width: int) -> np.ndarray:
+    """Big-endian base-q digits of codes in range(q**width), as an int64
+    (len, width) array: the array form of repeated divmod.  A range that
+    `rng.sample` can draw from has a length below 2**63, so its codes
+    and q**(width - 1) fit int64."""
+    powers = q ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    return np.asarray(codes, dtype=np.int64).reshape(-1, 1) // powers % q
 
 
 def _validate(spec: GeneratorSpec, space: AmbientSpace):
@@ -75,6 +80,15 @@ def _validate(spec: GeneratorSpec, space: AmbientSpace):
         raise BadGeneratorSpec("n_points: exceeds the ambient space")
     if spec.n_spheres > space.size * space.q:
         raise BadGeneratorSpec("n_spheres: exceeds the sphere family space")
+    if spec.kind != "reflected-pairs":
+        if space.size * space.q > sys.maxsize:
+            raise BadGeneratorSpec(f"q: q^{space.d + 1} = "
+                                   f"{space.size * space.q} sphere codes "
+                                   "exceed the sampling range")
+    elif spec.n_spheres % 2:
+        raise BadGeneratorSpec("n_spheres: reflected-pairs needs an even count")
+    elif spec.n_spheres // 2 > (space.q - 1) // 2 * space.q:
+        raise BadGeneratorSpec("n_spheres: too many mirror pairs for this q")
 
 
 def _split_noise(n_points: int, noise: float) -> tuple:
@@ -82,127 +96,101 @@ def _split_noise(n_points: int, noise: float) -> tuple:
     return n_points - off, off
 
 
-def _points_on_hyperplane(h: Hyperplane, q: int, d: int, count: int,
-                          rng: random.Random):
-    """Sample distinct points of the hyperplane via its free coordinates."""
+def _plane_points(h: Hyperplane, q: int, d: int, codes, delta=0):
+    """Points whose free coordinates are the base-q digits of `codes`
+    and whose pivot coordinate solves <n, x> = offset, then moves by
+    `delta`: on the hyperplane where delta is 0, off it where delta is
+    nonzero.  An int64 (len(codes), d) array."""
     piv = next(i for i, c in enumerate(h.normal) if c != 0)
-    free_positions = [i for i in range(d) if i != piv]
-    total = q ** (d - 1)
-    if count > total:
-        raise BadGeneratorSpec("n_points: more on-structure points than the "
-                               "hyperplane holds")
-    picks = rng.sample(range(total), count)
-    inv = pow(h.normal[piv], q - 2, q)
-    out = []
-    for code in picks:
-        frees = _decode(code, q, d - 1)
-        x = [0] * d
-        for pos, val in zip(free_positions, frees):
-            x[pos] = val
-        rest = sum(h.normal[i] * x[i] for i in free_positions) % q
-        x[piv] = (h.offset - rest) * inv % q
-        out.append(tuple(x))
-    return out
-
-
-def _points_off_hyperplane(h: Hyperplane, q: int, d: int, count: int,
-                           rng: random.Random):
-    """Sample distinct points with <n, x> != offset, by shifting on-plane
-    solutions along the pivot coordinate by a nonzero amount."""
-    piv = next(i for i, c in enumerate(h.normal) if c != 0)
-    free_positions = [i for i in range(d) if i != piv]
-    total = (q - 1) * q ** (d - 1)
-    if count > total:
-        raise BadGeneratorSpec("n_points: more off-structure points than the "
-                               "complement holds")
-    picks = rng.sample(range(total), count)
-    inv = pow(h.normal[piv], q - 2, q)
-    out = []
-    for code in picks:
-        delta = 1 + code % (q - 1)
-        frees = _decode(code // (q - 1), q, d - 1)
-        x = [0] * d
-        for pos, val in zip(free_positions, frees):
-            x[pos] = val
-        rest = sum(h.normal[i] * x[i] for i in free_positions) % q
-        x[piv] = ((h.offset - rest) * inv + delta) % q
-        out.append(tuple(x))
-    return out
+    x = np.zeros((len(codes), d), dtype=np.int64)
+    x[:, [i for i in range(d) if i != piv]] = _digits(codes, q, d - 1)
+    rest = x @ np.array(h.normal, dtype=np.int64) % q
+    x[:, piv] = ((h.offset - rest) * pow(h.normal[piv], q - 2, q) + delta) % q
+    return x
 
 
 def _random_hyperplane(q: int, d: int, rng: random.Random,
                        non_isotropic: bool) -> Hyperplane:
     dirs = all_projective_directions(q, d)
     if non_isotropic:
-        dirs = [v for v in dirs if quad_norm(v, q) != 0]
-    normal = rng.choice(dirs)
+        dirs = dirs[(dirs * dirs).sum(axis=1) % q != 0]
+    normal = dirs[rng.choice(range(len(dirs)))].tolist()
     return canonical_hyperplane(normal, rng.randrange(q), q)
 
 
 def generate(spec: GeneratorSpec) -> GeneratedConfig:
-    """Build the configuration a spec describes, deterministically."""
+    """Build the configuration a spec describes, deterministically.
+
+    An enumeration past `geometry.ENUMERATION_CAP` (the direction table
+    or the point grid) raises BadGeneratorSpec naming q.
+    """
     space = make_space(spec.q, spec.d)
     _validate(spec, space)
-    q, d = spec.q, spec.d
+    try:
+        return _generate(spec, space)
+    except SpaceTooLarge as exc:
+        raise BadGeneratorSpec(f"q: {exc}") from None
+
+
+def _generate(spec: GeneratorSpec, space: AmbientSpace) -> GeneratedConfig:
+    q, d, kind = spec.q, spec.d, spec.kind
     rng = random.Random(spec.seed)
-
-    if spec.kind == "uniform-random":
-        pts = [_decode(i, q, d) for i in rng.sample(range(q ** d), spec.n_points)]
-        sph = [Sphere(_decode(i // q, q, d), i % q)
-               for i in rng.sample(range(q ** (d + 1)), spec.n_spheres)]
-        return GeneratedConfig(make_config(space, pts, sph), spec)
-
-    if spec.kind == "hyperplane-planted":
-        h = _random_hyperplane(q, d, rng, non_isotropic=False)
-        n_on, n_off = _split_noise(spec.n_points, spec.noise)
-        pts = _points_on_hyperplane(h, q, d, n_on, rng)
-        pts += _points_off_hyperplane(h, q, d, n_off, rng)
-        sph = [Sphere(_decode(i // q, q, d), i % q)
-               for i in rng.sample(range(q ** (d + 1)), spec.n_spheres)]
-        return GeneratedConfig(make_config(space, pts, sph), spec, planted=h)
-
-    if spec.kind == "quadric-planted":
-        r0 = rng.randrange(1, q)
-        quadric = sphere_points(Sphere((0,) * d, r0), space)
-        n_on, n_off = _split_noise(spec.n_points, spec.noise)
+    n_on, n_off = _split_noise(spec.n_points, spec.noise)
+    planted = quadric_r = None
+    if kind == "uniform-random":
+        pts = _digits(rng.sample(range(q ** d), spec.n_points), q, d)
+    elif kind == "quadric-planted":
+        quadric_r = rng.randrange(1, q)
+        grid = point_grid(q, d)
+        on = sphere_incidence(grid, [Sphere((0,) * d, quadric_r)], q)[:, 0]
+        quadric, complement = grid[on], grid[~on]
         if n_on > len(quadric):
             raise BadGeneratorSpec("n_points: more on-structure points than "
                                    "the quadric holds")
-        pts = [quadric[i] for i in rng.sample(range(len(quadric)), n_on)]
-        off_pool = q ** d - len(quadric)
-        if n_off > off_pool:
+        on_pts = quadric[rng.sample(range(len(quadric)), n_on)]
+        if n_off > len(complement):
             raise BadGeneratorSpec("n_points: more off-structure points than "
                                    "the complement holds")
-        grid = point_grid(q, d)
-        on_set = set(quadric)
-        complement = [tuple(int(c) for c in row) for row in grid
-                      if tuple(int(c) for c in row) not in on_set]
-        pts += [complement[i] for i in rng.sample(range(len(complement)), n_off)]
-        sph = [Sphere(_decode(i // q, q, d), i % q)
-               for i in rng.sample(range(q ** (d + 1)), spec.n_spheres)]
-        return GeneratedConfig(make_config(space, pts, sph), spec, quadric_r=r0)
+        pts = np.concatenate(
+            [on_pts, complement[rng.sample(range(len(complement)), n_off)]])
+    else:
+        planted = _random_hyperplane(q, d, rng,
+                                     non_isotropic=kind == "reflected-pairs")
+        total = q ** (d - 1)
+        if n_on > total:
+            raise BadGeneratorSpec("n_points: more on-structure points than "
+                                   "the hyperplane holds")
+        on = np.array(rng.sample(range(total), n_on), dtype=np.int64)
+        if n_off > (q - 1) * total:
+            raise BadGeneratorSpec("n_points: more off-structure points than "
+                                   "the complement holds")
+        # an off-plane code in range((q - 1) * total) carries the free
+        # coordinates and a nonzero shift 1 + code % (q - 1)
+        off = np.array(rng.sample(range((q - 1) * total), n_off),
+                       dtype=np.int64)
+        pts = _plane_points(
+            planted, q, d, np.concatenate([on, off // (q - 1)]),
+            np.concatenate([np.zeros_like(on), 1 + off % (q - 1)]))
 
-    # reflected-pairs
-    if spec.n_spheres % 2:
-        raise BadGeneratorSpec("n_spheres: reflected-pairs needs an even count")
-    n_pairs = spec.n_spheres // 2
-    max_pairs = (q - 1) // 2 * q
-    if n_pairs > max_pairs:
-        raise BadGeneratorSpec("n_spheres: too many mirror pairs for this q")
-    h = _random_hyperplane(q, d, rng, non_isotropic=True)
-    n_on, n_off = _split_noise(spec.n_points, spec.noise)
-    pts = _points_on_hyperplane(h, q, d, n_on, rng)
-    pts += _points_off_hyperplane(h, q, d, n_off, rng)
-    anchor = _points_on_hyperplane(h, q, d, 1, rng)[0]
-    sph = []
-    for code in rng.sample(range(max_pairs), n_pairs):
-        t = 1 + code % ((q - 1) // 2)
-        r = code // ((q - 1) // 2)
-        up = tuple((a + t * n) % q for a, n in zip(anchor, h.normal))
-        down = tuple((a - t * n) % q for a, n in zip(anchor, h.normal))
-        sph.append(Sphere(up, r))
-        sph.append(Sphere(down, r))
-    return GeneratedConfig(make_config(space, pts, sph), spec, planted=h)
+    if kind == "reflected-pairs":
+        half = (q - 1) // 2
+        anchor = _plane_points(planted, q, d,
+                               rng.sample(range(q ** (d - 1)), 1))[0]
+        codes = np.array(rng.sample(range(half * q), spec.n_spheres // 2),
+                         dtype=np.int64)
+        # pair k: radius codes[k] // half, centers anchor +/- t_k * normal
+        # with t_k = 1 + codes[k] % half, the upper center first
+        shift = np.outer(1 + codes % half, planted.normal)
+        centers = np.stack([anchor + shift, anchor - shift], axis=1) % q
+        rows = np.column_stack([centers.reshape(-1, d),
+                                np.repeat(codes // half, 2)])
+    else:
+        rows = _digits(rng.sample(range(q ** (d + 1)), spec.n_spheres),
+                       q, d + 1)
+    # a sphere row is its center, then its form value r
+    sph = [Sphere(tuple(row[:d]), row[d]) for row in rows.tolist()]
+    return GeneratedConfig(make_config(space, pts.tolist(), sph), spec,
+                           planted=planted, quadric_r=quadric_r)
 
 
 def _distinct_residues(vectors, q: int) -> list:

@@ -13,7 +13,6 @@ equality and lexicographic tuple order gives deterministic tie-breaks.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -203,7 +202,7 @@ def flat_contained_in(flat: Flat, h: Hyperplane, field: PrimeField) -> bool:
 def point_grid(q: int, d: int) -> np.ndarray:
     """All q**d points as an integer array in lexicographic order."""
     if q ** d > ENUMERATION_CAP:
-        raise SpaceTooLarge(f"q^d = {q ** d} exceeds the enumeration cap")
+        raise SpaceTooLarge(f"q^{d} = {q ** d} exceeds the enumeration cap")
     cols = []
     for i in range(d):
         reps = q ** (d - 1 - i)
@@ -334,13 +333,6 @@ def incidence_gram(inc: np.ndarray) -> np.ndarray:
     return gram
 
 
-def sphere_points(s: Sphere, space: AmbientSpace):
-    """All points of the sphere, in lexicographic order."""
-    pts = point_grid(space.q, space.d)
-    sel = pts[sphere_incidence(pts, [s], space.q)[:, 0]]
-    return [tuple(int(c) for c in row) for row in sel]
-
-
 def hyperplane_points(h: Hyperplane, space: AmbientSpace):
     pts = point_grid(space.q, space.d)
     sel = pts[hyperplane_incidence(pts, [h], space.q)[:, 0]]
@@ -370,11 +362,19 @@ def affine_chart(direction, j: int, q: int):
     return tuple((c * s) % q for i, c in enumerate(direction) if i != j - 1)
 
 
-def all_projective_directions(q: int, d: int):
-    """Canonical representatives of P^(d-1)(F_q), lexicographically sorted."""
-    out = []
-    for lead in range(d):
-        head = (0,) * lead + (1,)
-        for tail in product(range(q), repeat=d - lead - 1):
-            out.append(head + tail)
-    return sorted(out)
+@lru_cache(maxsize=32)
+def all_projective_directions(q: int, d: int) -> np.ndarray:
+    """Canonical representatives of P^(d-1)(F_q), first nonzero
+    coordinate 1, as a read-only int64 (N, d) array of lexicographically
+    sorted rows: one block per lead position, the last position first,
+    each block a 1 after the leading zeros and then a `point_grid` tail,
+    so the cap on the grid bounds the table."""
+    blocks = [np.eye(1, d, d - 1, dtype=np.int64)]
+    for lead in range(d - 2, -1, -1):
+        tail = point_grid(q, d - 1 - lead)
+        head = np.zeros((len(tail), lead + 1), dtype=np.int64)
+        head[:, lead] = 1
+        blocks.append(np.concatenate([head, tail], axis=1))
+    dirs = np.concatenate(blocks)
+    dirs.setflags(write=False)
+    return dirs

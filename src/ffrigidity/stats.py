@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
+from operator import mod
 
 import numpy as np
 
@@ -48,10 +49,12 @@ def make_config(space: AmbientSpace, points, spheres) -> Config:
     the same input is always identical.
     """
     q, d = space.q, space.d
-    pts = tuple(dict.fromkeys(tuple([c % q for c in p]) for p in points))
-    bad = [p for p in pts if len(p) != d]
-    if bad:
-        raise ValueError(f"point {bad[0]!r} does not have dimension {d}")
+    points = list(points)
+    if set(map(len, points)) - {d}:
+        bad = tuple([c % q for c in next(p for p in points if len(p) != d)])
+        raise ValueError(f"point {bad!r} does not have dimension {d}")
+    coords = map(mod, chain.from_iterable(points), repeat(q))
+    pts = tuple(dict.fromkeys(zip(*[coords] * d)))
     arr = np.fromiter(chain.from_iterable(pts), dtype=np.int64,
                       count=len(pts) * d).reshape(len(pts), d)
     arr.setflags(write=False)
@@ -116,8 +119,9 @@ def energies(config: Config, membership=None) -> IncidenceStats:
 
     The off-diagonal energy is computed from the sphere-pair Gram matrix
     rather than from point degrees, so the exact identity
-    energy = incidences + off_diagonal is a real cross-check.  A caller
-    that needs `membership_matrix(config)` itself may pass it in.
+    energy = incidences + off_diagonal, which is asserted, is a real
+    cross-check.  A caller that needs `membership_matrix(config)`
+    itself may pass it in.
     """
     mat = membership_matrix(config) if membership is None else membership
     point_deg = mat.sum(axis=1).astype(np.int64)
@@ -127,6 +131,7 @@ def energies(config: Config, membership=None) -> IncidenceStats:
     dual_energy = int((sphere_deg * sphere_deg).sum())
     gram = incidence_gram(mat)
     off_diagonal = int(gram.sum() - np.trace(gram))
+    assert energy == incidences + off_diagonal, "energy identity violated"
     if config.points and config.spheres:
         K = near_extremality_from_counts(incidences, len(config.points),
                                          len(config.spheres), config.q, config.d)

@@ -21,8 +21,8 @@ from ffrigidity.generators import (GeneratorSpec, dot_product_system,
                                    generate, pinned_sphere_system)
 from ffrigidity.geometry import (Hyperplane, Sphere, canonical_hyperplane,
                                  flat_from_pair, hyperplane_contains,
-                                 make_space, quad_norm, radical_hyperplane,
-                                 sphere_points)
+                                 make_space, point_grid, quad_norm,
+                                 radical_hyperplane, sphere_incidence)
 from ffrigidity.multiset import (build_multiset, mass_retention,
                                  popular_hyperplane)
 from ffrigidity.pipeline import extract_certificate, flat_profile
@@ -66,7 +66,6 @@ def test_criterion_01_radical_containment():
     start = time.perf_counter()
     cells = [(q, 3, 2400) for q in GRID_Q] + [(q, 4, 500) for q in SPOT_Q]
     for q, d, n_pairs in cells:
-        sp = make_space(q, d)
         spheres = []
         seen = set()
         while len(spheres) < 60:
@@ -75,7 +74,10 @@ def test_criterion_01_radical_containment():
             if s not in seen:
                 seen.add(s)
                 spheres.append(s)
-        cache = {s: frozenset(sphere_points(s, sp)) for s in spheres}
+        grid = point_grid(q, d)
+        inc = sphere_incidence(grid, spheres, q)
+        cache = {s: frozenset(map(tuple, grid[inc[:, k]].tolist()))
+                 for k, s in enumerate(spheres)}
         done = 0
         while done < n_pairs:
             s1, s2 = rng.sample(spheres, 2)

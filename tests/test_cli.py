@@ -1,6 +1,11 @@
 import csv
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -84,6 +89,72 @@ def test_gen_rejects_low_dimension(tmp_path, capsys):
                        "--d", "2", "--np", "5", "--ns", "3", "--seed", "1")
     assert code == 2
     assert "d:" in err
+
+
+# sha256 of `gen` output for (kind, q, d, np, ns, seed, noise): the byte
+# contract of the generators, their draws and post-processing alike
+GEN_DIGESTS = [
+    ("uniform-random", 7, 3, 20, 10, 5, 0.0, "ecc97beb964c2bd2e332b46caab5e442e05b4e459e5efe9a2f9da59555a06066"),
+    ("uniform-random", 13, 4, 60, 20, 1, 0.0, "e3838b341fe02d77101bd74c6c31416ffe739436124cae220f07572bf155394a"),
+    ("uniform-random", 61, 3, 300, 28, 2, 0.0, "5cd2cae9050ec22ecd937fa3d44eefcf038cf41c489b27168303d225e4d04754"),
+    # sphere codes up to q**4, just below 2**63
+    ("uniform-random", 55103, 3, 40, 12, 3, 0.0, "80ddce97637f488c098c4ecaa018a06deab6d2aa7d1f1beee2ae63cccb7e93f8"),
+    ("hyperplane-planted", 7, 3, 30, 10, 3, 0.0, "538585d3a224c905f88d0b0c2d3132fe886621a7a4126caf8f1c89ab87740707"),
+    ("hyperplane-planted", 11, 4, 80, 16, 4, 0.5, "6b22942937a90493923367b36cc7ff9853ede427823336b7a9f1576573de4684"),
+    ("hyperplane-planted", 19, 3, 100, 12, 6, 1.0, "c931d04440ac515262a8ac9b0324b5bcf2fc2d644ae4a8670d0c5518b12db42b"),
+    ("quadric-planted", 31, 3, 200, 20, 7, 0.1, "9c1c7e02076ddc3aa2181e95c8408a85c1f868a01539b3c978ca6ea97578a04e"),
+    ("quadric-planted", 7, 4, 50, 10, 8, 1.0, "6b67884fce3409e87cec6e3b99339d50c1726e196d2fddcd11468da6b42d8439"),
+    ("quadric-planted", 13, 3, 40, 12, 9, 0.0, "1957b26dd17b43dbbb1833493c36735ebbc0e5bb096a8c8d87f6d8e17c6aef08"),
+    ("reflected-pairs", 61, 3, 500, 40, 1009, 0.1, "14b25e5c5db3f4be12f201d6bcd0de3af2845660376965f5afbc481a189ec490"),
+    ("reflected-pairs", 13, 4, 100, 20, 10, 1.0, "6ccf0d7f59ee4fb847c93ffdd69b4b166863f1e27b16fdbcffd4c1759e0fb557"),
+    ("reflected-pairs", 7, 3, 14, 8, 2, 0.0, "7788e769b7696b48f73be151ac71295cfa33585cae7961475fd71a21267a31ad"),
+]
+
+
+@pytest.mark.parametrize("kind,q,d,np_,ns,seed,noise,digest", GEN_DIGESTS)
+def test_gen_output_matches_pinned_digest(tmp_path, capsys, kind, q, d, np_,
+                                          ns, seed, noise, digest):
+    path = tmp_path / "config.json"
+    code, _, err = run(capsys, "gen", "--kind", kind, "--q", str(q),
+                       "--d", str(d), "--np", str(np_), "--ns", str(ns),
+                       "--seed", str(seed), "--noise", str(noise),
+                       "--out", str(path))
+    assert code == 0, err
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_gen_past_the_enumeration_cap_names_q(tmp_path, capsys):
+    # the point grid: 257**3 > 2**24
+    code, _, err = run(capsys, "gen", "--kind", "quadric-planted", "--q",
+                       "257", "--np", "4", "--ns", "2", "--seed", "1")
+    assert code == 2 and err.startswith("error: q: ")
+    assert "enumeration cap" in err
+    # 65521**4 sphere codes: more than random.sample can index
+    code, _, err = run(capsys, "gen", "--kind", "uniform-random", "--q",
+                       "65521", "--np", "4", "--ns", "2", "--seed", "1")
+    assert code == 2 and err.startswith("error: q: ")
+    assert "sampling range" in err
+    grid = grid_file(tmp_path, dict(BASE_GRID, q=[4099],
+                                    kind=["hyperplane-planted"]))
+    code, _, err = run(capsys, "experiment", str(grid))
+    assert code == 2 and err.startswith("error: grid: cell ")
+    assert "q: " in err and "enumeration cap" in err
+    assert "Traceback" not in err
+
+
+def test_gen_direction_table_past_the_cap_exits_promptly():
+    # 65521**2 directions would take minutes and gigabytes to build
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ffrigidity.cli", "gen", "--kind",
+         "reflected-pairs", "--q", "65521", "--np", "4", "--ns", "2",
+         "--seed", "1"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: q: ")
+    assert "enumeration cap" in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
 def test_unknown_subcommand_exits_2(capsys):

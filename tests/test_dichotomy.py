@@ -84,7 +84,7 @@ def test_dichotomy_two_points_of_projective_line_large():
 def test_dichotomy_small_sets_always_algebraic():
     rng = random.Random(71)
     q = 7
-    alldirs = all_projective_directions(q, 3)
+    alldirs = list(map(tuple, all_projective_directions(q, 3).tolist()))
     for _ in range(200):
         D = rng.randrange(1, 4)
         dim = comb(3 + D - 1, 3 - 1)
@@ -99,7 +99,7 @@ def test_dichotomy_small_sets_always_algebraic():
 def test_dichotomy_full_projective_space_large_quadratic():
     # all of P^2(F_5): no nonzero quadratic form vanishes everywhere
     q = 5
-    dirs = all_projective_directions(q, 3)
+    dirs = list(map(tuple, all_projective_directions(q, 3).tolist()))
     for D in (1, 2):
         res = dichotomy(dirs, D, q)
         assert res.branch == "large"
@@ -119,7 +119,7 @@ def test_affine_dichotomy_chart_miss():
 
 @pytest.mark.parametrize("chart", [0, 4])
 def test_affine_dichotomy_chart_out_of_range(chart):
-    dirs = all_projective_directions(5, 3)
+    dirs = list(map(tuple, all_projective_directions(5, 3).tolist()))
     with pytest.raises(ValueError, match="out of range"):
         affine_dichotomy(dirs, chart=chart, D=1, q=5)
 
@@ -127,7 +127,8 @@ def test_affine_dichotomy_chart_out_of_range(chart):
 def test_affine_dichotomy_homogenized_vanishes_on_chart_dirs():
     rng = random.Random(72)
     q = 7
-    alldirs = [v for v in all_projective_directions(q, 3) if v[0] != 0]
+    alldirs = [v for v in map(tuple, all_projective_directions(q, 3).tolist())
+               if v[0] != 0]
     for _ in range(100):
         D = rng.randrange(1, 4)
         dim = comb(3 - 1 + D, 3 - 1)
@@ -143,7 +144,8 @@ def test_affine_dichotomy_homogenized_vanishes_on_chart_dirs():
 def test_affine_dichotomy_large_when_saturated():
     # every direction of the chart u1 != 0 kills all degree-1 kernels
     q = 5
-    dirs = [v for v in all_projective_directions(q, 3) if v[0] != 0]
+    dirs = [v for v in map(tuple, all_projective_directions(q, 3).tolist())
+               if v[0] != 0]
     res = affine_dichotomy(dirs, chart=1, D=1, q=q)
     assert res.branch == "large"
     assert res.n_chart_points >= res.basis_size

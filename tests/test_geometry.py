@@ -16,8 +16,7 @@ from ffrigidity.geometry import (IDENTICAL, PARALLEL_DISJOINT, Flat,
                                  hyperplane_incidence, hyperplane_points,
                                  incidence_gram, make_space, point_grid,
                                  quad_norm, radical_hyperplane,
-                                 sphere_contains, sphere_incidence,
-                                 sphere_points)
+                                 sphere_contains, sphere_incidence)
 
 
 # oracle: enumerate the whole space with itertools and test membership
@@ -53,13 +52,16 @@ def test_quad_norm_examples():
 
 
 def test_sphere_points_match_oracle():
+    # a sphere's points as the generators take them: the grid rows that
+    # sphere_incidence marks, still in lexicographic order
     rng = random.Random(21)
     for q in (3, 5, 7):
-        sp = make_space(q, 3)
+        grid = point_grid(q, 3)
         for _ in range(10):
             s = Sphere(tuple(rng.randrange(q) for _ in range(3)),
                        rng.randrange(q))
-            assert sphere_points(s, sp) == sphere_points_oracle(s, q, 3)
+            rows = grid[sphere_incidence(grid, [s], q)[:, 0]]
+            assert list(map(tuple, rows.tolist())) == sphere_points_oracle(s, q, 3)
 
 
 def test_hyperplane_points_match_oracle():
@@ -277,7 +279,6 @@ def test_radical_hyperplane_concentric_is_none():
 def test_radical_contains_all_intersection_points():
     rng = random.Random(23)
     for q in (3, 5, 7):
-        sp = make_space(q, 3)
         for _ in range(25):
             s1 = Sphere(tuple(rng.randrange(q) for _ in range(3)),
                         rng.randrange(q))
@@ -286,7 +287,8 @@ def test_radical_contains_all_intersection_points():
             if s1.center == s2.center:
                 continue
             h = radical_hyperplane(s1, s2, q)
-            common = set(sphere_points(s1, sp)) & set(sphere_points(s2, sp))
+            common = (set(sphere_points_oracle(s1, q, 3))
+                      & set(sphere_points_oracle(s2, q, 3)))
             for x in common:
                 assert hyperplane_contains(h, x, q)
 
@@ -351,12 +353,16 @@ def test_affine_chart():
 
 def test_all_projective_directions_count_and_canonical():
     for q, d in ((3, 3), (5, 3), (3, 4)):
-        dirs = all_projective_directions(q, d)
+        table = all_projective_directions(q, d)
+        assert table.shape == (len(table), d) and table.dtype == np.int64
+        assert not table.flags.writeable
+        dirs = list(map(tuple, table.tolist()))
         assert len(dirs) == (q ** d - 1) // (q - 1)
         assert len(set(dirs)) == len(dirs)
         assert dirs == sorted(dirs)
         for v in dirs:
             assert next(c for c in v if c) == 1
+            assert all(0 <= c < q for c in v)
 
 
 def test_space_too_large_guard():
