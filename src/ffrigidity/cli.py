@@ -50,7 +50,10 @@ def _write_text(text: str, path):
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text)
+        try:
+            Path(path).write_text(text)
+        except OSError as exc:
+            raise CliError(f"out: cannot write {path}: {exc.strerror}")
 
 
 def _dump_json(obj, path):

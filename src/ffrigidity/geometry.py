@@ -198,7 +198,6 @@ def flat_contained_in(flat: Flat, h: Hyperplane, field: PrimeField) -> bool:
     return len(pivots) == 2
 
 
-@lru_cache(maxsize=32)
 def point_grid(q: int, d: int) -> np.ndarray:
     """All q**d points as an integer array in lexicographic order."""
     if q ** d > ENUMERATION_CAP:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import count_cutoff
 from .field import group_rows
 
 
@@ -45,24 +44,17 @@ class HyperplaneMultiset:
                                   self.columns[keep])
 
 
-def build_multiset(pp, config, richness_min=0) -> HyperplaneMultiset:
+def build_multiset(pp) -> HyperplaneMultiset:
     """Aggregate the radical hyperplanes of the persistent pairs pp.
 
-    pp is the `strata.persistent_pairs` result for config; its bisectors
-    and their richness on config.points are reused, not recomputed, and
-    its bisector index must cover every sphere pair of config.
-    Concentric pairs never persist, so every pair contributes.
-    Hyperplanes whose point richness falls below richness_min are
-    dropped together with their multiplicity; richness_min may be an
-    int, a Fraction or an exact square-root value.
+    pp is a `strata.persistent_pairs` result; its bisector rows and
+    each pair's bisector index are reused, not recomputed.  Concentric
+    pairs never persist, so every pair contributes, and the support is
+    the bisectors of the persistent pairs.
     """
-    ns = len(config.spheres)
-    assert 2 * len(pp.pair_bisector) == ns * (ns - 1)
-    bisector = pp.pairs_bisector
-    assert len(bisector) == len(pp.pairs)
-    counts = np.bincount(bisector, minlength=len(pp.bisectors))
-    columns = np.flatnonzero(
-        (counts > 0) & (pp.richness >= count_cutoff(richness_min)))
+    assert len(pp.pairs_bisector) == len(pp.pairs)
+    counts = np.bincount(pp.pairs_bisector, minlength=len(pp.bisectors))
+    columns = np.flatnonzero(counts)
     return HyperplaneMultiset(pp.bisectors[columns], counts[columns], columns)
 
 

@@ -26,8 +26,7 @@ from .exact import SqrtRational
 from .field import PrimeField, group_rows, inverse_table
 from .geometry import (Flat, Hyperplane, flat_contained_in,
                        hyperplane_incidence, sphere_contains, sphere_incidence)
-from .multiset import (HyperplaneMultiset, build_multiset, mass_retention,
-                       popular_hyperplane)
+from .multiset import build_multiset, mass_retention, popular_hyperplane
 from .stats import Config, energies, membership_matrix
 from .strata import RegularizationDegenerate, persistent_pairs, regularize
 
@@ -47,7 +46,6 @@ class FlatProfile:
     """The largest number of family members through one codimension-2
     flat (0 when all pairs are parallel), the least such flat in Flat
     tuple order and the increasing indices of the members through it."""
-    parallel_pairs: int
     max_multiplicity: int
     witness: Flat | None
     pencil: tuple
@@ -74,7 +72,7 @@ def flat_profile(aug: np.ndarray, field: PrimeField) -> FlatProfile:
     q = field.q
     n = len(aug)
     if n < 2:
-        return FlatProfile(0, 0, None, ())
+        return FlatProfile(0, None, ())
     d = aug.shape[1] - 1
     lead = (aug[:, :d] != 0).argmax(axis=1)
     assert ((aug >= 0) & (aug < q)).all() and \
@@ -85,7 +83,7 @@ def flat_profile(aug: np.ndarray, field: PrimeField) -> FlatProfile:
     later = n - 1 - np.arange(n)
     ends = np.concatenate([[0], np.cumsum(later)])
     partners, groups, size_counts = np.zeros((3, n), dtype=np.int64)
-    best, pencil, parallel = (0, None), (), 0
+    best, pencil = (0, None), ()
     a0 = 0
     while a0 < n - 1:
         a1 = int(np.searchsorted(ends, ends[a0] + _BLOCK_PAIRS, "right"))
@@ -104,7 +102,6 @@ def flat_profile(aug: np.ndarray, field: PrimeField) -> FlatProfile:
         skew = r[:d].any(axis=0)
         assert (skew | (r[d] != 0)).all(), \
             "support hyperplanes must be distinct"
-        parallel += len(a) - int(np.count_nonzero(skew))
         a, b = a[skew], b[skew]
         digits = np.empty((width + d + 1, len(a)), dtype=np.int64)
         rest = a
@@ -146,7 +143,7 @@ def flat_profile(aug: np.ndarray, field: PrimeField) -> FlatProfile:
             pencil = (int(a[at[i]]), *b[run == maximal[i]].tolist())
     top, key = best
     if not top:
-        return FlatProfile(parallel, 0, None, ())
+        return FlatProfile(0, None, ())
     assert (np.diff(size_counts[1:]) <= 0).all(), "pair groups must nest"
     assert (partners <= groups * top).all(), "fiber bound"
     witness = Flat(rows=(tuple(key[:d]), tuple(key[d:2 * d])),
@@ -157,27 +154,7 @@ def flat_profile(aug: np.ndarray, field: PrimeField) -> FlatProfile:
     residual = (aug - aug[:, (w[:, :d] != 0).argmax(axis=1)] @ w) % q
     assert np.flatnonzero(~residual.any(axis=1)).tolist() == list(pencil), \
         "the pencil must be the members containing the witness"
-    return FlatProfile(parallel, top + 1, witness, pencil)
-
-
-@dataclass(frozen=True)
-class CaseSplit:
-    """`pencil`: the increasing support indices of the members through
-    the witness flat; empty in the directional case."""
-    tag: str
-    witness: Flat | None
-    pencil: tuple
-    max_multiplicity: int
-
-
-def case_split(ms: HyperplaneMultiset, b0: int, field: PrimeField) -> CaseSplit:
-    """Flat concentration when some flat sits in at least b0 + 1 members
-    of the support, directional coordination otherwise."""
-    profile = flat_profile(ms.support, field)
-    if profile.max_multiplicity >= b0 + 1:
-        return CaseSplit(CASE_FLAT, profile.witness, profile.pencil,
-                         profile.max_multiplicity)
-    return CaseSplit(CASE_DIRECTIONAL, None, (), profile.max_multiplicity)
+    return FlatProfile(top + 1, witness, pencil)
 
 
 @dataclass(frozen=True)
@@ -255,9 +232,7 @@ def extract_certificate(config: Config,
     pp = persistent_pairs(config, K, opts.c_const)
     if not len(pp.pairs):
         return _no_signal(K, b0, "no-persistent-pairs")
-    ms = build_multiset(pp, config, pp.threshold)
-    if not len(ms.support):
-        return _no_signal(K, b0, "empty-multiset")
+    ms = build_multiset(pp)
     # the support lies in the bisector set, the retained support in the
     # support, and the pencil and h0 in the retained support: every
     # incidence below is a slice of the bisector incidence, whose columns
@@ -270,18 +245,21 @@ def extract_certificate(config: Config,
         return _no_signal(K, b0, "regularization-degenerate")
     retained = mass_retention(reg.multiset).retained
 
-    # only the P' rows of the retained columns outlive case_split, whose
-    # flat profile is the extract's memory peak
+    # only the P' rows of the retained columns outlive flat_profile, the
+    # extract's memory peak
     inc = inc.take(reg.point_idx, axis=0).take(
         np.searchsorted(ms.columns, retained.columns), axis=1)
-    split = case_split(retained, b0, fq)
+    profile = flat_profile(retained.support, fq)
 
-    # k is h0's row in the retained support, which is in tuple order:
-    # the first pencil member of the largest richness is the least one
-    if split.tag == CASE_FLAT:
-        rich = inc.take(split.pencil, axis=1).sum(axis=0)
-        k = split.pencil[int(np.argmax(rich))]
+    # flat concentration when some flat sits in more than b0 members, and
+    # then h0 is the first pencil member of the largest richness, the
+    # least one: k is its row in the retained support, in tuple order
+    if profile.max_multiplicity > b0:
+        case, witness = CASE_FLAT, profile.witness
+        rich = inc.take(profile.pencil, axis=1).sum(axis=0)
+        k = profile.pencil[int(np.argmax(rich))]
     else:
+        case, witness = CASE_DIRECTIONAL, None
         k = popular_hyperplane(retained, q)
     *normal, offset = retained.support[k].tolist()
     h0 = Hyperplane(tuple(normal), offset)
@@ -293,15 +271,15 @@ def extract_certificate(config: Config,
     sphere_min, spheres_idx = _rich_sphere_subfamily(membership[idx])
 
     assert hyperplane_incidence(config.point_array[idx], [h0], q).all()
-    if split.witness is not None:
-        assert flat_contained_in(split.witness, h0, fq)
+    if witness is not None:
+        assert flat_contained_in(witness, h0, fq)
 
     return Certificate(
-        case=split.tag,
+        case=case,
         hyperplane=h0,
         points_idx=points_idx,
         spheres_idx=spheres_idx,
-        witness_flat=split.witness,
+        witness_flat=witness,
         flags=(),
         params={"K": K, "B0": b0, "min_points": lam1, "sphere_min": sphere_min},
     )

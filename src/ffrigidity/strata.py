@@ -140,21 +140,15 @@ class PersistentPairs:
     """Persistent ordered pairs, sorted, with the bisector arrays later
     stages read instead of recomputing them.
 
-    `pairs` holds the pairs (i, j) as a read-only (n, 2) int64 array.
-    `bisectors` holds the distinct radical hyperplanes of the sphere
-    pairs as (B, d+1) int64 rows (normal, offset) in Hyperplane tuple
-    order, `incidence` is the boolean |P| x B matrix of the points on
-    them, `richness` its column sums, and `pair_bisector[k]` is the
-    bisector index of the k-th pair i < j in `pair_indices` order, -1
-    when it is concentric.  `pairs_bisector[k]` is the bisector index
-    of `pairs[k]`.
+    `pairs` holds the pairs (i, j) as a read-only (n, 2) int64 array and
+    `pairs_bisector[k]` the bisector index of `pairs[k]`.  `bisectors`
+    holds the distinct radical hyperplanes of the sphere pairs as
+    (B, d+1) int64 rows (normal, offset) in Hyperplane tuple order, and
+    `incidence` is the boolean |P| x B matrix of the points on them.
     """
-    threshold: SqrtRational
     pairs: np.ndarray
     bisectors: np.ndarray = dataclass_field(repr=False)
     incidence: np.ndarray = dataclass_field(repr=False)
-    richness: np.ndarray = dataclass_field(repr=False)
-    pair_bisector: np.ndarray = dataclass_field(repr=False)
     pairs_bisector: np.ndarray = dataclass_field(repr=False)
 
 
@@ -165,19 +159,16 @@ def richness_threshold(K: SqrtRational, q: int, d: int,
 
 
 def persistent_pairs(config: Config, K: SqrtRational | None = None,
-                     c_const=Fraction(1, 4), threshold=None) -> PersistentPairs:
+                     c_const=Fraction(1, 4)) -> PersistentPairs:
     """Ordered non-degenerate pairs whose bisector is threshold-rich.
 
-    The cutoff is c_const * K * q**((d-1)/2) unless an explicit
-    threshold is supplied.  With K = 0 the cutoff vanishes and every
-    non-degenerate pair persists.
+    The cutoff is c_const * K * q**((d-1)/2), with the near-extremality
+    K of config unless K is supplied.  With K = 0 the cutoff vanishes
+    and every non-degenerate pair persists.
     """
-    if threshold is not None:
-        lam = threshold
-    else:
-        if K is None:
-            K = near_extremality_K(config)
-        lam = richness_threshold(K, config.q, config.d, c_const)
+    if K is None:
+        K = near_extremality_K(config)
+    lam = richness_threshold(K, config.q, config.d, c_const)
     bisectors, incidence, index = _bisectors(config)
     richness = incidence.sum(axis=0)
     keep = _pair_richness(richness, index) >= max(count_cutoff(lam), 0)
@@ -186,10 +177,8 @@ def persistent_pairs(config: Config, K: SqrtRational | None = None,
     order, first, second = _both_orders(i[keep], j[keep], ns)
     pairs = np.stack([first, second], axis=1)
     pairs.setflags(write=False)
-    return PersistentPairs(threshold=lam, pairs=pairs,
-                           bisectors=bisectors, incidence=incidence,
-                           richness=richness,
-                           pair_bisector=index,
+    return PersistentPairs(pairs=pairs, bisectors=bisectors,
+                           incidence=incidence,
                            pairs_bisector=np.concatenate(
                                [index[keep], index[keep]])[order])
 
@@ -211,7 +200,6 @@ class RegularizedConfig:
     """`point_idx`: the positions of the kept input points, increasing."""
     point_idx: np.ndarray
     multiset: HyperplaneMultiset
-    degree_scale: int
     richness_scale: int
 
 
@@ -242,6 +230,5 @@ def regularize(inc: np.ndarray, ms: HyperplaneMultiset) -> RegularizedConfig:
     return RegularizedConfig(
         point_idx=np.flatnonzero(kept),
         multiset=ms.restrict(heavy),
-        degree_scale=1 << jp,
         richness_scale=1 << jh,
     )

@@ -215,7 +215,7 @@ def _grid_multisets(grid_configs):
     out = []
     for g in grid_configs:
         pp = persistent_pairs(g.config)
-        ms = build_multiset(pp, g.config, pp.threshold)
+        ms = build_multiset(pp)
         if len(ms.support):
             out.append((g.config, ms))
     return out

@@ -407,3 +407,23 @@ def test_missing_file_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", str(tmp_path / "nope.json"))
     assert code == 2
     assert "config" in err
+
+
+@pytest.mark.parametrize("target", ["missing/x", "."])
+@pytest.mark.parametrize("command", ["gen", "analyze", "extract",
+                                     "experiment"])
+def test_unwritable_out_exits_2(tmp_path, capsys, command, target):
+    """An --out into a missing directory or at a directory is a usage
+    error, not a traceback."""
+    cfg = gen_config(tmp_path, capsys)
+    argv = {"gen": ["gen", "--kind", "uniform-random", "--q", "5",
+                    "--np", "4", "--ns", "2", "--seed", "0"],
+            "analyze": ["analyze", str(cfg)],
+            "extract": ["extract", str(cfg)],
+            "experiment": ["experiment",
+                           str(grid_file(tmp_path, BASE_GRID))]}[command]
+    out = tmp_path / target
+    code, _, err = run(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert err.startswith(f"error: out: cannot write {out}: ")
+    assert "Traceback" not in err

@@ -1,9 +1,10 @@
 """The demos run to completion, the top-level package exports every
-name that they and the README quick start import from it, and every
+name that they and the README quick start import from it, every
 public library function has a caller outside the tests or is a kept
-oracle."""
+oracle, and every field an extract stage hands on is read."""
 
 import ast
+import dataclasses
 import inspect
 import os
 import re
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import ffrigidity
+from ffrigidity import multiset, pipeline, strata
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -64,6 +66,23 @@ KEPT_ORACLES = (
 )
 
 
+def _references():
+    """The names, and the attribute names read, in the code under src/,
+    demos/ and bench/."""
+    names, attributes = set(), set()
+    for top in ("src", "demos", "bench"):
+        for path in (ROOT / top).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    attributes.add(node.attr)
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names |= {alias.name.rpartition(".")[2]
+                              for alias in node.names}
+    return names, attributes
+
+
 def test_no_unreferenced_library_functions():
     public = set()
     for path in (ROOT / "src" / "ffrigidity").glob("*.py"):
@@ -71,17 +90,19 @@ def test_no_unreferenced_library_functions():
                    for node in ast.parse(path.read_text()).body
                    if isinstance(node, ast.FunctionDef)
                    and not node.name.startswith("_")}
-    referenced = set()
-    for top in ("src", "demos", "bench"):
-        for path in (ROOT / top).rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Name):
-                    referenced.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    referenced.add(node.attr)
-                elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                    referenced |= {alias.name.rpartition(".")[2]
-                                   for alias in node.names}
+    names, attributes = _references()
     unreferenced = {qualified for qualified, name in public
-                    if name not in referenced}
+                    if name not in names | attributes}
     assert unreferenced == {qualified for qualified, _ in KEPT_ORACLES}
+
+
+def test_stage_hand_off_fields_are_read():
+    """Every field one extract stage hands to the next is read as an
+    attribute outside the tests."""
+    stages = (strata.PersistentPairs, multiset.HyperplaneMultiset,
+              strata.RegularizedConfig, pipeline.FlatProfile,
+              multiset.MassRetentionReport)
+    attributes = _references()[1]
+    unread = {f"{cls.__name__}.{f.name}" for cls in stages
+              for f in dataclasses.fields(cls) if f.name not in attributes}
+    assert unread == set()

@@ -4,9 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ffrigidity.exact import SqrtRational
 from ffrigidity.geometry import (Hyperplane, Sphere, canonical_hyperplane,
-                                 hyperplane_incidence, make_space,
-                                 radical_hyperplane)
+                                 make_space, radical_hyperplane)
 from ffrigidity.multiset import (EmptyMultiset, HyperplaneMultiset,
                                  build_multiset, mass_retention,
                                  popular_hyperplane)
@@ -46,8 +46,8 @@ def as_dict(ms):
 def test_build_multiset_conservation():
     rng = random.Random(62)
     cfg = random_config(rng)
-    pp = persistent_pairs(cfg, threshold=0)
-    ms = build_multiset(pp, cfg, richness_min=0)
+    pp = persistent_pairs(cfg, K=SqrtRational.zero())
+    ms = build_multiset(pp)
     # every non-degenerate ordered pair lands on exactly one hyperplane
     assert ms.mass == len(pp.pairs)
     assert len(ms.support) <= len(pp.pairs)
@@ -64,24 +64,13 @@ def test_build_multiset_conservation():
 def test_build_multiset_all_concentric_empty():
     sp = make_space(5, 3)
     cfg = make_config(sp, [(1, 0, 0)], [Sphere((0, 0, 0), r) for r in range(3)])
-    pp = persistent_pairs(cfg, threshold=0)
+    pp = persistent_pairs(cfg, K=SqrtRational.zero())
     assert pp.pairs.shape == (0, 2)
-    ms = build_multiset(pp, cfg, richness_min=0)
+    ms = build_multiset(pp)
     assert ms.support.shape == (0, 4) and ms.mass == 0
     # retention is the operation that refuses an empty multiset
     with pytest.raises(EmptyMultiset):
         mass_retention(ms)
-
-
-def test_build_multiset_richness_filter():
-    rng = random.Random(63)
-    cfg = random_config(rng)
-    pp = persistent_pairs(cfg, threshold=0)
-    ms_all = build_multiset(pp, cfg, richness_min=0)
-    ms_cut = build_multiset(pp, cfg, richness_min=3)
-    for h in as_dict(ms_cut):
-        assert hyperplane_incidence(cfg.points, [h], cfg.q).sum() >= 3
-    assert as_dict(ms_cut).items() <= as_dict(ms_all).items()
 
 
 def test_reflected_pair_single_support():
@@ -92,8 +81,9 @@ def test_reflected_pair_single_support():
     spheres = [s for pair in pairs for s in pair]
     pts = [(0, a, b) for a in range(q) for b in range(q)]
     cfg = make_config(sp, pts, spheres)
-    pp = persistent_pairs(cfg, threshold=1)
-    ms = build_multiset(pp, cfg, richness_min=1)
+    # the cutoff K * q / 4 is 1
+    pp = persistent_pairs(cfg, K=SqrtRational(Fraction(4, q * q), q * q))
+    ms = build_multiset(pp)
     h_star = canonical_hyperplane((1, 0, 0), 0, q)
     # each mirror pair contributes its two ordered versions
     assert as_dict(ms)[h_star] >= 6
@@ -177,8 +167,8 @@ def test_mass_retention_support_bound():
     rng = random.Random(65)
     for _ in range(8):
         cfg = random_config(rng)
-        pp = persistent_pairs(cfg, threshold=0)
-        ms = build_multiset(pp, cfg, richness_min=0)
+        pp = persistent_pairs(cfg, K=SqrtRational.zero())
+        ms = build_multiset(pp)
         rep = mass_retention(ms)
         geo = len(ms.support)
         assert 2 * rep.retained.mass >= ms.mass
@@ -190,8 +180,8 @@ def test_mass_retention_support_bound():
 def test_restrict_preserves_counts():
     rng = random.Random(66)
     cfg = random_config(rng)
-    pp = persistent_pairs(cfg, threshold=0)
-    ms = build_multiset(pp, cfg, richness_min=0)
+    pp = persistent_pairs(cfg, K=SqrtRational.zero())
+    ms = build_multiset(pp)
     members = list(as_dict(ms).items())
     every_other = np.arange(0, len(members), 2)
     mask = np.zeros(len(members), dtype=bool)

@@ -23,30 +23,17 @@ from ffrigidity.geometry import (PARALLEL_DISJOINT, Sphere,
                                  hyperplane_contains, make_space,
                                  radical_hyperplane, sphere_contains)
 from ffrigidity.generators import GeneratorSpec, generate
-from ffrigidity.multiset import HyperplaneMultiset, build_multiset
 from ffrigidity.pipeline import (CASE_DIRECTIONAL, CASE_FLAT, CASE_NO_SIGNAL,
-                                 Certificate, ExtractOptions, case_split,
+                                 Certificate, ExtractOptions,
                                  default_b0, extract_certificate,
                                  flat_profile, retention_check)
 from ffrigidity.stats import make_config
-from ffrigidity.strata import persistent_pairs
 from ffrigidity.verify import verify_certificate
 
 
 def rows(hs):
     """Hyperplanes as an int64 array of rows (normal, offset)."""
     return np.array([(*h.normal, h.offset) for h in hs], dtype=np.int64)
-
-
-def manual_multiset(counts_by_hyperplane):
-    """Rows in Hyperplane tuple order, each its own incidence column."""
-    hs = sorted(counts_by_hyperplane)
-    return HyperplaneMultiset(
-        support=rows(hs),
-        counts=np.array([counts_by_hyperplane[h] for h in hs],
-                        dtype=np.int64),
-        columns=np.arange(len(hs)),
-    )
 
 
 def pencil_config(q=7):
@@ -94,7 +81,6 @@ def test_flat_profile_three_coordinate_planes():
           canonical_hyperplane((0, 0, 1), 0, q)]
     prof = flat_profile(rows(hs), f)
     assert prof.max_multiplicity == 2
-    assert prof.parallel_pairs == 0
     # the three coordinate axes; the least in Flat order is x2 = x3 = 0
     assert prof.witness == min(flat_from_pair(a, b, f)
                                for a, b in itertools.combinations(hs, 2))
@@ -167,7 +153,7 @@ def _check_against_scalar_oracle(hs, q, d, monkeypatch):
     """flat_profile against pairwise flat_from_pair and containment, with
     row blocks of one row, of a few pairs and of the default size."""
     f = PrimeField(q)
-    grouped, parallel = _pair_flats(hs, f)
+    grouped = _pair_flats(hs, f)[0]
     space = make_space(q, d) if q ** d <= 4096 else None
     for flat, members in grouped.items():
         assert members == {i for i, h in enumerate(hs)
@@ -181,7 +167,6 @@ def _check_against_scalar_oracle(hs, q, d, monkeypatch):
     for block in (1, 7, pipeline._BLOCK_PAIRS):
         monkeypatch.setattr(pipeline, "_BLOCK_PAIRS", block)
         prof = flat_profile(rows(hs), f)
-        assert prof.parallel_pairs == parallel
         assert prof.max_multiplicity == top
         if top:
             witness = min(l for l, v in grouped.items() if len(v) == top)
@@ -204,7 +189,7 @@ def test_flat_profile_matches_scalar_oracle(q, d, monkeypatch):
                                          monkeypatch)
     hs = _family(rng, q, d, 12)
     prof = _check_against_scalar_oracle(hs, q, d, monkeypatch)
-    assert prof.max_multiplicity >= 3 and prof.parallel_pairs
+    assert prof.max_multiplicity >= 3 and _pair_flats(hs, PrimeField(q))[1]
     with pytest.raises(AssertionError, match="distinct"):
         flat_profile(rows(hs + [hs[5]]), PrimeField(q))
 
@@ -233,12 +218,11 @@ def test_flat_profile_calls_no_scalar_elimination(monkeypatch):
                 (_family(rng, 61, 3, 24), 61)]
     expected = []
     for hs, q in families:
-        grouped, parallel = _pair_flats(hs, PrimeField(q))
+        grouped = _pair_flats(hs, PrimeField(q))[0]
         top = max(len(v) for v in grouped.values())
         witness = min(l for l, v in grouped.items() if len(v) == top)
-        expected.append((parallel, top, witness,
-                         tuple(sorted(grouped[witness]))))
-    assert expected[0][1] == 2
+        expected.append((top, witness, tuple(sorted(grouped[witness]))))
+    assert expected[0][0] == 2
     assert len(_pair_flats(general, PrimeField(65521))[0]) == 14 * 13 // 2
 
     def forbidden(*args, **kwargs):
@@ -251,8 +235,8 @@ def test_flat_profile_calls_no_scalar_elimination(monkeypatch):
         monkeypatch.setattr(pipeline, "_BLOCK_PAIRS", block)
         for (hs, q), want in zip(families, expected):
             prof = flat_profile(rows(hs), PrimeField(q))
-            assert (prof.parallel_pairs, prof.max_multiplicity,
-                    prof.witness, prof.pencil) == want
+            assert (prof.max_multiplicity, prof.witness,
+                    prof.pencil) == want
 
 
 def test_flat_profile_memory_is_bounded():
@@ -271,27 +255,43 @@ def test_flat_profile_memory_is_bounded():
     assert peak < 16 << 20
 
 
-def test_case_split_pencil_triggers_flat_case():
+def test_extract_case_threshold_is_the_flat_multiplicity():
+    """On the circle pencil every bisector is one of the q + 1 planes
+    through the z axis, each one retained, so m_max = q + 1: b0 = m_max - 1
+    gives the flat case, b0 = m_max the directional one."""
     q = 7
-    f = PrimeField(q)
-    hs = [canonical_hyperplane((1, b, 0), 0, q) for b in range(5)]
-    ms = manual_multiset(dict.fromkeys(hs, 1))
-    split = case_split(ms, b0=4, field=f)
-    assert split.tag == CASE_FLAT
-    assert split.pencil == tuple(range(5))
-    assert (ms.support[list(split.pencil)] == rows(sorted(hs))).all()
-    split2 = case_split(ms, b0=5, field=f)  # boundary: m_max = 5 = b0
-    assert split2.tag == CASE_DIRECTIONAL
+    cfg = pencil_config(q)
+    bisectors = {radical_hyperplane(s, t, q)
+                 for s, t in itertools.combinations(cfg.spheres, 2)}
+    assert len(bisectors) == q + 1
+    assert all(h.offset == 0 and h.normal[2] == 0 for h in bisectors)
+    m_max = q + 1
+    flat = extract_certificate(cfg, ExtractOptions(b0=m_max - 1)).to_dict()
+    assert flat["case"] == CASE_FLAT and flat["params"]["B0"] == m_max - 1
+    assert flat["aux"]["witness_flat"] == {"rows": [[1, 0, 0], [0, 1, 0]],
+                                           "values": [0, 0]}
+    directional = extract_certificate(cfg, ExtractOptions(b0=m_max))
+    assert directional.case == CASE_DIRECTIONAL
+    assert directional.to_dict()["aux"]["witness_flat"] is None
+    for cert in (flat, directional.to_dict()):
+        assert verify_certificate(cfg, cert) == []
 
 
-def test_case_split_parallel_family_directional():
+def test_extract_parallel_family_stays_directional():
+    """Centres on one line with one radius: every bisector is a plane
+    x1 = const, so no flat lies in two members, even at b0 = 1."""
     q = 5
-    f = PrimeField(q)
-    hs = [canonical_hyperplane((1, 0, 0), b, q) for b in range(4)]
-    ms = manual_multiset(dict.fromkeys(hs, 2))
-    split = case_split(ms, b0=1, field=f)
-    assert split.tag == CASE_DIRECTIONAL
-    assert split.max_multiplicity == 0
+    spheres = [Sphere((t, 0, 0), 1) for t in range(q)]
+    assert {radical_hyperplane(s, t, q).normal for s, t in
+            itertools.combinations(spheres, 2)} == {(1, 0, 0)}
+    cfg = make_config(make_space(q, 3),
+                      [(0, a, b) for a in range(q) for b in range(q)],
+                      spheres)
+    cert = extract_certificate(cfg, ExtractOptions(b0=1))
+    assert cert.case == CASE_DIRECTIONAL and cert.witness_flat is None
+    assert cert.hyperplane == canonical_hyperplane((1, 0, 0), 0, q)
+    assert cert.points_idx == tuple(range(q * q))
+    assert verify_certificate(cfg, cert.to_dict()) == []
 
 
 def test_extract_flat_concentration_end_to_end():

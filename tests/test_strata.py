@@ -22,6 +22,11 @@ def hyperplanes(rows):
     return [Hyperplane(tuple(r[:-1]), r[-1]) for r in rows.tolist()]
 
 
+def cutoff_K(t, q, d):
+    """The K whose persistence cutoff, at the default c = 1/4, is t."""
+    return SqrtRational(Fraction(4 * t, q ** (d - 1)), q ** (d - 1))
+
+
 def random_config(rng, q=7, d=3, n_points=25, n_spheres=10):
     sp = make_space(q, d)
     pts = set()
@@ -189,18 +194,18 @@ def test_bisector_consumers_match_scalar_recount(q, d):
         distinct = sorted(set(bisector.values()) - {None})
         rich = {g: sum(hyperplane_contains(g, p, q) for p in cfg.points)
                 for g in distinct}
-        for threshold, richness_min in ((0, 0), (2, 3), (9, 12)):
+        for threshold in (0, 2, 9):
             persistent = sorted(pair for pair, g in bisector.items()
                                 if g is not None and rich[g] >= threshold)
-            pp = persistent_pairs(cfg, threshold=threshold)
+            pp = persistent_pairs(cfg, K=cutoff_K(threshold, q, d))
             assert pp.pairs.tolist() == [list(p) for p in persistent]
-            assert pp.richness[pp.pairs_bisector].tolist() == [
-                rich[bisector[p]] for p in persistent]
+            assert hyperplanes(pp.bisectors[pp.pairs_bisector]) == [
+                bisector[p] for p in persistent]
             provenance = {}
             for pair in persistent:
                 provenance.setdefault(bisector[pair], []).append(pair)
-            kept = sorted(g for g in provenance if rich[g] >= richness_min)
-            ms = build_multiset(pp, cfg, richness_min=richness_min)
+            kept = sorted(provenance)
+            ms = build_multiset(pp)
             assert hyperplanes(ms.support) == kept
             assert ms.counts.tolist() == [len(provenance[g]) for g in kept]
             assert ms.columns.tolist() == [distinct.index(g) for g in kept]
@@ -211,7 +216,7 @@ def test_bisector_consumers_match_scalar_recount(q, d):
         assert pp.incidence.tolist() == [
             [hyperplane_contains(g, p, q) for g in distinct]
             for p in cfg.points]
-        assert pp.richness.tolist() == [rich[g] for g in distinct]
+        assert pp.incidence.sum(axis=0).tolist() == [rich[g] for g in distinct]
 
 
 def test_low_layer_mass_bound_over_j_range():
@@ -242,7 +247,7 @@ def test_low_layer_all_concentric_zero():
     assert rep.mass == 0
     for s1, s2 in itertools.permutations(cfg.spheres, 2):
         assert radical_hyperplane(s1, s2, cfg.q) is None
-    assert persistent_pairs(cfg, threshold=0).pairs.shape == (0, 2)
+    assert persistent_pairs(cfg, K=SqrtRational.zero()).pairs.shape == (0, 2)
 
 
 def test_richness_threshold_formula():
@@ -250,6 +255,8 @@ def test_richness_threshold_formula():
     lam = richness_threshold(k, 5, 3, Fraction(1, 4))
     # c K q^{(d-1)/2} = (1/4) * 1 * 5
     assert float(lam) == pytest.approx(1.25)
+    for t in (0, 1, 9, 26):
+        assert richness_threshold(cutoff_K(t, 5, 3), 5, 3) == t
 
 
 def test_persistent_pairs_k_zero_keeps_all():
@@ -265,14 +272,14 @@ def test_persistent_pairs_k_zero_keeps_all():
 def test_persistent_pairs_huge_threshold_empty():
     rng = random.Random(47)
     cfg = random_config(rng, n_spheres=6)
-    pp = persistent_pairs(cfg, threshold=cfg.q ** 2 + 1)
+    pp = persistent_pairs(cfg, K=cutoff_K(cfg.q ** 2 + 1, cfg.q, cfg.d))
     assert pp.pairs.shape == (0, 2)
 
 
 def test_persistent_pairs_symmetric_and_profile():
     rng = random.Random(48)
     cfg = random_config(rng, n_spheres=8)
-    pp = persistent_pairs(cfg, threshold=1)
+    pp = persistent_pairs(cfg, K=cutoff_K(1, cfg.q, cfg.d))
     pairs = set(map(tuple, pp.pairs.tolist()))
     for (i, j) in pairs:
         assert (j, i) in pairs
@@ -283,10 +290,10 @@ def test_regularize_postconditions():
     hits = 0
     for _ in range(12):
         cfg = random_config(rng, n_points=30, n_spheres=10)
-        pp = persistent_pairs(cfg, threshold=1)
+        pp = persistent_pairs(cfg, K=cutoff_K(1, cfg.q, cfg.d))
         if not len(pp.pairs):
             continue
-        ms = build_multiset(pp, cfg, richness_min=1)
+        ms = build_multiset(pp)
         support = hyperplanes(ms.support)
         try:
             reg = regularize(
@@ -294,12 +301,13 @@ def test_regularize_postconditions():
         except RegularizationDegenerate:
             continue
         hits += 1
-        m1, lam1 = reg.degree_scale, reg.richness_scale
+        lam1 = reg.richness_scale
         kept = [cfg.points[i] for i in reg.point_idx.tolist()]
-        # recount degrees of kept points against the input support
-        for p in kept:
-            deg = sum(hyperplane_contains(h, p, cfg.q) for h in support)
-            assert m1 <= deg < 2 * m1
+        # recount degrees of kept points against the input support: one
+        # dyadic class [M1, 2 * M1)
+        assert len({dyadic_class(sum(hyperplane_contains(h, p, cfg.q)
+                                     for h in support))
+                    for p in kept}) == 1
         for h in hyperplanes(reg.multiset.support):
             assert h in support
             r = sum(hyperplane_contains(h, p, cfg.q) for p in kept)
@@ -316,8 +324,8 @@ def test_regularize_uniform_input_unchanged():
     from ffrigidity.geometry import hyperplane_points
     pts = hyperplane_points(h, sp)
     cfg = make_config(sp, pts, [s1, s2])
-    pp = persistent_pairs(cfg, threshold=1)
-    ms = build_multiset(pp, cfg, richness_min=1)
+    pp = persistent_pairs(cfg, K=cutoff_K(1, q, 3))
+    ms = build_multiset(pp)
     reg = regularize(hyperplane_incidence(cfg.points, ms.support, q), ms)
     assert reg.point_idx.tolist() == list(range(len(cfg.points)))
     assert hyperplanes(reg.multiset.support) == [h]
@@ -330,8 +338,8 @@ def test_regularize_degenerate_raises():
     cfg = make_config(sp, [(1, 1, 1)], [s1, s2])
     h = radical_hyperplane(s1, s2, 5)
     assert not hyperplane_contains(h, (1, 1, 1), 5)
-    pp = persistent_pairs(cfg, threshold=0)
-    ms = build_multiset(pp, cfg, richness_min=0)
+    pp = persistent_pairs(cfg, K=SqrtRational.zero())
+    ms = build_multiset(pp)
     with pytest.raises(RegularizationDegenerate):
         regularize(hyperplane_incidence(cfg.points, ms.support, 5), ms)
 
@@ -355,13 +363,15 @@ def test_regularize_matches_scalar_buckets():
                             counts=np.ones(2, dtype=np.int64),
                             columns=np.arange(2))
     pts = [(0, 1, 1), (0, 0, 1), (1, 0, 1)]
-    reg = regularize(hyperplane_incidence(pts, ms.support, 5), ms)
-    assert reg.point_idx.tolist() == [1] and reg.degree_scale == 2
+    inc = hyperplane_incidence(pts, ms.support, 5)
+    reg = regularize(inc, ms)
+    assert reg.point_idx.tolist() == [1]
+    assert inc[reg.point_idx].sum(axis=1).tolist() == [2]
     rng = random.Random(51)
     for _ in range(40):
         cfg = random_config(rng, q=5, n_points=25, n_spheres=8)
-        pp = persistent_pairs(cfg, threshold=0)
-        ms = build_multiset(pp, cfg, richness_min=0)
+        pp = persistent_pairs(cfg, K=SqrtRational.zero())
+        ms = build_multiset(pp)
         if not len(ms.support):
             continue
         q = cfg.q
@@ -377,7 +387,8 @@ def test_regularize_matches_scalar_buckets():
             continue
         reg = regularize(inc, ms)
         assert [cfg.points[i] for i in reg.point_idx.tolist()] == points
-        assert reg.degree_scale == 1 << jp
+        assert {dyadic_class(v) for v in
+                inc[reg.point_idx].sum(axis=1).tolist()} == {jp}
         assert hyperplanes(reg.multiset.support) == support
         assert reg.multiset.counts.tolist() == [members[h] for h in support]
         assert reg.richness_scale == 1 << jh
