@@ -35,10 +35,6 @@ class SqrtRational:
     def zero(cls) -> "SqrtRational":
         return cls(0, 1)
 
-    @classmethod
-    def sqrt(cls, n: int) -> "SqrtRational":
-        return cls(1, n)
-
     def is_zero(self) -> bool:
         return self.coef == 0
 

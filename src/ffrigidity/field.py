@@ -63,13 +63,13 @@ class PrimeField:
 
 @lru_cache(maxsize=32)
 def inverse_table(q: int) -> np.ndarray:
-    """Read-only int64 array whose entry a is the inverse of a mod q.
+    """Read-only uint32 array whose entry a is the inverse of a mod q.
 
     Entry 0 is 0.  Built by square-and-multiply on a**(q-2) over all
-    residues at once; with q < 2**16 every product fits in int64.
+    residues at once; with q < 2**16 every product fits in uint32.
     """
-    table = np.ones(q, dtype=np.int64)
-    base = np.arange(q, dtype=np.int64)
+    table = np.ones(q, dtype=np.uint32)
+    base = np.arange(q, dtype=np.uint32)
     e = q - 2
     while e:
         if e & 1:
@@ -80,17 +80,30 @@ def inverse_table(q: int) -> np.ndarray:
     return table
 
 
+def scale_to_lead(r: np.ndarray, q: int) -> None:
+    """Scale each column of a (d+1, N) uint32 array of residues in place
+    by the inverse of its first nonzero among the first d entries
+    (products below q**2 <= 2**32); a column without one becomes 0."""
+    lead = r[-2]
+    for row in r[-3::-1]:
+        lead = np.where(row, row, lead)
+    r *= inverse_table(q).take(lead)
+    r -= r // q * q
+
+
 @lru_cache(maxsize=32)
-def _digits_per_word(q: int) -> int:
-    """How many base-q digits an int64 word holds below 2**63."""
-    per_word = 1
-    while q ** (per_word + 1) < 2 ** 63:
-        per_word += 1
-    return per_word
+def place_values(q: int) -> np.ndarray:
+    """Read-only int64 column q**(k-1), ..., q, 1 for the k base-q digits
+    an int64 word holds below 2**63; a word of j digits uses the last j."""
+    k = next(k for k in range(1, 64) if q ** (k + 1) >= 2 ** 63)
+    places = q ** np.arange(k - 1, -1, -1, dtype=np.int64)[:, None]
+    places.setflags(write=False)
+    return places
 
 
-def group_rows(digits: np.ndarray, q: int):
-    """Group the equal rows of an int64 array of residues mod q.
+def group_rows(columns, q: int):
+    """Group the equal rows of an array of residues mod q, given as its
+    (k, N) columns (any integer dtype).
 
     Returns (first, ids): groups are numbered in lexicographic order of
     their rows, `ids[i]` is the group of row i and `first[g]` is a row
@@ -100,13 +113,10 @@ def group_rows(digits: np.ndarray, q: int):
     neighbours that differ start the groups.  (A bare np.unique would
     import numpy.ma on its first call.)
     """
-    per_word = _digits_per_word(q)
-    words = []
-    for start in range(0, digits.shape[1], per_word):
-        word = digits[:, start]
-        for column in digits.T[start + 1:start + per_word]:
-            word = word * q + column
-        words.append(word)
+    places, words = place_values(q), []
+    for i in range(0, len(columns), len(places)):
+        chunk = columns[i:i + len(places)]
+        words.append((chunk * places[-len(chunk):]).sum(axis=0))
     order = np.argsort(words[0]) if len(words) < 2 else np.lexsort(words[::-1])
     starts = np.zeros(len(order), dtype=bool)
     for word in words:

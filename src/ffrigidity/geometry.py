@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .field import PrimeField, group_rows, inverse_table, rref
+from .field import PrimeField, group_rows, rref, scale_to_lead
 
 ENUMERATION_CAP = 1 << 24
 
@@ -131,36 +131,36 @@ def radical_hyperplanes(spheres, q: int, d: int):
     """Bisector hyperplanes of every sphere pair i < j, in one array pass.
 
     Pair k is the k-th pair of `pair_indices(len(spheres))`.  Row by
-    row this is `radical_hyperplane`, which stays as the scalar oracle
-    of the tests: coefficients 2(c_j - c_i), right-hand side
-    r_i - r_j + ||c_j|| - ||c_i||, both scaled by the inverse of the
-    lead coefficient.  Returns (bisectors, index): `bisectors` holds
-    each distinct bisector once as a row (normal, offset), rows in
-    Hyperplane tuple order, and `index[k]` is the row of pair k, or -1
-    for a concentric pair, which has no bisector; with fewer than two
-    spheres both are empty, the rows still d + 1 wide.  Coordinates are
-    reduced first; with q < 2**16 every term is exact in int64.
+    row this is `radical_hyperplane`, the scalar oracle of the tests:
+    2(c_j - c_i) and r_i - r_j + ||c_j|| - ||c_i||, scaled by the
+    inverse of the lead, on uint32 residues (pair sums below 2q,
+    products below q**2 <= 2**32).  Returns (bisectors, index): each
+    distinct bisector once as an int64 row (normal, offset), rows in
+    Hyperplane tuple order, and `index[k]`, the row of pair k or -1 for
+    a concentric pair, which has no bisector; with fewer than two
+    spheres both are empty, the rows still d + 1 wide.
     """
     n = len(spheres)
     if n < 2:
         return (np.zeros((0, d + 1), dtype=np.int64),
                 np.zeros(0, dtype=np.int64))
-    centers = np.asarray([s.center for s in spheres], dtype=np.int64) % q
-    radii = np.asarray([s.r % q for s in spheres], dtype=np.int64)
-    # pair (i, j) gets row j minus row i of [2c | ||c|| - r]
-    terms = np.concatenate(
-        [2 * centers, ((centers * centers).sum(axis=1) - radii)[:, None]],
-        axis=1)
+    assert q < 1 << 16, "pair residues must stay below 2**32"
+    aug = np.asarray([(*s.center, s.r) for s in spheres], dtype=np.int64) % q
+    c, radii = aug[:, :d], aug[:, d]
+    # column k is [2c | ||c|| - r] mod q of sphere k, and pair (i, j)
+    # gets column j + (q - column i), a non-negative sum
+    cols = (np.concatenate([2 * c.T, [(c * c).sum(axis=1) - radii]])
+            % q).astype(np.uint32)
     i, j = pair_indices(n)
-    rows = (terms[j] - terms[i]) % q
-    live = rows[:, :d].any(axis=1)
-    rows = rows[live]
-    lead = rows[np.arange(len(rows)), (rows[:, :d] != 0).argmax(axis=1)]
-    rows = rows * inverse_table(q)[lead][:, None] % q
-    first, ids = group_rows(rows, q)
-    index = np.full(len(i), -1, dtype=np.int64)
-    index[live] = ids
-    return rows[first], index
+    r = cols.take(j, axis=1)
+    r += (q - cols).take(i, axis=1)
+    r -= r // q * q
+    scale_to_lead(r, q)
+    first, index = group_rows(r, q)
+    # concentric pairs have no lead: their zero columns are group 0
+    if not r[:, first[0]].any():
+        first, index = first[1:], index - 1
+    return np.ascontiguousarray(r.take(first, axis=1).T, dtype=np.int64), index
 
 
 def flat_from_pair(h1: Hyperplane, h2: Hyperplane, field: PrimeField):
@@ -202,12 +202,7 @@ def point_grid(q: int, d: int) -> np.ndarray:
     """All q**d points as an integer array in lexicographic order."""
     if q ** d > ENUMERATION_CAP:
         raise SpaceTooLarge(f"q^{d} = {q ** d} exceeds the enumeration cap")
-    cols = []
-    for i in range(d):
-        reps = q ** (d - 1 - i)
-        tiles = q ** i
-        cols.append(np.tile(np.repeat(np.arange(q), reps), tiles))
-    grid = np.stack(cols, axis=1).astype(np.int64)
+    grid = np.indices((q,) * d, dtype=np.int64).reshape(d, -1).T.copy()
     grid.setflags(write=False)
     return grid
 

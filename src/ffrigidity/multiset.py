@@ -69,7 +69,7 @@ def popular_hyperplane(ms: HyperplaneMultiset, q: int) -> int:
     q offsets exist.  The float64 class masses are exact below 2**53.
     """
     d = ms.support.shape[1] - 1
-    _, cls = group_rows(ms.support[:, :d], q)
+    _, cls = group_rows(ms.support[:, :d].T, q)
     mass = np.bincount(cls, weights=ms.counts)
     # classes are numbered in direction order, members in offset order
     members = np.flatnonzero(cls == np.argmax(mass))

@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import SqrtRational
-from .field import PrimeField, group_rows, inverse_table
+from .field import PrimeField, place_values, scale_to_lead
 from .geometry import (Flat, Hyperplane, flat_contained_in,
                        hyperplane_incidence, sphere_contains, sphere_incidence)
 from .multiset import build_multiset, mass_retention, popular_hyperplane
@@ -35,9 +35,9 @@ CASE_DIRECTIONAL = "directional-coordination"
 CASE_NO_SIGNAL = "no-signal"
 
 
-# Pairs per row block of `flat_profile`: its arrays, 64 KiB per int64
-# row, then stay in a 2 MiB L2 cache.  Over the null-flats-q19 supports
-# (m about 245) a call took 3.3-4.8 ms against 5.0-7.4 ms at 2**15.
+# Pairs per row block of `flat_profile`, whose uint32 rows then stay in
+# L2.  Over the null-flats-q19 supports a call took 2.9 ms at 2**13, 3.4
+# at 2**12, 3.0 at 2**14 and 4.2 at 2**15.
 _BLOCK_PAIRS = 1 << 13
 
 
@@ -55,19 +55,22 @@ def flat_profile(aug: np.ndarray, field: PrimeField) -> FlatProfile:
     """Largest flat multiplicity of a hyperplane family, with its witness.
 
     The family `aug` is an (m, d+1) int64 array of rows (normal, offset).
-    For non-parallel members a < b (canonical ones are parallel exactly
-    when their normals coincide), b restricted to a, the row
-    b - b[lead a] * a scaled to lead 1, fixes the flat a & b.  Grouped by
-    (a, restricted row), a flat of members a1 < ... < ak is a group of
-    k - 1 in row a1 and smaller ones later: m_max is one more than the
-    largest group, the pencil a largest group with its row, and the
-    witness the least flat of the largest groups, one pair each reduced
-    in closed form.  Rows go in blocks of at most `_BLOCK_PAIRS` pairs
-    (one row at least), so memory is O(block + m).  Asserted: canonical,
-    distinct input; nesting groups (a flat of k members gives one group
-    of each size 1 .. k - 1); the fiber bound per row (later partners <=
-    groups * (m_max - 1)); the members through the witness, by a
-    row-span test, are the pencil.
+    For members a < b, b restricted to a fixes the flat a & b: the uint32
+    row b + (q - b[lead a]) * a (below q**2 <= 2**32) reduced and scaled
+    to lead 1, zero when a and b are parallel.  A values-only sort of
+    the int64 keys a * q**(d+1) + restricted row groups a block; a
+    parallel pair's key is a's marker a * q**(d+1), no flat's key, and
+    its group counts 0.  When m * q**(d+1) >= 2**63 the words a, r_0,
+    ..., r_d go through np.lexsort instead.  A flat of members a1 < ...
+    < ak is a group of k - 1 in row a1 and smaller ones later: m_max is
+    one more than the largest group, the pencil a largest group with its
+    row, and the witness the least flat of the largest groups, one pair
+    each reduced in closed form.  Blocks of at most `_BLOCK_PAIRS` pairs
+    (one row at least) keep memory O(block + m).  Asserted: canonical,
+    distinct input; the uint32 bound; nesting groups (a flat of k
+    members gives one group of each size 1 .. k - 1); the fiber bound
+    per row (later non-parallel partners <= groups * largest group);
+    the members through the witness, by a row-span test, are the pencil.
     """
     q = field.q
     n = len(aug)
@@ -77,75 +80,79 @@ def flat_profile(aug: np.ndarray, field: PrimeField) -> FlatProfile:
     lead = (aug[:, :d] != 0).argmax(axis=1)
     assert ((aug >= 0) & (aug < q)).all() and \
         (aug[np.arange(n), lead] == 1).all(), "hyperplanes must be canonical"
-    cols = np.ascontiguousarray(aug.T)
-    # a is written as `width` base-q digits ahead of the restricted row
-    width = next(w for w in range(1, 64) if q ** w >= n)
+    assert q < 1 << 16, "pair residues must stay below 2**32"
+    # one column per member; entry lead[a] * n + b flattened is b[lead a]
+    cols = np.ascontiguousarray(aug.T, dtype=np.uint32)
+    negated, lead_at = (q - cols).ravel(), lead * n
+    one_word = n * q ** (d + 1) < 2 ** 63
+    places, a_place = place_values(q)[-d - 1:], q ** (d + 1) if one_word else 1
     later = n - 1 - np.arange(n)
     ends = np.concatenate([[0], np.cumsum(later)])
-    partners, groups, size_counts = np.zeros((3, n), dtype=np.int64)
+    size_counts = np.zeros(n, dtype=np.int64)
     best, pencil = (0, None), ()
-    a0 = 0
-    while a0 < n - 1:
-        a1 = int(np.searchsorted(ends, ends[a0] + _BLOCK_PAIRS, "right"))
-        rows = np.arange(a0, min(max(a1 - 1, a0 + 1), n - 1))
-        a0 = int(rows[-1]) + 1
-        a = np.repeat(rows, later[rows])
-        b = np.arange(len(a)) + np.repeat(
-            rows + 1 - (ends[rows] - ends[rows[0]]), later[rows])
-        # one column per pair, so every step runs over contiguous rows;
-        # x - x // q * q, because int64 % is several times slower
-        r = cols.take(a, axis=1)
-        r *= aug.take(b * (d + 1) + lead.take(a))
-        np.subtract(cols.take(b, axis=1), r, out=r)
+    hi = 0
+    while hi < n - 1:
+        # rows lo .. hi - 1; row a's pairs start at start[a - lo]
+        lo = hi
+        hi = int(ends.searchsorted(ends[lo] + _BLOCK_PAIRS, "right")) - 1
+        hi = min(max(hi, lo + 1), n - 1)
+        span, start = later[lo:hi], ends[lo:hi] - ends[lo]
+        lead_key = (np.arange(lo, hi) * a_place).repeat(span)
+        b = np.arange(len(lead_key)) + (
+            np.arange(lo + 1, hi + 1) - start).repeat(span)
+        # b + (q - b[lead a]) * a; x - x // q * q, because % is slower
+        r = cols[:, lo:hi].repeat(span, axis=1)
+        r *= negated.take(lead_at[lo:hi].repeat(span) + b)
+        r += cols.take(b, axis=1)
         r -= r // q * q
-        # canonical b is parallel to a exactly when this normal vanishes
-        skew = r[:d].any(axis=0)
-        assert (skew | (r[d] != 0)).all(), \
-            "support hyperplanes must be distinct"
-        a, b = a[skew], b[skew]
-        digits = np.empty((width + d + 1, len(a)), dtype=np.int64)
-        rest = a
-        for i in range(width - 1, 0, -1):
-            digits[i] = rest - rest // q * q
-            rest = rest // q
-        digits[0] = rest
-        restricted = digits[width:]
-        np.compress(skew, r, axis=1, out=restricted)
-        lead_value = restricted[d - 1].copy()
-        for row in restricted[d - 2::-1]:
-            np.copyto(lead_value, row, where=row != 0)
-        restricted *= inverse_table(q).take(lead_value)
-        restricted -= restricted // q * q
-        heads, run = group_rows(digits.T, q)
-        count = np.bincount(run)
-        partners += np.bincount(a, minlength=n)
-        groups += np.bincount(a[heads], minlength=n)
+        assert r.any(axis=0).all(), "support hyperplanes must be distinct"
+        scale_to_lead(r, q)
+        if one_word:
+            words = [(r * places).sum(axis=0) + lead_key]
+            ordered = [np.sort(words[0])]
+        else:
+            words = [lead_key, *r]
+            order = np.lexsort(words[::-1])
+            ordered = [w.take(order) for w in words]
+        # runs of equal keys are the groups; each row's pairs keep place
+        edge = np.ones(len(b) + 1, dtype=bool)
+        edge[1:-1] = np.logical_or.reduce([w[1:] != w[:-1] for w in ordered])
+        bounds = edge.nonzero()[0]
+        count = bounds[1:] - bounds[:-1]
+        heads = [w.take(bounds[:-1]) for w in ordered]
+        live = np.logical_or.reduce([heads[0] != lead_key.take(bounds[:-1]),
+                                     *(head != 0 for head in heads[1:])])
+        count *= live
+        top, first = int(count.max()), bounds.searchsorted(start)
+        assert (np.add.reduceat(count, first) <= top * np.add.reduceat(
+            live, first, dtype=np.int64)).all(), "fiber bound"
         size_counts += np.bincount(count, minlength=n)
-        top = int(count.max(initial=0))
         if top < max(best[0], 1):
             continue
         # reduced form of (a, restricted row) for one pair per largest
         # group: the restricted row vanishes at a's lead already
         maximal = np.flatnonzero(count == top)
-        at = heads[maximal]
-        cut = restricted[:, at].T
+        ha = heads[0].take(maximal) // a_place
+        cut = (heads[0].take(maximal)[:, None] // places.T % q if one_word
+               else np.stack([h.take(maximal) for h in heads[1:]], axis=1))
         pivot = (cut[:, :d] != 0).argmax(axis=1)
-        other = aug[a[at]]
-        other = (other - other[np.arange(len(at)), pivot][:, None] * cut) % q
-        swap = (pivot < lead[a[at]])[:, None]
+        other = aug[ha]
+        other = (other - other[np.arange(len(ha)), pivot][:, None] * cut) % q
+        swap = (pivot < lead[ha])[:, None]
         upper, lower = np.where(swap, cut, other), np.where(swap, other, cut)
         keys = np.concatenate([upper[:, :d], lower[:, :d], upper[:, d:],
                                lower[:, d:]], axis=1)
         i = int(np.lexsort(keys.T[::-1])[0])
         key = keys[i].tolist()
         if top > best[0] or key < best[1]:
-            best = (top, key)
-            pencil = (int(a[at[i]]), *b[run == maximal[i]].tolist())
+            best, g = (top, key), maximal[i]
+            member = np.logical_and.reduce(
+                [w == head[g] for w, head in zip(words, heads)])
+            pencil = (int(ha[i]), *b[member].tolist())
     top, key = best
     if not top:
         return FlatProfile(0, None, ())
-    assert (np.diff(size_counts[1:]) <= 0).all(), "pair groups must nest"
-    assert (partners <= groups * top).all(), "fiber bound"
+    assert (size_counts[2:] <= size_counts[1:-1]).all(), "pair groups must nest"
     witness = Flat(rows=(tuple(key[:d]), tuple(key[d:2 * d])),
                    values=tuple(key[2 * d:]))
     # a member contains the witness exactly when it is the combination

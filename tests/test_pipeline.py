@@ -194,6 +194,40 @@ def test_flat_profile_matches_scalar_oracle(q, d, monkeypatch):
         flat_profile(rows(hs + [hs[5]]), PrimeField(q))
 
 
+@pytest.mark.parametrize("d", [3, 4])
+def test_flat_profile_exact_at_the_residue_edge(d, monkeypatch):
+    """At q = 65521 a family with entries 0, 1 and q - 1 drives the
+    uint32 pair sum b + (q - b[lead a]) * a to its largest value,
+    q**2 - 1 < 2**32; the profile still matches the scalar oracle."""
+    q = 65521
+    rng = random.Random(d)
+    hs = [canonical_hyperplane((1,) + (q - 1,) * (d - 1), q - 1, q),
+          canonical_hyperplane((0, 1) + (q - 1,) * (d - 2), q - 1, q)]
+    while len(hs) < 16:
+        normal = [rng.choice((0, 1, q - 1)) for _ in range(d)]
+        if any(normal):
+            h = canonical_hyperplane(normal, rng.choice((0, 1, q - 1)), q)
+            if h not in hs:
+                hs.append(h)
+    aug = rows(hs).tolist()
+    assert max(y + (q - b[a.index(1)]) * x
+               for a, b in itertools.combinations(aug, 2)
+               for x, y in zip(a, b)) == q * q - 1
+    _check_against_scalar_oracle(hs, q, d, monkeypatch)
+
+
+@pytest.mark.parametrize("m", range(2, 25))
+def test_flat_profile_across_the_one_word_key_boundary(m, monkeypatch):
+    """At d = 4, q = 4093 the packed key a * q**5 + restricted row fits
+    one int64 word for m <= 8, and from m = 9 the rows go through the
+    multi-word lexsort: both grouping paths match the scalar oracle at
+    the same q."""
+    q, d = 4093, 4
+    assert (m * q ** (d + 1) < 2 ** 63) == (m <= 8)
+    _check_against_scalar_oracle(_family(random.Random(m), q, d, m), q, d,
+                                 monkeypatch)
+
+
 @pytest.mark.parametrize("q", [5, 61])
 def test_flat_profile_refuses_non_canonical_input(q):
     hs = _family(random.Random(q), q, 3, 6)
@@ -240,8 +274,9 @@ def test_flat_profile_calls_no_scalar_elimination(monkeypatch):
 
 
 def test_flat_profile_memory_is_bounded():
-    """Row blocks keep the profile of a 1500-member family to a few MB
-    (the all-pairs pass peaked at about 314 MB here)."""
+    """Row blocks of uint32 residues keep the profile of a 1500-member
+    family near 1 MB (the all-pairs pass peaked at about 314 MB here,
+    int64 row blocks at about 1.9 MB)."""
     q = 61
     family = rows(_family(random.Random(1500), q, 3, 1500))
     tracemalloc.start()
@@ -252,7 +287,7 @@ def test_flat_profile_memory_is_bounded():
         tracemalloc.stop()
     # the planted pencil holds all q + 1 planes through its line
     assert prof.max_multiplicity == q + 1
-    assert peak < 16 << 20
+    assert peak < 4 << 20
 
 
 def test_extract_case_threshold_is_the_flat_multiplicity():

@@ -8,7 +8,7 @@ import pytest
 from ffrigidity.exact import SqrtRational
 from ffrigidity.geometry import (Hyperplane, Sphere, hyperplane_contains,
                                  hyperplane_incidence, incidence_gram,
-                                 make_space, radical_hyperplane,
+                                 make_space, quad_norm, radical_hyperplane,
                                  radical_hyperplanes)
 from ffrigidity.stats import energies, make_config, membership_matrix
 from ffrigidity.strata import (RegularizationDegenerate, dyadic_class,
@@ -159,24 +159,56 @@ def _points_near(rng, h, q, d, n):
     return pts
 
 
+def _check_bisectors(spheres, q, d):
+    """radical_hyperplanes against the scalar radical_hyperplane, pair by
+    pair; returns its rows as Hyperplane tuples and its pair index."""
+    rows, index = radical_hyperplanes(spheres, q, d)
+    assert rows.shape[1] == d + 1
+    rows = hyperplanes(rows)
+    assert rows == sorted(set(rows))
+    pairs = itertools.combinations(range(len(spheres)), 2)
+    assert index.tolist() == [-1 if radical_hyperplane(
+        spheres[a], spheres[b], q) is None else rows.index(
+        radical_hyperplane(spheres[a], spheres[b], q)) for a, b in pairs]
+    assert set(index.tolist()) - {-1} == set(range(len(rows)))
+    return rows, index
+
+
 @pytest.mark.parametrize("d", [3, 4])
 @pytest.mark.parametrize("q", [3, 5, 61, 65521])
 def test_radical_hyperplanes_match_scalar_oracle(q, d):
     rng = random.Random(q * 10 + d)
     for n in (0, 1, 2, 40):
         spheres, h = _sphere_family(rng, q, d, n)
-        rows, index = radical_hyperplanes(spheres, q, d)
-        assert rows.shape[1] == d + 1
-        rows = hyperplanes(rows)
-        assert rows == sorted(set(rows))
-        pairs = list(itertools.combinations(range(n), 2))
-        assert index.tolist() == [-1 if radical_hyperplane(
-            spheres[a], spheres[b], q) is None else rows.index(
-            radical_hyperplane(spheres[a], spheres[b], q)) for a, b in pairs]
-        assert set(index.tolist()) - {-1} == set(range(len(rows)))
+        rows, index = _check_bisectors(spheres, q, d)
         if n == 40:
             assert (index == -1).sum() >= 2 * 6
             assert (index == rows.index(h)).sum() >= 6
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_radical_hyperplanes_exact_at_the_residue_edge(d):
+    """At q = 65521, centres and radii drawn from 0, 1, (q -+ 1) / 2,
+    q - 2 and q - 1 drive the uint32 pair sums to 2q - 1 and the
+    products with the lead's inverse to (q - 1)**2, the largest values
+    the kernel meets below q**2 <= 2**32."""
+    q = 65521
+    values = (0, 1, (q - 1) // 2, (q + 1) // 2, q - 2, q - 1)
+    rng = random.Random(d)
+    spheres = [Sphere((0,) * d, q - 1), Sphere(((q - 1) // 2,) * d, 0)]
+    spheres += [Sphere(tuple(rng.choice(values) for _ in range(d)),
+                       rng.choice(values)) for _ in range(30)]
+
+    def largest_product(s, t):
+        diff = [2 * (b - a) % q for a, b in zip(s.center, t.center)]
+        diff.append((s.r - t.r + quad_norm(t.center, q)
+                     - quad_norm(s.center, q)) % q)
+        lead = next((x for x in diff[:d] if x), 0)
+        return max(x * pow(lead, q - 2, q) for x in diff) if lead else 0
+
+    assert max(largest_product(s, t) for s, t in
+               itertools.combinations(spheres, 2)) == (q - 1) ** 2
+    _check_bisectors(spheres, q, d)
 
 
 @pytest.mark.parametrize("d", [3, 4])
