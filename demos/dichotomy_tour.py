@@ -4,14 +4,12 @@
 A set of directions in F_q^3 either fits inside the zero set of a
 nonzero low-degree form or it is provably big.  Small sets always land
 on the algebraic side; the full projective plane can never hide inside
-a low-degree zero set, so it lands on the large side.  The affine chart
-variant works one coordinate patch at a time and lifts its witness back
-to a homogeneous form.
+a low-degree zero set, so it lands on the large side.
 """
 
 import itertools
 
-from ffrigidity import affine_dichotomy, dichotomy
+from ffrigidity import dichotomy
 
 Q = 7
 
@@ -39,17 +37,6 @@ def main():
     print("every direction of the projective plane, degree 2: large")
     dirs = [v for v in itertools.product(range(Q), repeat=3) if any(v)]
     show(dichotomy(dirs, 2, Q), dirs)
-    print()
-
-    print("affine chart u1 = 1, degree 2, four chart points")
-    dirs = [(1, 2, 3), (1, 5, 6), (1, 0, 2), (1, 4, 4)]
-    res = affine_dichotomy(dirs, 1, 2, Q)
-    print(f"  branch {res.branch}, chart points {res.n_chart_points}")
-    print(f"  chart polynomial: {res.chart_poly.terms}")
-    print(f"  homogenized:      {res.homogenized.terms}")
-    for v in dirs:
-        assert res.homogenized.evaluate(v, Q) == 0
-    print("  homogenized form vanishes on all four directions")
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from it, so nothing competes with the planted hyperplane.
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 from dataclasses import dataclass
@@ -33,6 +34,12 @@ PRNG_NAME = "python-random-mt19937"
 
 KINDS = ("uniform-random", "hyperplane-planted", "quadric-planted",
          "reflected-pairs")
+
+# The largest d any kind reaches.  Every kind but reflected-pairs samples
+# q^(d+1) sphere codes below 2**63, and reflected-pairs enumerates
+# q^(d-1) <= 2**24 directions; with q >= 3 neither holds past MAX_D, so a
+# larger d is rejected before any power of q is formed.
+MAX_D = int(math.log(sys.maxsize, 3)) - 1
 
 
 class BadGeneratorSpec(ValueError):
@@ -70,6 +77,9 @@ def _digits(codes, q: int, width: int) -> np.ndarray:
 def _validate(spec: GeneratorSpec, space: AmbientSpace):
     if spec.kind not in KINDS:
         raise BadGeneratorSpec(f"kind: unknown generator kind {spec.kind!r}")
+    if spec.d > MAX_D:
+        raise BadGeneratorSpec(f"d: {spec.d} exceeds {MAX_D}, past the reach "
+                               "of every generator kind")
     if spec.n_points < 1:
         raise BadGeneratorSpec("n_points: need at least one point")
     if spec.n_spheres < 1:

@@ -341,34 +341,21 @@ def flat_points(flat: Flat, space: AmbientSpace):
     return [tuple(int(c) for c in row) for row in sel]
 
 
-def affine_chart(direction, j: int, q: int):
-    """Dehomogenization of a projective direction in the chart u_j != 0.
-
-    Charts are 1-indexed.  Returns the d-1 remaining coordinates after
-    scaling the j-th to 1, or None when the direction misses the chart.
-    """
-    if not 1 <= j <= len(direction):
-        raise ValueError(f"chart index {j} out of range")
-    piv = direction[j - 1] % q
-    if piv == 0:
-        return None
-    s = pow(piv, q - 2, q)
-    return tuple((c * s) % q for i, c in enumerate(direction) if i != j - 1)
-
-
 @lru_cache(maxsize=32)
 def all_projective_directions(q: int, d: int) -> np.ndarray:
     """Canonical representatives of P^(d-1)(F_q), first nonzero
     coordinate 1, as a read-only int64 (N, d) array of lexicographically
     sorted rows: one block per lead position, the last position first,
     each block a 1 after the leading zeros and then a `point_grid` tail,
-    so the cap on the grid bounds the table."""
-    blocks = [np.eye(1, d, d - 1, dtype=np.int64)]
-    for lead in range(d - 2, -1, -1):
+    so the cap on the grid bounds the table.  The longest tail is built
+    first, so a table past the cap fails before any block is made."""
+    blocks = []
+    for lead in range(d - 1):
         tail = point_grid(q, d - 1 - lead)
         head = np.zeros((len(tail), lead + 1), dtype=np.int64)
         head[:, lead] = 1
         blocks.append(np.concatenate([head, tail], axis=1))
-    dirs = np.concatenate(blocks)
+    blocks.append(np.eye(1, d, d - 1, dtype=np.int64))
+    dirs = np.concatenate(blocks[::-1])
     dirs.setflags(write=False)
     return dirs

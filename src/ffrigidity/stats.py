@@ -58,19 +58,13 @@ def make_config(space: AmbientSpace, points, spheres) -> Config:
     arr = np.fromiter(chain.from_iterable(pts), dtype=np.int64,
                       count=len(pts) * d).reshape(len(pts), d)
     arr.setflags(write=False)
-    seen = set()
-    sph = []
-    for s in spheres:
-        center = tuple(c % q for c in s.center) if isinstance(s, Sphere) else tuple(c % q for c in s[0])
-        r = (s.r if isinstance(s, Sphere) else s[1]) % q
-        if len(center) != d:
-            raise ValueError(f"sphere center {center!r} does not have dimension {d}")
-        t = Sphere(center, r)
-        if t not in seen:
-            seen.add(t)
-            sph.append(t)
-    return Config(space=space, points=pts, spheres=tuple(sph),
-                  point_array=arr)
+    # a Sphere is a (center, r) tuple, so any such pair reads the same way
+    sph = tuple(dict.fromkeys(Sphere(tuple(c % q for c in s[0]), s[1] % q)
+                              for s in spheres))
+    bad = next((s.center for s in sph if len(s.center) != d), None)
+    if bad is not None:
+        raise ValueError(f"sphere center {bad!r} does not have dimension {d}")
+    return Config(space=space, points=pts, spheres=sph, point_array=arr)
 
 
 def membership_matrix(config: Config) -> np.ndarray:

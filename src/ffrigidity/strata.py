@@ -38,10 +38,6 @@ class DyadicLayers:
     layers: dict
     zero_pairs: int
 
-    @property
-    def pair_count(self) -> int:
-        return sum(len(p) for p in self.layers.values()) + self.zero_pairs
-
 
 def _dyadic_classes(values: np.ndarray) -> np.ndarray:
     """`dyadic_class` of every entry of a non-negative integer array (-1

@@ -3,8 +3,10 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -155,6 +157,48 @@ def test_gen_direction_table_past_the_cap_exits_promptly():
     assert proc.stderr.startswith("error: q: ")
     assert "enumeration cap" in proc.stderr
     assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+
+def _limit_address_space():
+    # a child that builds what the generator must refuse fails inside
+    # this limit rather than exhausting the machine
+    limit = 2 << 30
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    if hard != resource.RLIM_INFINITY:
+        limit = min(limit, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+
+@pytest.mark.parametrize("command", ["gen", "experiment"])
+@pytest.mark.parametrize("kind,q,d", [("reflected-pairs", 3, 17),
+                                      ("reflected-pairs", 7, 1000),
+                                      ("uniform-random", 7, 100000)])
+def test_gen_out_of_reach_d_exits_promptly(tmp_path, command, kind, q, d):
+    # the direction table trips its cap on the longest tail, before any
+    # block d columns wide is built; a d no kind reaches is refused before
+    # q**d is formed, so no integer of thousands of digits is formatted
+    if command == "gen":
+        argv = ["gen", "--kind", kind, "--q", str(q), "--d", str(d), "--np",
+                "4", "--ns", "2", "--seed", "1"]
+    else:
+        grid = grid_file(tmp_path, {"q": [q], "d": [d], "kind": [kind],
+                                    "np": [4], "ns": [2], "seed": [1]})
+        argv = ["experiment", str(grid)]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "ffrigidity.cli", *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=60, preexec_fn=_limit_address_space)
+    assert time.perf_counter() - start < 20
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "q: " in lines[0] or "d: " in lines[0]
+    assert "Traceback" not in proc.stderr
+    assert "int_max_str_digits" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_unknown_subcommand_exits_2(capsys):

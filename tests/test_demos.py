@@ -1,7 +1,8 @@
 """The demos run to completion, the top-level package exports every
 name that they and the README quick start import from it, every
-public library function has a caller outside the tests or is a kept
-oracle, and every field an extract stage hands on is read."""
+public library function, method and property has a caller outside the
+tests or is a kept oracle, and every field an extract stage hands on is
+read."""
 
 import ast
 import dataclasses
@@ -52,11 +53,9 @@ def test_public_surface():
     assert inspect.isfunction(ffrigidity.dichotomy)
 
 
-# Public library functions that nothing under src/, demos/ or bench/
-# references, each kept for the test or criterion that reads it.
+# Public library functions and methods that nothing under src/, demos/
+# or bench/ references, each kept for the test or criterion that reads it.
 KEPT_ORACLES = (
-    ("dichotomy.veronese_dependence",
-     "criterion 11; bench/run.py LAYERS imports its module"),
     ("geometry.flat_from_pair", "scalar oracle of pipeline.flat_profile"),
     ("geometry.hyperplane_contains",
      "pointwise oracle of hyperplane_incidence"),
@@ -83,13 +82,21 @@ def _references():
     return names, attributes
 
 
+def _public_functions(body, prefix: str):
+    """(qualified name, name) of the public functions in a module or class
+    body, and of the public methods and properties of its public classes."""
+    for node in body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield f"{prefix}.{node.name}", node.name
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            yield from _public_functions(node.body, f"{prefix}.{node.name}")
+
+
 def test_no_unreferenced_library_functions():
     public = set()
     for path in (ROOT / "src" / "ffrigidity").glob("*.py"):
-        public |= {(f"{path.stem}.{node.name}", node.name)
-                   for node in ast.parse(path.read_text()).body
-                   if isinstance(node, ast.FunctionDef)
-                   and not node.name.startswith("_")}
+        public |= set(_public_functions(ast.parse(path.read_text()).body,
+                                        path.stem))
     names, attributes = _references()
     unreferenced = {qualified for qualified, name in public
                     if name not in names | attributes}

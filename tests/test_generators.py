@@ -1,12 +1,13 @@
 import gc
 import itertools
+import sys
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from ffrigidity.exact import SqrtRational
-from ffrigidity.generators import (PRNG_NAME, BadGeneratorSpec,
+from ffrigidity.generators import (MAX_D, PRNG_NAME, BadGeneratorSpec,
                                    GeneratorSpec, ZeroPin,
                                    dot_product_system, generate, pin_cap,
                                    pinned_distance_set, pinned_sphere_system)
@@ -79,6 +80,11 @@ def test_generate_rejects_bad_specs():
         generate(spec("reflected-pairs", ns=7))
     with pytest.raises(BadGeneratorSpec, match="pairs"):
         generate(spec("reflected-pairs", q=3, np_=5, ns=8))  # 3 pairs max
+    # MAX_D is the reach of uniform-random at q = 3, the widest kind
+    assert 3 ** (MAX_D + 1) <= sys.maxsize < 3 ** (MAX_D + 2)
+    generate(spec("uniform-random", q=3, d=MAX_D, np_=5, ns=2))
+    with pytest.raises(BadGeneratorSpec, match="^d: "):
+        generate(spec("uniform-random", q=3, d=MAX_D + 1, np_=5, ns=2))
 
 
 def test_hyperplane_planted_noise_split():

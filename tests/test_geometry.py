@@ -9,7 +9,7 @@ from ffrigidity import geometry
 from ffrigidity.field import PrimeField
 from ffrigidity.geometry import (IDENTICAL, PARALLEL_DISJOINT, Flat,
                                  Hyperplane, SpaceTooLarge, Sphere,
-                                 affine_chart, all_projective_directions,
+                                 all_projective_directions,
                                  canonical_hyperplane,
                                  flat_contained_in, flat_from_pair,
                                  flat_points, hyperplane_contains,
@@ -338,17 +338,6 @@ def test_flats_canonical_for_equal_solution_sets():
     flat_b = flat_from_pair(h1, h3, f)
     flat_c = flat_from_pair(h2, h3, f)
     assert flat_a == flat_b == flat_c
-
-
-def test_affine_chart():
-    q = 7
-    v = (3, 1, 2)
-    assert affine_chart(v, 1, q) is not None
-    # chart j scales so coordinate j becomes 1, then drops it
-    chart = affine_chart(v, 1, q)
-    inv3 = pow(3, q - 2, q)
-    assert chart == (1 * inv3 % q, 2 * inv3 % q)
-    assert affine_chart((0, 1, 2), 1, q) is None  # zero in slot 1
 
 
 def test_all_projective_directions_count_and_canonical():

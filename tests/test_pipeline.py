@@ -475,10 +475,15 @@ def test_directional_extract_runs_no_dichotomy(monkeypatch):
 
     modules = [m for n, m in sys.modules.items()
                if n == "ffrigidity" or n.startswith("ffrigidity.")]
+    refused = set()
     for module in modules:
-        for name in ("affine_dichotomy", "kernel_basis"):
-            if hasattr(module, name):
+        for name in ("dichotomy", "kernel_basis"):
+            if callable(getattr(module, name, None)):
                 monkeypatch.setattr(module, name, refuse)
+                refused.add(f"{module.__name__}.{name}")
+    assert refused >= {"ffrigidity.dichotomy", "ffrigidity.field.kernel_basis",
+                       "ffrigidity.dichotomy.dichotomy",
+                       "ffrigidity.dichotomy.kernel_basis"}
     directional = [row for row in GOLDEN_CERTIFICATES
                    if row[9] == CASE_DIRECTIONAL]
     assert len(directional) == 5

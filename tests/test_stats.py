@@ -58,6 +58,13 @@ def test_make_config_dedups_and_canonicalizes():
     assert cfg.point_array.tolist() == [[1, 2, 3], [0, 0, 0]]
     with pytest.raises(ValueError, match="does not have dimension 3"):
         make_config(sp, [(1, 2, 3), (1, 2)], [])
+    # a plain (center, r) pair reads as a Sphere; the error names the
+    # first bad center, reduced
+    cfg = make_config(sp, [], [((6, 1, 1), 7), Sphere((1, 1, 1), 2)])
+    assert cfg.spheres == (Sphere((1, 1, 1), 2),)
+    with pytest.raises(ValueError,
+                       match=r"sphere center \(1, 2\) does not have dim"):
+        make_config(sp, [], [((1, 1, 1), 0), Sphere((6, 7), 1), ((0, 0), 2)])
 
 
 def test_config_equality_ignores_point_array():

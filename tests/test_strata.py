@@ -90,7 +90,8 @@ def test_stratify_reconciles_with_off_diagonal():
                    for (i, j) in pairs)
         assert mass == st.off_diagonal
         ns = len(cfg.spheres)
-        assert layers.pair_count == ns * (ns - 1)
+        assert sum(map(len, layers.layers.values())) + layers.zero_pairs \
+            == ns * (ns - 1)
 
 
 def test_stratify_matches_overlap_oracle():
