@@ -62,12 +62,14 @@ def _dump_json(obj, path):
 
 def _load_json(path, what: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise CliError(f"{what}: cannot read {path}: {exc.strerror}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CliError(f"{what}: invalid JSON in {path}: {exc}")
+    except RecursionError:
+        raise CliError(f"{what}: invalid JSON in {path}: nested too deeply")
 
 
 def _require(doc: dict, key: str, what: str):

@@ -36,9 +36,10 @@ KINDS = ("uniform-random", "hyperplane-planted", "quadric-planted",
          "reflected-pairs")
 
 # The largest d any kind reaches.  Every kind but reflected-pairs samples
-# q^(d+1) sphere codes below 2**63, and reflected-pairs enumerates
-# q^(d-1) <= 2**24 directions; with q >= 3 neither holds past MAX_D, so a
-# larger d is rejected before any power of q is formed.
+# q^(d+1) sphere codes below 2**63, and the two planted-hyperplane kinds
+# draw their normal from a direction table of d * (q^d - 1)/(q - 1) <=
+# 2**24 entries (at q = 3 up to d = 13); with q >= 3 neither holds past
+# MAX_D, so a larger d is rejected before any power of q is formed.
 MAX_D = int(math.log(sys.maxsize, 3)) - 1
 
 

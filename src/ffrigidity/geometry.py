@@ -346,9 +346,12 @@ def all_projective_directions(q: int, d: int) -> np.ndarray:
     """Canonical representatives of P^(d-1)(F_q), first nonzero
     coordinate 1, as a read-only int64 (N, d) array of lexicographically
     sorted rows: one block per lead position, the last position first,
-    each block a 1 after the leading zeros and then a `point_grid` tail,
-    so the cap on the grid bounds the table.  The longest tail is built
-    first, so a table past the cap fails before any block is made."""
+    each block a 1 after the leading zeros and then a `point_grid` tail.
+    A table of more than ENUMERATION_CAP entries, (q^d - 1)/(q - 1) rows
+    times d, raises SpaceTooLarge before any block is made."""
+    if (q ** d - 1) // (q - 1) * d > ENUMERATION_CAP:
+        raise SpaceTooLarge(f"d * (q^{d} - 1)/(q - 1) direction entries "
+                            "exceed the enumeration cap")
     blocks = []
     for lead in range(d - 1):
         tail = point_grid(q, d - 1 - lead)

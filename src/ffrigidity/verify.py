@@ -2,10 +2,13 @@
 
 This module deliberately avoids the extraction pipeline: it checks
 each claim against the configuration and the serialized certificate
-alone, with its own formulas: every listed point lies on the named
-hyperplane, every listed sphere holds at least `sphere_min` of them
-(by the difference form sum((x - c)**2) - r, in float64 row blocks),
-and a witness flat lies in the hyperplane.  It does not yet re-derive
+alone, with its own code: every listed point lies on the named
+hyperplane, every listed sphere holds at least `sphere_min` of them,
+and a witness flat lies in the hyperplane.  The sphere check evaluates
+the same expanded form ||x|| - 2<x, c> + ||c|| - r as the pipeline's
+kernel, as one float64 product per row block of lifted points and
+spheres, but from residues centred in (-q/2, q/2] and under its own
+guard d*q*q < 2**52 (see `_sphere_degrees`).  It does not yet re-derive
 everything: K and the two floors `min_points` and `sphere_min` are
 still taken from the document, not recomputed from the configuration,
 so a document that lowers its own floors still verifies.  Each failure
@@ -56,27 +59,41 @@ _BLOCK_CELLS = 1 << 15
 
 
 def _sphere_degrees(pts: np.ndarray, spheres, q: int) -> np.ndarray:
-    """How many rows of pts lie on each sphere, from the difference form
-    sum((x - c)**2) - r of coordinates reduced mod q, accumulated in place
-    in float64 row blocks.  Below d*q*q < 2**52 in absolute value, a form
-    is exact, and q divides it exactly when rint(form / q) * q == form:
-    correctly rounded division is exact on a multiple of q."""
+    """How many rows of pts lie on each sphere: the form
+    ||x|| - 2<x, c> + ||c|| - r as one float64 product per row block of
+    the lifted points [x | ||x|| | 1] and the lifted spheres
+    [-2c | 1 | ||c|| - r], a cell counted when q divides its form.
+
+    Coordinates, centres and radii are first taken as residues centred
+    in (-q/2, q/2], so |x_i| <= q/2, |2c_i| <= q, ||x|| <= d*q*q/4 and
+    |||c|| - r| <= d*q*q/4 + q/2: the absolute values of the terms of a
+    form add up to at most d*q*q + q.  Under the guard d*q*q < 2**52
+    every partial sum is then an integer that float64 holds exactly, in
+    any summation order, and so is the form.  q divides it exactly when
+    rint(form / q) * q == form: correctly rounded division is exact on a
+    multiple of q, and otherwise the right side is another multiple of
+    q, itself exact."""
     (n, d), m = pts.shape, len(spheres)
     assert d * q * q < 1 << 52, "modulus too large for exact float64 forms"
-    c = np.asarray([(*center, r) for center, r in spheres], dtype=np.int64)
-    x, c = (pts % q).T.astype(float), (c % q).astype(float)
+    h = (q - 1) // 2
+    x = (pts + h) % q - h
+    c = (np.asarray([(*center, r) for center, r in spheres], dtype=np.int64)
+         + h) % q - h
+    rows = np.ones((n, d + 2))
+    rows[:, :d] = x
+    rows[:, d] = (x * x).sum(axis=1)
+    centers, r = c[:, :d], c[:, d]
+    cols = np.ones((d + 2, m))
+    cols[:d] = -2 * centers.T
+    cols[d + 1] = (centers * centers).sum(axis=1) - r
     step = max(1, _BLOCK_CELLS // m)
     degrees = np.zeros(m, dtype=np.int64)
     for start in range(0, n, step):
-        rows = slice(start, start + step)
-        form = np.subtract(x[0, rows, None], c[:, 0])
-        form *= form
-        for j in range(1, d):
-            term = np.subtract(x[j, rows, None], c[:, j])
-            term *= term
-            form += term
-        form -= c[:, d]
-        degrees += (np.rint(form / q) * q == form).sum(axis=0)
+        form = rows[start:start + step] @ cols
+        t = form / q
+        np.rint(t, out=t)
+        t *= q
+        degrees += np.count_nonzero(t == form, axis=0)
     return degrees
 
 

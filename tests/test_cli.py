@@ -159,6 +159,35 @@ def test_gen_direction_table_past_the_cap_exits_promptly():
     assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
+def test_direction_table_past_the_cap_by_width_builds_nothing():
+    # at q = 3, d = 16 the longest tail, 3**15 points, is under the cap,
+    # but the whole table is 16 * (3**16 - 1)/2 > 2**24 entries (2.8 GB
+    # as int64); both children run under an address-space limit
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    child = lambda *argv: subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True,
+        timeout=60, preexec_fn=_limit_address_space)
+    proc = child("-m", "ffrigidity.cli", "gen", "--kind", "reflected-pairs",
+                 "--q", "3", "--d", "16", "--np", "4", "--ns", "2",
+                 "--seed", "1")
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: q: ")
+    assert "enumeration cap" in lines[0]
+    proc = child("-c", (
+        "import tracemalloc\n"
+        "from ffrigidity.geometry import SpaceTooLarge, "
+        "all_projective_directions\n"
+        "tracemalloc.start()\n"
+        "try:\n"
+        "    all_projective_directions(3, 16)\n"
+        "except SpaceTooLarge:\n"
+        "    print(tracemalloc.get_traced_memory()[1])\n"))
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 1 << 20
+
+
 
 def _limit_address_space():
     # a child that builds what the generator must refuse fails inside
@@ -175,9 +204,9 @@ def _limit_address_space():
                                       ("reflected-pairs", 7, 1000),
                                       ("uniform-random", 7, 100000)])
 def test_gen_out_of_reach_d_exits_promptly(tmp_path, command, kind, q, d):
-    # the direction table trips its cap on the longest tail, before any
-    # block d columns wide is built; a d no kind reaches is refused before
-    # q**d is formed, so no integer of thousands of digits is formatted
+    # the direction table trips its cap on its size, before any block is
+    # built; a d no kind reaches is refused before q**d is formed, so no
+    # integer of thousands of digits is formatted
     if command == "gen":
         argv = ["gen", "--kind", kind, "--q", str(q), "--d", str(d), "--np",
                 "4", "--ns", "2", "--seed", "1"]
@@ -213,6 +242,30 @@ def test_analyze_bad_json_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", str(path))
     assert code == 2
     assert "config" in err and "JSON" in err
+
+
+@pytest.mark.parametrize("role", ["analyze", "extract", "verify-config",
+                                  "verify-certificate", "experiment"])
+@pytest.mark.parametrize("raw", [b"\xff\xfe{", b"[" * 100000 + b"]" * 100000],
+                         ids=["not-utf8", "deep-array"])
+def test_undecodable_json_exits_2(tmp_path, capsys, role, raw):
+    # a file that json cannot decode, by its bytes or by its depth, is
+    # one error line whichever document it stands for
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(raw)
+    if role == "verify-config":
+        argv = ["verify", str(bad), str(gen_config(tmp_path, capsys))]
+    elif role == "verify-certificate":
+        argv = ["verify", str(gen_config(tmp_path, capsys)), str(bad)]
+    else:
+        argv = [role, str(bad)]
+    code, out, err = run(capsys, *argv)
+    what = {"verify-certificate": "certificate",
+            "experiment": "grid"}.get(role, "config")
+    lines = err.splitlines()
+    assert code == 2 and out == ""
+    assert len(lines) == 1 and lines[0].startswith(f"error: {what}: ")
+    assert "Traceback" not in err
 
 
 def test_analyze_missing_field_exits_2(tmp_path, capsys):

@@ -691,6 +691,41 @@ def test_verify_sphere_degrees_exact_at_the_modulus_edge(d, block,
         for i, deg in enumerate(degs)]
 
 
+@pytest.mark.parametrize("block", [None, 1, 8 * 130])
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("q", [65521, 1000003])
+def test_verify_sphere_degrees_exact_at_the_centring_seam(q, d, block,
+                                                          monkeypatch):
+    # the kernel centres residues in (-q/2, q/2]: q // 2 stays positive
+    # and q // 2 + 1 turns negative, so values on both sides of that seam,
+    # with 0, q - 1 and q - 2, give the largest lifted terms; q = 1000003
+    # is inside the kernel's guard d*q*q < 2**52 but above PrimeField's
+    # q < 2**16, so it is checked here on the kernel alone
+    edge = (0, q // 2, q // 2 + 1, q - 1, q - 2)
+    rng = random.Random(q + d)
+    corners = list(itertools.product(edge, repeat=d))
+    mixed = lambda: tuple(rng.choice(edge + (rng.randrange(q),))
+                          for _ in range(d))
+    points = list(dict.fromkeys(rng.sample(corners, 120)
+                                + [mixed() for _ in range(900)]))[:301]
+    spheres = {}
+    while len(spheres) < 130:
+        c = rng.choice(corners) if rng.random() < 0.7 else mixed()
+        x = rng.choice(points)
+        r = sum((a - b) ** 2 for a, b in zip(x, c)) % q
+        if rng.random() < 0.1:
+            r = rng.choice(edge)
+        spheres[Sphere(c, r)] = 0
+    spheres = list(spheres)
+    assert len(points) == 301
+    degs = [sum(sphere_contains(s, p, q) for p in points) for s in spheres]
+    assert sum(degs) >= 2 * len(spheres) and max(degs) >= 10 and 0 in degs
+    if block is not None:
+        monkeypatch.setattr(verify, "_BLOCK_CELLS", block)
+    got = verify._sphere_degrees(np.array(points, dtype=np.int64), spheres, q)
+    assert got.tolist() == degs
+
+
 def test_verify_counts_points_off_the_hyperplane():
     rng = random.Random(23)
     checked = 0
@@ -789,6 +824,25 @@ def test_verify_runs_no_pipeline_code():
                              "dichotomy"}, dict(ran)
     assert {"_indices", "_sphere_degrees"} <= ran["verify"]
     assert "rref" in ran["field"]
+
+
+def test_verify_catches_a_broken_pipeline_sphere_kernel(monkeypatch):
+    # verify evaluates the same lifted identity as the pipeline's
+    # sphere_incidence, but with its own code: a pipeline kernel whose
+    # column term ||c|| - r is off by one picks a sphere subfamily that
+    # verify, counting against the true config, rejects
+    g = generate(GeneratorSpec("reflected-pairs", 13, 3, 150, 40, seed=0,
+                               noise=0.1))
+    honest = extract_certificate(g.config).to_dict()
+    assert verify_certificate(g.config, honest) == []
+    true_kernel = stats.sphere_incidence
+    monkeypatch.setattr(stats, "sphere_incidence", lambda pts, spheres, q:
+                        true_kernel(pts, [Sphere(c, r - 1)
+                                          for c, r in spheres], q))
+    doc = json.loads(json.dumps(extract_certificate(g.config).to_dict()))
+    failures = verify_certificate(g.config, doc)
+    assert failures
+    assert all(" structured points, need " in f for f in failures)
 
 
 def test_no_numpy_ma_import():
