@@ -215,8 +215,9 @@ def points_array(points, d: int) -> np.ndarray:
     return arr
 
 
-# Cells per row block of the incidence kernels: each block's float64
-# sums and quotients then take at most 256 KiB apiece, whatever |P| is.
+# Cells per row block of the incidence kernels and `incidence_counts`:
+# each block's sums and quotients then take at most 256 KiB apiece,
+# whatever |P| is.
 _BLOCK_CELLS = 1 << 15
 
 
@@ -227,24 +228,27 @@ def _vanishing(pts: np.ndarray, forms: np.ndarray, col_terms: np.ndarray,
     without a row term when row_terms is None.
 
     The kernels reduce their coordinates mod q first, so the absolute
-    values of the terms of a sum add up to less than 4*d*q*q + q: every
-    partial sum is an integer that float64 holds exactly, in any
-    summation order, and so is the sum v.  The sums are one float64 BLAS
-    product of the rows [x | 1 | row term] and the columns
-    [form | col term | 1], row block by row block of at most 2**15
-    cells, so no |P| x m temporary is built.  An entry is divisible by q
-    exactly when v == rint(v * (1/q)) * q: the right side is always an
-    exact multiple of q, and when q divides v the rounded quotient is
-    exact, because its error stays below 1/2 while 4*d*q*q < 2**50.
+    values of the terms of a sum add up to less than 4*d*q*q + q.  The
+    sums are one BLAS product of the rows [x | 1 | row term] and the
+    columns [form | col term | 1], row block by row block of at most
+    2**15 cells, so no |P| x m temporary is built: in float32 while that
+    bound is below 2**22, else in float64, so every partial sum is an
+    integer the dtype holds exactly, in any summation order, and so is
+    the sum v.  An entry is divisible by q exactly when
+    v == rint(v * (1/q)) * q: the right side is always an exact multiple
+    of q, and when q divides v the rounded quotient is exact, because
+    its error, under |v/q| * 2**-22 (float32) or |v/q| * 2**-51
+    (float64), stays below 1/2.
     """
     n, (m, d) = len(pts), forms.shape
     assert 4 * d * q * q < 1 << 50, "modulus too large for exact float64 sums"
+    dtype = np.float32 if 4 * d * q * q + q < 1 << 22 else np.float64
     out = np.empty((n, m), dtype=bool)
     k = d + 1 if row_terms is None else d + 2
-    rows = np.empty((n, k))
+    rows = np.empty((n, k), dtype=dtype)
     rows[:, :d] = pts
     rows[:, d] = 1
-    cols = np.empty((k, m))
+    cols = np.empty((k, m), dtype=dtype)
     cols[:d] = forms.T
     cols[d] = col_terms
     if row_terms is not None:
@@ -260,6 +264,36 @@ def _vanishing(pts: np.ndarray, forms: np.ndarray, col_terms: np.ndarray,
         np.equal(v, t, out=out[start:start + step])
         del v, t  # freed before the next block allocates its own
     return out
+
+
+def incidence_counts(inc: np.ndarray, axis: int,
+                     rows: np.ndarray | None = None) -> np.ndarray:
+    """Row (axis=1) or column (axis=0) counts of a boolean matrix or of
+    its float32 copy, as int64; the column counts over only the rows of
+    the boolean mask `rows`, when it is given.  One float32
+    matrix-vector product per row block of at most `_BLOCK_CELLS` cells,
+    so no whole-matrix copy is made: exact, as every partial sum is a
+    count, asserted below 2**24."""
+    n, m = inc.shape
+    assert n < 1 << 24 and m < 1 << 24, "too many cells for exact float32 counts"
+    step = max(1, _BLOCK_CELLS // max(m, 1))
+    if axis:
+        ones = np.ones(m, dtype=np.float32)
+        if n <= step:
+            return np.dot(inc.astype(np.float32, copy=False),
+                          ones).astype(np.int64)
+        return np.concatenate([np.dot(inc[start:start + step].astype(
+            np.float32, copy=False), ones) for start in range(0, n, step)]
+        ).astype(np.int64)
+    w = (np.ones(n, dtype=np.float32) if rows is None
+         else rows.astype(np.float32))
+    if n <= step:
+        return np.dot(w, inc.astype(np.float32, copy=False)).astype(np.int64)
+    counts = np.zeros(m, dtype=np.float32)
+    for start in range(0, n, step):
+        counts += np.dot(w[start:start + step], inc[start:start + step].astype(
+            np.float32, copy=False))
+    return counts.astype(np.int64)
 
 
 def hyperplane_incidence(pts, hyperplanes, q: int) -> np.ndarray:
@@ -304,7 +338,8 @@ PRODUCT_MACS = 1 << 19
 
 
 def incidence_gram(inc: np.ndarray) -> np.ndarray:
-    """Column Gram matrix inc.T @ inc of a boolean incidence matrix.
+    """Column Gram matrix inc.T @ inc of a boolean incidence matrix, or
+    of its float32 copy, which is then read in place.
 
     Entry [a, b] counts the rows incident to both columns a and b.  It is
     a float32 BLAS product (numpy's integer matmul has no BLAS kernel),
@@ -316,7 +351,7 @@ def incidence_gram(inc: np.ndarray) -> np.ndarray:
     0.5 ms for one product.
     """
     assert inc.shape[0] < 1 << 24, "too many rows for an exact float32 Gram"
-    x = inc.astype(np.float32)
+    x = inc.astype(np.float32, copy=False)
     n, m = x.shape
     step = PRODUCT_MACS // max(1, n * m)
     if step < 8:

@@ -25,7 +25,8 @@ import numpy as np
 from .exact import SqrtRational
 from .field import PrimeField, place_values, scale_to_lead
 from .geometry import (Flat, Hyperplane, flat_contained_in,
-                       hyperplane_incidence, sphere_contains, sphere_incidence)
+                       hyperplane_incidence, incidence_counts, sphere_contains,
+                       sphere_incidence)
 from .multiset import build_multiset, mass_retention, popular_hyperplane
 from .stats import Config, energies, membership_matrix
 from .strata import RegularizationDegenerate, persistent_pairs, regularize
@@ -263,7 +264,7 @@ def extract_certificate(config: Config,
     # least one: k is its row in the retained support, in tuple order
     if profile.max_multiplicity > b0:
         case, witness = CASE_FLAT, profile.witness
-        rich = inc.take(profile.pencil, axis=1).sum(axis=0)
+        rich = incidence_counts(inc.take(profile.pencil, axis=1), 0)
         k = profile.pencil[int(np.argmax(rich))]
     else:
         case, witness = CASE_DIRECTIONAL, None
@@ -296,7 +297,7 @@ def _rich_sphere_subfamily(incidence):
     """Largest dyadic richness threshold keeping at least half of the
     incidence mass between P' and the sphere family, from the P' rows of
     the membership matrix."""
-    degs = incidence.sum(axis=0).tolist()
+    degs = incidence_counts(incidence, 0).tolist()
     total = sum(degs)
     if total == 0:
         return 1, ()

@@ -17,7 +17,8 @@ from operator import mod
 import numpy as np
 
 from .exact import SqrtRational
-from .geometry import AmbientSpace, Sphere, incidence_gram, sphere_incidence
+from .geometry import (AmbientSpace, Sphere, incidence_counts, incidence_gram,
+                       sphere_incidence)
 
 
 class EmptyConfig(ValueError):
@@ -105,7 +106,7 @@ def near_extremality_K(config: Config) -> SqrtRational:
 
 
 def incidence_count(config: Config) -> int:
-    return int(membership_matrix(config).sum())
+    return int(np.count_nonzero(membership_matrix(config)))
 
 
 def energies(config: Config, membership=None) -> IncidenceStats:
@@ -114,16 +115,20 @@ def energies(config: Config, membership=None) -> IncidenceStats:
     The off-diagonal energy is computed from the sphere-pair Gram matrix
     rather than from point degrees, so the exact identity
     energy = incidences + off_diagonal, which is asserted, is a real
-    cross-check.  A caller that needs `membership_matrix(config)`
+    cross-check.  The membership matrix is converted to float32 once,
+    and the Gram, the point degrees (its row counts, by
+    `incidence_counts`) and the sphere degrees (the Gram's diagonal) all
+    read that copy.  A caller that needs `membership_matrix(config)`
     itself may pass it in.
     """
     mat = membership_matrix(config) if membership is None else membership
-    point_deg = mat.sum(axis=1).astype(np.int64)
-    sphere_deg = mat.sum(axis=0).astype(np.int64)
+    x = mat.astype(np.float32)
+    gram = incidence_gram(x)
+    point_deg = incidence_counts(x, 1)
+    sphere_deg = np.diagonal(gram)
     incidences = int(point_deg.sum())
     energy = int((point_deg * point_deg).sum())
     dual_energy = int((sphere_deg * sphere_deg).sum())
-    gram = incidence_gram(mat)
     off_diagonal = int(gram.sum() - np.trace(gram))
     assert energy == incidences + off_diagonal, "energy identity violated"
     if config.points and config.spheres:

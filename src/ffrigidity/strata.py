@@ -16,8 +16,8 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import SqrtRational, count_cutoff
-from .geometry import (hyperplane_incidence, incidence_gram, pair_indices,
-                       radical_hyperplane, radical_hyperplanes)
+from .geometry import (hyperplane_incidence, incidence_counts, incidence_gram,
+                       pair_indices, radical_hyperplane, radical_hyperplanes)
 from .multiset import HyperplaneMultiset
 from .stats import Config, membership_matrix, near_extremality_K
 
@@ -89,18 +89,6 @@ def _pair_richness(richness: np.ndarray, index: np.ndarray) -> np.ndarray:
     return out
 
 
-def _both_orders(i: np.ndarray, j: np.ndarray, ns: int):
-    """Sort the ordered pairs (i, j) and (j, i) of unordered pairs i < j.
-
-    Returns the sorting permutation of the pairs listed (i, j) first,
-    then (j, i), and the sorted pairs as two index arrays.
-    """
-    first = np.concatenate([i, j])
-    second = np.concatenate([j, i])
-    order = np.argsort(first * ns + second)
-    return order, first[order], second[order]
-
-
 @dataclass(frozen=True)
 class LowLayerReport:
     mass: int
@@ -121,7 +109,7 @@ def low_layer_mass(config: Config, j0: int) -> LowLayerReport:
     if j0 < 0:
         raise ValueError("j0 must be non-negative")
     _, incidence, index = _bisectors(config)
-    rich = _pair_richness(incidence.sum(axis=0), index)
+    rich = _pair_richness(incidence_counts(incidence, 0), index)
     cutoff = 1 << j0
     low = rich[(rich >= 1) & (rich < cutoff)]
     mass = 2 * int(low.sum())
@@ -160,23 +148,30 @@ def persistent_pairs(config: Config, K: SqrtRational | None = None,
 
     The cutoff is c_const * K * q**((d-1)/2), with the near-extremality
     K of config unless K is supplied.  With K = 0 the cutoff vanishes
-    and every non-degenerate pair persists.
+    and every non-degenerate pair persists.  The sorted pairs are the
+    row-major nonzero cells of the symmetric |S| x |S| matrix holding
+    one plus the bisector index of each persistent pair (i, j) at
+    [i, j] and [j, i], and zero elsewhere.
     """
     if K is None:
         K = near_extremality_K(config)
     lam = richness_threshold(K, config.q, config.d, c_const)
     bisectors, incidence, index = _bisectors(config)
-    richness = incidence.sum(axis=0)
+    richness = incidence_counts(incidence, 0)
     keep = _pair_richness(richness, index) >= max(count_cutoff(lam), 0)
     ns = len(config.spheres)
     i, j = pair_indices(ns)
-    order, first, second = _both_orders(i[keep], j[keep], ns)
-    pairs = np.stack([first, second], axis=1)
+    cells = np.zeros(ns * ns, dtype=np.int64)
+    cells[(i * ns + j)[keep]] = index[keep] + 1
+    cells = cells.reshape(ns, ns)
+    cells += cells.T
+    flat = cells.ravel().nonzero()[0]
+    pairs = np.empty((len(flat), 2), dtype=np.int64)
+    np.divmod(flat, ns, out=(pairs[:, 0], pairs[:, 1]))
     pairs.setflags(write=False)
     return PersistentPairs(pairs=pairs, bisectors=bisectors,
                            incidence=incidence,
-                           pairs_bisector=np.concatenate(
-                               [index[keep], index[keep]])[order])
+                           pairs_bisector=cells.take(flat) - 1)
 
 
 def _heaviest_class(values: np.ndarray):
@@ -217,10 +212,10 @@ def regularize(inc: np.ndarray, ms: HyperplaneMultiset) -> RegularizedConfig:
     assert inc.shape[1] == len(ms.support), "one column per support hyperplane"
     if not inc.size:
         raise RegularizationDegenerate("empty points or empty support")
-    jp, kept = _heaviest_class(inc.sum(axis=1))
+    jp, kept = _heaviest_class(incidence_counts(inc, 1))
     if jp is None:
         raise RegularizationDegenerate("no point lies on any support hyperplane")
-    jh, heavy = _heaviest_class(inc[kept].sum(axis=0))
+    jh, heavy = _heaviest_class(incidence_counts(inc, 0, kept))
     if jh is None:
         raise RegularizationDegenerate("no support hyperplane is rich in the kept points")
     return RegularizedConfig(

@@ -6,12 +6,13 @@ alone, with its own code: every listed point lies on the named
 hyperplane, every listed sphere holds at least `sphere_min` of them,
 and a witness flat lies in the hyperplane.  The sphere check evaluates
 the same expanded form ||x|| - 2<x, c> + ||c|| - r as the pipeline's
-kernel, as one float64 product per row block of lifted points and
-spheres, but from residues centred in (-q/2, q/2] and under its own
-guard d*q*q < 2**52 (see `_sphere_degrees`).  It does not yet re-derive
-everything: K and the two floors `min_points` and `sphere_min` are
-still taken from the document, not recomputed from the configuration,
-so a document that lowers its own floors still verifies.  Each failure
+kernel, as one float32 or float64 product per row block of lifted
+points and spheres, but from residues centred in (-q/2, q/2] and under
+its own guards, d*q*q < 2**23 for float32 and d*q*q < 2**52 (see
+`_sphere_degrees`).  It does not yet re-derive everything: K and the
+two floors `min_points` and `sphere_min` are still taken from the
+document, not recomputed from the configuration, so a document that
+lowers its own floors still verifies.  Each failure
 is reported as a human-readable string; an empty list means the
 certificate verifies.
 """
@@ -53,47 +54,54 @@ def _indices(value, n: int, name: str, failures: list):
     return idx
 
 
-# Cells per row block of the sphere check: each float64 array of a
-# block then fits in 256 KiB, inside L2, for any |P'| and |S'| <= 2**15.
+# Cells per row block of the sphere check: each float array of a block
+# then fits in 256 KiB, inside L2, for any |P'| and |S'| <= 2**15.
 _BLOCK_CELLS = 1 << 15
 
 
 def _sphere_degrees(pts: np.ndarray, spheres, q: int) -> np.ndarray:
     """How many rows of pts lie on each sphere: the form
-    ||x|| - 2<x, c> + ||c|| - r as one float64 product per row block of
+    ||x|| - 2<x, c> + ||c|| - r as one float product per row block of
     the lifted points [x | ||x|| | 1] and the lifted spheres
-    [-2c | 1 | ||c|| - r], a cell counted when q divides its form.
+    [-2c | 1 | ||c|| - r], a cell counted when q divides its form.  No
+    spheres give an empty count.
 
     Coordinates, centres and radii are first taken as residues centred
     in (-q/2, q/2], so |x_i| <= q/2, |2c_i| <= q, ||x|| <= d*q*q/4 and
     |||c|| - r| <= d*q*q/4 + q/2: the absolute values of the terms of a
-    form add up to at most d*q*q + q.  Under the guard d*q*q < 2**52
-    every partial sum is then an integer that float64 holds exactly, in
-    any summation order, and so is the form.  q divides it exactly when
-    rint(form / q) * q == form: correctly rounded division is exact on a
-    multiple of q, and otherwise the right side is another multiple of
-    q, itself exact."""
+    form add up to at most d*q*q + q.  The product is float32 when
+    d*q*q < 2**23 and float64 under the guard d*q*q < 2**52, so every
+    partial sum is an integer the dtype holds exactly, in any summation
+    order, and so is the form.  q divides it exactly when
+    rint(form * (1/q)) * q == form: a quotient k has |k| <= d*q + 1, so
+    the two roundings of form * (1/q) move it by less than
+    1/q + 2**-23, below 1/3 for q >= 5 and 1/2 at q = 3; otherwise the
+    right side is another multiple of q, itself exact."""
     (n, d), m = pts.shape, len(spheres)
     assert d * q * q < 1 << 52, "modulus too large for exact float64 forms"
+    if not m:
+        return np.zeros(0, dtype=np.int64)
+    dtype = np.float32 if d * q * q < 1 << 23 else np.float64
     h = (q - 1) // 2
     x = (pts + h) % q - h
     c = (np.asarray([(*center, r) for center, r in spheres], dtype=np.int64)
          + h) % q - h
-    rows = np.ones((n, d + 2))
+    rows = np.ones((n, d + 2), dtype=dtype)
     rows[:, :d] = x
     rows[:, d] = (x * x).sum(axis=1)
     centers, r = c[:, :d], c[:, d]
-    cols = np.ones((d + 2, m))
+    cols = np.ones((d + 2, m), dtype=dtype)
     cols[:d] = -2 * centers.T
     cols[d + 1] = (centers * centers).sum(axis=1) - r
     step = max(1, _BLOCK_CELLS // m)
+    inv = 1.0 / q
     degrees = np.zeros(m, dtype=np.int64)
     for start in range(0, n, step):
         form = rows[start:start + step] @ cols
-        t = form / q
+        t = form * inv
         np.rint(t, out=t)
         t *= q
-        degrees += np.count_nonzero(t == form, axis=0)
+        degrees += (t == form).sum(axis=0)
     return degrees
 
 

@@ -14,7 +14,8 @@ from ffrigidity.geometry import (IDENTICAL, PARALLEL_DISJOINT, Flat,
                                  flat_contained_in, flat_from_pair,
                                  flat_points, hyperplane_contains,
                                  hyperplane_incidence, hyperplane_points,
-                                 incidence_gram, make_space, point_grid,
+                                 incidence_counts, incidence_gram,
+                                 make_space, point_grid,
                                  quad_norm, radical_hyperplane,
                                  sphere_contains, sphere_incidence)
 
@@ -228,6 +229,32 @@ def test_incidence_kernels_refuse_modulus_beyond_float64_exactness():
         sphere_incidence(pts, [Sphere((0, 0, 0), 0)], q)
     with pytest.raises(AssertionError):
         hyperplane_incidence(pts, [Hyperplane((1, 0, 0), 0)], q)
+
+
+@pytest.mark.parametrize("block", [None, 1, 7 * 120 + 5])
+def test_incidence_counts_match_sum(block, monkeypatch):
+    # default blocks of 273 rows at 120 columns: shapes at the block edge,
+    # past it, ragged, wider than a block, and with no rows or columns
+    if block is not None:
+        monkeypatch.setattr(geometry, "_BLOCK_CELLS", block)
+    rng = np.random.default_rng(23)
+    shapes = [(0, 0), (0, 7), (9, 0), (1, 1), (13, 3), (40, 7), (273, 120),
+              (274, 120), (547, 120), (2, (1 << 15) + 1)]
+    for n, m in shapes:
+        inc = rng.random((n, m)) < rng.random()
+        kept = rng.random(n) < 0.5
+        for got, want in ((incidence_counts(inc, 1), inc.sum(axis=1)),
+                          (incidence_counts(inc, 0), inc.sum(axis=0)),
+                          (incidence_counts(inc, 0, kept),
+                           inc[kept].sum(axis=0))):
+            assert got.dtype == np.int64 and got.shape == want.shape
+            assert got.tolist() == want.tolist()
+    full = np.ones((40000, 3), dtype=bool)
+    assert incidence_counts(full, 0).tolist() == [40000] * 3
+    # shapes past float32 exactness, with no cells allocated
+    for shape in ((1 << 24, 0), (0, 1 << 24)):
+        with pytest.raises(AssertionError):
+            incidence_counts(np.zeros(shape, dtype=bool), 0)
 
 
 def test_sphere_incidence_memory_is_bounded():

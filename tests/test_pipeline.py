@@ -726,6 +726,81 @@ def test_verify_sphere_degrees_exact_at_the_centring_seam(q, d, block,
     assert got.tolist() == degs
 
 
+def _seam_primes(fits):
+    """The largest odd prime q with fits(q) and the next prime above it,
+    for a condition fits that holds up to some q and fails beyond."""
+    q = 3
+    while fits(q + 2):
+        q += 2
+    below = next(p for p in range(q, 2, -2) if field.is_odd_prime(p))
+    above = next(p for p in itertools.count(q + 2, 2)
+                 if field.is_odd_prime(p))
+    assert fits(below) and not fits(above)
+    return below, above
+
+
+def _seam_families(rng, q, d, n, m):
+    """n distinct points, m spheres and m hyperplanes: every corner of
+    {0, q - 1, q - 2}**d is a point, the other coordinates take those
+    residues or random ones, and each sphere and hyperplane passes
+    through a chosen point, except one in ten whose radius or offset is
+    one of the three."""
+    edge = (0, q - 1, q - 2)
+    pts = list(itertools.product(edge, repeat=d))
+    while len(pts) < n:
+        x = tuple(rng.choice(edge + (rng.randrange(q),)) for _ in range(d))
+        pts = list(dict.fromkeys(pts + [x]))
+    spheres, hyperplanes = [], []
+    for _ in range(m):
+        c, x, normal = rng.choice(pts), rng.choice(pts), rng.choice(pts[1:])
+        r = sum((a - b) ** 2 for a, b in zip(x, c)) % q
+        b = sum(a * b for a, b in zip(normal, x)) % q
+        if rng.random() < 0.1:
+            r, b = rng.choice(edge), rng.choice(edge)
+        spheres.append(Sphere(c, r))
+        hyperplanes.append(geometry.Hyperplane(normal, b))
+    return np.asarray(pts, dtype=np.int64), spheres, hyperplanes
+
+
+@pytest.mark.parametrize("block", [None, 1, 7 * 40 + 3])
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("module", [geometry, verify])
+def test_incidence_counts_exact_at_the_float32_seam(module, d, block,
+                                                    monkeypatch):
+    # float32 sums below each guard, 4*d*q*q + q < 2**22 for the two
+    # incidence kernels and d*q*q < 2**23 for verify's sphere check, and
+    # float64 from the next prime on; 100 points over 40 columns make
+    # row blocks of one row, of 7 with a ragged last one, or one block
+    if block is not None:
+        monkeypatch.setattr(module, "_BLOCK_CELLS", block)
+    fits = ((lambda q: 4 * d * q * q + q < 1 << 22) if module is geometry
+            else (lambda q: d * q * q < 1 << 23))
+    for q in _seam_primes(fits):
+        pts, spheres, hyperplanes = _seam_families(random.Random(q + d), q,
+                                                   d, 100, 40)
+        points = [tuple(x) for x in pts.tolist()]
+        ms = np.array([[sphere_contains(s, x, q) for s in spheres]
+                       for x in points])
+        mh = np.array([[hyperplane_contains(h, x, q) for h in hyperplanes]
+                       for x in points])
+        assert ms.any() and mh.any() and not ms.all() and not mh.all()
+        if module is geometry:
+            assert (geometry.sphere_incidence(pts, spheres, q) == ms).all()
+            assert (geometry.hyperplane_incidence(pts, hyperplanes, q)
+                    == mh).all()
+        else:
+            assert (verify._sphere_degrees(pts, spheres, q).tolist()
+                    == ms.sum(axis=0).tolist())
+
+
+def test_verify_sphere_degrees_of_no_spheres_or_no_points():
+    pts = np.array([(1, 2, 3), (0, 0, 0)], dtype=np.int64)
+    got = verify._sphere_degrees(pts, [], 7)
+    assert got.dtype == np.int64 and got.shape == (0,)
+    got = verify._sphere_degrees(pts[:0], [Sphere((0, 0, 0), 1)] * 2, 7)
+    assert got.dtype == np.int64 and got.tolist() == [0, 0]
+
+
 def test_verify_counts_points_off_the_hyperplane():
     rng = random.Random(23)
     checked = 0

@@ -252,6 +252,46 @@ def test_bisector_consumers_match_scalar_recount(q, d):
         assert pp.incidence.sum(axis=0).tolist() == [rich[g] for g in distinct]
 
 
+def _argsort_pairs(index, richness, cutoff, ns):
+    """Persistent ordered pairs by the earlier route: both orders of
+    each pair i < j whose bisector holds at least cutoff points, sorted
+    by one argsort of the keys first * ns + second, with the bisector
+    index of each."""
+    i, j = np.triu_indices(ns, 1)
+    keep = (index >= 0) & (richness[index] >= cutoff)
+    first = np.concatenate([i[keep], j[keep]])
+    second = np.concatenate([j[keep], i[keep]])
+    order = np.argsort(first * ns + second)
+    return (np.stack([first[order], second[order]], axis=1),
+            np.concatenate([index[keep], index[keep]])[order])
+
+
+@pytest.mark.parametrize("q, n", [(5, 40), (61, 40), (61, 120)])
+def test_persistent_pairs_match_argsort_reference(q, n):
+    # _sphere_family holds two concentric groups; the last cutoff is
+    # above every richness, so it cuts every pair
+    rng = random.Random(q * n)
+    spheres, h = _sphere_family(rng, q, 3, 40)
+    while len(spheres) < n:
+        spheres.append(Sphere(tuple(rng.randrange(q) for _ in range(3)),
+                              rng.randrange(q)))
+    cfg = make_config(make_space(q, 3), _points_near(rng, h, q, 3, 200),
+                      spheres)
+    ns = len(cfg.spheres)
+    rows, index = radical_hyperplanes(cfg.spheres, q, 3)
+    assert (index < 0).any()
+    richness = hyperplane_incidence(cfg.point_array, rows, q).sum(axis=0)
+    top = int(richness.max())
+    for cutoff in (0, 1, top // 2, top, top + 1):
+        pp = persistent_pairs(cfg, K=cutoff_K(cutoff, q, 3))
+        pairs, pairs_bisector = _argsort_pairs(index, richness, cutoff, ns)
+        assert pp.pairs.shape == pairs.shape and not pp.pairs.flags.writeable
+        assert pp.pairs.tolist() == pairs.tolist()
+        assert pp.pairs_bisector.dtype == np.int64
+        assert pp.pairs_bisector.tolist() == pairs_bisector.tolist()
+    assert pp.pairs.shape == (0, 2) and not len(pp.pairs_bisector)
+
+
 def test_low_layer_mass_bound_over_j_range():
     rng = random.Random(44)
     for _ in range(5):
