@@ -22,7 +22,7 @@ def describe(tag, config):
     assert st.energy == st.incidences + st.off_diagonal
     print(f"identity         {st.incidences} + {st.off_diagonal} "
           f"= {st.energy}  (exact)")
-    print(f"K                {float(st.K):.4f}")
+    print(f"K                {st.K:.4f}")
     hist = {j: len(ps) for j, ps in sorted(layers.layers.items())}
     print(f"overlap layers   {hist}  zero-overlap pairs "
           f"{layers.zero_pairs}")

@@ -9,8 +9,7 @@ parallel class.
 """
 
 from ffrigidity import (Sphere, extract_certificate, flat_points,
-                        make_config, make_space, retention_check,
-                        verify_certificate)
+                        make_config, make_space, verify_certificate)
 
 Q = 7
 
@@ -36,8 +35,6 @@ def main():
     failures = verify_certificate(cfg, cert.to_dict())
     print("independent verification:", failures or "ok")
 
-    rep = retention_check(cfg, cert)
-    print("double count consistent:", rep.double_count_ok)
     print("kept point fraction:", len(cert.points_idx) / len(cfg.points))
 
 

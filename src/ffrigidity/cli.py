@@ -176,7 +176,7 @@ def cmd_analyze(args) -> int:
         "surplus": str(Fraction(st.incidences)
                        - Fraction(len(config.points)
                                   * len(config.spheres), config.q)),
-        "K": float(st.K),
+        "K": st.K,
         "layer_histogram": histogram,
         "zero_overlap_pairs": layers.zero_pairs,
     }
@@ -284,7 +284,7 @@ def _experiment_cell(cell: dict) -> dict:
         "np": cell["np"], "ns": cell["ns"],
         "noise": f"{gconf.spec.noise:g}", "seed": cell["seed"],
         "c_const": str(opts.c_const),
-        "K": f"{float(cert.params['K']):.12g}",
+        "K": f"{cert.params['K']:.12g}",
         "case": cert.case,
         "p_prime": n_prime,
         "p_prime_frac": f"{n_prime / n_points:.6g}",

@@ -1,4 +1,4 @@
-"""Seeded configuration generators and the application constructions.
+"""Seeded configuration generators.
 
 All generators draw from Python's Mersenne Twister seeded explicitly,
 so a (kind, q, d, sizes, seed, noise) tuple always reproduces the same
@@ -18,17 +18,13 @@ import math
 import random
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .exact import SqrtRational
 from .geometry import (AmbientSpace, Hyperplane, SpaceTooLarge, Sphere,
                        all_projective_directions, canonical_hyperplane,
-                       hyperplane_incidence, make_space, point_grid,
-                       quad_norm, sphere_incidence)
-from .stats import (Config, incidence_count, make_config,
-                    near_extremality_from_counts)
+                       make_space, point_grid, sphere_incidence)
+from .stats import Config, make_config
 
 PRNG_NAME = "python-random-mt19937"
 
@@ -202,121 +198,3 @@ def _generate(spec: GeneratorSpec, space: AmbientSpace) -> GeneratedConfig:
     sph = [Sphere(tuple(row[:d]), row[d]) for row in rows.tolist()]
     return GeneratedConfig(make_config(space, pts.tolist(), sph), spec,
                            planted=planted, quadric_r=quadric_r)
-
-
-def _distinct_residues(vectors, q: int) -> list:
-    """Vectors reduced mod q, first occurrences only, in input order."""
-    return list(dict.fromkeys(tuple(c % q for c in v) for v in vectors))
-
-
-def pinned_distance_set(pin, points, q: int):
-    """Form values ||x - pin|| over the point set."""
-    return sorted({quad_norm(tuple((a - b) % q for a, b in zip(x, pin)), q)
-                   for x in points})
-
-
-@dataclass(frozen=True)
-class PinnedSystem:
-    pins: tuple
-    config: Config
-    per_pin: dict
-    surplus: Fraction
-    K: SqrtRational
-
-
-def pinned_sphere_system(pins, points, space: AmbientSpace) -> PinnedSystem:
-    """Spheres about each pin through every occupied form value.
-
-    Each pin contributes spheres S(pin, t) for t in its distance set, so
-    each point of P lies on exactly one sphere per pin and the incidence
-    count is exactly (number of pins) * |P|.  The surplus over the
-    random baseline then has the closed form (|P|/q) * sum over pins of
-    (q - |distance set|), which is asserted.
-    """
-    q, d = space.q, space.d
-    pts = _distinct_residues(points, q)
-    pin_list = _distinct_residues(pins, q)
-    if not pin_list or not pts:
-        raise ValueError("need at least one pin and one point")
-    spheres = []
-    per_pin = {}
-    for pin in pin_list:
-        dset = pinned_distance_set(pin, pts, q)
-        per_pin[pin] = tuple(dset)
-        spheres.extend(Sphere(pin, t) for t in dset)
-    config = make_config(space, pts, spheres)
-    assert len(config.spheres) == sum(len(v) for v in per_pin.values())
-    total = incidence_count(config)
-    assert total == len(pin_list) * len(pts)
-    n_s = len(config.spheres)
-    surplus = Fraction(total) - Fraction(len(pts) * n_s, q)
-    closed = Fraction(len(pts), q) * sum(q - len(v) for v in per_pin.values())
-    assert surplus == closed
-    K = near_extremality_from_counts(total, len(pts), n_s, q, d)
-    return PinnedSystem(pins=tuple(pin_list), config=config,
-                        per_pin=per_pin, surplus=surplus, K=K)
-
-
-def pin_cap(q: int, d: int, K, c: Fraction = Fraction(1)) -> int:
-    """Suggested pin budget floor(c * K * q**((d-3)/2))."""
-    scale = SqrtRational(Fraction(c), q ** (d - 3))
-    if isinstance(K, SqrtRational):
-        return (K * scale).floor()
-    return (SqrtRational(Fraction(K)) * scale).floor()
-
-
-class ZeroPin(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class DotProductSystem:
-    pins: tuple
-    hyperplanes: tuple
-    multiplicity: dict
-    incidences: int
-    surplus: Fraction
-    K: SqrtRational
-    merged: int
-
-
-def dot_product_system(pins, qpoints, space: AmbientSpace) -> DotProductSystem:
-    """Pin-normal hyperplanes through every occupied dot-product value.
-
-    Every x in Q satisfies <pin, x> = t for exactly one t per pin, so
-    the incidence count is (number of pins) * |Q| by construction.
-    Distinct (pin, value) labels can name the same geometric hyperplane
-    when pins are parallel; the merge count is reported and the labels
-    all keep multiplicity one within their own pin.
-    """
-    q, d = space.q, space.d
-    pts = _distinct_residues(qpoints, q)
-    pin_list = _distinct_residues(pins, q)
-    if not pin_list or not pts:
-        raise ValueError("need at least one pin and one point")
-    labels = []
-    for pin in pin_list:
-        if all(c == 0 for c in pin):
-            raise ZeroPin("the zero vector does not define hyperplanes")
-        values = sorted({sum(a * b for a, b in zip(pin, x)) % q for x in pts})
-        labels.extend(canonical_hyperplane(pin, t, q) for t in values)
-    mult: dict = {}
-    for h in labels:
-        mult[h] = mult.get(h, 0) + 1
-    support = tuple(sorted(mult))
-    incidences = int(hyperplane_incidence(pts, labels, q).sum())
-    per_pin_incidences = len(pin_list) * len(pts)
-    assert incidences == per_pin_incidences
-    n_h = len(labels)
-    surplus = Fraction(per_pin_incidences) - Fraction(len(pts) * n_h, q)
-    K = near_extremality_from_counts(per_pin_incidences, len(pts), n_h, q, d)
-    return DotProductSystem(
-        pins=tuple(pin_list),
-        hyperplanes=support,
-        multiplicity=mult,
-        incidences=per_pin_incidences,
-        surplus=surplus,
-        K=K,
-        merged=len(labels) - len(support),
-    )
-

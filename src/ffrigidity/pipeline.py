@@ -22,13 +22,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import SqrtRational
 from .field import PrimeField, place_values, scale_to_lead
 from .geometry import (Flat, Hyperplane, flat_contained_in,
-                       hyperplane_incidence, incidence_counts, sphere_contains,
-                       sphere_incidence)
+                       hyperplane_incidence, incidence_counts)
 from .multiset import build_multiset, mass_retention, popular_hyperplane
-from .stats import Config, energies, membership_matrix
+from .stats import Config, ceil_sqrt, energies, membership_matrix
 from .strata import RegularizationDegenerate, persistent_pairs, regularize
 
 CASE_FLAT = "flat-concentration"
@@ -201,7 +199,7 @@ class Certificate:
                     if self.witness_flat is not None else None),
             },
             "params": {
-                "K": float(params["K"]),
+                "K": params["K"],
                 "B0": params["B0"],
                 "min_points": params["min_points"],
                 "sphere_min": params["sphere_min"],
@@ -209,7 +207,7 @@ class Certificate:
         }
 
 
-def _no_signal(K: SqrtRational, b0: int, reason: str) -> Certificate:
+def _no_signal(K: float, b0: int, reason: str) -> Certificate:
     return Certificate(
         case=CASE_NO_SIGNAL, hyperplane=None, points_idx=(),
         spheres_idx=(), witness_flat=None, flags=(reason,),
@@ -217,8 +215,9 @@ def _no_signal(K: SqrtRational, b0: int, reason: str) -> Certificate:
     )
 
 
-def default_b0(K: SqrtRational, d: int) -> int:
-    return max(2 * d, K.ceil())
+def default_b0(K2: Fraction, d: int) -> int:
+    """max(2d, ceil(K)), from the exact square K2 of K."""
+    return max(2 * d, ceil_sqrt(K2))
 
 
 def extract_certificate(config: Config,
@@ -235,9 +234,9 @@ def extract_certificate(config: Config,
     membership = membership_matrix(config)
     stats = energies(config, membership)
     K = stats.K
-    b0 = opts.b0 if opts.b0 is not None else default_b0(K, d)
+    b0 = opts.b0 if opts.b0 is not None else default_b0(stats.K2, d)
 
-    pp = persistent_pairs(config, K, opts.c_const)
+    pp = persistent_pairs(config, stats.K2, opts.c_const)
     if not len(pp.pairs):
         return _no_signal(K, b0, "no-persistent-pairs")
     ms = build_multiset(pp)
@@ -310,31 +309,3 @@ def _rich_sphere_subfamily(incidence):
         t *= 2
     spheres_idx = tuple(i for i, v in enumerate(degs) if v >= best)
     return best, spheres_idx
-
-
-@dataclass(frozen=True)
-class RetentionReport:
-    incidences: int
-    double_count_ok: bool
-    degree_min: int
-    degree_max: int
-
-
-def retention_check(config: Config, cert: Certificate) -> RetentionReport:
-    """Double-counting check for the retained points.
-
-    The incidence count between the structured points and the sphere
-    family is computed in both summation orders, which must agree.
-    """
-    q = config.q
-    pprime = [config.points[i] for i in cert.points_idx]
-    by_sphere = int(sphere_incidence(pprime, config.spheres, q).sum(axis=0).sum())
-    point_sphere_degs = [sum(sphere_contains(s, p, q) for s in config.spheres)
-                         for p in pprime]
-    by_point = sum(point_sphere_degs)
-    return RetentionReport(
-        incidences=by_point,
-        double_count_ok=by_sphere == by_point,
-        degree_min=min(point_sphere_degs, default=0),
-        degree_max=max(point_sphere_degs, default=0),
-    )

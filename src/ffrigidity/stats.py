@@ -3,8 +3,9 @@
 A configuration is a deduplicated point set together with a family of
 distinct spheres in a common ambient space.  The near-extremality
 parameter K measures how far the incidence count exceeds the random
-baseline |P||S|/q, in units of q**((d-1)/2) * sqrt(|P||S|), and is kept
-exact so that downstream thresholds never suffer float rounding.
+baseline |P||S|/q, in units of q**((d-1)/2) * sqrt(|P||S|).  It is
+kept as the exact square K**2, a Fraction, so that downstream thresholds
+never suffer float rounding; `ceil_sqrt` takes their integer ceilings.
 """
 
 from __future__ import annotations
@@ -12,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, repeat
+from math import isqrt
 from operator import mod
 
 import numpy as np
 
-from .exact import SqrtRational
 from .geometry import (AmbientSpace, Sphere, incidence_counts, incidence_gram,
                        sphere_incidence)
 
@@ -75,38 +76,53 @@ def membership_matrix(config: Config) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IncidenceStats:
+    """`K2` is the exact square of the near-extremality K and `K` its
+    float value, the one reports print."""
     incidences: int
     energy: int
     dual_energy: int
     off_diagonal: int
-    K: SqrtRational
+    K2: Fraction
+    K: float
+
+
+def ceil_sqrt(x: Fraction) -> int:
+    """The least integer n >= 0 with n * n >= x, exactly; 0 for x <= 0."""
+    if x <= 0:
+        return 0
+    # n * n >= p / s exactly when n * n * s >= p, and isqrt(p // s) is at
+    # most one short of the least such n
+    p, s = x.numerator, x.denominator
+    n = isqrt(p // s)
+    return n if n * n * s >= p else n + 1
 
 
 def near_extremality_from_counts(incidences: int, n_points: int,
-                                 n_spheres: int, q: int, d: int) -> SqrtRational:
-    """K = (I - |P||S|/q) / (q**((d-1)/2) sqrt(|P||S|)), clamped at 0.
+                                 n_spheres: int, q: int,
+                                 d: int) -> tuple[Fraction, float]:
+    """(K**2, K) for K = (I - |P||S|/q) / (q**((d-1)/2) sqrt(|P||S|)),
+    clamped at 0.
 
     The whole denominator is folded into a single radicand, so the same
-    exact formula covers odd and even d.
+    exact formula covers odd and even d.  The float K is
+    float(surplus / radicand) * float(radicand) ** 0.5, the value the
+    reports print; taken from K**2 instead, its last bit can differ.
     """
     if n_points < 1 or n_spheres < 1:
         raise EmptyConfig("near-extremality needs at least one point and one sphere")
     surplus = Fraction(incidences) - Fraction(n_points * n_spheres, q)
     if surplus <= 0:
-        return SqrtRational.zero()
+        return Fraction(0), 0.0
     radicand = q ** (d - 1) * n_points * n_spheres
-    return SqrtRational(surplus / radicand, radicand)
+    return (surplus * surplus / radicand,
+            float(surplus / radicand) * float(radicand) ** 0.5)
 
 
-def near_extremality_K(config: Config) -> SqrtRational:
+def near_extremality_K(config: Config) -> Fraction:
+    """The exact square K**2 of the near-extremality of config."""
     if not config.points or not config.spheres:
         raise EmptyConfig("configuration has an empty side")
-    stats = energies(config)
-    return stats.K
-
-
-def incidence_count(config: Config) -> int:
-    return int(np.count_nonzero(membership_matrix(config)))
+    return energies(config).K2
 
 
 def energies(config: Config, membership=None) -> IncidenceStats:
@@ -132,14 +148,16 @@ def energies(config: Config, membership=None) -> IncidenceStats:
     off_diagonal = int(gram.sum() - np.trace(gram))
     assert energy == incidences + off_diagonal, "energy identity violated"
     if config.points and config.spheres:
-        K = near_extremality_from_counts(incidences, len(config.points),
-                                         len(config.spheres), config.q, config.d)
+        K2, K = near_extremality_from_counts(
+            incidences, len(config.points), len(config.spheres), config.q,
+            config.d)
     else:
-        K = SqrtRational.zero()
+        K2, K = Fraction(0), 0.0
     return IncidenceStats(
         incidences=incidences,
         energy=energy,
         dual_energy=dual_energy,
         off_diagonal=off_diagonal,
+        K2=K2,
         K=K,
     )

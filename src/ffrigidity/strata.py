@@ -15,11 +15,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import SqrtRational, count_cutoff
 from .geometry import (hyperplane_incidence, incidence_counts, incidence_gram,
                        pair_indices, radical_hyperplane, radical_hyperplanes)
 from .multiset import HyperplaneMultiset
-from .stats import Config, membership_matrix, near_extremality_K
+from .stats import Config, ceil_sqrt, membership_matrix, near_extremality_K
 
 
 class RegularizationDegenerate(ValueError):
@@ -136,29 +135,28 @@ class PersistentPairs:
     pairs_bisector: np.ndarray = dataclass_field(repr=False)
 
 
-def richness_threshold(K: SqrtRational, q: int, d: int,
-                       c_const=Fraction(1, 4)) -> SqrtRational:
-    """The persistence cutoff c * K * q**((d-1)/2), kept exact."""
-    return K * SqrtRational(Fraction(c_const), q ** (d - 1))
-
-
-def persistent_pairs(config: Config, K: SqrtRational | None = None,
+def persistent_pairs(config: Config, K2: Fraction | None = None,
                      c_const=Fraction(1, 4)) -> PersistentPairs:
     """Ordered non-degenerate pairs whose bisector is threshold-rich.
 
-    The cutoff is c_const * K * q**((d-1)/2), with the near-extremality
-    K of config unless K is supplied.  With K = 0 the cutoff vanishes
-    and every non-degenerate pair persists.  The sorted pairs are the
-    row-major nonzero cells of the symmetric |S| x |S| matrix holding
-    one plus the bisector index of each persistent pair (i, j) at
-    [i, j] and [j, i], and zero elsewhere.
+    A pair persists when its bisector carries at least c_const * K *
+    q**((d-1)/2) points, with K**2 the exact `near_extremality_K` of
+    config unless K2 is supplied.  For c_const > 0 the integer cutoff
+    is the ceiling of the square root of c_const**2 * K**2 * q**(d-1),
+    and otherwise 0.  With K = 0 the cutoff vanishes and every
+    non-degenerate pair persists.  The sorted pairs are the row-major
+    nonzero cells of the symmetric |S| x |S| matrix holding one plus
+    the bisector index of each persistent pair (i, j) at [i, j] and
+    [j, i], and zero elsewhere.
     """
-    if K is None:
-        K = near_extremality_K(config)
-    lam = richness_threshold(K, config.q, config.d, c_const)
+    if K2 is None:
+        K2 = near_extremality_K(config)
+    c = Fraction(c_const)
+    cutoff = (ceil_sqrt(c * c * K2 * config.q ** (config.d - 1))
+              if c > 0 else 0)
     bisectors, incidence, index = _bisectors(config)
     richness = incidence_counts(incidence, 0)
-    keep = _pair_richness(richness, index) >= max(count_cutoff(lam), 0)
+    keep = _pair_richness(richness, index) >= cutoff
     ns = len(config.spheres)
     i, j = pair_indices(ns)
     cells = np.zeros(ns * ns, dtype=np.int64)

@@ -1,6 +1,7 @@
 """Acceptance harness: desk-scale criteria, one test each.  They keep
-the numbers 1-12 of the original list; 5 (homogenization) and 11
-(Veronese dependence) left with the code they checked.
+the numbers 1-12 of the original list; 5 (homogenization), 10 (pinned
+and dot-product systems) and 11 (Veronese dependence) left with the
+code they checked.
 
 Every test prints a single pass line with its measured quantities; a
 failed assertion is the fail line.  The grid is q in {3, 5, 7, 11, 13}
@@ -10,23 +11,20 @@ at d = 3 with spot checks at d = 4, q in {3, 5}.
 import itertools
 import random
 import time
-from fractions import Fraction
 from math import comb
 
 import pytest
 
 from ffrigidity.dichotomy import dichotomy
 from ffrigidity.field import PrimeField
-from ffrigidity.generators import (GeneratorSpec, dot_product_system,
-                                   generate, pinned_sphere_system)
+from ffrigidity.generators import GeneratorSpec, generate
 from ffrigidity.geometry import (Hyperplane, Sphere, flat_from_pair,
-                                 hyperplane_contains, make_space, point_grid,
-                                 quad_norm, radical_hyperplane,
-                                 sphere_incidence)
+                                 hyperplane_contains, point_grid, quad_norm,
+                                 radical_hyperplane, sphere_incidence)
 from ffrigidity.multiset import (build_multiset, mass_retention,
                                  popular_hyperplane)
 from ffrigidity.pipeline import extract_certificate, flat_profile
-from ffrigidity.stats import energies, incidence_count, make_config
+from ffrigidity.stats import energies
 from ffrigidity.strata import low_layer_mass, persistent_pairs
 from ffrigidity.verify import verify_certificate
 
@@ -320,39 +318,6 @@ def test_criterion_09_mutation_suite():
     report(9, f"{rejected} single-field mutations, 0 false accepts")
 
 
-def test_criterion_10_pinned_and_dot_exactness():
-    rng = random.Random(110)
-    systems = 0
-    for q in GRID_Q:
-        sp = make_space(q, 3)
-        for trial in range(6):
-            pts = list({tuple(rng.randrange(q) for _ in range(3))
-                        for _ in range(rng.randrange(3, 2 * q))})
-            pins = list({tuple(rng.randrange(q) for _ in range(3))
-                         for _ in range(rng.randrange(1, 4))})
-            sys_ = pinned_sphere_system(pins, pts, sp)
-            cfg = sys_.config
-            total = incidence_count(cfg)
-            assert total == len(sys_.pins) * len(cfg.points)
-            baseline = Fraction(len(cfg.points) * len(cfg.spheres), q)
-            assert sys_.surplus == Fraction(total) - baseline
-            closed = Fraction(len(cfg.points), q) * sum(
-                q - len(v) for v in sys_.per_pin.values())
-            assert sys_.surplus == closed
-            systems += 1
-            pins = [p for p in pins if any(c % q for c in p)]
-            if not pins:
-                continue
-            dot = dot_product_system(pins, pts, sp)
-            assert dot.incidences == len(dot.pins) * len(pts)
-            n_labels = sum(dot.multiplicity.values())
-            assert dot.surplus == (Fraction(dot.incidences)
-                                   - Fraction(len(pts) * n_labels, q))
-            systems += 1
-    report(10, f"incidence and surplus identities exact on {systems} "
-               "pinned/dot systems")
-
-
 def test_criterion_12_empirical_k_guard():
     rng = random.Random(112)
     max_k = 0.0
@@ -364,7 +329,7 @@ def test_criterion_12_empirical_k_guard():
                              rng.randrange(4, 12),
                              rng.randrange(10 ** 6))
         g = generate(spec)
-        k = float(energies(g.config).K)
+        k = energies(g.config).K
         max_k = max(max_k, k)
         configs += 1
     assert max_k < 3.0

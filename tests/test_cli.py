@@ -66,6 +66,26 @@ def test_analyze_is_byte_deterministic(tmp_path, capsys):
     assert out1 == out2
 
 
+# sha256 of `analyze` output for generated (kind, q, np, ns, seed) at
+# d = 3 and K > 0: the one pin on the float K it prints, which no
+# certificate digest covers
+ANALYZE_DIGESTS = [
+    ("reflected-pairs", 7, 14, 6, 1, "783d17923312a263d4f6636f9bc5ed691cf39873927a6d28af337592d22117bf"),
+    ("uniform-random", 11, 40, 12, 4, "bad81fb468d1acddc142761c33dd587e17d0245aae70534b90343744b2bfa20e"),
+]
+
+
+@pytest.mark.parametrize("kind,q,np_,ns,seed,digest", ANALYZE_DIGESTS)
+def test_analyze_output_matches_pinned_digest(tmp_path, capsys, kind, q, np_,
+                                              ns, seed, digest):
+    cfg = gen_config(tmp_path, capsys, kind=kind, q=q, np_=np_, ns=ns,
+                     seed=seed)
+    code, out, err = run(capsys, "analyze", str(cfg))
+    assert code == 0, err
+    assert json.loads(out)["K"] > 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_analyze_empty_points(tmp_path, capsys):
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({
@@ -415,6 +435,20 @@ def test_experiment_deterministic_modulo_runtime(tmp_path, capsys):
     _, out2, _ = run(capsys, "experiment", str(grid))
     strip = lambda text: [r[:-1] for r in csv.reader(io.StringIO(text))]
     assert strip(out1) == strip(out2)
+
+
+def test_experiment_output_matches_pinned_digest(tmp_path, capsys):
+    """The CSV without its runtime column is pinned: its K column prints
+    the float K of each cell."""
+    grid = grid_file(tmp_path, {"q": [5, 7],
+                                "kind": ["reflected-pairs", "uniform-random"],
+                                "np": [14], "ns": [6], "seed": [1, 2]})
+    code, out, err = run(capsys, "experiment", str(grid))
+    assert code == 0, err
+    rows = "".join(line.rpartition(",")[0] + "\n"
+                   for line in out.splitlines())
+    assert hashlib.sha256(rows.encode()).hexdigest() == (
+        "c026a6bb5f56806931db960563d4719c23af8926686ae74e8a8dabc62d3d8b14")
 
 
 def test_experiment_grid_errors(tmp_path, capsys):

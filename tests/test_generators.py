@@ -1,20 +1,14 @@
 import gc
-import itertools
 import sys
 import tracemalloc
-from fractions import Fraction
 
 import pytest
 
-from ffrigidity.exact import SqrtRational
 from ffrigidity.generators import (MAX_D, PRNG_NAME, BadGeneratorSpec,
-                                   GeneratorSpec, ZeroPin,
-                                   dot_product_system, generate, pin_cap,
-                                   pinned_distance_set, pinned_sphere_system)
-from ffrigidity.geometry import (hyperplane_contains, make_space,
-                                 quad_norm, radical_hyperplane)
+                                   GeneratorSpec, generate)
+from ffrigidity.geometry import (hyperplane_contains, quad_norm,
+                                 radical_hyperplane)
 from ffrigidity.multiset import build_multiset
-from ffrigidity.stats import incidence_count, near_extremality_K
 from ffrigidity.strata import persistent_pairs
 
 
@@ -136,70 +130,3 @@ def test_reflected_pairs_centers_share_normal_line():
         assert len(set(ks)) == 1
         k = ks[0]
         assert all((k * n_) % q == d_ for d_, n_ in zip(delta, n))
-
-
-def test_pinned_distance_set_matches_norms():
-    q = 7
-    pts = [(1, 2, 3), (0, 0, 0), (4, 4, 4)]
-    pin = (1, 1, 1)
-    dset = pinned_distance_set(pin, pts, q)
-    assert dset == sorted({quad_norm(tuple((a - b) % q
-                                           for a, b in zip(x, pin)), q)
-                           for x in pts})
-
-
-def test_pinned_system_exact_incidences_and_surplus():
-    sp = make_space(7, 3)
-    pts = [(i, (2 * i) % 7, (3 * i + 1) % 7) for i in range(6)]
-    pins = [(0, 0, 0), (1, 0, 0), (2, 3, 4)]
-    sys = pinned_sphere_system(pins, pts, sp)
-    assert incidence_count(sys.config) == 3 * 6
-    closed = Fraction(6, 7) * sum(7 - len(v) for v in sys.per_pin.values())
-    assert sys.surplus == closed
-    assert sys.K == near_extremality_K(sys.config)
-
-
-def test_pinned_system_concentrated_distances_boost_K():
-    sp = make_space(7, 3)
-    # all points at form-distance 1 from the pin: one sphere, surplus 6/7 each
-    pin = (0, 0, 0)
-    pts = [p for p in itertools.product(range(7), repeat=3)
-           if quad_norm(p, 7) == 1][:8]
-    sys = pinned_sphere_system([pin], pts, sp)
-    assert sys.per_pin[pin] == (1,)
-    assert sys.surplus == Fraction(len(pts) * 6, 7)
-    assert float(sys.K) > 0
-
-
-def test_pin_cap_values():
-    assert pin_cap(7, 3, SqrtRational(Fraction(5), 1)) == 5
-    assert pin_cap(7, 5, SqrtRational(Fraction(1), 1)) == 7  # sqrt(q^2)
-    assert pin_cap(7, 3, 2, c=Fraction(1, 2)) == 1
-    assert pin_cap(7, 3, SqrtRational.zero()) == 0
-
-
-def test_dot_system_counts_merged_labels():
-    sp = make_space(5, 3)
-    qpts = [(1, 0, 0), (2, 0, 0), (3, 0, 0)]
-    # parallel pins name the same geometric planes after canonicalization
-    sys = dot_product_system([(1, 0, 0), (2, 0, 0)], qpts, sp)
-    assert sys.incidences == 2 * 3
-    assert sys.merged == 3
-    assert len(sys.hyperplanes) == 3
-    assert all(m == 2 for m in sys.multiplicity.values())
-
-
-def test_dot_system_rejects_zero_pin():
-    sp = make_space(5, 3)
-    with pytest.raises(ZeroPin):
-        dot_product_system([(0, 0, 0)], [(1, 1, 1)], sp)
-
-
-def test_dot_system_surplus_positive_for_small_value_sets():
-    sp = make_space(7, 3)
-    qpts = [(t, t, 0) for t in range(7)]  # <(1,6,0), x> = 0 for all
-    sys = dot_product_system([(1, 6, 0)], qpts, sp)
-    assert len(sys.hyperplanes) == 1
-    assert sys.surplus == Fraction(7) - Fraction(7, 7)
-    assert float(sys.K) > 0
-

@@ -24,9 +24,8 @@ from ffrigidity.geometry import (PARALLEL_DISJOINT, Sphere,
                                  radical_hyperplane, sphere_contains)
 from ffrigidity.generators import GeneratorSpec, generate
 from ffrigidity.pipeline import (CASE_DIRECTIONAL, CASE_FLAT, CASE_NO_SIGNAL,
-                                 Certificate, ExtractOptions,
-                                 default_b0, extract_certificate,
-                                 flat_profile, retention_check)
+                                 ExtractOptions, default_b0,
+                                 extract_certificate, flat_profile)
 from ffrigidity.stats import make_config
 from ffrigidity.verify import verify_certificate
 
@@ -356,10 +355,10 @@ def test_extract_no_signal_on_concentric_family():
 
 
 def test_default_b0_floor():
-    from ffrigidity.exact import SqrtRational
-    assert default_b0(SqrtRational.zero(), 3) == 6
-    assert default_b0(SqrtRational(Fraction(9), 1), 3) == 9
-    assert default_b0(SqrtRational(Fraction(5), 1), 4) == 8
+    assert default_b0(Fraction(0), 3) == 6
+    assert default_b0(Fraction(81), 3) == 9
+    assert default_b0(Fraction(81) + Fraction(1, 10 ** 30), 3) == 10
+    assert default_b0(Fraction(25), 4) == 8
 
 
 def test_extract_certificate_postconditions_random():
@@ -534,14 +533,6 @@ def test_certificate_json_shape():
     assert list(doc["aux"]) == ["flags", "witness_flat"]
     assert list(doc["params"]) == ["K", "B0", "min_points", "sphere_min"]
     json.dumps(doc)  # must be serializable as-is
-
-
-def test_retention_check_reports():
-    cfg = pencil_config(7)
-    cert = extract_certificate(cfg)
-    rep = retention_check(cfg, cert)
-    assert rep.double_count_ok
-    assert rep.incidences >= 0
 
 
 def test_verify_rejects_wrong_hyperplane():

@@ -1,14 +1,14 @@
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ffrigidity.exact import SqrtRational
 from ffrigidity.geometry import Sphere, hyperplane_points, make_space, canonical_hyperplane
-from ffrigidity.stats import (EmptyConfig, energies, incidence_count,
-                              make_config, membership_matrix,
-                              near_extremality_K, near_extremality_from_counts)
+from ffrigidity.stats import (EmptyConfig, ceil_sqrt, energies, make_config,
+                              membership_matrix, near_extremality_K,
+                              near_extremality_from_counts)
 
 
 def random_config(rng, q=7, d=3, n_points=20, n_spheres=12):
@@ -92,8 +92,9 @@ def test_empty_sides_allowed_but_k_guarded():
     # only the near-extremality parameter refuses them
     sp = make_space(5, 3)
     cfg = make_config(sp, [], [Sphere((0, 0, 0), 1)])
-    assert incidence_count(cfg) == 0
-    assert energies(cfg).K.is_zero()
+    st = energies(cfg)
+    assert st.incidences == 0
+    assert st.K2 == 0 and st.K == 0.0
     with pytest.raises(EmptyConfig):
         near_extremality_K(cfg)
     with pytest.raises(EmptyConfig):
@@ -103,8 +104,8 @@ def test_empty_sides_allowed_but_k_guarded():
 def test_single_incidence():
     sp = make_space(5, 3)
     cfg = make_config(sp, [(1, 0, 0)], [Sphere((0, 0, 0), 1)])
-    assert incidence_count(cfg) == 1
     st = energies(cfg)
+    assert st.incidences == 1
     assert st.energy == 1 and st.dual_energy == 1 and st.off_diagonal == 0
 
 
@@ -123,7 +124,9 @@ def test_incidences_match_oracle():
     rng = random.Random(31)
     for _ in range(15):
         cfg = random_config(rng)
-        assert incidence_count(cfg) == incidence_oracle(cfg)
+        assert np.count_nonzero(membership_matrix(cfg)) == \
+            incidence_oracle(cfg)
+        assert energies(cfg).incidences == incidence_oracle(cfg)
 
 
 def test_degree_sums_equal_incidences():
@@ -167,30 +170,30 @@ def test_k_zero_at_exact_random_count():
     sp = make_space(5, 3)
     pts = [(1, 0, 0), (0, 1, 1), (3, 3, 3), (2, 1, 0), (4, 4, 1)]
     cfg = make_config(sp, pts, [Sphere((0, 0, 0), 1)])
-    assert incidence_count(cfg) == 1
-    assert near_extremality_K(cfg).is_zero()
+    assert energies(cfg).incidences == 1
+    assert near_extremality_K(cfg) == 0
 
 
 def test_k_from_counts_formula():
     # I = 30, np = 25, ns = 5, q = 5, d = 3: surplus 5, K = 5/(5*isqrt(125))
-    k = near_extremality_from_counts(30, 25, 5, 5, 3)
-    assert isinstance(k, SqrtRational)
-    expected = Fraction(30 - 25) / 5 ** ((3 - 1) // 2)
+    k2, k = near_extremality_from_counts(30, 25, 5, 5, 3)
     # d odd: K = surplus / (q * sqrt(np ns)) = 5 / (5 sqrt(125))
-    assert float(k) == pytest.approx(5 / (5 * 125 ** 0.5))
+    assert isinstance(k2, Fraction) and k2 == Fraction(1, 125)
+    assert k == pytest.approx(5 / (5 * 125 ** 0.5))
     assert k > 0
 
 
 def test_k_doubles_with_surplus():
-    k1 = near_extremality_from_counts(30, 25, 5, 5, 3)
-    k2 = near_extremality_from_counts(35, 25, 5, 5, 3)
-    # surplus 5 -> 10 doubles K
-    assert float(k2) == pytest.approx(2 * float(k1))
+    sq1, k1 = near_extremality_from_counts(30, 25, 5, 5, 3)
+    sq2, k2 = near_extremality_from_counts(35, 25, 5, 5, 3)
+    # surplus 5 -> 10 doubles K and quadruples K**2
+    assert k2 == pytest.approx(2 * k1)
+    assert sq2 == 4 * sq1
 
 
 def test_k_negative_surplus_clamps():
-    assert near_extremality_from_counts(0, 25, 5, 5, 3).is_zero()
-    assert near_extremality_from_counts(5, 25, 5, 5, 3).is_zero()
+    assert near_extremality_from_counts(0, 25, 5, 5, 3) == (0, 0.0)
+    assert near_extremality_from_counts(5, 25, 5, 5, 3) == (0, 0.0)
 
 
 def test_planted_hyperplane_k_positive():
@@ -201,11 +204,11 @@ def test_planted_hyperplane_k_positive():
     pts = hyperplane_points(h, sp)
     s = Sphere((0, 0, 1), 1)  # ||x - c|| = 1 meets the plane in a conic
     cfg = make_config(sp, pts, [s])
-    i = incidence_count(cfg)
-    k = near_extremality_K(cfg)
+    i = energies(cfg).incidences
+    k2 = near_extremality_K(cfg)
     expected_surplus = Fraction(i) - Fraction(len(pts), q)
     if expected_surplus > 0:
-        assert not k.is_zero()
+        assert k2 > 0
 
 
 def test_equality_case_uniform_degrees():
@@ -218,3 +221,47 @@ def test_equality_case_uniform_degrees():
     cfg = make_config(sp, pts, [s])
     st = energies(cfg)
     assert st.energy == st.incidences ** 2 / len(cfg.points)
+
+
+def test_ceil_sqrt_exact_boundaries():
+    assert ceil_sqrt(Fraction(0)) == 0
+    assert ceil_sqrt(Fraction(-3, 2)) == 0
+    eps = Fraction(1, 10 ** 30)
+    for t in (1, 2, 3, 4, 12, 10 ** 6 + 3):
+        t2 = Fraction(t * t)
+        assert ceil_sqrt(t2) == t
+        assert ceil_sqrt(t2 - eps) == t
+        assert ceil_sqrt(t2 + eps) == t + 1
+    for t in (Fraction(1, 2), Fraction(7, 3), Fraction(22, 7),
+              Fraction(10 ** 9 + 7, 10 ** 4)):
+        up = math.ceil(t)
+        assert ceil_sqrt(t * t) == up
+        assert ceil_sqrt(t * t - eps) == up
+        assert ceil_sqrt(t * t + eps) == up
+    # a numerator near 10**40, past exact float64 integers
+    big = 10 ** 40
+    assert ceil_sqrt(Fraction(big)) == 10 ** 20
+    assert ceil_sqrt(Fraction(big - 1)) == 10 ** 20
+    assert ceil_sqrt(Fraction(big + 1)) == 10 ** 20 + 1
+    assert ceil_sqrt(Fraction(big + 1, 4)) == 5 * 10 ** 19 + 1
+    assert ceil_sqrt(Fraction(big, 9)) == 10 ** 20 // 3 + 1
+
+
+def test_ceil_sqrt_against_float():
+    rng = random.Random(12)
+    for _ in range(400):
+        x = Fraction(rng.randrange(0, 3000), rng.randrange(1, 81))
+        assert ceil_sqrt(x) == math.ceil(round(math.sqrt(x), 9))
+
+
+def test_ceil_sqrt_decides_integer_comparisons():
+    """A count c >= 0 meets sqrt(x) exactly when c * c >= x, which is
+    exactly when c >= ceil_sqrt(x)."""
+    rng = random.Random(9)
+    squares = [Fraction(0), Fraction(9), Fraction(49, 4), Fraction(-5, 3)]
+    squares += [Fraction(rng.randrange(-40, 1600), rng.randrange(1, 9))
+                for _ in range(60)]
+    for x in squares:
+        cutoff = ceil_sqrt(x)
+        for c in range(0, 60):
+            assert (c * c >= x) == (c >= cutoff)

@@ -5,7 +5,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ffrigidity.exact import SqrtRational
 from ffrigidity.geometry import (Hyperplane, Sphere, hyperplane_contains,
                                  hyperplane_incidence, incidence_gram,
                                  make_space, quad_norm, radical_hyperplane,
@@ -13,7 +12,7 @@ from ffrigidity.geometry import (Hyperplane, Sphere, hyperplane_contains,
 from ffrigidity.stats import energies, make_config, membership_matrix
 from ffrigidity.strata import (RegularizationDegenerate, dyadic_class,
                                low_layer_mass, persistent_pairs, regularize,
-                               richness_threshold, stratify)
+                               stratify)
 from ffrigidity.multiset import HyperplaneMultiset, build_multiset
 
 
@@ -23,8 +22,9 @@ def hyperplanes(rows):
 
 
 def cutoff_K(t, q, d):
-    """The K whose persistence cutoff, at the default c = 1/4, is t."""
-    return SqrtRational(Fraction(4 * t, q ** (d - 1)), q ** (d - 1))
+    """The exact K**2 whose persistence cutoff, at the default c = 1/4,
+    is t: K = 4 t / q**((d-1)/2)."""
+    return Fraction(16 * t * t, q ** (d - 1))
 
 
 def random_config(rng, q=7, d=3, n_points=25, n_spheres=10):
@@ -230,7 +230,7 @@ def test_bisector_consumers_match_scalar_recount(q, d):
         for threshold in (0, 2, 9):
             persistent = sorted(pair for pair, g in bisector.items()
                                 if g is not None and rich[g] >= threshold)
-            pp = persistent_pairs(cfg, K=cutoff_K(threshold, q, d))
+            pp = persistent_pairs(cfg, K2=cutoff_K(threshold, q, d))
             assert pp.pairs.tolist() == [list(p) for p in persistent]
             assert hyperplanes(pp.bisectors[pp.pairs_bisector]) == [
                 bisector[p] for p in persistent]
@@ -283,7 +283,7 @@ def test_persistent_pairs_match_argsort_reference(q, n):
     richness = hyperplane_incidence(cfg.point_array, rows, q).sum(axis=0)
     top = int(richness.max())
     for cutoff in (0, 1, top // 2, top, top + 1):
-        pp = persistent_pairs(cfg, K=cutoff_K(cutoff, q, 3))
+        pp = persistent_pairs(cfg, K2=cutoff_K(cutoff, q, 3))
         pairs, pairs_bisector = _argsort_pairs(index, richness, cutoff, ns)
         assert pp.pairs.shape == pairs.shape and not pp.pairs.flags.writeable
         assert pp.pairs.tolist() == pairs.tolist()
@@ -320,16 +320,37 @@ def test_low_layer_all_concentric_zero():
     assert rep.mass == 0
     for s1, s2 in itertools.permutations(cfg.spheres, 2):
         assert radical_hyperplane(s1, s2, cfg.q) is None
-    assert persistent_pairs(cfg, K=SqrtRational.zero()).pairs.shape == (0, 2)
+    assert persistent_pairs(cfg, K2=Fraction(0)).pairs.shape == (0, 2)
 
 
-def test_richness_threshold_formula():
-    k = SqrtRational(Fraction(1, 10), 100)  # value 1
-    lam = richness_threshold(k, 5, 3, Fraction(1, 4))
-    # c K q^{(d-1)/2} = (1/4) * 1 * 5
-    assert float(lam) == pytest.approx(1.25)
+def test_persistent_pairs_cutoff_is_exact():
+    """A K**2 whose cutoff c K q**((d-1)/2) is exactly t keeps the pairs
+    of bisector richness >= t, and one larger by 10**-30 those of
+    richness > t.  With c_const <= 0 every non-degenerate pair
+    persists."""
+    rng = random.Random(45)
+    q, d = 5, 3
+    spheres, h = _sphere_family(rng, q, d, 12)
+    cfg = make_config(make_space(q, d), _points_near(rng, h, q, d, 60),
+                      spheres)
+    rich = {}
+    for a, b in itertools.permutations(range(len(cfg.spheres)), 2):
+        g = radical_hyperplane(cfg.spheres[a], cfg.spheres[b], q)
+        if g is not None:
+            rich[a, b] = sum(hyperplane_contains(g, p, q) for p in cfg.points)
+    assert 0 < sum(r >= 9 for r in rich.values()) < len(rich)
+
+    def kept(K2, c_const=Fraction(1, 4)):
+        pp = persistent_pairs(cfg, K2=K2, c_const=c_const)
+        return set(map(tuple, pp.pairs.tolist()))
+
     for t in (0, 1, 9, 26):
-        assert richness_threshold(cutoff_K(t, 5, 3), 5, 3) == t
+        assert kept(cutoff_K(t, q, d)) == {p for p, r in rich.items()
+                                           if r >= t}
+        assert kept(cutoff_K(t, q, d) + Fraction(1, 10 ** 30)) == {
+            p for p, r in rich.items() if r > t}
+    for c in (0, Fraction(-1, 4)):
+        assert kept(cutoff_K(26, q, d), c) == set(rich)
 
 
 def test_persistent_pairs_k_zero_keeps_all():
@@ -338,21 +359,21 @@ def test_persistent_pairs_k_zero_keeps_all():
     live = {(i, j) for i, j in itertools.permutations(range(6), 2)
             if radical_hyperplane(cfg.spheres[i], cfg.spheres[j],
                                   cfg.q) is not None}
-    pp = persistent_pairs(cfg, K=SqrtRational.zero())
+    pp = persistent_pairs(cfg, K2=Fraction(0))
     assert set(map(tuple, pp.pairs.tolist())) == live
 
 
 def test_persistent_pairs_huge_threshold_empty():
     rng = random.Random(47)
     cfg = random_config(rng, n_spheres=6)
-    pp = persistent_pairs(cfg, K=cutoff_K(cfg.q ** 2 + 1, cfg.q, cfg.d))
+    pp = persistent_pairs(cfg, K2=cutoff_K(cfg.q ** 2 + 1, cfg.q, cfg.d))
     assert pp.pairs.shape == (0, 2)
 
 
 def test_persistent_pairs_symmetric_and_profile():
     rng = random.Random(48)
     cfg = random_config(rng, n_spheres=8)
-    pp = persistent_pairs(cfg, K=cutoff_K(1, cfg.q, cfg.d))
+    pp = persistent_pairs(cfg, K2=cutoff_K(1, cfg.q, cfg.d))
     pairs = set(map(tuple, pp.pairs.tolist()))
     for (i, j) in pairs:
         assert (j, i) in pairs
@@ -363,7 +384,7 @@ def test_regularize_postconditions():
     hits = 0
     for _ in range(12):
         cfg = random_config(rng, n_points=30, n_spheres=10)
-        pp = persistent_pairs(cfg, K=cutoff_K(1, cfg.q, cfg.d))
+        pp = persistent_pairs(cfg, K2=cutoff_K(1, cfg.q, cfg.d))
         if not len(pp.pairs):
             continue
         ms = build_multiset(pp)
@@ -397,7 +418,7 @@ def test_regularize_uniform_input_unchanged():
     from ffrigidity.geometry import hyperplane_points
     pts = hyperplane_points(h, sp)
     cfg = make_config(sp, pts, [s1, s2])
-    pp = persistent_pairs(cfg, K=cutoff_K(1, q, 3))
+    pp = persistent_pairs(cfg, K2=cutoff_K(1, q, 3))
     ms = build_multiset(pp)
     reg = regularize(hyperplane_incidence(cfg.points, ms.support, q), ms)
     assert reg.point_idx.tolist() == list(range(len(cfg.points)))
@@ -411,7 +432,7 @@ def test_regularize_degenerate_raises():
     cfg = make_config(sp, [(1, 1, 1)], [s1, s2])
     h = radical_hyperplane(s1, s2, 5)
     assert not hyperplane_contains(h, (1, 1, 1), 5)
-    pp = persistent_pairs(cfg, K=SqrtRational.zero())
+    pp = persistent_pairs(cfg, K2=Fraction(0))
     ms = build_multiset(pp)
     with pytest.raises(RegularizationDegenerate):
         regularize(hyperplane_incidence(cfg.points, ms.support, 5), ms)
@@ -443,7 +464,7 @@ def test_regularize_matches_scalar_buckets():
     rng = random.Random(51)
     for _ in range(40):
         cfg = random_config(rng, q=5, n_points=25, n_spheres=8)
-        pp = persistent_pairs(cfg, K=SqrtRational.zero())
+        pp = persistent_pairs(cfg, K2=Fraction(0))
         ms = build_multiset(pp)
         if not len(ms.support):
             continue
