@@ -12,7 +12,7 @@ from ffrigidity import GeneratorSpec, energies, generate, stratify
 
 def describe(tag, config):
     st = energies(config)
-    layers = stratify(config)
+    layers = stratify(st.gram)
     print(f"--- {tag} ---")
     print(f"points {len(config.points)}, spheres {len(config.spheres)}, "
           f"q = {config.q}")

@@ -162,7 +162,7 @@ def cmd_gen(args) -> int:
 def cmd_analyze(args) -> int:
     config = config_from_dict(_load_json(args.config, "config"), "config")
     st = energies(config)
-    layers = stratify(config)
+    layers = stratify(st.gram)
     histogram = {str(j): len(layers.layers[j]) for j in sorted(layers.layers)}
     out = {
         "q": config.q,

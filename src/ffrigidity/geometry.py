@@ -329,37 +329,18 @@ def sphere_incidence(pts, spheres, q: int) -> np.ndarray:
                       row_terms=(pts * pts).sum(axis=1))
 
 
-# The most multiply-adds of one BLAS product in `incidence_gram`.
-# OpenBLAS runs a product below about 2**20 of them on the calling
-# thread; a larger one wakes its helper threads, and on a shared 2-CPU
-# host it then takes from 0.3 to 8 ms at (245 x 251).T @ (245 x 251)
-# while a single thread takes 0.65 ms in 2**19-sized strips.
-PRODUCT_MACS = 1 << 19
-
-
 def incidence_gram(inc: np.ndarray) -> np.ndarray:
     """Column Gram matrix inc.T @ inc of a boolean incidence matrix, or
     of its float32 copy, which is then read in place.
 
     Entry [a, b] counts the rows incident to both columns a and b.  It is
-    a float32 BLAS product (numpy's integer matmul has no BLAS kernel),
+    one float32 BLAS product (numpy's integer matmul has no BLAS kernel),
     which is exact: every partial sum is an integer of at most the row
-    count, and float32 holds every integer below 2**24.  It goes in
-    column strips of at most `PRODUCT_MACS` multiply-adds, each on the
-    calling thread, unless strips would be under 8 columns wide, which
-    costs more than the helper threads: at 2000 x 120, 1.8 ms against
-    0.5 ms for one product.
+    count, and float32 holds every integer below 2**24.
     """
     assert inc.shape[0] < 1 << 24, "too many rows for an exact float32 Gram"
     x = inc.astype(np.float32, copy=False)
-    n, m = x.shape
-    step = PRODUCT_MACS // max(1, n * m)
-    if step < 8:
-        return (x.T @ x).astype(np.int64)
-    gram = np.empty((m, m), dtype=np.int64)
-    for start in range(0, m, step):
-        gram[:, start:start + step] = x.T @ x[:, start:start + step]
-    return gram
+    return (x.T @ x).astype(np.int64)
 
 
 def hyperplane_points(h: Hyperplane, space: AmbientSpace):

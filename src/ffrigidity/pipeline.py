@@ -26,7 +26,8 @@ from .field import PrimeField, place_values, scale_to_lead
 from .geometry import (Flat, Hyperplane, flat_contained_in,
                        hyperplane_incidence, incidence_counts)
 from .multiset import build_multiset, mass_retention, popular_hyperplane
-from .stats import Config, ceil_sqrt, energies, membership_matrix
+from .stats import (Config, ceil_sqrt, membership_matrix,
+                    near_extremality_from_counts)
 from .strata import RegularizationDegenerate, persistent_pairs, regularize
 
 CASE_FLAT = "flat-concentration"
@@ -232,11 +233,12 @@ def extract_certificate(config: Config,
     q, d = config.q, config.d
     fq = config.space.field
     membership = membership_matrix(config)
-    stats = energies(config, membership)
-    K = stats.K
-    b0 = opts.b0 if opts.b0 is not None else default_b0(stats.K2, d)
+    K2, K = near_extremality_from_counts(
+        int(np.count_nonzero(membership)), len(config.points),
+        len(config.spheres), q, d)
+    b0 = opts.b0 if opts.b0 is not None else default_b0(K2, d)
 
-    pp = persistent_pairs(config, stats.K2, opts.c_const)
+    pp = persistent_pairs(config, K2, opts.c_const)
     if not len(pp.pairs):
         return _no_signal(K, b0, "no-persistent-pairs")
     ms = build_multiset(pp)

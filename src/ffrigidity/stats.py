@@ -77,13 +77,16 @@ def membership_matrix(config: Config) -> np.ndarray:
 @dataclass(frozen=True)
 class IncidenceStats:
     """`K2` is the exact square of the near-extremality K and `K` its
-    float value, the one reports print."""
+    float value, the one reports print.  `gram` is the |S| x |S| int64
+    sphere-pair overlap matrix the energies are read from; derived from
+    the config, it is not compared."""
     incidences: int
     energy: int
     dual_energy: int
     off_diagonal: int
     K2: Fraction
     K: float
+    gram: np.ndarray = field(compare=False, hash=False, repr=False)
 
 
 def ceil_sqrt(x: Fraction) -> int:
@@ -101,17 +104,15 @@ def near_extremality_from_counts(incidences: int, n_points: int,
                                  n_spheres: int, q: int,
                                  d: int) -> tuple[Fraction, float]:
     """(K**2, K) for K = (I - |P||S|/q) / (q**((d-1)/2) sqrt(|P||S|)),
-    clamped at 0.
+    clamped at 0, and (0, 0.0) when either side is empty.
 
     The whole denominator is folded into a single radicand, so the same
     exact formula covers odd and even d.  The float K is
     float(surplus / radicand) * float(radicand) ** 0.5, the value the
     reports print; taken from K**2 instead, its last bit can differ.
     """
-    if n_points < 1 or n_spheres < 1:
-        raise EmptyConfig("near-extremality needs at least one point and one sphere")
     surplus = Fraction(incidences) - Fraction(n_points * n_spheres, q)
-    if surplus <= 0:
+    if surplus <= 0 or not n_points or not n_spheres:
         return Fraction(0), 0.0
     radicand = q ** (d - 1) * n_points * n_spheres
     return (surplus * surplus / radicand,
@@ -122,10 +123,12 @@ def near_extremality_K(config: Config) -> Fraction:
     """The exact square K**2 of the near-extremality of config."""
     if not config.points or not config.spheres:
         raise EmptyConfig("configuration has an empty side")
-    return energies(config).K2
+    return near_extremality_from_counts(
+        int(np.count_nonzero(membership_matrix(config))),
+        len(config.points), len(config.spheres), config.q, config.d)[0]
 
 
-def energies(config: Config, membership=None) -> IncidenceStats:
+def energies(config: Config) -> IncidenceStats:
     """All first and second moment statistics of the incidence relation.
 
     The off-diagonal energy is computed from the sphere-pair Gram matrix
@@ -134,11 +137,9 @@ def energies(config: Config, membership=None) -> IncidenceStats:
     cross-check.  The membership matrix is converted to float32 once,
     and the Gram, the point degrees (its row counts, by
     `incidence_counts`) and the sphere degrees (the Gram's diagonal) all
-    read that copy.  A caller that needs `membership_matrix(config)`
-    itself may pass it in.
+    read that copy.  The Gram is kept for `strata.stratify`.
     """
-    mat = membership_matrix(config) if membership is None else membership
-    x = mat.astype(np.float32)
+    x = membership_matrix(config).astype(np.float32)
     gram = incidence_gram(x)
     point_deg = incidence_counts(x, 1)
     sphere_deg = np.diagonal(gram)
@@ -147,12 +148,9 @@ def energies(config: Config, membership=None) -> IncidenceStats:
     dual_energy = int((sphere_deg * sphere_deg).sum())
     off_diagonal = int(gram.sum() - np.trace(gram))
     assert energy == incidences + off_diagonal, "energy identity violated"
-    if config.points and config.spheres:
-        K2, K = near_extremality_from_counts(
-            incidences, len(config.points), len(config.spheres), config.q,
-            config.d)
-    else:
-        K2, K = Fraction(0), 0.0
+    K2, K = near_extremality_from_counts(
+        incidences, len(config.points), len(config.spheres), config.q,
+        config.d)
     return IncidenceStats(
         incidences=incidences,
         energy=energy,
@@ -160,4 +158,5 @@ def energies(config: Config, membership=None) -> IncidenceStats:
         off_diagonal=off_diagonal,
         K2=K2,
         K=K,
+        gram=gram,
     )

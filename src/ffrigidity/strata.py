@@ -15,10 +15,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import (hyperplane_incidence, incidence_counts, incidence_gram,
-                       pair_indices, radical_hyperplane, radical_hyperplanes)
+from .geometry import (hyperplane_incidence, incidence_counts, pair_indices,
+                       radical_hyperplane, radical_hyperplanes)
 from .multiset import HyperplaneMultiset
-from .stats import Config, ceil_sqrt, membership_matrix, near_extremality_K
+from .stats import Config, ceil_sqrt, near_extremality_K
 
 
 class RegularizationDegenerate(ValueError):
@@ -46,15 +46,15 @@ def _dyadic_classes(values: np.ndarray) -> np.ndarray:
     return np.frexp(values)[1] - 1
 
 
-def stratify(config: Config) -> DyadicLayers:
-    """Partition ordered distinct sphere pairs by shared point count.
+def stratify(gram: np.ndarray) -> DyadicLayers:
+    """Partition ordered distinct sphere pairs by shared point count,
+    read off the sphere-pair Gram `energies(config).gram`.
 
     Pairs sharing no point are tallied separately; the layered pairs
     sum back to the off-diagonal energy exactly.  Each layer lists its
     pairs in (i, j) order.
     """
-    gram = incidence_gram(membership_matrix(config))
-    i, j = np.nonzero(~np.eye(len(config.spheres), dtype=bool))
+    i, j = np.nonzero(~np.eye(len(gram), dtype=bool))
     shared = gram[i, j]
     positive = shared > 0
     pairs = list(zip(i[positive].tolist(), j[positive].tolist()))

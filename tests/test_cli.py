@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from ffrigidity import cli, geometry, stats, strata
 from ffrigidity.cli import main
 
 
@@ -97,6 +98,39 @@ def test_analyze_empty_points(tmp_path, capsys):
     assert doc["n_points"] == 0
     assert doc["incidences"] == 0 and doc["energy"] == 0
     assert doc["K"] == 0.0
+
+
+@pytest.mark.parametrize("points,spheres", [
+    ([], [{"center": [0, 0, 0], "r": 1}]),
+    ([[1, 0, 0], [2, 3, 4]], []),
+])
+def test_extract_empty_side_is_no_signal(tmp_path, capsys, points, spheres):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"q": 5, "d": 3, "points": points,
+                                "spheres": spheres, "meta": {}}))
+    code, out, err = run(capsys, "extract", str(path))
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["case"] == "no-signal"
+    assert doc["aux"]["flags"] == ["no-persistent-pairs"]
+    assert doc["params"]["K"] == 0.0
+
+
+def test_analyze_builds_one_membership_matrix_and_one_gram(
+        tmp_path, capsys, monkeypatch):
+    calls = []
+    for module in (stats, strata, cli):
+        for name in ("sphere_incidence", "incidence_gram"):
+            if hasattr(module, name):
+                def counting(*args, _name=name, **kwargs):
+                    calls.append(_name)
+                    return getattr(geometry, _name)(*args, **kwargs)
+                monkeypatch.setattr(module, name, counting)
+    cfg = gen_config(tmp_path, capsys)
+    code, out, err = run(capsys, "analyze", str(cfg))
+    assert code == 0, err
+    assert json.loads(out)["layer_histogram"]
+    assert sorted(calls) == ["incidence_gram", "sphere_incidence"]
 
 
 def test_gen_rejects_composite_q(tmp_path, capsys):

@@ -135,7 +135,8 @@ def test_incidence_gram_matches_row_sum_loop():
     rng = np.random.default_rng(17)
     shapes = [(0, 6), (9, 0), (0, 0), (1, 8), (1, 1), (70000, 3)]
     shapes += [tuple(rng.integers(1, 400, size=2).tolist()) for _ in range(25)]
-    # column strips of 8 and of 62 columns, and one product for thin strips
+    # larger wide, square and tall shapes; 2000 x 120 is the membership
+    # matrix of a planted-q61 config
     shapes += [(245, 251), (60, 140), (2000, 120)]
     for rows, cols in shapes:
         inc = rng.random((rows, cols)) < rng.random()

@@ -219,12 +219,25 @@ def test_flat_profile_exact_at_the_residue_edge(d, monkeypatch):
 def test_flat_profile_across_the_one_word_key_boundary(m, monkeypatch):
     """At d = 4, q = 4093 the packed key a * q**5 + restricted row fits
     one int64 word for m <= 8, and from m = 9 the rows go through the
-    multi-word lexsort: both grouping paths match the scalar oracle at
-    the same q."""
+    multi-word lexsort: each m takes its path, and both grouping paths
+    match the scalar oracle at the same q."""
     q, d = 4093, 4
     assert (m * q ** (d + 1) < 2 ** 63) == (m <= 8)
-    _check_against_scalar_oracle(_family(random.Random(m), q, d, m), q, d,
-                                 monkeypatch)
+    hs = _family(random.Random(m), q, d, m)
+    # the first sort of the one block's m(m-1)/2 pair keys names the
+    # path: np.sort of one word, or np.lexsort of d + 2 words
+    sorts = []
+    with monkeypatch.context() as patch:
+        for name in ("sort", "lexsort"):
+            def recording(keys, *args, _name=name, _sort=getattr(np, name),
+                          **kwargs):
+                sorts.append((_name, len(keys)))
+                return _sort(keys, *args, **kwargs)
+            patch.setattr(np, name, recording)
+        flat_profile(rows(hs), PrimeField(q))
+    assert sorts[0] == (("sort", m * (m - 1) // 2) if m <= 8
+                        else ("lexsort", d + 2))
+    _check_against_scalar_oracle(hs, q, d, monkeypatch)
 
 
 @pytest.mark.parametrize("q", [5, 61])
@@ -354,6 +367,22 @@ def test_extract_no_signal_on_concentric_family():
     assert verify_certificate(cfg, cert.to_dict()) == []
 
 
+@pytest.mark.parametrize("points,spheres,flag", [
+    ([], [Sphere((0, 0, 0), 1)], "no-persistent-pairs"),
+    ([(1, 0, 0), (2, 3, 4)], [], "no-persistent-pairs"),
+    # no points: every pair persists at cutoff 0 and regularization
+    # finds no point to keep
+    ([], [Sphere((0, 0, 0), 1), Sphere((1, 0, 0), 1)],
+     "regularization-degenerate"),
+])
+def test_extract_no_signal_on_an_empty_side(points, spheres, flag):
+    cfg = make_config(make_space(5, 3), points, spheres)
+    cert = extract_certificate(cfg)
+    assert cert.case == CASE_NO_SIGNAL and cert.flags == (flag,)
+    assert cert.params["K"] == 0.0 and cert.params["B0"] == 6
+    assert verify_certificate(cfg, cert.to_dict()) == []
+
+
 def test_default_b0_floor():
     assert default_b0(Fraction(0), 3) == 6
     assert default_b0(Fraction(81), 3) == 9
@@ -432,8 +461,9 @@ def test_certificate_bytes_match_golden_digests():
 
 def test_extract_computes_each_incidence_once(monkeypatch):
     # the bisector incidence is sliced, never recomputed, past strata;
-    # the one Gram is the |S| x |S| one of the energies, and the only
-    # other hyperplane incidence is the final guard's column of P' on h0
+    # K comes from the count of the one membership matrix, with no Gram
+    # and no energies, and the only other hyperplane incidence is the
+    # final guard's column of P' on h0
     calls = collections.Counter()
     hyperplane_args = []
 
@@ -452,6 +482,8 @@ def test_extract_computes_each_incidence_once(monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name,
                                     counting(getattr(geometry, name)))
+        if hasattr(module, "energies"):
+            monkeypatch.setattr(module, "energies", counting(stats.energies))
     for (kind, q, d, np_, ns, seed, noise, c_const, b0, case,
          _) in GOLDEN_CERTIFICATES:
         calls.clear()
@@ -463,7 +495,7 @@ def test_extract_computes_each_incidence_once(monkeypatch):
         guard = [[cert.hyperplane]] if case != CASE_NO_SIGNAL else []
         assert hyperplane_args[1:] == guard
         assert calls == {"hyperplane_incidence": 1 + len(guard),
-                         "sphere_incidence": 1, "incidence_gram": 1}
+                         "sphere_incidence": 1}
 
 
 def test_directional_extract_runs_no_dichotomy(monkeypatch):

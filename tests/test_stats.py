@@ -99,6 +99,9 @@ def test_empty_sides_allowed_but_k_guarded():
         near_extremality_K(cfg)
     with pytest.raises(EmptyConfig):
         near_extremality_K(make_config(sp, [(0, 0, 0)], []))
+    # the count form is the one empty-side rule of extract and energies
+    assert near_extremality_from_counts(0, 0, 5, 5, 3) == (0, 0.0)
+    assert near_extremality_from_counts(0, 25, 0, 5, 3) == (0, 0.0)
 
 
 def test_single_incidence():

@@ -64,7 +64,7 @@ def test_stratify_disjoint_spheres_all_zero():
     # ||x|| = 1 and ||x - (0,0,1)|| = 3 chosen to share no config point
     cfg = make_config(sp, [(1, 0, 0), (0, 1, 0)],
                       [Sphere((0, 0, 0), 1), Sphere((0, 0, 0), 2)])
-    layers = stratify(cfg)
+    layers = stratify(energies(cfg).gram)
     assert layers.layers == {}
     assert layers.zero_pairs == 2
 
@@ -74,7 +74,7 @@ def test_stratify_single_shared_point_layer_zero():
     # both spheres pass through (1,0,0) and no other config point
     cfg = make_config(sp, [(1, 0, 0)],
                       [Sphere((0, 0, 0), 1), Sphere((2, 0, 0), 1)])
-    layers = stratify(cfg)
+    layers = stratify(energies(cfg).gram)
     assert set(layers.layers) == {0}
     assert len(layers.layers[0]) == 2  # both ordered pairs
 
@@ -83,8 +83,8 @@ def test_stratify_reconciles_with_off_diagonal():
     rng = random.Random(41)
     for _ in range(10):
         cfg = random_config(rng)
-        layers = stratify(cfg)
         st = energies(cfg)
+        layers = stratify(st.gram)
         gram = incidence_gram(membership_matrix(cfg))
         mass = sum(int(gram[i, j]) for pairs in layers.layers.values()
                    for (i, j) in pairs)
@@ -97,7 +97,7 @@ def test_stratify_reconciles_with_off_diagonal():
 def test_stratify_matches_overlap_oracle():
     rng = random.Random(42)
     cfg = random_config(rng, n_points=20, n_spheres=6)
-    layers = stratify(cfg)
+    layers = stratify(energies(cfg).gram)
     for j, pairs in layers.layers.items():
         for (i, k) in pairs:
             v = overlap_oracle(cfg, i, k)
@@ -116,7 +116,7 @@ def test_stratify_matches_scalar_partition():
                 zero += 1
             else:
                 layers.setdefault(dyadic_class(v), []).append((i, j))
-        got = stratify(cfg)
+        got = stratify(energies(cfg).gram)
         assert list(got.layers) == sorted(layers)
         assert got.layers == {j: tuple(sorted(p)) for j, p in layers.items()}
         assert got.zero_pairs == zero
