@@ -48,12 +48,14 @@ def build_multiset(pp) -> HyperplaneMultiset:
     """Aggregate the radical hyperplanes of the persistent pairs pp.
 
     pp is a `strata.persistent_pairs` result; its bisector rows and
-    each pair's bisector index are reused, not recomputed.  Concentric
-    pairs never persist, so every pair contributes, and the support is
+    each pair's bisector index are reused, not recomputed.  Each
+    persistent unordered pair stands for both of its orders, so it
+    counts twice.  Concentric pairs never persist, and the support is
     the bisectors of the persistent pairs.
     """
-    assert len(pp.pairs_bisector) == len(pp.pairs)
-    counts = np.bincount(pp.pairs_bisector, minlength=len(pp.bisectors))
+    live = pp.pair_bisector[pp.pair_bisector >= 0]
+    counts = 2 * np.bincount(live, minlength=len(pp.bisectors))
+    assert len(counts) == len(pp.bisectors), "indices must name bisector rows"
     columns = np.flatnonzero(counts)
     return HyperplaneMultiset(pp.bisectors[columns], counts[columns], columns)
 

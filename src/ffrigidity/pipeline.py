@@ -239,9 +239,9 @@ def extract_certificate(config: Config,
     b0 = opts.b0 if opts.b0 is not None else default_b0(K2, d)
 
     pp = persistent_pairs(config, K2, opts.c_const)
-    if not len(pp.pairs):
-        return _no_signal(K, b0, "no-persistent-pairs")
     ms = build_multiset(pp)
+    if not len(ms.support):
+        return _no_signal(K, b0, "no-persistent-pairs")
     # the support lies in the bisector set, the retained support in the
     # support, and the pencil and h0 in the retained support: every
     # incidence below is a slice of the bisector incidence, whose columns

@@ -1,17 +1,15 @@
 """Dyadic stratification, persistent pairs and degree regularization.
 
-Two different dyadic decompositions coexist here.  Sphere pairs are
-stratified by their shared point count (which reconciles exactly with
-the off-diagonal energy), while the low-layer mass bound stratifies
-pairs by the point richness of their radical hyperplane, the quantity
-the bound is actually about.  Mixing the two makes the bound false, so
-both partitions are kept explicit.
+Sphere pairs are stratified by their shared point count, which
+reconciles exactly with the off-diagonal energy; persistence instead
+reads the point richness of each pair's radical hyperplane.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 
@@ -80,74 +78,47 @@ def _bisectors(config: Config):
     return rows, hyperplane_incidence(config.point_array, rows, q), index
 
 
-def _pair_richness(richness: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Bisector richness of every pair i < j, -1 for concentric pairs."""
-    out = np.full(len(index), -1, dtype=np.int64)
-    live = index >= 0
-    out[live] = richness[index[live]]
-    return out
-
-
-@dataclass(frozen=True)
-class LowLayerReport:
-    mass: int
-    bound: int
-    j0: int
-    pairs_counted: int
-
-
-def low_layer_mass(config: Config, j0: int) -> LowLayerReport:
-    """Total bisector richness over pairs in richness layers below j0.
-
-    A pair sits in layer j when its radical hyperplane holds between
-    2**j and 2**(j+1) - 1 points of P, so each of the at most |S|^2
-    ordered pairs below layer j0 contributes less than 2**j0, giving
-    mass <= 2**j0 * |S|^2 unconditionally.  The inequality is still
-    asserted after direct computation.
-    """
-    if j0 < 0:
-        raise ValueError("j0 must be non-negative")
-    _, incidence, index = _bisectors(config)
-    rich = _pair_richness(incidence_counts(incidence, 0), index)
-    cutoff = 1 << j0
-    low = rich[(rich >= 1) & (rich < cutoff)]
-    mass = 2 * int(low.sum())
-    bound = cutoff * len(config.spheres) ** 2
-    assert mass <= bound
-    return LowLayerReport(mass=mass, bound=bound, j0=j0,
-                          pairs_counted=2 * len(low))
-
-
 @dataclass(frozen=True, eq=False)
 class PersistentPairs:
-    """Persistent ordered pairs, sorted, with the bisector arrays later
-    stages read instead of recomputing them.
+    """The bisector of every persistent pair, with the bisector arrays
+    later stages read instead of recomputing them.
 
-    `pairs` holds the pairs (i, j) as a read-only (n, 2) int64 array and
-    `pairs_bisector[k]` the bisector index of `pairs[k]`.  `bisectors`
-    holds the distinct radical hyperplanes of the sphere pairs as
-    (B, d+1) int64 rows (normal, offset) in Hyperplane tuple order, and
-    `incidence` is the boolean |P| x B matrix of the points on them.
+    `pair_bisector[k]` is the bisector index of the k-th sphere pair
+    i < j in `pair_indices` order, or -1 when that pair does not
+    persist; each persistent pair stands for both of its orders.
+    `bisectors` holds the distinct radical hyperplanes of the sphere
+    pairs as (B, d+1) int64 rows (normal, offset) in Hyperplane tuple
+    order, and `incidence` is the boolean |P| x B matrix of the points
+    on them.
     """
-    pairs: np.ndarray
+    pair_bisector: np.ndarray
     bisectors: np.ndarray = dataclass_field(repr=False)
     incidence: np.ndarray = dataclass_field(repr=False)
-    pairs_bisector: np.ndarray = dataclass_field(repr=False)
+
+    @property
+    def pairs(self) -> np.ndarray:
+        """The persistent ordered pairs (i, j), both orders of each,
+        sorted, as a read-only (n, 2) int64 array built on each read."""
+        live = self.pair_bisector >= 0
+        ns = (1 + isqrt(1 + 8 * len(live))) // 2
+        i, j = pair_indices(ns)
+        kept = np.zeros((ns, ns), dtype=bool)
+        kept[i[live], j[live]] = True
+        pairs = np.argwhere(kept | kept.T)
+        pairs.setflags(write=False)
+        return pairs
 
 
 def persistent_pairs(config: Config, K2: Fraction | None = None,
                      c_const=Fraction(1, 4)) -> PersistentPairs:
-    """Ordered non-degenerate pairs whose bisector is threshold-rich.
+    """Non-degenerate sphere pairs whose bisector is threshold-rich.
 
     A pair persists when its bisector carries at least c_const * K *
     q**((d-1)/2) points, with K**2 the exact `near_extremality_K` of
     config unless K2 is supplied.  For c_const > 0 the integer cutoff
     is the ceiling of the square root of c_const**2 * K**2 * q**(d-1),
     and otherwise 0.  With K = 0 the cutoff vanishes and every
-    non-degenerate pair persists.  The sorted pairs are the row-major
-    nonzero cells of the symmetric |S| x |S| matrix holding one plus
-    the bisector index of each persistent pair (i, j) at [i, j] and
-    [j, i], and zero elsewhere.
+    non-degenerate pair persists.
     """
     if K2 is None:
         K2 = near_extremality_K(config)
@@ -155,21 +126,12 @@ def persistent_pairs(config: Config, K2: Fraction | None = None,
     cutoff = (ceil_sqrt(c * c * K2 * config.q ** (config.d - 1))
               if c > 0 else 0)
     bisectors, incidence, index = _bisectors(config)
-    richness = incidence_counts(incidence, 0)
-    keep = _pair_richness(richness, index) >= cutoff
-    ns = len(config.spheres)
-    i, j = pair_indices(ns)
-    cells = np.zeros(ns * ns, dtype=np.int64)
-    cells[(i * ns + j)[keep]] = index[keep] + 1
-    cells = cells.reshape(ns, ns)
-    cells += cells.T
-    flat = cells.ravel().nonzero()[0]
-    pairs = np.empty((len(flat), 2), dtype=np.int64)
-    np.divmod(flat, ns, out=(pairs[:, 0], pairs[:, 1]))
-    pairs.setflags(write=False)
-    return PersistentPairs(pairs=pairs, bisectors=bisectors,
-                           incidence=incidence,
-                           pairs_bisector=cells.take(flat) - 1)
+    # a concentric pair keeps its index -1; it reads the appended entry,
+    # so the take stays in range when no pair has a bisector
+    richness = np.append(incidence_counts(incidence, 0), -1)
+    return PersistentPairs(
+        pair_bisector=np.where(richness.take(index) >= cutoff, index, -1),
+        bisectors=bisectors, incidence=incidence)
 
 
 def _heaviest_class(values: np.ndarray):

@@ -1,7 +1,7 @@
 """Acceptance harness: desk-scale criteria, one test each.  They keep
-the numbers 1-12 of the original list; 5 (homogenization), 10 (pinned
-and dot-product systems) and 11 (Veronese dependence) left with the
-code they checked.
+the numbers 1-12 of the original list; 3 (low-layer mass bound), 5
+(homogenization), 10 (pinned and dot-product systems) and 11 (Veronese
+dependence) left with the code they checked.
 
 Every test prints a single pass line with its measured quantities; a
 failed assertion is the fail line.  The grid is q in {3, 5, 7, 11, 13}
@@ -25,7 +25,7 @@ from ffrigidity.multiset import (build_multiset, mass_retention,
                                  popular_hyperplane)
 from ffrigidity.pipeline import extract_certificate, flat_profile
 from ffrigidity.stats import energies
-from ffrigidity.strata import low_layer_mass, persistent_pairs
+from ffrigidity.strata import persistent_pairs
 from ffrigidity.verify import verify_certificate
 
 GRID_Q = (3, 5, 7, 11, 13)
@@ -120,25 +120,6 @@ def test_criterion_02_energy_identity(grid_configs):
         checked += 1
     report(2, f"exact energy identity and Cauchy-Schwarz on {checked} "
               "generated configs")
-
-
-def test_criterion_03_low_layer_bound(grid_configs):
-    configs = [g.config for g in grid_configs]
-    rng = random.Random(103)
-    while len(configs) < 108:
-        q = rng.choice(GRID_Q)
-        spec = GeneratorSpec("uniform-random", q, 3, rng.randrange(5, 2 * q),
-                             rng.randrange(4, 10), rng.randrange(10 ** 6))
-        configs.append(generate(spec).config)
-    checked = 0
-    for cfg in configs:
-        ns = len(cfg.spheres)
-        for j0 in range(9):
-            rep = low_layer_mass(cfg, j0)
-            assert rep.mass <= (1 << j0) * ns ** 2
-            assert rep.bound == (1 << j0) * ns ** 2
-        checked += 1
-    report(3, f"low-layer mass bound for j0 in 0..8 on {checked} configs")
 
 
 def test_criterion_04_dichotomy_branches():

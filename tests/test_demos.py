@@ -62,7 +62,6 @@ KEPT_ORACLES = (
     ("geometry.hyperplane_points", "builds planted test configs"),
     ("geometry.sphere_contains", "pointwise oracle of sphere_incidence"),
     ("strata.dyadic_class", "scalar oracle of the dyadic layers"),
-    ("strata.low_layer_mass", "criterion 3"),
 )
 
 

@@ -554,6 +554,24 @@ def test_extract_reads_points_only_through_point_array():
             == json.dumps(extract_certificate(cfg, opts).to_dict())
 
 
+def test_extract_never_reads_the_ordered_pairs(monkeypatch):
+    # the extract counts each persistent unordered pair twice; the sorted
+    # ordered pairs are built only for readers outside it
+    def refuse(self):
+        raise AssertionError("PersistentPairs.pairs read")
+
+    monkeypatch.setattr(strata.PersistentPairs, "pairs", property(refuse))
+    cases = [(row[:7], ExtractOptions(c_const=Fraction(row[7]), b0=row[8]),
+              row[9]) for row in GOLDEN_CERTIFICATES]
+    cases.append((("reflected-pairs", 61, 3, 2000, 120, 0, 0.1), None,
+                  CASE_DIRECTIONAL))
+    for spec, opts, case in cases:
+        cfg = generate(GeneratorSpec(*spec)).config
+        with pytest.raises(AssertionError):
+            strata.persistent_pairs(cfg).pairs
+        assert extract_certificate(cfg, opts).case == case
+
+
 def test_certificate_json_shape():
     cfg = pencil_config(7)
     cert = extract_certificate(cfg)

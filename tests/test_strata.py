@@ -11,8 +11,7 @@ from ffrigidity.geometry import (Hyperplane, Sphere, hyperplane_contains,
                                  radical_hyperplanes)
 from ffrigidity.stats import energies, make_config, membership_matrix
 from ffrigidity.strata import (RegularizationDegenerate, dyadic_class,
-                               low_layer_mass, persistent_pairs, regularize,
-                               stratify)
+                               persistent_pairs, regularize, stratify)
 from ffrigidity.multiset import HyperplaneMultiset, build_multiset
 
 
@@ -232,8 +231,10 @@ def test_bisector_consumers_match_scalar_recount(q, d):
                                 if g is not None and rich[g] >= threshold)
             pp = persistent_pairs(cfg, K2=cutoff_K(threshold, q, d))
             assert pp.pairs.tolist() == [list(p) for p in persistent]
-            assert hyperplanes(pp.bisectors[pp.pairs_bisector]) == [
-                bisector[p] for p in persistent]
+            assert pp.pair_bisector.tolist() == [
+                -1 if g is None or rich[g] < threshold else distinct.index(g)
+                for g in map(bisector.get,
+                             itertools.combinations(range(ns), 2))]
             provenance = {}
             for pair in persistent:
                 provenance.setdefault(bisector[pair], []).append(pair)
@@ -286,41 +287,20 @@ def test_persistent_pairs_match_argsort_reference(q, n):
         pp = persistent_pairs(cfg, K2=cutoff_K(cutoff, q, 3))
         pairs, pairs_bisector = _argsort_pairs(index, richness, cutoff, ns)
         assert pp.pairs.shape == pairs.shape and not pp.pairs.flags.writeable
+        assert pp.pairs.dtype == np.int64
         assert pp.pairs.tolist() == pairs.tolist()
-        assert pp.pairs_bisector.dtype == np.int64
-        assert pp.pairs_bisector.tolist() == pairs_bisector.tolist()
-    assert pp.pairs.shape == (0, 2) and not len(pp.pairs_bisector)
-
-
-def test_low_layer_mass_bound_over_j_range():
-    rng = random.Random(44)
-    for _ in range(5):
-        cfg = random_config(rng, n_points=20, n_spheres=8)
-        prev = -1
-        for j0 in range(6):
-            rep = low_layer_mass(cfg, j0)
-            assert rep.mass <= rep.bound
-            assert rep.bound == (1 << j0) * len(cfg.spheres) ** 2
-            assert rep.mass >= prev  # cutoff grows, mass cannot shrink
-            prev = rep.mass
-
-
-def test_low_layer_mass_j0_zero_empty():
-    rng = random.Random(45)
-    cfg = random_config(rng)
-    rep = low_layer_mass(cfg, 0)
-    assert rep.mass == 0 and rep.pairs_counted == 0
-
-
-def test_low_layer_all_concentric_zero():
-    sp = make_space(5, 3)
-    cfg = make_config(sp, [(1, 0, 0), (0, 1, 0)],
-                      [Sphere((0, 0, 0), r) for r in range(4)])
-    rep = low_layer_mass(cfg, 5)
-    assert rep.mass == 0
-    for s1, s2 in itertools.permutations(cfg.spheres, 2):
-        assert radical_hyperplane(s1, s2, cfg.q) is None
-    assert persistent_pairs(cfg, K2=Fraction(0)).pairs.shape == (0, 2)
+        # the bench's persistent-pair count reads len(pp.pairs)
+        assert len(pp.pairs) == 2 * (pp.pair_bisector >= 0).sum()
+        assert pp.pair_bisector.dtype == np.int64
+        assert pp.pair_bisector.shape == index.shape
+        # each ordered pair of the reference finds its bisector at its
+        # unordered pair, and the pairs it omits hold -1
+        at = np.full((ns, ns), -1)
+        at[np.triu_indices(ns, 1)] = np.arange(len(index))
+        unordered = at[pairs.min(axis=1), pairs.max(axis=1)]
+        assert pp.pair_bisector[unordered].tolist() == pairs_bisector.tolist()
+        assert (np.delete(pp.pair_bisector, unordered) == -1).all()
+    assert pp.pairs.shape == (0, 2) and (pp.pair_bisector == -1).all()
 
 
 def test_persistent_pairs_cutoff_is_exact():
@@ -361,6 +341,13 @@ def test_persistent_pairs_k_zero_keeps_all():
                                   cfg.q) is not None}
     pp = persistent_pairs(cfg, K2=Fraction(0))
     assert set(map(tuple, pp.pairs.tolist())) == live
+    # concentric spheres have no bisector, so none of their pairs persist
+    cfg = make_config(make_space(5, 3), [(1, 0, 0), (0, 1, 0)],
+                      [Sphere((0, 0, 0), r) for r in range(4)])
+    for s1, s2 in itertools.permutations(cfg.spheres, 2):
+        assert radical_hyperplane(s1, s2, cfg.q) is None
+    pp = persistent_pairs(cfg, K2=Fraction(0))
+    assert pp.pairs.shape == (0, 2) and (pp.pair_bisector == -1).all()
 
 
 def test_persistent_pairs_huge_threshold_empty():
