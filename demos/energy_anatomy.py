@@ -23,8 +23,7 @@ def describe(tag, config):
     print(f"identity         {st.incidences} + {st.off_diagonal} "
           f"= {st.energy}  (exact)")
     print(f"K                {st.K:.4f}")
-    hist = {j: len(ps) for j, ps in sorted(layers.layers.items())}
-    print(f"overlap layers   {hist}  zero-overlap pairs "
+    print(f"overlap layers   {layers.layers}  zero-overlap pairs "
           f"{layers.zero_pairs}")
     print()
 

@@ -163,7 +163,7 @@ def cmd_analyze(args) -> int:
     config = config_from_dict(_load_json(args.config, "config"), "config")
     st = energies(config)
     layers = stratify(st.gram)
-    histogram = {str(j): len(layers.layers[j]) for j in sorted(layers.layers)}
+    histogram = {str(j): n for j, n in layers.layers.items()}
     out = {
         "q": config.q,
         "d": config.d,

@@ -9,7 +9,7 @@ and the set is certified large.
 No certificate is produced or checked here: extract, verify and the CLI
 never call this module.  It stays because the benchmark pins it (its
 layer list imports the module and its smoke test traces the re-exported
-``dichotomy``); ROADMAP item 10 deletes it once item 9 changes the bench.
+``dichotomy``); ROADMAP item 10 deletes it once item 2 changes the bench.
 """
 
 from __future__ import annotations

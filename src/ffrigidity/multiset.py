@@ -15,10 +15,6 @@ import numpy as np
 from .field import group_rows
 
 
-class EmptyMultiset(ValueError):
-    pass
-
-
 @dataclass(frozen=True, eq=False)
 class HyperplaneMultiset:
     """`support`: the distinct hyperplanes as (m, d+1) int64 rows
@@ -86,15 +82,15 @@ class MassRetentionReport:
 
 
 def mass_retention(ms: HyperplaneMultiset) -> MassRetentionReport:
-    """Keep hyperplanes of multiplicity at least mass / (2 * support size).
+    """Keep hyperplanes of multiplicity at least mass / (2 * support size)
+    of a non-empty multiset.
 
     The discarded light part sums to strictly less than half the mass,
     and the support cannot be smaller than mass / max multiplicity; both
     pigeonhole facts are asserted exactly.
     """
     geo = len(ms.support)
-    if not geo:
-        raise EmptyMultiset("cannot retain mass of an empty multiset")
+    assert geo, "the multiset must not be empty"
     total = ms.mass
     retained = ms.restrict(2 * geo * ms.counts >= total)
     assert 2 * retained.mass >= total

@@ -22,10 +22,6 @@ from .geometry import (AmbientSpace, Sphere, incidence_counts, incidence_gram,
                        sphere_incidence)
 
 
-class EmptyConfig(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class Config:
     """`point_array` is `points` as a read-only int64 (|P|, d) array for
@@ -117,15 +113,6 @@ def near_extremality_from_counts(incidences: int, n_points: int,
     radicand = q ** (d - 1) * n_points * n_spheres
     return (surplus * surplus / radicand,
             float(surplus / radicand) * float(radicand) ** 0.5)
-
-
-def near_extremality_K(config: Config) -> Fraction:
-    """The exact square K**2 of the near-extremality of config."""
-    if not config.points or not config.spheres:
-        raise EmptyConfig("configuration has an empty side")
-    return near_extremality_from_counts(
-        int(np.count_nonzero(membership_matrix(config))),
-        len(config.points), len(config.spheres), config.q, config.d)[0]
 
 
 def energies(config: Config) -> IncidenceStats:

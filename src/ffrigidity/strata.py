@@ -1,8 +1,9 @@
 """Dyadic stratification, persistent pairs and degree regularization.
 
-Sphere pairs are stratified by their shared point count, which
-reconciles exactly with the off-diagonal energy; persistence instead
-reads the point richness of each pair's radical hyperplane.
+Sphere pairs are counted per dyadic layer of their shared point count;
+persistence instead reads the point richness of each pair's radical
+hyperplane, which must hold at least one point, so every later stage
+sees only bisectors that carry points.
 """
 
 from __future__ import annotations
@@ -16,11 +17,7 @@ import numpy as np
 from .geometry import (hyperplane_incidence, incidence_counts, pair_indices,
                        radical_hyperplane, radical_hyperplanes)
 from .multiset import HyperplaneMultiset
-from .stats import Config, ceil_sqrt, near_extremality_K
-
-
-class RegularizationDegenerate(ValueError):
-    pass
+from .stats import Config, ceil_sqrt
 
 
 def dyadic_class(v: int) -> int:
@@ -45,22 +42,20 @@ def _dyadic_classes(values: np.ndarray) -> np.ndarray:
 
 
 def stratify(gram: np.ndarray) -> DyadicLayers:
-    """Partition ordered distinct sphere pairs by shared point count,
-    read off the sphere-pair Gram `energies(config).gram`.
+    """Count ordered distinct sphere pairs by the dyadic class of their
+    shared point count, read off the sphere-pair Gram
+    `energies(config).gram`.
 
-    Pairs sharing no point are tallied separately; the layered pairs
-    sum back to the off-diagonal energy exactly.  Each layer lists its
-    pairs in (i, j) order.
+    `layers` maps each occupied class j, increasing, to the number of
+    pairs sharing between 2**j and 2**(j+1) - 1 points; pairs sharing
+    no point are tallied in `zero_pairs`.
     """
-    i, j = np.nonzero(~np.eye(len(gram), dtype=bool))
-    shared = gram[i, j]
-    positive = shared > 0
-    pairs = list(zip(i[positive].tolist(), j[positive].tolist()))
-    classes = _dyadic_classes(shared[positive])
-    layers = {c: tuple(pairs[k] for k in np.flatnonzero(classes == c).tolist())
-              for c in sorted(set(classes.tolist()))}
-    return DyadicLayers(layers=layers,
-                        zero_pairs=len(positive) - len(pairs))
+    shared = gram[~np.eye(len(gram), dtype=bool)]
+    # class -1 is a zero count, at index 0
+    counts = np.bincount(_dyadic_classes(shared) + 1, minlength=1).tolist()
+    return DyadicLayers(
+        layers={j: n for j, n in enumerate(counts[1:]) if n},
+        zero_pairs=counts[0])
 
 
 def _bisectors(config: Config):
@@ -109,22 +104,19 @@ class PersistentPairs:
         return pairs
 
 
-def persistent_pairs(config: Config, K2: Fraction | None = None,
-                     c_const=Fraction(1, 4)) -> PersistentPairs:
+def persistent_pairs(config: Config, K2: Fraction,
+                     c_const: Fraction) -> PersistentPairs:
     """Non-degenerate sphere pairs whose bisector is threshold-rich.
 
-    A pair persists when its bisector carries at least c_const * K *
-    q**((d-1)/2) points, with K**2 the exact `near_extremality_K` of
-    config unless K2 is supplied.  For c_const > 0 the integer cutoff
-    is the ceiling of the square root of c_const**2 * K**2 * q**(d-1),
-    and otherwise 0.  With K = 0 the cutoff vanishes and every
-    non-degenerate pair persists.
+    A pair persists when its bisector carries at least one point and at
+    least c_const * K * q**((d-1)/2) points, with K**2 the exact K2 and
+    c_const > 0: the integer cutoff is the larger of 1 and the ceiling
+    of the square root of c_const**2 * K**2 * q**(d-1).  With K = 0 the
+    pairs whose bisector holds a point persist.
     """
-    if K2 is None:
-        K2 = near_extremality_K(config)
     c = Fraction(c_const)
-    cutoff = (ceil_sqrt(c * c * K2 * config.q ** (config.d - 1))
-              if c > 0 else 0)
+    assert c > 0, "c_const must be positive"
+    cutoff = max(1, ceil_sqrt(c * c * K2 * config.q ** (config.d - 1)))
     bisectors, incidence, index = _bisectors(config)
     # a concentric pair keeps its index -1; it reads the appended entry,
     # so the take stays in range when no pair has a bisector
@@ -136,12 +128,10 @@ def persistent_pairs(config: Config, K2: Fraction | None = None,
 
 def _heaviest_class(values: np.ndarray):
     """The dyadic class whose positive entries have the largest sum, ties
-    to the larger class, and the mask of its entries; (None, None) when
-    no entry is positive.  The float64 sums are exact below 2**53."""
+    to the larger class, and the mask of its entries; some entry must be
+    positive.  The float64 sums are exact below 2**53."""
     classes = _dyadic_classes(values)
     mass = np.bincount(classes + 1, weights=values)[1:]
-    if not mass.any():
-        return None, None
     best = len(mass) - 1 - int(np.argmax(mass[::-1]))
     return best, classes == best
 
@@ -167,17 +157,16 @@ def regularize(inc: np.ndarray, ms: HyperplaneMultiset) -> RegularizedConfig:
     scale L1.
     Retained points have degree in [M1, 2*M1) with respect to the input
     support, and retained hyperplanes hold between L1 and 2*L1 - 1 of
-    the retained points.
+    the retained points.  Some point must lie on a support hyperplane,
+    as `persistent_pairs` ensures by keeping only bisectors that hold a
+    point: then every kept point lies on one, so both passes keep a
+    non-empty class.
     """
     assert inc.shape[1] == len(ms.support), "one column per support hyperplane"
-    if not inc.size:
-        raise RegularizationDegenerate("empty points or empty support")
-    jp, kept = _heaviest_class(incidence_counts(inc, 1))
-    if jp is None:
-        raise RegularizationDegenerate("no point lies on any support hyperplane")
+    degrees = incidence_counts(inc, 1)
+    assert degrees.any(), "some point must lie on a support hyperplane"
+    _, kept = _heaviest_class(degrees)
     jh, heavy = _heaviest_class(incidence_counts(inc, 0, kept))
-    if jh is None:
-        raise RegularizationDegenerate("no support hyperplane is rich in the kept points")
     return RegularizedConfig(
         point_idx=np.flatnonzero(kept),
         multiset=ms.restrict(heavy),

@@ -11,6 +11,7 @@ at d = 3 with spot checks at d = 4, q in {3, 5}.
 import itertools
 import random
 import time
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -160,7 +161,8 @@ def test_criterion_04_dichotomy_branches():
 def _grid_multisets(grid_configs):
     out = []
     for g in grid_configs:
-        pp = persistent_pairs(g.config)
+        pp = persistent_pairs(g.config, energies(g.config).K2,
+                              Fraction(1, 4))
         ms = build_multiset(pp)
         if len(ms.support):
             out.append((g.config, ms))

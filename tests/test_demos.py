@@ -56,6 +56,8 @@ def test_public_surface():
 # Public library functions and methods that nothing under src/, demos/
 # or bench/ references, each kept for the test or criterion that reads it.
 KEPT_ORACLES = (
+    ("geometry.flat_contained_in",
+     "pencil oracle of pipeline.flat_profile"),
     ("geometry.flat_from_pair", "scalar oracle of pipeline.flat_profile"),
     ("geometry.hyperplane_contains",
      "pointwise oracle of hyperplane_incidence"),

@@ -1,6 +1,7 @@
 import gc
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +10,7 @@ from ffrigidity.generators import (MAX_D, PRNG_NAME, BadGeneratorSpec,
 from ffrigidity.geometry import (hyperplane_contains, quad_norm,
                                  radical_hyperplane)
 from ffrigidity.multiset import build_multiset
+from ffrigidity.stats import energies
 from ffrigidity.strata import persistent_pairs
 
 
@@ -110,7 +112,7 @@ def test_reflected_pairs_mirror_bisectors_hit_planted():
         assert radical_hyperplane(up, down, 7) == g.planted
     # at noise 0 every mirror pair must be persistent and the planted
     # plane carries at least one count per mirror pair
-    pp = persistent_pairs(cfg)
+    pp = persistent_pairs(cfg, energies(cfg).K2, Fraction(1, 4))
     ms = build_multiset(pp)
     planted = ms.support.tolist().index([*g.planted.normal, g.planted.offset])
     assert ms.counts[planted] >= 12

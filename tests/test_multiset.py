@@ -6,9 +6,8 @@ import pytest
 
 from ffrigidity.geometry import (Hyperplane, Sphere, canonical_hyperplane,
                                  make_space, radical_hyperplane)
-from ffrigidity.multiset import (EmptyMultiset, HyperplaneMultiset,
-                                 build_multiset, mass_retention,
-                                 popular_hyperplane)
+from ffrigidity.multiset import (HyperplaneMultiset, build_multiset,
+                                 mass_retention, popular_hyperplane)
 from ffrigidity.stats import make_config
 from ffrigidity.strata import persistent_pairs
 
@@ -45,9 +44,9 @@ def as_dict(ms):
 def test_build_multiset_conservation():
     rng = random.Random(62)
     cfg = random_config(rng)
-    pp = persistent_pairs(cfg, K2=Fraction(0))
+    pp = persistent_pairs(cfg, Fraction(0), Fraction(1, 4))
     ms = build_multiset(pp)
-    # every non-degenerate ordered pair lands on exactly one hyperplane
+    # every persistent ordered pair lands on exactly one hyperplane
     assert ms.mass == len(pp.pairs)
     assert len(ms.support) <= len(pp.pairs)
     assert sum(ms.counts.tolist()) == ms.mass
@@ -63,12 +62,12 @@ def test_build_multiset_conservation():
 def test_build_multiset_all_concentric_empty():
     sp = make_space(5, 3)
     cfg = make_config(sp, [(1, 0, 0)], [Sphere((0, 0, 0), r) for r in range(3)])
-    pp = persistent_pairs(cfg, K2=Fraction(0))
+    pp = persistent_pairs(cfg, Fraction(0), Fraction(1, 4))
     assert pp.pairs.shape == (0, 2)
     ms = build_multiset(pp)
     assert ms.support.shape == (0, 4) and ms.mass == 0
     # retention is the operation that refuses an empty multiset
-    with pytest.raises(EmptyMultiset):
+    with pytest.raises(AssertionError):
         mass_retention(ms)
 
 
@@ -81,7 +80,7 @@ def test_reflected_pair_single_support():
     pts = [(0, a, b) for a in range(q) for b in range(q)]
     cfg = make_config(sp, pts, spheres)
     # the cutoff K * q / 4 is 1
-    pp = persistent_pairs(cfg, K2=Fraction(16, q * q))
+    pp = persistent_pairs(cfg, Fraction(16, q * q), Fraction(1, 4))
     ms = build_multiset(pp)
     h_star = canonical_hyperplane((1, 0, 0), 0, q)
     # each mirror pair contributes its two ordered versions
@@ -166,7 +165,7 @@ def test_mass_retention_support_bound():
     rng = random.Random(65)
     for _ in range(8):
         cfg = random_config(rng)
-        pp = persistent_pairs(cfg, K2=Fraction(0))
+        pp = persistent_pairs(cfg, Fraction(0), Fraction(1, 4))
         ms = build_multiset(pp)
         rep = mass_retention(ms)
         geo = len(ms.support)
@@ -179,7 +178,7 @@ def test_mass_retention_support_bound():
 def test_restrict_preserves_counts():
     rng = random.Random(66)
     cfg = random_config(rng)
-    pp = persistent_pairs(cfg, K2=Fraction(0))
+    pp = persistent_pairs(cfg, Fraction(0), Fraction(1, 4))
     ms = build_multiset(pp)
     members = list(as_dict(ms).items())
     every_other = np.arange(0, len(members), 2)

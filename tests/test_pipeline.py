@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ffrigidity import field, geometry, pipeline, stats, strata, verify
 from ffrigidity.field import PrimeField
@@ -370,16 +372,37 @@ def test_extract_no_signal_on_concentric_family():
 @pytest.mark.parametrize("points,spheres,flag", [
     ([], [Sphere((0, 0, 0), 1)], "no-persistent-pairs"),
     ([(1, 0, 0), (2, 3, 4)], [], "no-persistent-pairs"),
-    # no points: every pair persists at cutoff 0 and regularization
-    # finds no point to keep
+    # no points: no bisector holds a point, so no pair persists
     ([], [Sphere((0, 0, 0), 1), Sphere((1, 0, 0), 1)],
-     "regularization-degenerate"),
+     "no-persistent-pairs"),
 ])
 def test_extract_no_signal_on_an_empty_side(points, spheres, flag):
     cfg = make_config(make_space(5, 3), points, spheres)
     cert = extract_certificate(cfg)
     assert cert.case == CASE_NO_SIGNAL and cert.flags == (flag,)
     assert cert.params["K"] == 0.0 and cert.params["B0"] == 6
+    assert verify_certificate(cfg, cert.to_dict()) == []
+
+
+@st.composite
+def tiny_configs(draw):
+    """Up to 10 points and 6 spheres at d = 3; the spheres share at most
+    three centres, so concentric families are common."""
+    q = draw(st.sampled_from((3, 5, 7)))
+    coord = st.integers(0, q - 1)
+    point = st.tuples(coord, coord, coord)
+    centres = draw(st.lists(point, min_size=1, max_size=3))
+    spheres = draw(st.lists(st.builds(Sphere, st.sampled_from(centres),
+                                      coord), max_size=6))
+    return make_config(make_space(q, 3), draw(st.lists(point, max_size=10)),
+                       spheres)
+
+
+@given(tiny_configs())
+def test_extract_on_tiny_configs_has_one_no_signal_exit(cfg):
+    cert = extract_certificate(cfg)
+    if cert.case == CASE_NO_SIGNAL:
+        assert cert.flags == ("no-persistent-pairs",)
     assert verify_certificate(cfg, cert.to_dict()) == []
 
 
@@ -567,8 +590,10 @@ def test_extract_never_reads_the_ordered_pairs(monkeypatch):
                   CASE_DIRECTIONAL))
     for spec, opts, case in cases:
         cfg = generate(GeneratorSpec(*spec)).config
+        pp = strata.persistent_pairs(
+            cfg, stats.energies(cfg).K2, (opts or ExtractOptions()).c_const)
         with pytest.raises(AssertionError):
-            strata.persistent_pairs(cfg).pairs
+            pp.pairs
         assert extract_certificate(cfg, opts).case == case
 
 

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from ffrigidity.geometry import Sphere, hyperplane_points, make_space, canonical_hyperplane
-from ffrigidity.stats import (EmptyConfig, ceil_sqrt, energies, make_config,
-                              membership_matrix, near_extremality_K,
-                              near_extremality_from_counts)
+from ffrigidity.stats import (ceil_sqrt, energies, make_config,
+                              membership_matrix, near_extremality_from_counts)
 
 
 def random_config(rng, q=7, d=3, n_points=20, n_spheres=12):
@@ -88,17 +87,16 @@ def test_config_equality_ignores_point_array():
 
 
 def test_empty_sides_allowed_but_k_guarded():
-    # empty configs are representable (analyze reports all zeros);
-    # only the near-extremality parameter refuses them
+    # empty configs are representable (analyze reports all zeros), and
+    # K is 0 on either empty side
     sp = make_space(5, 3)
     cfg = make_config(sp, [], [Sphere((0, 0, 0), 1)])
     st = energies(cfg)
     assert st.incidences == 0
     assert st.K2 == 0 and st.K == 0.0
-    with pytest.raises(EmptyConfig):
-        near_extremality_K(cfg)
-    with pytest.raises(EmptyConfig):
-        near_extremality_K(make_config(sp, [(0, 0, 0)], []))
+    st = energies(make_config(sp, [(0, 0, 0)], []))
+    assert st.incidences == 0
+    assert st.K2 == 0 and st.K == 0.0
     # the count form is the one empty-side rule of extract and energies
     assert near_extremality_from_counts(0, 0, 5, 5, 3) == (0, 0.0)
     assert near_extremality_from_counts(0, 25, 0, 5, 3) == (0, 0.0)
@@ -173,8 +171,9 @@ def test_k_zero_at_exact_random_count():
     sp = make_space(5, 3)
     pts = [(1, 0, 0), (0, 1, 1), (3, 3, 3), (2, 1, 0), (4, 4, 1)]
     cfg = make_config(sp, pts, [Sphere((0, 0, 0), 1)])
-    assert energies(cfg).incidences == 1
-    assert near_extremality_K(cfg) == 0
+    st = energies(cfg)
+    assert st.incidences == 1
+    assert st.K2 == 0
 
 
 def test_k_from_counts_formula():
@@ -207,8 +206,8 @@ def test_planted_hyperplane_k_positive():
     pts = hyperplane_points(h, sp)
     s = Sphere((0, 0, 1), 1)  # ||x - c|| = 1 meets the plane in a conic
     cfg = make_config(sp, pts, [s])
-    i = energies(cfg).incidences
-    k2 = near_extremality_K(cfg)
+    st = energies(cfg)
+    i, k2 = st.incidences, st.K2
     expected_surplus = Fraction(i) - Fraction(len(pts), q)
     if expected_surplus > 0:
         assert k2 > 0

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -10,8 +11,8 @@ from ffrigidity.geometry import (Hyperplane, Sphere, hyperplane_contains,
                                  make_space, quad_norm, radical_hyperplane,
                                  radical_hyperplanes)
 from ffrigidity.stats import energies, make_config, membership_matrix
-from ffrigidity.strata import (RegularizationDegenerate, dyadic_class,
-                               persistent_pairs, regularize, stratify)
+from ffrigidity.strata import (dyadic_class, persistent_pairs, regularize,
+                               stratify)
 from ffrigidity.multiset import HyperplaneMultiset, build_multiset
 
 
@@ -20,9 +21,12 @@ def hyperplanes(rows):
     return [Hyperplane(tuple(r[:-1]), r[-1]) for r in rows.tolist()]
 
 
+C = Fraction(1, 4)
+
+
 def cutoff_K(t, q, d):
-    """The exact K**2 whose persistence cutoff, at the default c = 1/4,
-    is t: K = 4 t / q**((d-1)/2)."""
+    """The exact K**2 whose persistence cutoff before the floor of one
+    point, at c = C = 1/4, is t: K = 4 t / q**((d-1)/2)."""
     return Fraction(16 * t * t, q ** (d - 1))
 
 
@@ -66,6 +70,8 @@ def test_stratify_disjoint_spheres_all_zero():
     layers = stratify(energies(cfg).gram)
     assert layers.layers == {}
     assert layers.zero_pairs == 2
+    layers = stratify(energies(make_config(sp, [(1, 0, 0)], [])).gram)
+    assert layers.layers == {} and layers.zero_pairs == 0
 
 
 def test_stratify_single_shared_point_layer_zero():
@@ -74,8 +80,7 @@ def test_stratify_single_shared_point_layer_zero():
     cfg = make_config(sp, [(1, 0, 0)],
                       [Sphere((0, 0, 0), 1), Sphere((2, 0, 0), 1)])
     layers = stratify(energies(cfg).gram)
-    assert set(layers.layers) == {0}
-    assert len(layers.layers[0]) == 2  # both ordered pairs
+    assert layers.layers == {0: 2}  # both ordered pairs
 
 
 def test_stratify_reconciles_with_off_diagonal():
@@ -84,12 +89,12 @@ def test_stratify_reconciles_with_off_diagonal():
         cfg = random_config(rng)
         st = energies(cfg)
         layers = stratify(st.gram)
-        gram = incidence_gram(membership_matrix(cfg))
-        mass = sum(int(gram[i, j]) for pairs in layers.layers.values()
-                   for (i, j) in pairs)
-        assert mass == st.off_diagonal
+        # a pair of layer j shares between 2**j and 2**(j+1) - 1 points
+        assert sum(n << j for j, n in layers.layers.items()) \
+            <= st.off_diagonal \
+            <= sum((n << j + 1) - n for j, n in layers.layers.items())
         ns = len(cfg.spheres)
-        assert sum(map(len, layers.layers.values())) + layers.zero_pairs \
+        assert sum(layers.layers.values()) + layers.zero_pairs \
             == ns * (ns - 1)
 
 
@@ -97,10 +102,11 @@ def test_stratify_matches_overlap_oracle():
     rng = random.Random(42)
     cfg = random_config(rng, n_points=20, n_spheres=6)
     layers = stratify(energies(cfg).gram)
-    for j, pairs in layers.layers.items():
-        for (i, k) in pairs:
-            v = overlap_oracle(cfg, i, k)
-            assert dyadic_class(v) == j
+    shared = [overlap_oracle(cfg, i, k) for i, k in
+              itertools.permutations(range(len(cfg.spheres)), 2)]
+    counts = collections.Counter(dyadic_class(v) for v in shared if v)
+    assert layers.layers == dict(sorted(counts.items()))
+    assert layers.zero_pairs == shared.count(0)
 
 
 def test_stratify_matches_scalar_partition():
@@ -117,7 +123,7 @@ def test_stratify_matches_scalar_partition():
                 layers.setdefault(dyadic_class(v), []).append((i, j))
         got = stratify(energies(cfg).gram)
         assert list(got.layers) == sorted(layers)
-        assert got.layers == {j: tuple(sorted(p)) for j, p in layers.items()}
+        assert got.layers == {j: len(p) for j, p in layers.items()}
         assert got.zero_pairs == zero
 
 
@@ -227,12 +233,14 @@ def test_bisector_consumers_match_scalar_recount(q, d):
         rich = {g: sum(hyperplane_contains(g, p, q) for p in cfg.points)
                 for g in distinct}
         for threshold in (0, 2, 9):
+            # a persistent pair's bisector holds at least one point
+            floor = max(1, threshold)
             persistent = sorted(pair for pair, g in bisector.items()
-                                if g is not None and rich[g] >= threshold)
-            pp = persistent_pairs(cfg, K2=cutoff_K(threshold, q, d))
+                                if g is not None and rich[g] >= floor)
+            pp = persistent_pairs(cfg, cutoff_K(threshold, q, d), C)
             assert pp.pairs.tolist() == [list(p) for p in persistent]
             assert pp.pair_bisector.tolist() == [
-                -1 if g is None or rich[g] < threshold else distinct.index(g)
+                -1 if g is None or rich[g] < floor else distinct.index(g)
                 for g in map(bisector.get,
                              itertools.combinations(range(ns), 2))]
             provenance = {}
@@ -284,8 +292,10 @@ def test_persistent_pairs_match_argsort_reference(q, n):
     richness = hyperplane_incidence(cfg.point_array, rows, q).sum(axis=0)
     top = int(richness.max())
     for cutoff in (0, 1, top // 2, top, top + 1):
-        pp = persistent_pairs(cfg, K2=cutoff_K(cutoff, q, 3))
-        pairs, pairs_bisector = _argsort_pairs(index, richness, cutoff, ns)
+        pp = persistent_pairs(cfg, cutoff_K(cutoff, q, 3), C)
+        # the floor: a persistent pair's bisector holds a point
+        pairs, pairs_bisector = _argsort_pairs(index, richness,
+                                               max(1, cutoff), ns)
         assert pp.pairs.shape == pairs.shape and not pp.pairs.flags.writeable
         assert pp.pairs.dtype == np.int64
         assert pp.pairs.tolist() == pairs.tolist()
@@ -305,9 +315,8 @@ def test_persistent_pairs_match_argsort_reference(q, n):
 
 def test_persistent_pairs_cutoff_is_exact():
     """A K**2 whose cutoff c K q**((d-1)/2) is exactly t keeps the pairs
-    of bisector richness >= t, and one larger by 10**-30 those of
-    richness > t.  With c_const <= 0 every non-degenerate pair
-    persists."""
+    of bisector richness >= max(1, t), and one larger by 10**-30 those
+    of richness > t.  A c_const <= 0 is refused."""
     rng = random.Random(45)
     q, d = 5, 3
     spheres, h = _sphere_family(rng, q, d, 12)
@@ -320,47 +329,56 @@ def test_persistent_pairs_cutoff_is_exact():
             rich[a, b] = sum(hyperplane_contains(g, p, q) for p in cfg.points)
     assert 0 < sum(r >= 9 for r in rich.values()) < len(rich)
 
-    def kept(K2, c_const=Fraction(1, 4)):
-        pp = persistent_pairs(cfg, K2=K2, c_const=c_const)
+    def kept(K2, c_const=C):
+        pp = persistent_pairs(cfg, K2, c_const)
         return set(map(tuple, pp.pairs.tolist()))
 
     for t in (0, 1, 9, 26):
         assert kept(cutoff_K(t, q, d)) == {p for p, r in rich.items()
-                                           if r >= t}
+                                           if r >= max(1, t)}
         assert kept(cutoff_K(t, q, d) + Fraction(1, 10 ** 30)) == {
             p for p, r in rich.items() if r > t}
     for c in (0, Fraction(-1, 4)):
-        assert kept(cutoff_K(26, q, d), c) == set(rich)
+        with pytest.raises(AssertionError):
+            kept(cutoff_K(26, q, d), c)
 
 
 def test_persistent_pairs_k_zero_keeps_all():
     rng = random.Random(46)
     cfg = random_config(rng, n_spheres=6)
-    live = {(i, j) for i, j in itertools.permutations(range(6), 2)
-            if radical_hyperplane(cfg.spheres[i], cfg.spheres[j],
-                                  cfg.q) is not None}
-    pp = persistent_pairs(cfg, K2=Fraction(0))
+    bisector = {(i, j): radical_hyperplane(cfg.spheres[i], cfg.spheres[j],
+                                           cfg.q)
+                for i, j in itertools.permutations(range(6), 2)}
+    # at K = 0 a pair persists when its bisector holds a point
+    live = {pair for pair, g in bisector.items() if g is not None and any(
+        hyperplane_contains(g, p, cfg.q) for p in cfg.points)}
+    assert live
+    pp = persistent_pairs(cfg, Fraction(0), C)
     assert set(map(tuple, pp.pairs.tolist())) == live
+    # with no points no bisector holds one, so no pair persists
+    cfg = make_config(cfg.space, [], cfg.spheres)
+    pp = persistent_pairs(cfg, Fraction(0), C)
+    assert pp.pairs.shape == (0, 2) and (pp.pair_bisector == -1).all()
     # concentric spheres have no bisector, so none of their pairs persist
     cfg = make_config(make_space(5, 3), [(1, 0, 0), (0, 1, 0)],
                       [Sphere((0, 0, 0), r) for r in range(4)])
     for s1, s2 in itertools.permutations(cfg.spheres, 2):
         assert radical_hyperplane(s1, s2, cfg.q) is None
-    pp = persistent_pairs(cfg, K2=Fraction(0))
+    pp = persistent_pairs(cfg, Fraction(0), C)
     assert pp.pairs.shape == (0, 2) and (pp.pair_bisector == -1).all()
 
 
 def test_persistent_pairs_huge_threshold_empty():
     rng = random.Random(47)
     cfg = random_config(rng, n_spheres=6)
-    pp = persistent_pairs(cfg, K2=cutoff_K(cfg.q ** 2 + 1, cfg.q, cfg.d))
+    pp = persistent_pairs(cfg, cutoff_K(cfg.q ** 2 + 1, cfg.q, cfg.d), C)
     assert pp.pairs.shape == (0, 2)
 
 
 def test_persistent_pairs_symmetric_and_profile():
     rng = random.Random(48)
     cfg = random_config(rng, n_spheres=8)
-    pp = persistent_pairs(cfg, K2=cutoff_K(1, cfg.q, cfg.d))
+    pp = persistent_pairs(cfg, cutoff_K(1, cfg.q, cfg.d), C)
     pairs = set(map(tuple, pp.pairs.tolist()))
     for (i, j) in pairs:
         assert (j, i) in pairs
@@ -371,16 +389,13 @@ def test_regularize_postconditions():
     hits = 0
     for _ in range(12):
         cfg = random_config(rng, n_points=30, n_spheres=10)
-        pp = persistent_pairs(cfg, K2=cutoff_K(1, cfg.q, cfg.d))
+        pp = persistent_pairs(cfg, cutoff_K(1, cfg.q, cfg.d), C)
         if not len(pp.pairs):
             continue
         ms = build_multiset(pp)
         support = hyperplanes(ms.support)
-        try:
-            reg = regularize(
-                hyperplane_incidence(cfg.points, ms.support, cfg.q), ms)
-        except RegularizationDegenerate:
-            continue
+        reg = regularize(
+            hyperplane_incidence(cfg.points, ms.support, cfg.q), ms)
         hits += 1
         lam1 = reg.richness_scale
         kept = [cfg.points[i] for i in reg.point_idx.tolist()]
@@ -405,7 +420,7 @@ def test_regularize_uniform_input_unchanged():
     from ffrigidity.geometry import hyperplane_points
     pts = hyperplane_points(h, sp)
     cfg = make_config(sp, pts, [s1, s2])
-    pp = persistent_pairs(cfg, K2=cutoff_K(1, q, 3))
+    pp = persistent_pairs(cfg, cutoff_K(1, q, 3), C)
     ms = build_multiset(pp)
     reg = regularize(hyperplane_incidence(cfg.points, ms.support, q), ms)
     assert reg.point_idx.tolist() == list(range(len(cfg.points)))
@@ -419,10 +434,16 @@ def test_regularize_degenerate_raises():
     cfg = make_config(sp, [(1, 1, 1)], [s1, s2])
     h = radical_hyperplane(s1, s2, 5)
     assert not hyperplane_contains(h, (1, 1, 1), 5)
-    pp = persistent_pairs(cfg, K2=Fraction(0))
+    # a support hyperplane with no point, and an empty support, are
+    # refused; persistence passes neither on, as h holds no point
+    lone = HyperplaneMultiset(support=np.array([[*h.normal, h.offset]]),
+                              counts=np.array([2]), columns=np.arange(1))
+    pp = persistent_pairs(cfg, Fraction(0), C)
     ms = build_multiset(pp)
-    with pytest.raises(RegularizationDegenerate):
-        regularize(hyperplane_incidence(cfg.points, ms.support, 5), ms)
+    assert not len(ms.support)
+    for m in (lone, ms):
+        with pytest.raises(AssertionError):
+            regularize(hyperplane_incidence(cfg.points, m.support, 5), m)
 
 
 def _heaviest_bucket_oracle(items, value):
@@ -451,7 +472,7 @@ def test_regularize_matches_scalar_buckets():
     rng = random.Random(51)
     for _ in range(40):
         cfg = random_config(rng, q=5, n_points=25, n_spheres=8)
-        pp = persistent_pairs(cfg, K2=Fraction(0))
+        pp = persistent_pairs(cfg, Fraction(0), C)
         ms = build_multiset(pp)
         if not len(ms.support):
             continue
@@ -462,10 +483,8 @@ def test_regularize_matches_scalar_buckets():
             hyperplane_contains(h, p, q) for h in members))
         jh, support = _heaviest_bucket_oracle(members, lambda h: sum(
             hyperplane_contains(h, p, q) for p in points))
-        if jp is None or jh is None:
-            with pytest.raises(RegularizationDegenerate):
-                regularize(inc, ms)
-            continue
+        # every support hyperplane holds a point, so both classes exist
+        assert jp is not None and jh is not None
         reg = regularize(inc, ms)
         assert [cfg.points[i] for i in reg.point_idx.tolist()] == points
         assert {dyadic_class(v) for v in
