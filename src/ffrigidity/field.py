@@ -61,15 +61,20 @@ class PrimeField:
         return pow(a, self.q - 2, self.q)
 
 
+def residue_dtype(q: int):
+    """The dtype of the pair kernels' residues, each at most q * q - 1:
+    uint16 when q * q <= 2**16 (q <= 251), else uint32."""
+    assert q * q <= 1 << 32, "pair residues must stay below 2**32"
+    return np.uint16 if q * q <= 1 << 16 else np.uint32
+
+
 @lru_cache(maxsize=32)
 def inverse_table(q: int) -> np.ndarray:
-    """Read-only uint32 array whose entry a is the inverse of a mod q.
-
-    Entry 0 is 0.  Built by square-and-multiply on a**(q-2) over all
-    residues at once; with q < 2**16 every product fits in uint32.
-    """
-    table = np.ones(q, dtype=np.uint32)
-    base = np.arange(q, dtype=np.uint32)
+    """Read-only array in `residue_dtype(q)` whose entry a is the inverse
+    of a mod q (entry 0 is 0), by square-and-multiply on a**(q-2) over
+    all residues at once; every product stays below q**2."""
+    table = np.ones(q, dtype=residue_dtype(q))
+    base = np.arange(q, dtype=table.dtype)
     e = q - 2
     while e:
         if e & 1:
@@ -81,14 +86,18 @@ def inverse_table(q: int) -> np.ndarray:
 
 
 def scale_to_lead(r: np.ndarray, q: int) -> None:
-    """Scale each column of a (d+1, N) uint32 array of residues in place
-    by the inverse of its first nonzero among the first d entries
-    (products below q**2 <= 2**32); a column without one becomes 0."""
+    """Scale each column of a (d+1, N) array of residues in
+    `residue_dtype(q)` in place by the inverse of its first nonzero among
+    the first d entries (products below q**2); a column without one
+    becomes 0.  Reduced as r - (r // q) * q in one temporary, because %
+    is slower."""
     lead = r[-2]
     for row in r[-3::-1]:
         lead = np.where(row, row, lead)
     r *= inverse_table(q).take(lead)
-    r -= r // q * q
+    t = r // q
+    t *= q
+    r -= t
 
 
 @lru_cache(maxsize=32)
@@ -108,15 +117,18 @@ def group_rows(columns, q: int):
     Returns (first, ids): groups are numbered in lexicographic order of
     their rows, `ids[i]` is the group of row i and `first[g]` is a row
     of group g.  Each row is packed into int64 words, each a big-endian
-    base-q number of as many consecutive digits as stay below 2**63, so
-    np.argsort (for one word) or np.lexsort sorts the rows and
-    neighbours that differ start the groups.  (A bare np.unique would
-    import numpy.ma on its first call.)
+    base-q number of as many consecutive digits as stay below 2**63,
+    built in place by Horner's rule, so np.argsort (for one word) or
+    np.lexsort sorts the rows and neighbours that differ start the
+    groups.  (A bare np.unique would import numpy.ma on its first call.)
     """
-    places, words = place_values(q), []
-    for i in range(0, len(columns), len(places)):
-        chunk = columns[i:i + len(places)]
-        words.append((chunk * places[-len(chunk):]).sum(axis=0))
+    digits, words = len(place_values(q)), []
+    for i in range(0, len(columns), digits):
+        word = columns[i].astype(np.int64)
+        for column in columns[i + 1:i + digits]:
+            word *= q
+            word += column
+        words.append(word)
     order = np.argsort(words[0]) if len(words) < 2 else np.lexsort(words[::-1])
     starts = np.zeros(len(order), dtype=bool)
     for word in words:

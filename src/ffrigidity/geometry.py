@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .field import PrimeField, group_rows, rref, scale_to_lead
+from .field import PrimeField, group_rows, residue_dtype, rref, scale_to_lead
 
 ENUMERATION_CAP = 1 << 24
 
@@ -133,8 +133,8 @@ def radical_hyperplanes(spheres, q: int, d: int):
     Pair k is the k-th pair of `pair_indices(len(spheres))`.  Row by
     row this is `radical_hyperplane`, the scalar oracle of the tests:
     2(c_j - c_i) and r_i - r_j + ||c_j|| - ||c_i||, scaled by the
-    inverse of the lead, on uint32 residues (pair sums below 2q,
-    products below q**2 <= 2**32).  Returns (bisectors, index): each
+    inverse of the lead, on residues in `field.residue_dtype(q)` (pair
+    sums below 2q, products below q**2).  Returns (bisectors, index): each
     distinct bisector once as an int64 row (normal, offset), rows in
     Hyperplane tuple order, and `index[k]`, the row of pair k or -1 for
     a concentric pair, which has no bisector; with fewer than two
@@ -144,13 +144,12 @@ def radical_hyperplanes(spheres, q: int, d: int):
     if n < 2:
         return (np.zeros((0, d + 1), dtype=np.int64),
                 np.zeros(0, dtype=np.int64))
-    assert q < 1 << 16, "pair residues must stay below 2**32"
     aug = np.asarray([(*s.center, s.r) for s in spheres], dtype=np.int64) % q
     c, radii = aug[:, :d], aug[:, d]
     # column k is [2c | ||c|| - r] mod q of sphere k, and pair (i, j)
     # gets column j + (q - column i), a non-negative sum
     cols = (np.concatenate([2 * c.T, [(c * c).sum(axis=1) - radii]])
-            % q).astype(np.uint32)
+            % q).astype(residue_dtype(q))
     i, j = pair_indices(n)
     r = cols.take(j, axis=1)
     r += (q - cols).take(i, axis=1)

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .field import PrimeField, place_values, scale_to_lead
+from .field import PrimeField, place_values, residue_dtype, scale_to_lead
 from .geometry import Flat, Hyperplane, hyperplane_incidence, incidence_counts
 from .multiset import build_multiset, mass_retention, popular_hyperplane
 from .stats import (Config, ceil_sqrt, membership_matrix,
@@ -34,10 +34,11 @@ CASE_DIRECTIONAL = "directional-coordination"
 CASE_NO_SIGNAL = "no-signal"
 
 
-# Pairs per row block of `flat_profile`, whose uint32 rows then stay in
-# L2.  Over the null-flats-q19 supports a call took 2.9 ms at 2**13, 3.4
-# at 2**12, 3.0 at 2**14 and 4.2 at 2**15.
-_BLOCK_PAIRS = 1 << 13
+# Pairs per row block of `flat_profile`: over the 16 null-flats-q19
+# supports (m about 243, numpy 2.4.6, 2 CPUs) a call took 2.8 ms at 2**11,
+# 2.1 at 2**12, 2.0 at 2**13 and 2.6 at 2**15, and from 2**13 on the
+# block holds the extract's memory peak there.
+_BLOCK_PAIRS = 1 << 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,22 +55,23 @@ def flat_profile(aug: np.ndarray, field: PrimeField) -> FlatProfile:
     """Largest flat multiplicity of a hyperplane family, with its witness.
 
     The family `aug` is an (m, d+1) int64 array of rows (normal, offset).
-    For members a < b, b restricted to a fixes the flat a & b: the uint32
-    row b + (q - b[lead a]) * a (below q**2 <= 2**32) reduced and scaled
-    to lead 1, zero when a and b are parallel.  A values-only sort of
-    the int64 keys a * q**(d+1) + restricted row groups a block; a
-    parallel pair's key is a's marker a * q**(d+1), no flat's key, and
-    its group counts 0.  When m * q**(d+1) >= 2**63 the words a, r_0,
-    ..., r_d go through np.lexsort instead.  A flat of members a1 < ...
-    < ak is a group of k - 1 in row a1 and smaller ones later: m_max is
-    one more than the largest group, the pencil a largest group with its
-    row, and the witness the least flat of the largest groups, one pair
-    each reduced in closed form.  Blocks of at most `_BLOCK_PAIRS` pairs
-    (one row at least) keep memory O(block + m).  Asserted: canonical,
-    distinct input; the uint32 bound; nesting groups (a flat of k
-    members gives one group of each size 1 .. k - 1); the fiber bound
-    per row (later non-parallel partners <= groups * largest group);
-    the members through the witness, by a row-span test, are the pencil.
+    For members a < b, b restricted to a fixes the flat a & b: the row
+    b + (q - b[lead a]) * a in `field.residue_dtype(q)` (at most q**2 - 1)
+    reduced and scaled to lead 1, zero when a and b are parallel.  A
+    values-only sort of the int64 keys a * q**(d+1) + restricted row,
+    packed in place by Horner's rule, groups a block; a parallel pair's
+    key is a's marker a * q**(d+1), whose group counts 0.  When
+    m * q**(d+1) >= 2**63 the words a, r_0, ..., r_d go through
+    np.lexsort instead.  A flat of members a1 < ... < ak is a group of
+    k - 1 in row a1 and smaller ones later: m_max is one more than the
+    largest group, the pencil a largest group with its row, and the
+    witness the least flat of the largest groups, one pair each reduced
+    in closed form.  Blocks of at most `_BLOCK_PAIRS` pairs (one row at
+    least), each freed before the next, keep memory O(block + m).
+    Asserted: canonical, distinct input; the residue bound; nesting
+    groups (a flat of k members gives one group of each size 1 .. k - 1);
+    the fiber bound per row (later non-parallel partners <= groups *
+    largest group); the members through the witness are the pencil.
     """
     q = field.q
     n = len(aug)
@@ -79,55 +81,57 @@ def flat_profile(aug: np.ndarray, field: PrimeField) -> FlatProfile:
     lead = (aug[:, :d] != 0).argmax(axis=1)
     assert ((aug >= 0) & (aug < q)).all() and \
         (aug[np.arange(n), lead] == 1).all(), "hyperplanes must be canonical"
-    assert q < 1 << 16, "pair residues must stay below 2**32"
     # one column per member; entry lead[a] * n + b flattened is b[lead a]
-    cols = np.ascontiguousarray(aug.T, dtype=np.uint32)
+    cols = np.ascontiguousarray(aug.T, dtype=residue_dtype(q))
     negated, lead_at = (q - cols).ravel(), lead * n
     one_word = n * q ** (d + 1) < 2 ** 63
     places, a_place = place_values(q)[-d - 1:], q ** (d + 1) if one_word else 1
     later = n - 1 - np.arange(n)
     ends = np.concatenate([[0], np.cumsum(later)])
-    size_counts = np.zeros(n, dtype=np.int64)
-    best, pencil = (0, None), ()
-    hi = 0
-    while hi < n - 1:
-        # rows lo .. hi - 1; row a's pairs start at start[a - lo]
-        lo = hi
-        hi = int(ends.searchsorted(ends[lo] + _BLOCK_PAIRS, "right")) - 1
-        hi = min(max(hi, lo + 1), n - 1)
+
+    # rows lo .. hi - 1, row a's pairs from start[a - lo]: their group
+    # sizes and the best (top, key, pencil) so far; freed on return
+    def block(lo, hi, best):
         span, start = later[lo:hi], ends[lo:hi] - ends[lo]
-        lead_key = (np.arange(lo, hi) * a_place).repeat(span)
-        b = np.arange(len(lead_key)) + (
+        b = np.arange(ends[hi] - ends[lo]) + (
             np.arange(lo + 1, hi + 1) - start).repeat(span)
-        # b + (q - b[lead a]) * a; x - x // q * q, because % is slower
+        # b + (q - b[lead a]) * a, reduced in place: r - (r // q) * q
         r = cols[:, lo:hi].repeat(span, axis=1)
         r *= negated.take(lead_at[lo:hi].repeat(span) + b)
         r += cols.take(b, axis=1)
-        r -= r // q * q
+        t = r // q
+        t *= q
+        r -= t
+        del t
         assert r.any(axis=0).all(), "support hyperplanes must be distinct"
         scale_to_lead(r, q)
+        packed = np.arange(lo, hi).repeat(span)
         if one_word:
-            words = [(r * places).sum(axis=0) + lead_key]
-            ordered = [np.sort(words[0])]
+            for row in r:
+                packed *= q
+                packed += row
+            words, ordered = [packed], [np.sort(packed)]
+            del r
         else:
-            words = [lead_key, *r]
+            words = [packed, *r]
             order = np.lexsort(words[::-1])
             ordered = [w.take(order) for w in words]
         # runs of equal keys are the groups; each row's pairs keep place
         edge = np.ones(len(b) + 1, dtype=bool)
         edge[1:-1] = np.logical_or.reduce([w[1:] != w[:-1] for w in ordered])
         bounds = edge.nonzero()[0]
-        count = bounds[1:] - bounds[:-1]
         heads = [w.take(bounds[:-1]) for w in ordered]
-        live = np.logical_or.reduce([heads[0] != lead_key.take(bounds[:-1]),
+        del edge, ordered
+        count = bounds[1:] - bounds[:-1]
+        live = np.logical_or.reduce([heads[0] % a_place != 0,
                                      *(head != 0 for head in heads[1:])])
         count *= live
         top, first = int(count.max()), bounds.searchsorted(start)
         assert (np.add.reduceat(count, first) <= top * np.add.reduceat(
             live, first, dtype=np.int64)).all(), "fiber bound"
-        size_counts += np.bincount(count, minlength=n)
+        sizes = np.bincount(count, minlength=n)
         if top < max(best[0], 1):
-            continue
+            return sizes, best
         # reduced form of (a, restricted row) for one pair per largest
         # group: the restricted row vanishes at a's lead already
         maximal = np.flatnonzero(count == top)
@@ -144,11 +148,21 @@ def flat_profile(aug: np.ndarray, field: PrimeField) -> FlatProfile:
         i = int(np.lexsort(keys.T[::-1])[0])
         key = keys[i].tolist()
         if top > best[0] or key < best[1]:
-            best, g = (top, key), maximal[i]
+            g = maximal[i]
             member = np.logical_and.reduce(
                 [w == head[g] for w, head in zip(words, heads)])
-            pencil = (int(ha[i]), *b[member].tolist())
-    top, key = best
+            best = (top, key, (int(ha[i]), *b[member].tolist()))
+        return sizes, best
+
+    size_counts = np.zeros(n, dtype=np.int64)
+    best, hi = (0, None, ()), 0
+    while hi < n - 1:
+        lo = hi
+        hi = int(ends.searchsorted(ends[lo] + _BLOCK_PAIRS, "right")) - 1
+        hi = min(max(hi, lo + 1), n - 1)
+        sizes, best = block(lo, hi, best)
+        size_counts += sizes
+    top, key, pencil = best
     if not top:
         return FlatProfile(0, None, ())
     assert (size_counts[2:] <= size_counts[1:-1]).all(), "pair groups must nest"

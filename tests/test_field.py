@@ -4,8 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from ffrigidity.field import (NotAPrime, PrimeField, is_odd_prime,
-                              kernel_basis, rref)
+from ffrigidity.field import (NotAPrime, PrimeField, inverse_table,
+                              is_odd_prime, kernel_basis, residue_dtype, rref)
 
 
 # oracle: rank by exhaustive search for the largest invertible minor,
@@ -231,3 +231,18 @@ def test_rref_wide_and_tall_match_scalar_elimination():
             expected = rref_oracle(mat, q)
             assert rref(mat, f) == expected
             assert rref(np.array(mat, dtype=np.int64), f) == expected
+
+
+def test_residue_dtype_boundary():
+    """The pair kernels' residues reach q * q - 1: 251 is the largest
+    prime with q * q <= 2**16 (largest residue 63000) and takes uint16,
+    257 the smallest above and takes uint32, as does 65521; the inverse
+    table follows the same rule."""
+    assert max(q for q in range(3, 257) if is_odd_prime(q)) == 251
+    assert 251 * 251 - 1 == 63000 and 257 * 257 > 2 ** 16
+    for q, dtype in ((3, np.uint16), (251, np.uint16), (257, np.uint32),
+                     (65521, np.uint32)):
+        assert residue_dtype(q) == dtype
+        table = inverse_table(q)
+        assert table.dtype == dtype
+        assert all(a * int(table[a]) % q == 1 for a in range(1, q, 97))

@@ -195,12 +195,15 @@ def test_flat_profile_matches_scalar_oracle(q, d, monkeypatch):
         flat_profile(rows(hs + [hs[5]]), PrimeField(q))
 
 
-@pytest.mark.parametrize("d", [3, 4])
-def test_flat_profile_exact_at_the_residue_edge(d, monkeypatch):
-    """At q = 65521 a family with entries 0, 1 and q - 1 drives the
-    uint32 pair sum b + (q - b[lead a]) * a to its largest value,
-    q**2 - 1 < 2**32; the profile still matches the scalar oracle."""
-    q = 65521
+# the q = 65521 cases are named by d alone
+@pytest.mark.parametrize("q, d", [(65521, 3), (65521, 4), (251, 3), (251, 4)],
+                         ids=["3", "4", "251-3", "251-4"])
+def test_flat_profile_exact_at_the_residue_edge(q, d, monkeypatch):
+    """A family with entries 0, 1 and q - 1 drives the pair sum
+    b + (q - b[lead a]) * a to its largest value, q**2 - 1: 63000 in
+    uint16 at q = 251, the largest prime with q**2 <= 2**16, and
+    q**2 - 1 < 2**32 in uint32 at q = 65521; the profile still matches
+    the scalar oracle, and the pair rows have the rule's dtype."""
     rng = random.Random(d)
     hs = [canonical_hyperplane((1,) + (q - 1,) * (d - 1), q - 1, q),
           canonical_hyperplane((0, 1) + (q - 1,) * (d - 2), q - 1, q)]
@@ -214,7 +217,11 @@ def test_flat_profile_exact_at_the_residue_edge(d, monkeypatch):
     assert max(y + (q - b[a.index(1)]) * x
                for a, b in itertools.combinations(aug, 2)
                for x, y in zip(a, b)) == q * q - 1
+    dtypes = set()
+    monkeypatch.setattr(pipeline, "scale_to_lead", lambda r, q: (
+        dtypes.add(r.dtype), field.scale_to_lead(r, q)))
     _check_against_scalar_oracle(hs, q, d, monkeypatch)
+    assert dtypes == {np.dtype({251: np.uint16, 65521: np.uint32}[q])}
 
 
 @pytest.mark.parametrize("m", range(2, 25))
@@ -240,6 +247,22 @@ def test_flat_profile_across_the_one_word_key_boundary(m, monkeypatch):
     assert sorts[0] == (("sort", m * (m - 1) // 2) if m <= 8
                         else ("lexsort", d + 2))
     _check_against_scalar_oracle(hs, q, d, monkeypatch)
+
+
+@pytest.mark.parametrize("q, d", [(5, 3), (61, 3), (4093, 4)])
+def test_flat_profile_counts_no_parallel_group(q, d, monkeypatch):
+    """Parallel members share no flat, so a parallel class larger than
+    any pencil leaves the profile to the other members, and a family of
+    one class has none; on the one-word key path and (q = 4093, d = 4,
+    more than 8 members) the lexsort path."""
+    rng = random.Random(q)
+    normal = [1] + [rng.randrange(q) for _ in range(d - 1)]
+    offsets = rng.sample(range(q), min(q, 12))
+    parallel = [canonical_hyperplane(normal, b, q) for b in offsets]
+    prof = flat_profile(rows(parallel), PrimeField(q))
+    assert (prof.max_multiplicity, prof.witness, prof.pencil) == (0, None, ())
+    others = [h for h in _family(rng, q, d, 4) if h.normal != tuple(normal)]
+    _check_against_scalar_oracle(parallel + others, q, d, monkeypatch)
 
 
 @pytest.mark.parametrize("q", [5, 61])
@@ -288,9 +311,10 @@ def test_flat_profile_calls_no_scalar_elimination(monkeypatch):
 
 
 def test_flat_profile_memory_is_bounded():
-    """Row blocks of uint32 residues keep the profile of a 1500-member
-    family near 1 MB (the all-pairs pass peaked at about 314 MB here,
-    int64 row blocks at about 1.9 MB)."""
+    """Row blocks of uint16 residues, each freed before the next, keep the
+    profile of a 1500-member family near 0.3 MB (the all-pairs pass
+    peaked at about 314 MB here, int64 row blocks at about 1.9 MB, uint32
+    row blocks of 2**13 pairs alive into the next block at about 1 MB)."""
     q = 61
     family = rows(_family(random.Random(1500), q, 3, 1500))
     tracemalloc.start()
@@ -301,7 +325,7 @@ def test_flat_profile_memory_is_bounded():
         tracemalloc.stop()
     # the planted pencil holds all q + 1 planes through its line
     assert prof.max_multiplicity == q + 1
-    assert peak < 4 << 20
+    assert peak < 1 << 19
 
 
 def test_extract_case_threshold_is_the_flat_multiplicity():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ffrigidity import field, geometry
 from ffrigidity.geometry import (Hyperplane, Sphere, hyperplane_contains,
                                  hyperplane_incidence, incidence_gram,
                                  make_space, quad_norm, radical_hyperplane,
@@ -192,13 +193,15 @@ def test_radical_hyperplanes_match_scalar_oracle(q, d):
             assert (index == rows.index(h)).sum() >= 6
 
 
-@pytest.mark.parametrize("d", [3, 4])
-def test_radical_hyperplanes_exact_at_the_residue_edge(d):
-    """At q = 65521, centres and radii drawn from 0, 1, (q -+ 1) / 2,
-    q - 2 and q - 1 drive the uint32 pair sums to 2q - 1 and the
-    products with the lead's inverse to (q - 1)**2, the largest values
-    the kernel meets below q**2 <= 2**32."""
-    q = 65521
+# the q = 65521 cases are named by d alone
+@pytest.mark.parametrize("q, d", [(65521, 3), (65521, 4), (251, 3), (251, 4)],
+                         ids=["3", "4", "251-3", "251-4"])
+def test_radical_hyperplanes_exact_at_the_residue_edge(q, d, monkeypatch):
+    """Centres and radii drawn from 0, 1, (q -+ 1) / 2, q - 2 and q - 1
+    drive the pair sums to 2q - 1 and the products with the lead's
+    inverse to (q - 1)**2, the largest values the kernel meets below
+    q**2: in uint16 at q = 251 (q**2 <= 2**16), in uint32 at q = 65521
+    (q**2 <= 2**32); the pair rows have the rule's dtype."""
     values = (0, 1, (q - 1) // 2, (q + 1) // 2, q - 2, q - 1)
     rng = random.Random(d)
     spheres = [Sphere((0,) * d, q - 1), Sphere(((q - 1) // 2,) * d, 0)]
@@ -214,7 +217,11 @@ def test_radical_hyperplanes_exact_at_the_residue_edge(d):
 
     assert max(largest_product(s, t) for s, t in
                itertools.combinations(spheres, 2)) == (q - 1) ** 2
+    dtypes = set()
+    monkeypatch.setattr(geometry, "scale_to_lead", lambda r, q: (
+        dtypes.add(r.dtype), field.scale_to_lead(r, q)))
     _check_bisectors(spheres, q, d)
+    assert dtypes == {np.dtype({251: np.uint16, 65521: np.uint32}[q])}
 
 
 @pytest.mark.parametrize("d", [3, 4])
