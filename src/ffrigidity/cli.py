@@ -66,7 +66,7 @@ def _load_json(path, what: str):
             return json.load(fh)
     except OSError as exc:
         raise CliError(f"{what}: cannot read {path}: {exc.strerror}")
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # also bad UTF-8 and over-long integers
         raise CliError(f"{what}: invalid JSON in {path}: {exc}")
     except RecursionError:
         raise CliError(f"{what}: invalid JSON in {path}: nested too deeply")
@@ -121,7 +121,7 @@ def config_from_dict(doc: dict, what: str = "config") -> Config:
         spheres.append(Sphere(tuple(s["center"]), s["r"]))
     try:
         return make_config(space, points, spheres)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: d >= 2**63
         raise CliError(f"{what}: {exc}")
 
 

@@ -149,7 +149,7 @@ def _generate(spec: GeneratorSpec, space: AmbientSpace) -> GeneratedConfig:
     elif kind == "quadric-planted":
         quadric_r = rng.randrange(1, q)
         grid = point_grid(q, d)
-        on = sphere_incidence(grid, [Sphere((0,) * d, quadric_r)], q)[:, 0]
+        on = sphere_incidence(grid, np.array([[0] * d + [quadric_r]]), q)[:, 0]
         quadric, complement = grid[on], grid[~on]
         if n_on > len(quadric):
             raise BadGeneratorSpec("n_points: more on-structure points than "

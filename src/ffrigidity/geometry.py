@@ -127,12 +127,13 @@ def pair_indices(n: int):
     return pairs
 
 
-def radical_hyperplanes(spheres, q: int, d: int):
-    """Bisector hyperplanes of every sphere pair i < j, in one array pass.
+def radical_hyperplanes(spheres, q: int):
+    """Bisector hyperplanes of every pair i < j of the int64 (n, d+1)
+    sphere rows (center, r), such as `Config.sphere_array`, in one array
+    pass; pair k is the k-th pair of `pair_indices(n)`.
 
-    Pair k is the k-th pair of `pair_indices(len(spheres))`.  Row by
-    row this is `radical_hyperplane`, the scalar oracle of the tests:
-    2(c_j - c_i) and r_i - r_j + ||c_j|| - ||c_i||, scaled by the
+    Row by row this is `radical_hyperplane`, the scalar oracle of the
+    tests: 2(c_j - c_i) and r_i - r_j + ||c_j|| - ||c_i||, scaled by the
     inverse of the lead, on residues in `field.residue_dtype(q)` (pair
     sums below 2q, products below q**2).  Returns (bisectors, index): each
     distinct bisector once as an int64 row (normal, offset), rows in
@@ -140,11 +141,11 @@ def radical_hyperplanes(spheres, q: int, d: int):
     a concentric pair, which has no bisector; with fewer than two
     spheres both are empty, the rows still d + 1 wide.
     """
-    n = len(spheres)
+    n, d = len(spheres), spheres.shape[1] - 1
     if n < 2:
         return (np.zeros((0, d + 1), dtype=np.int64),
                 np.zeros(0, dtype=np.int64))
-    aug = np.asarray([(*s.center, s.r) for s in spheres], dtype=np.int64) % q
+    aug = spheres % q
     c, radii = aug[:, :d], aug[:, d]
     # column k is [2c | ||c|| - r] mod q of sphere k, and pair (i, j)
     # gets column j + (q - column i), a non-negative sum
@@ -204,14 +205,6 @@ def point_grid(q: int, d: int) -> np.ndarray:
     grid = np.indices((q,) * d, dtype=np.int64).reshape(d, -1).T.copy()
     grid.setflags(write=False)
     return grid
-
-
-def points_array(points, d: int) -> np.ndarray:
-    """Points as an int64 (|P|, d) array; an int64 array is not copied."""
-    arr = np.asarray(points, dtype=np.int64)
-    if arr.size == 0:
-        arr = arr.reshape(0, d)
-    return arr
 
 
 # Cells per row block of the incidence kernels and `incidence_counts`:
@@ -296,33 +289,28 @@ def incidence_counts(inc: np.ndarray, axis: int,
 
 
 def hyperplane_incidence(pts, hyperplanes, q: int) -> np.ndarray:
-    """Boolean |P| x |H| matrix whose [i, j] entry says <n_j, x_i> = b_j.
-
-    pts is an integer array of shape (|P|, d) or a sequence of points;
-    hyperplanes is a sequence of Hyperplanes or an integer array of rows
-    (normal, offset).
-    """
+    """Boolean |P| x |H| matrix whose [i, j] entry says <n_j, x_i> = b_j,
+    for an int64 (|P|, d) point array and int64 (|H|, d+1) rows
+    (normal, offset)."""
     if not len(hyperplanes):
         return np.zeros((len(pts), 0), dtype=bool)
-    if not isinstance(hyperplanes, np.ndarray):
-        hyperplanes = [(*h.normal, h.offset) for h in hyperplanes]
-    aug = np.asarray(hyperplanes, dtype=np.int64) % q
-    d = aug.shape[1] - 1
-    return _vanishing(points_array(pts, d) % q, aug[:, :d], -aug[:, d], q)
+    aug = hyperplanes % q
+    return _vanishing(pts % q, aug[:, :-1], -aug[:, -1], q)
 
 
 def sphere_incidence(pts, spheres, q: int) -> np.ndarray:
-    """Boolean |P| x |S| matrix whose [i, j] entry says ||x_i - c_j|| = r_j.
+    """Boolean |P| x |S| matrix whose [i, j] entry says ||x_i - c_j|| = r_j,
+    for an int64 (|P|, d) point array and int64 (|S|, d+1) rows
+    (center, r), such as `Config.sphere_array`.
 
     The form is expanded as ||x|| - 2<x, c> + ||c||, so no |P| x |S| x d
     difference array is built: the point norms are the row terms and
     ||c|| - r the column terms of `_vanishing`.
     """
-    if not spheres:
+    if not len(spheres):
         return np.zeros((len(pts), 0), dtype=bool)
-    aug = np.asarray([(*s.center, s.r) for s in spheres], dtype=np.int64) % q
+    aug, pts = spheres % q, pts % q
     centers = aug[:, :-1]
-    pts = points_array(pts, centers.shape[1]) % q
     return _vanishing(pts, -2 * centers,
                       (centers * centers).sum(axis=1) - aug[:, -1], q,
                       row_terms=(pts * pts).sum(axis=1))
@@ -344,15 +332,16 @@ def incidence_gram(inc: np.ndarray) -> np.ndarray:
 
 def hyperplane_points(h: Hyperplane, space: AmbientSpace):
     pts = point_grid(space.q, space.d)
-    sel = pts[hyperplane_incidence(pts, [h], space.q)[:, 0]]
+    rows = np.array([[*h.normal, h.offset]], dtype=np.int64)
+    sel = pts[hyperplane_incidence(pts, rows, space.q)[:, 0]]
     return [tuple(int(c) for c in row) for row in sel]
 
 
 def flat_points(flat: Flat, space: AmbientSpace):
     """All q**(d-2) points of the flat, in lexicographic order."""
     pts = point_grid(space.q, space.d)
-    constraints = [Hyperplane(r, v) for r, v in zip(flat.rows, flat.values)]
-    sel = pts[hyperplane_incidence(pts, constraints, space.q).all(axis=1)]
+    rows = np.column_stack([flat.rows, flat.values]).astype(np.int64)
+    sel = pts[hyperplane_incidence(pts, rows, space.q).all(axis=1)]
     return [tuple(int(c) for c in row) for row in sel]
 
 

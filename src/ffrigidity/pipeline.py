@@ -285,7 +285,8 @@ def extract_certificate(config: Config,
 
     sphere_min, spheres_idx = _rich_sphere_subfamily(membership[idx])
 
-    assert hyperplane_incidence(config.point_array[idx], [h0], q).all()
+    assert hyperplane_incidence(config.point_array[idx],
+                                retained.support[k:k + 1], q).all()
 
     return Certificate(
         case=case,

@@ -24,12 +24,14 @@ from .geometry import (AmbientSpace, Sphere, incidence_counts, incidence_gram,
 
 @dataclass(frozen=True)
 class Config:
-    """`point_array` is `points` as a read-only int64 (|P|, d) array for
-    the counting kernels; derived from `points`, it is not compared."""
+    """`point_array` and `sphere_array` are the read-only int64 (|P|, d)
+    points and (|S|, d+1) sphere rows (center, r) for the array kernels;
+    derived from the tuples, they are not compared."""
     space: AmbientSpace
     points: tuple
     spheres: tuple
     point_array: np.ndarray = field(compare=False, hash=False, repr=False)
+    sphere_array: np.ndarray = field(compare=False, hash=False, repr=False)
 
     @property
     def q(self) -> int:
@@ -62,12 +64,16 @@ def make_config(space: AmbientSpace, points, spheres) -> Config:
     bad = next((s.center for s in sph if len(s.center) != d), None)
     if bad is not None:
         raise ValueError(f"sphere center {bad!r} does not have dimension {d}")
-    return Config(space=space, points=pts, spheres=sph, point_array=arr)
+    rows = np.array([(*s.center, s.r) for s in sph],
+                    dtype=np.int64).reshape(len(sph), d + 1)
+    rows.setflags(write=False)
+    return Config(space=space, points=pts, spheres=sph, point_array=arr,
+                  sphere_array=rows)
 
 
 def membership_matrix(config: Config) -> np.ndarray:
     """Boolean |P| x |S| matrix of point-on-sphere incidences."""
-    return sphere_incidence(config.point_array, config.spheres, config.q)
+    return sphere_incidence(config.point_array, config.sphere_array, config.q)
 
 
 @dataclass(frozen=True)

@@ -65,7 +65,7 @@ def _bisectors(config: Config):
     (`pair_indices` order; -1 when concentric).  As a guard, the first
     pair is recomputed by the scalar `radical_hyperplane`."""
     spheres, q = config.spheres, config.q
-    rows, index = radical_hyperplanes(spheres, q, config.d)
+    rows, index = radical_hyperplanes(config.sphere_array, q)
     if len(index):
         h = radical_hyperplane(spheres[0], spheres[1], q)
         assert index[0] < 0 if h is None else (
@@ -111,12 +111,12 @@ def persistent_pairs(config: Config, K2: Fraction,
     A pair persists when its bisector carries at least one point and at
     least c_const * K * q**((d-1)/2) points, with K**2 the exact K2 and
     c_const > 0: the integer cutoff is the larger of 1 and the ceiling
-    of the square root of c_const**2 * K**2 * q**(d-1).  With K = 0 the
-    pairs whose bisector holds a point persist.
+    of the square root of c_const**2 * K**2 * q**(d-1).  With K = 0 it
+    is 1, formed with no power of q (an empty config may have any d).
     """
     c = Fraction(c_const)
     assert c > 0, "c_const must be positive"
-    cutoff = max(1, ceil_sqrt(c * c * K2 * config.q ** (config.d - 1)))
+    cutoff = max(1, ceil_sqrt(K2 and c * c * K2 * config.q ** (config.d - 1)))
     bisectors, incidence, index = _bisectors(config)
     # a concentric pair keeps its index -1; it reads the appended entry,
     # so the take stays in range when no pair has a bisector

@@ -59,12 +59,13 @@ def _indices(value, n: int, name: str, failures: list):
 _BLOCK_CELLS = 1 << 15
 
 
-def _sphere_degrees(pts: np.ndarray, spheres, q: int) -> np.ndarray:
-    """How many rows of pts lie on each sphere: the form
-    ||x|| - 2<x, c> + ||c|| - r as one float product per row block of
-    the lifted points [x | ||x|| | 1] and the lifted spheres
-    [-2c | 1 | ||c|| - r], a cell counted when q divides its form.  No
-    spheres give an empty count.
+def _sphere_degrees(pts: np.ndarray, spheres: np.ndarray,
+                    q: int) -> np.ndarray:
+    """How many rows of pts lie on each of the int64 sphere rows
+    (center, r): the form ||x|| - 2<x, c> + ||c|| - r as one float
+    product per row block of the lifted points [x | ||x|| | 1] and the
+    lifted spheres [-2c | 1 | ||c|| - r], a cell counted when q divides
+    its form.  No spheres give an empty count.
 
     Coordinates, centres and radii are first taken as residues centred
     in (-q/2, q/2], so |x_i| <= q/2, |2c_i| <= q, ||x|| <= d*q*q/4 and
@@ -84,8 +85,7 @@ def _sphere_degrees(pts: np.ndarray, spheres, q: int) -> np.ndarray:
     dtype = np.float32 if d * q * q < 1 << 23 else np.float64
     h = (q - 1) // 2
     x = (pts + h) % q - h
-    c = (np.asarray([(*center, r) for center, r in spheres], dtype=np.int64)
-         + h) % q - h
+    c = (spheres + h) % q - h
     rows = np.ones((n, d + 2), dtype=dtype)
     rows[:, :d] = x
     rows[:, d] = (x * x).sum(axis=1)
@@ -159,7 +159,7 @@ def verify_certificate(config: Config, cert: dict) -> list:
     sidx = _indices(cert.get("spheres"), len(config.spheres), "sphere",
                     failures)
     if sidx is not None and len(sidx) and pts is not None and len(pts):
-        degs = _sphere_degrees(pts, [config.spheres[i] for i in sidx], q)
+        degs = _sphere_degrees(pts, config.sphere_array[sidx], q)
         failures += [f"sphere {i} holds {deg} structured points, "
                      f"need {sphere_min}" for i, deg in
                      zip(sidx.tolist(), degs.tolist()) if deg < sphere_min]

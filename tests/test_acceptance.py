@@ -20,12 +20,13 @@ from ffrigidity.dichotomy import dichotomy
 from ffrigidity.field import PrimeField
 from ffrigidity.generators import GeneratorSpec, generate
 from ffrigidity.geometry import (Hyperplane, Sphere, flat_from_pair,
-                                 hyperplane_contains, point_grid, quad_norm,
-                                 radical_hyperplane, sphere_incidence)
+                                 hyperplane_contains, make_space, point_grid,
+                                 quad_norm, radical_hyperplane,
+                                 sphere_incidence)
 from ffrigidity.multiset import (build_multiset, mass_retention,
                                  popular_hyperplane)
 from ffrigidity.pipeline import extract_certificate, flat_profile
-from ffrigidity.stats import energies
+from ffrigidity.stats import energies, make_config
 from ffrigidity.strata import persistent_pairs
 from ffrigidity.verify import verify_certificate
 
@@ -74,7 +75,8 @@ def test_criterion_01_radical_containment():
                 seen.add(s)
                 spheres.append(s)
         grid = point_grid(q, d)
-        inc = sphere_incidence(grid, spheres, q)
+        rows = make_config(make_space(q, d), [], spheres).sphere_array
+        inc = sphere_incidence(grid, rows, q)
         cache = {s: frozenset(map(tuple, grid[inc[:, k]].tolist()))
                  for k, s in enumerate(spheres)}
         done = 0

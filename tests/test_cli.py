@@ -1,3 +1,5 @@
+import contextlib
+import copy
 import csv
 import hashlib
 import io
@@ -10,9 +12,12 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ffrigidity import cli, geometry, stats, strata
 from ffrigidity.cli import main
+from ffrigidity.generators import GeneratorSpec, generate
 
 
 def run(capsys, *argv):
@@ -300,11 +305,13 @@ def test_analyze_bad_json_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("role", ["analyze", "extract", "verify-config",
                                   "verify-certificate", "experiment"])
-@pytest.mark.parametrize("raw", [b"\xff\xfe{", b"[" * 100000 + b"]" * 100000],
-                         ids=["not-utf8", "deep-array"])
+@pytest.mark.parametrize("raw", [b"\xff\xfe{", b"[" * 100000 + b"]" * 100000,
+                                 b'{"q": ' + b"9" * 5000 + b"}"],
+                         ids=["not-utf8", "deep-array", "long-integer"])
 def test_undecodable_json_exits_2(tmp_path, capsys, role, raw):
-    # a file that json cannot decode, by its bytes or by its depth, is
-    # one error line whichever document it stands for
+    # a file that json cannot decode, by its bytes, its depth or an
+    # integer past Python's digit limit, is one error line whichever
+    # document it stands for
     bad = tmp_path / "bad.json"
     bad.write_bytes(raw)
     if role == "verify-config":
@@ -320,6 +327,24 @@ def test_undecodable_json_exits_2(tmp_path, capsys, role, raw):
     assert code == 2 and out == ""
     assert len(lines) == 1 and lines[0].startswith(f"error: {what}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("d, code", [(10 ** 7, 0), (1 << 64, 2)])
+def test_extract_empty_config_of_huge_dimension(tmp_path, capsys, d, code):
+    # an empty config may name any d: with K = 0 the persistence cutoff
+    # forms no power q**(d - 1), which took seconds at d = 10**7, and a d
+    # past the array index range is one error line
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"q": 5, "d": d, "points": [],
+                                "spheres": []}))
+    start = time.perf_counter()
+    got, out, err = run(capsys, "extract", str(path))
+    assert time.perf_counter() - start < 2
+    assert got == code
+    if code:
+        assert out == "" and err.startswith("error: config: ")
+    else:
+        assert json.loads(out)["case"] == "no-signal" and err == ""
 
 
 def test_analyze_missing_field_exits_2(tmp_path, capsys):
@@ -592,3 +617,83 @@ def test_unwritable_out_exits_2(tmp_path, capsys, command, target):
     assert code == 2
     assert err.startswith(f"error: out: cannot write {out}: ")
     assert "Traceback" not in err
+
+
+# The documents the JSON boundary property mutates: a config that
+# certifies, an empty config and a grid of four small cells.
+BOUNDARY_DOCUMENTS = [
+    ("extract", cli.config_to_dict(generate(GeneratorSpec(
+        "reflected-pairs", 7, 3, 14, 8, seed=5)).config)),
+    ("extract", {"q": 5, "d": 3, "points": [], "spheres": []}),
+    ("experiment", {"q": [5, 7], "d": [3],
+                    "kind": ["reflected-pairs", "uniform-random"],
+                    "np": [10], "ns": [4], "noise": [0.1], "seed": [1],
+                    "b0": [None], "c_const": ["1/4"]}),
+]
+
+# LONG_INTEGER is written as a 5000-digit number, past the digit limit
+# of Python's int parsing, which json.dumps cannot write
+LONG_INTEGER = "<long-integer>"
+
+# what a field may become: bools, floats (NaN and the infinities too,
+# which json reads back), small and huge integers, text, null, and
+# lists and objects of them
+JSON_VALUES = st.recursive(
+    st.one_of(st.booleans(), st.floats(), st.integers(-2, 40),
+              st.integers(1 << 63, 1 << 200),
+              st.integers(-(1 << 200), -(1 << 63)), st.text(max_size=4),
+              st.none(), st.just(LONG_INTEGER)),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def _mutant(draw, node, root=False):
+    """node with one value in it replaced by a JSON value, or with one
+    field or list entry dropped, at any depth; the root itself is
+    replaced one time in eight."""
+    keys = (list(node) if isinstance(node, dict)
+            else list(range(len(node))) if isinstance(node, list) else [])
+    action = draw(st.sampled_from(["descend", "drop", "replace"]))
+    if not keys or action == "replace" and (not root or draw(st.integers(
+            0, 7)) == 7):
+        return draw(JSON_VALUES)
+    key = draw(st.sampled_from(keys))
+    node = copy.copy(node)
+    if action == "drop":
+        del node[key]
+    else:
+        node[key] = draw(_mutant(node[key]))
+    return node
+
+
+@st.composite
+def _mutated_documents(draw):
+    command, doc = draw(st.sampled_from(BOUNDARY_DOCUMENTS))
+    for _ in range(draw(st.integers(1, 3))):
+        doc = draw(_mutant(doc, root=True))
+    return command, doc
+
+
+@given(case=_mutated_documents())
+def test_mutated_documents_exit_0_1_or_2(tmp_path_factory, case):
+    """extract and experiment on a mutated document return 0, 1 or 2,
+    with one error line for 2; no exception leaves main but argparse's
+    SystemExit(2)."""
+    command, doc = case
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(json.dumps(doc).replace(json.dumps(LONG_INTEGER),
+                                            "9" * 5000))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([command, str(path), "--out",
+                         str(path.with_suffix(".out"))])
+        except SystemExit as exc:
+            code = exc.code
+            assert code == 2
+    assert code in (0, 1, 2), err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+        assert len(err.getvalue().splitlines()) == 1

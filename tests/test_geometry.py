@@ -20,6 +20,13 @@ from ffrigidity.geometry import (IDENTICAL, PARALLEL_DISJOINT, Flat,
                                  sphere_contains, sphere_incidence)
 
 
+def _rows(family, d):
+    """Sphere or Hyperplane tuples as the int64 (m, d+1) rows (center, r)
+    or (normal, offset) the array kernels take."""
+    return np.array([(*a, b) for a, b in family],
+                    dtype=np.int64).reshape(len(family), d + 1)
+
+
 # oracle: enumerate the whole space with itertools and test membership
 # pointwise; no numpy, no shared code paths with the implementation
 def sphere_points_oracle(s, q, d):
@@ -61,7 +68,7 @@ def test_sphere_points_match_oracle():
         for _ in range(10):
             s = Sphere(tuple(rng.randrange(q) for _ in range(3)),
                        rng.randrange(q))
-            rows = grid[sphere_incidence(grid, [s], q)[:, 0]]
+            rows = grid[sphere_incidence(grid, _rows([s], 3), q)[:, 0]]
             assert list(map(tuple, rows.tolist())) == sphere_points_oracle(s, q, 3)
 
 
@@ -98,8 +105,8 @@ def test_masks_agree_with_membership():
         hyperplanes = [canonical_hyperplane(v, rng.randrange(q), q)
                        for v in (tuple(rng.randrange(q) for _ in range(d))
                                  for _ in range(6)) if any(v)]
-        ms = sphere_incidence(grid, spheres, q)
-        mh = hyperplane_incidence(grid, hyperplanes, q)
+        ms = sphere_incidence(grid, _rows(spheres, d), q)
+        mh = hyperplane_incidence(grid, _rows(hyperplanes, d), q)
         assert ms.shape == (len(grid), len(spheres))
         assert mh.shape == (len(grid), len(hyperplanes))
         for i, row in enumerate(grid):
@@ -108,14 +115,17 @@ def test_masks_agree_with_membership():
                 assert ms[i, j] == sphere_contains(s, x, q)
             for j, h in enumerate(hyperplanes):
                 assert mh[i, j] == hyperplane_contains(h, x, q)
-        pts = [tuple(int(c) for c in row) for row in grid[::7]]
-        assert (sphere_incidence(pts, spheres, q) == ms[::7]).all()
-        assert (hyperplane_incidence(pts, hyperplanes, q) == mh[::7]).all()
-        assert sphere_incidence([], spheres, q).shape == (0, len(spheres))
-        assert hyperplane_incidence([], hyperplanes, q).shape == (
-            0, len(hyperplanes))
-        assert sphere_incidence(pts, [], q).shape == (len(pts), 0)
-        assert hyperplane_incidence(pts, [], q).shape == (len(pts), 0)
+        pts, none = grid[::7], _rows([], d)
+        assert (sphere_incidence(pts, _rows(spheres, d), q)
+                == ms[::7]).all()
+        assert (hyperplane_incidence(pts, _rows(hyperplanes, d), q)
+                == mh[::7]).all()
+        assert sphere_incidence(pts[:0], _rows(spheres, d),
+                                q).shape == (0, len(spheres))
+        assert hyperplane_incidence(pts[:0], _rows(hyperplanes, d),
+                                    q).shape == (0, len(hyperplanes))
+        assert sphere_incidence(pts, none, q).shape == (len(pts), 0)
+        assert hyperplane_incidence(pts, none, q).shape == (len(pts), 0)
         for inc in (ms, mh, ms[:0], mh[:, :0]):
             dense = inc.astype(np.int64)
             assert (incidence_gram(inc) == dense.T @ dense).all()
@@ -166,8 +176,9 @@ def _edge_value(rng, q):
 
 
 def _edge_families(rng, q, d, n, m):
-    """n points, m spheres and m hyperplanes with unreduced coordinates,
-    and the spheres and hyperplanes reduced, for the scalar oracles."""
+    """n points and the int64 rows of m spheres and m hyperplanes with
+    unreduced coordinates, and the spheres and hyperplanes reduced, as
+    tuples for the scalar oracles."""
     def vec():
         return tuple(_edge_value(rng, q) for _ in range(d))
     pts = np.asarray([vec() for _ in range(n)], dtype=np.int64).reshape(n, d)
@@ -177,7 +188,8 @@ def _edge_families(rng, q, d, n, m):
                  for s in spheres]
     reduced_h = [Hyperplane(tuple(c % q for c in h.normal), h.offset % q)
                  for h in hyperplanes]
-    return pts, spheres, hyperplanes, reduced_s, reduced_h
+    return (pts, _rows(spheres, d), _rows(hyperplanes, d), reduced_s,
+            reduced_h)
 
 
 def _oracle(contains, family, pts, q):
@@ -202,11 +214,6 @@ def test_incidence_kernels_match_scalar_oracles_at_block_edges(q, d):
         assert (sphere_incidence(pts[:n], spheres, q) == ms[:n]).all()
         assert (hyperplane_incidence(pts[:n], hyperplanes, q)
                 == mh[:n]).all()
-    points = [tuple(row) for row in pts[:3].tolist()]
-    assert (sphere_incidence(points, spheres, q) == ms[:3]).all()
-    assert (hyperplane_incidence(points, hyperplanes, q) == mh[:3]).all()
-    rows = np.asarray([(*h.normal, h.offset) for h in hyperplanes])
-    assert (hyperplane_incidence(pts, rows, q) == mh).all()
 
 
 @pytest.mark.parametrize("q, d", [(61, 3), (65521, 4)])
@@ -227,9 +234,9 @@ def test_incidence_kernels_refuse_modulus_beyond_float64_exactness():
     q = 1 << 25  # 4 * d * q * q reaches 2**50 already at d = 1
     pts = np.zeros((2, 3), dtype=np.int64)
     with pytest.raises(AssertionError):
-        sphere_incidence(pts, [Sphere((0, 0, 0), 0)], q)
+        sphere_incidence(pts, _rows([Sphere((0, 0, 0), 0)], 3), q)
     with pytest.raises(AssertionError):
-        hyperplane_incidence(pts, [Hyperplane((1, 0, 0), 0)], q)
+        hyperplane_incidence(pts, _rows([Hyperplane((1, 0, 0), 0)], 3), q)
 
 
 @pytest.mark.parametrize("block", [None, 1, 7 * 120 + 5])
@@ -264,9 +271,8 @@ def test_sphere_incidence_memory_is_bounded():
     rng = np.random.default_rng(19)
     q = 61
     pts = rng.integers(0, q, size=(2000, 3))
-    spheres = [Sphere(tuple(c), r) for c, r in zip(
-        rng.integers(0, q, size=(120, 3)).tolist(),
-        rng.integers(0, q, size=120).tolist())]
+    spheres = np.column_stack([rng.integers(0, q, size=(120, 3)),
+                               rng.integers(0, q, size=120)])
     tracemalloc.start()
     try:
         inc = sphere_incidence(pts, spheres, q)

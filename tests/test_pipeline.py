@@ -32,9 +32,10 @@ from ffrigidity.stats import make_config
 from ffrigidity.verify import verify_certificate
 
 
-def rows(hs):
-    """Hyperplanes as an int64 array of rows (normal, offset)."""
-    return np.array([(*h.normal, h.offset) for h in hs], dtype=np.int64)
+def rows(family):
+    """Hyperplanes or spheres as an int64 array of rows (normal, offset)
+    or (center, r)."""
+    return np.array([(*a, b) for a, b in family], dtype=np.int64)
 
 
 def pencil_config(q=7):
@@ -539,8 +540,9 @@ def test_extract_computes_each_incidence_once(monkeypatch):
         cert = extract_certificate(
             gconf.config, ExtractOptions(c_const=Fraction(c_const), b0=b0))
         assert cert.case == case
-        guard = [[cert.hyperplane]] if case != CASE_NO_SIGNAL else []
-        assert hyperplane_args[1:] == guard
+        guard = ([rows([cert.hyperplane]).tolist()]
+                 if case != CASE_NO_SIGNAL else [])
+        assert [a.tolist() for a in hyperplane_args[1:]] == guard
         assert calls == {"hyperplane_incidence": 1 + len(guard),
                          "sphere_incidence": 1}
 
@@ -764,7 +766,8 @@ def test_verify_sphere_degrees_exact_at_the_modulus_edge(d, block,
     assert sum(degs) >= 2 * len(spheres) and max(degs) >= 10 and 0 in degs
     if block is not None:
         monkeypatch.setattr(verify, "_BLOCK_CELLS", block)
-    got = verify._sphere_degrees(np.array(points, dtype=np.int64), spheres, q)
+    got = verify._sphere_degrees(np.array(points, dtype=np.int64),
+                                 rows(spheres), q)
     assert got.tolist() == degs
     # the same counts through a whole document
     cfg = make_config(make_space(q, d), points, spheres)
@@ -812,7 +815,8 @@ def test_verify_sphere_degrees_exact_at_the_centring_seam(q, d, block,
     assert sum(degs) >= 2 * len(spheres) and max(degs) >= 10 and 0 in degs
     if block is not None:
         monkeypatch.setattr(verify, "_BLOCK_CELLS", block)
-    got = verify._sphere_degrees(np.array(points, dtype=np.int64), spheres, q)
+    got = verify._sphere_degrees(np.array(points, dtype=np.int64),
+                                 rows(spheres), q)
     assert got.tolist() == degs
 
 
@@ -875,19 +879,21 @@ def test_incidence_counts_exact_at_the_float32_seam(module, d, block,
                        for x in points])
         assert ms.any() and mh.any() and not ms.all() and not mh.all()
         if module is geometry:
-            assert (geometry.sphere_incidence(pts, spheres, q) == ms).all()
-            assert (geometry.hyperplane_incidence(pts, hyperplanes, q)
+            assert (geometry.sphere_incidence(pts, rows(spheres), q)
+                    == ms).all()
+            assert (geometry.hyperplane_incidence(pts, rows(hyperplanes), q)
                     == mh).all()
         else:
-            assert (verify._sphere_degrees(pts, spheres, q).tolist()
+            assert (verify._sphere_degrees(pts, rows(spheres), q).tolist()
                     == ms.sum(axis=0).tolist())
 
 
 def test_verify_sphere_degrees_of_no_spheres_or_no_points():
     pts = np.array([(1, 2, 3), (0, 0, 0)], dtype=np.int64)
-    got = verify._sphere_degrees(pts, [], 7)
+    got = verify._sphere_degrees(pts, np.zeros((0, 4), dtype=np.int64), 7)
     assert got.dtype == np.int64 and got.shape == (0,)
-    got = verify._sphere_degrees(pts[:0], [Sphere((0, 0, 0), 1)] * 2, 7)
+    got = verify._sphere_degrees(pts[:0], rows([Sphere((0, 0, 0), 1)] * 2),
+                                 7)
     assert got.dtype == np.int64 and got.tolist() == [0, 0]
 
 
@@ -1002,8 +1008,8 @@ def test_verify_catches_a_broken_pipeline_sphere_kernel(monkeypatch):
     assert verify_certificate(g.config, honest) == []
     true_kernel = stats.sphere_incidence
     monkeypatch.setattr(stats, "sphere_incidence", lambda pts, spheres, q:
-                        true_kernel(pts, [Sphere(c, r - 1)
-                                          for c, r in spheres], q))
+                        true_kernel(pts, np.column_stack(
+                            [spheres[:, :-1], spheres[:, -1] - 1]), q))
     doc = json.loads(json.dumps(extract_certificate(g.config).to_dict()))
     failures = verify_certificate(g.config, doc)
     assert failures

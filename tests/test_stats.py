@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from ffrigidity.geometry import Sphere, hyperplane_points, make_space, canonical_hyperplane
-from ffrigidity.stats import (ceil_sqrt, energies, make_config,
+from ffrigidity.stats import (Config, ceil_sqrt, energies, make_config,
                               membership_matrix, near_extremality_from_counts)
 
 
@@ -84,6 +85,31 @@ def test_config_equality_ignores_point_array():
         empty = make_config(make_space(5, d), [], [])
         assert empty.point_array.shape == (0, d)
         assert empty.point_array.dtype == np.int64
+
+
+def test_config_sphere_array_is_the_spheres_as_frozen_rows():
+    # the one field beside point_array that the array kernels read: the
+    # spheres as int64 rows (center, r), out of equality and hashing
+    fields = {f.name: f for f in dataclasses.fields(Config)}
+    assert list(fields) == ["space", "points", "spheres", "point_array",
+                            "sphere_array"]
+    for name in ("point_array", "sphere_array"):
+        assert not fields[name].compare and not fields[name].hash
+    sp = make_space(7, 3)
+    spheres = [Sphere((1, 8, 3), 9), ((1, 1, 1), 2), Sphere((1, 1, 8), 2)]
+    a = make_config(sp, [(1, 2, 3)], spheres)
+    b = make_config(sp, [(1, 2, 3)], spheres)
+    assert a.sphere_array is not b.sphere_array
+    assert a == b and hash(a) == hash(b)
+    assert a.sphere_array.dtype == np.int64
+    assert a.sphere_array.tolist() == [[*s.center, s.r] for s in a.spheres]
+    assert a.sphere_array.tolist() == [[1, 1, 3, 2], [1, 1, 1, 2]]
+    with pytest.raises(ValueError):
+        a.sphere_array[0, 0] = 5
+    for d in (3, 4):
+        empty = make_config(make_space(5, d), [(0,) * d], [])
+        assert empty.sphere_array.shape == (0, d + 1)
+        assert empty.sphere_array.dtype == np.int64
 
 
 def test_empty_sides_allowed_but_k_guarded():

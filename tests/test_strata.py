@@ -22,6 +22,13 @@ def hyperplanes(rows):
     return [Hyperplane(tuple(r[:-1]), r[-1]) for r in rows.tolist()]
 
 
+def sphere_rows(spheres, d):
+    """Sphere tuples as the int64 (n, d+1) rows (center, r) of
+    `Config.sphere_array`."""
+    return np.array([(*s.center, s.r) for s in spheres],
+                    dtype=np.int64).reshape(len(spheres), d + 1)
+
+
 C = Fraction(1, 4)
 
 
@@ -169,7 +176,7 @@ def _points_near(rng, h, q, d, n):
 def _check_bisectors(spheres, q, d):
     """radical_hyperplanes against the scalar radical_hyperplane, pair by
     pair; returns its rows as Hyperplane tuples and its pair index."""
-    rows, index = radical_hyperplanes(spheres, q, d)
+    rows, index = radical_hyperplanes(sphere_rows(spheres, d), q)
     assert rows.shape[1] == d + 1
     rows = hyperplanes(rows)
     assert rows == sorted(set(rows))
@@ -294,7 +301,7 @@ def test_persistent_pairs_match_argsort_reference(q, n):
     cfg = make_config(make_space(q, 3), _points_near(rng, h, q, 3, 200),
                       spheres)
     ns = len(cfg.spheres)
-    rows, index = radical_hyperplanes(cfg.spheres, q, 3)
+    rows, index = radical_hyperplanes(cfg.sphere_array, q)
     assert (index < 0).any()
     richness = hyperplane_incidence(cfg.point_array, rows, q).sum(axis=0)
     top = int(richness.max())
@@ -402,7 +409,7 @@ def test_regularize_postconditions():
         ms = build_multiset(pp)
         support = hyperplanes(ms.support)
         reg = regularize(
-            hyperplane_incidence(cfg.points, ms.support, cfg.q), ms)
+            hyperplane_incidence(cfg.point_array, ms.support, cfg.q), ms)
         hits += 1
         lam1 = reg.richness_scale
         kept = [cfg.points[i] for i in reg.point_idx.tolist()]
@@ -429,7 +436,7 @@ def test_regularize_uniform_input_unchanged():
     cfg = make_config(sp, pts, [s1, s2])
     pp = persistent_pairs(cfg, cutoff_K(1, q, 3), C)
     ms = build_multiset(pp)
-    reg = regularize(hyperplane_incidence(cfg.points, ms.support, q), ms)
+    reg = regularize(hyperplane_incidence(cfg.point_array, ms.support, q), ms)
     assert reg.point_idx.tolist() == list(range(len(cfg.points)))
     assert hyperplanes(reg.multiset.support) == [h]
     assert reg.multiset.counts.tolist() == ms.counts.tolist() == [2]
@@ -450,7 +457,8 @@ def test_regularize_degenerate_raises():
     assert not len(ms.support)
     for m in (lone, ms):
         with pytest.raises(AssertionError):
-            regularize(hyperplane_incidence(cfg.points, m.support, 5), m)
+            regularize(hyperplane_incidence(cfg.point_array, m.support, 5),
+                       m)
 
 
 def _heaviest_bucket_oracle(items, value):
@@ -471,7 +479,7 @@ def test_regularize_matches_scalar_buckets():
     ms = HyperplaneMultiset(support=np.array([[0, 1, 0, 0], [1, 0, 0, 0]]),
                             counts=np.ones(2, dtype=np.int64),
                             columns=np.arange(2))
-    pts = [(0, 1, 1), (0, 0, 1), (1, 0, 1)]
+    pts = np.array([(0, 1, 1), (0, 0, 1), (1, 0, 1)])
     inc = hyperplane_incidence(pts, ms.support, 5)
     reg = regularize(inc, ms)
     assert reg.point_idx.tolist() == [1]
