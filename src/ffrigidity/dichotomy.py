@@ -4,7 +4,8 @@ The engine is a dimension count.  Homogeneous degree-D forms in d
 variables make a space of dimension C(d+D-1, d-1); if a direction set
 has fewer elements than that, the evaluation map has a kernel and some
 nonzero form vanishes on the whole set.  Otherwise the map is injective
-and the set is certified large.
+and the set is certified large.  The form is read off `field.rref` of
+the evaluation matrix, the one elimination routine of the package.
 
 No certificate is produced or checked here: extract, verify and the CLI
 never call this module.  It stays because the benchmark pins it (its
@@ -19,7 +20,7 @@ from math import comb
 
 import numpy as np
 
-from .field import PrimeField, kernel_basis
+from .field import PrimeField, rref
 
 BASIS_CAP = 100_000
 
@@ -51,17 +52,6 @@ def _compositions(total: int, parts: int):
 
 
 @dataclass(frozen=True)
-class MonomialBasis:
-    nvars: int
-    degree: int
-    exponents: tuple
-
-
-def monomial_basis(nvars: int, degree: int) -> MonomialBasis:
-    return MonomialBasis(nvars, degree, enumerate_monomials(nvars, degree))
-
-
-@dataclass(frozen=True)
 class Polynomial:
     """Sparse polynomial over F_q: nonzero terms in graded basis order."""
     nvars: int
@@ -87,23 +77,15 @@ class Polynomial:
         return (values * coefs).sum(axis=1) % q
 
 
-def polynomial_from_vector(basis: MonomialBasis, vec, q: int) -> Polynomial:
-    terms = tuple((e, c % q) for e, c in zip(basis.exponents, vec) if c % q)
-    return Polynomial(nvars=basis.nvars, terms=terms)
-
-
 def monomial_values(points, exponents, q: int) -> np.ndarray:
     """Array of x**e mod q, one row per point and one column per exponent
     tuple, read from a table of every coordinate's powers 0..max(e).
-    Points are an int64 array or a sequence of points, whose coordinates
-    may be Python ints beyond int64 and are reduced one by one."""
+    Coordinates may be Python ints beyond int64 and are reduced one by
+    one."""
     out = np.ones((len(points), len(exponents)), dtype=np.int64)
     if not out.size:
         return out
-    if isinstance(points, np.ndarray):
-        pts = points.astype(np.int64, copy=False) % q
-    else:
-        pts = np.asarray([[x % q for x in p] for p in points], dtype=np.int64)
+    pts = np.asarray([[x % q for x in p] for p in points], dtype=np.int64)
     exps = np.asarray(exponents, dtype=np.int64).reshape(len(exponents), -1)
     powers = np.empty((int(exps.max()) + 1,) + pts.shape, dtype=np.int64)
     powers[0] = 1
@@ -139,14 +121,19 @@ def dichotomy(directions, D: int, q: int) -> DichotomyResult:
     if not dirs:
         raise ValueError("empty direction set")
     nvars = len(dirs[0])
-    basis = monomial_basis(nvars, D)
-    kernel = kernel_basis(monomial_values(dirs, basis.exponents, q),
-                          PrimeField(q))
-    if kernel:
-        poly = polynomial_from_vector(basis, kernel[0], q)
-        assert not poly.is_zero()
-        assert not poly.evaluate_many(dirs, q).any()
-        return DichotomyResult("algebraic", poly, len(dirs),
-                               len(basis.exponents), D)
-    assert len(dirs) >= len(basis.exponents)
-    return DichotomyResult("large", None, len(dirs), len(basis.exponents), D)
+    exponents = enumerate_monomials(nvars, D)
+    rows, pivots = rref(monomial_values(dirs, exponents, q), PrimeField(q))
+    # the first free column c is the first that is not pivot c, so rows
+    # 0..c-1 pivot on columns 0..c-1: its kernel vector is -row[c] at
+    # those, 1 at c and 0 after, scaled so that it leads with 1
+    c = next((i for i, p in enumerate(pivots) if p != i), len(pivots))
+    if c == len(exponents):
+        assert len(dirs) >= c
+        return DichotomyResult("large", None, len(dirs), c, D)
+    v = [-row[c] % q for row in rows[:c]] + [1]
+    s = pow(next(x for x in v if x), -1, q)
+    poly = Polynomial(nvars, tuple((e, x * s % q)
+                                   for e, x in zip(exponents, v) if x))
+    assert not poly.is_zero()
+    assert not poly.evaluate_many(dirs, q).any()
+    return DichotomyResult("algebraic", poly, len(dirs), len(exponents), D)

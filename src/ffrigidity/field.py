@@ -53,13 +53,6 @@ class PrimeField:
     def __repr__(self):
         return f"PrimeField({self.q})"
 
-    def inv(self, a: int) -> int:
-        """Multiplicative inverse via Fermat exponentiation a**(q-2)."""
-        a %= self.q
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero in F_q")
-        return pow(a, self.q - 2, self.q)
-
 
 def residue_dtype(q: int):
     """The dtype of the pair kernels' residues, each at most q * q - 1:
@@ -185,33 +178,3 @@ def rref(mat, field: PrimeField):
         pivots.append(c)
     m %= q
     return tuple(tuple(row) for row in m.tolist()), tuple(pivots)
-
-
-def kernel_basis(mat, field: PrimeField):
-    """Basis of the right null space {v : mat @ v = 0}.
-
-    One basis vector per free column, in ascending free-column order,
-    each rescaled so its first nonzero entry is 1.  This makes the
-    output deterministic and directly comparable across runs.
-    """
-    q = field.q
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    if ncols == 0:
-        return ()
-    rows, pivots = rref(mat, field)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [0] * ncols
-        v[free] = 1
-        for i, p in enumerate(pivots):
-            v[p] = (-rows[i][free]) % q
-        lead = next(x for x in v if x != 0)
-        if lead != 1:
-            s = field.inv(lead)
-            v = [(x * s) % q for x in v]
-        basis.append(tuple(v))
-    return tuple(basis)

@@ -246,7 +246,7 @@ def _vanishing(pts: np.ndarray, forms: np.ndarray, col_terms: np.ndarray,
     if row_terms is not None:
         rows[:, d + 1] = row_terms
         cols[d + 1] = 1
-    step = max(1, _BLOCK_CELLS // m)
+    step = max(1, _BLOCK_CELLS // max(m, 1))
     inv = 1.0 / q
     for start in range(0, n, step):
         v = rows[start:start + step] @ cols
@@ -292,8 +292,6 @@ def hyperplane_incidence(pts, hyperplanes, q: int) -> np.ndarray:
     """Boolean |P| x |H| matrix whose [i, j] entry says <n_j, x_i> = b_j,
     for an int64 (|P|, d) point array and int64 (|H|, d+1) rows
     (normal, offset)."""
-    if not len(hyperplanes):
-        return np.zeros((len(pts), 0), dtype=bool)
     aug = hyperplanes % q
     return _vanishing(pts % q, aug[:, :-1], -aug[:, -1], q)
 
@@ -307,8 +305,6 @@ def sphere_incidence(pts, spheres, q: int) -> np.ndarray:
     difference array is built: the point norms are the row terms and
     ||c|| - r the column terms of `_vanishing`.
     """
-    if not len(spheres):
-        return np.zeros((len(pts), 0), dtype=bool)
     aug, pts = spheres % q, pts % q
     centers = aug[:, :-1]
     return _vanishing(pts, -2 * centers,

@@ -27,7 +27,7 @@ from .geometry import Flat, Hyperplane, hyperplane_incidence, incidence_counts
 from .multiset import build_multiset, mass_retention, popular_hyperplane
 from .stats import (Config, ceil_sqrt, membership_matrix,
                     near_extremality_from_counts)
-from .strata import persistent_pairs, regularize
+from .strata import persistent_pairs, regularize, rich_subfamily
 
 CASE_FLAT = "flat-concentration"
 CASE_DIRECTIONAL = "directional-coordination"
@@ -283,7 +283,8 @@ def extract_certificate(config: Config,
     lam1 = reg.richness_scale
     assert len(points_idx) >= lam1
 
-    sphere_min, spheres_idx = _rich_sphere_subfamily(membership[idx])
+    sphere_min, spheres_idx = rich_subfamily(
+        incidence_counts(membership[idx], 0))
 
     assert hyperplane_incidence(config.point_array[idx],
                                 retained.support[k:k + 1], q).all()
@@ -297,22 +298,3 @@ def extract_certificate(config: Config,
         flags=(),
         params={"K": K, "B0": b0, "min_points": lam1, "sphere_min": sphere_min},
     )
-
-
-def _rich_sphere_subfamily(incidence):
-    """Largest dyadic richness threshold keeping at least half of the
-    incidence mass between P' and the sphere family, from the P' rows of
-    the membership matrix."""
-    degs = incidence_counts(incidence, 0).tolist()
-    total = sum(degs)
-    if total == 0:
-        return 1, ()
-    t = 1
-    best = 1
-    while t <= max(degs):
-        retained = sum(v for v in degs if v >= t)
-        if 2 * retained >= total:
-            best = t
-        t *= 2
-    spheres_idx = tuple(i for i, v in enumerate(degs) if v >= best)
-    return best, spheres_idx

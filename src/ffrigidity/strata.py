@@ -136,6 +136,22 @@ def _heaviest_class(values: np.ndarray):
     return best, classes == best
 
 
+def rich_subfamily(degrees: np.ndarray):
+    """The rich sphere subfamily of the certificate, from the sphere
+    degrees into P': the largest dyadic threshold 2**j whose spheres of
+    degree at least 2**j keep at least half of the total degree, and
+    those spheres' positions; (1, ()) when the total is 0.  The float64
+    sums are exact below 2**53."""
+    classes = _dyadic_classes(degrees)
+    # kept[j] is the degree mass of the classes >= j
+    kept = np.cumsum(np.bincount(classes + 1, weights=degrees)[:0:-1])[::-1]
+    if not len(kept) or not kept[0]:
+        return 1, ()
+    # kept falls as j grows, so the j that keep half are 0, 1, ..., j
+    j = int(np.count_nonzero(2 * kept >= kept[0])) - 1
+    return 1 << j, tuple(np.flatnonzero(classes >= j).tolist())
+
+
 @dataclass(frozen=True, eq=False)
 class RegularizedConfig:
     """`point_idx`: the positions of the kept input points, increasing."""

@@ -9,6 +9,7 @@ import resource
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from ffrigidity import cli, geometry, stats, strata
 from ffrigidity.cli import main
 from ffrigidity.generators import GeneratorSpec, generate
+from ffrigidity.pipeline import ExtractOptions, extract_certificate
 
 
 def run(capsys, *argv):
@@ -695,5 +697,72 @@ def test_mutated_documents_exit_0_1_or_2(tmp_path_factory, case):
             assert code == 2
     assert code in (0, 1, 2), err.getvalue()
     if code == 2:
+        assert err.getvalue().startswith("error: ")
+        assert len(err.getvalue().splitlines()) == 1
+
+
+def _boundary_certificate(spec, c_const):
+    config = generate(spec).config
+    cert = extract_certificate(config, ExtractOptions(c_const=c_const))
+    return cert.case, cli.config_to_dict(config), json.loads(
+        json.dumps(cert.to_dict()))
+
+
+# The certificates the JSON boundary property mutates, one of each case,
+# with the configs they verify against.
+BOUNDARY_CERTIFICATES = [
+    _boundary_certificate(GeneratorSpec("uniform-random", 7, 3, 30, 30, 0),
+                          Fraction(1, 4)),
+    _boundary_certificate(GeneratorSpec("uniform-random", 5, 3, 20, 8, 0),
+                          Fraction(1, 4)),
+    _boundary_certificate(GeneratorSpec("uniform-random", 7, 3, 30, 30, 0),
+                          Fraction(50)),
+]
+
+
+def test_boundary_certificates_verify(tmp_path, capsys):
+    assert [case for case, _, _ in BOUNDARY_CERTIFICATES] == [
+        "flat-concentration", "directional-coordination", "no-signal"]
+    for _, config, cert in BOUNDARY_CERTIFICATES:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        (tmp_path / "cert.json").write_text(json.dumps(cert))
+        code, out, _ = run(capsys, "verify", str(tmp_path / "config.json"),
+                           str(tmp_path / "cert.json"))
+        assert (code, out) == (0, "ok\n")
+
+
+@st.composite
+def _mutated_certificates(draw):
+    _, config, cert = draw(st.sampled_from(BOUNDARY_CERTIFICATES))
+    for _ in range(draw(st.integers(1, 3))):
+        cert = draw(_mutant(cert, root=True))
+    return config, cert
+
+
+@given(case=_mutated_certificates())
+def test_mutated_certificates_exit_0_or_1(tmp_path_factory, case):
+    """verify on a mutated certificate returns 0 or 1; 2, with one error
+    line, only when the top level is not an object or an integer is past
+    the digit limit of Python's int parsing, so the JSON is unreadable.
+    No exception leaves main but argparse's SystemExit(2)."""
+    config, cert = case
+    base = tmp_path_factory.getbasetemp()
+    (base / "boundary-config.json").write_text(json.dumps(config))
+    text = json.dumps(cert)
+    unreadable = json.dumps(LONG_INTEGER) in text
+    (base / "mutated-cert.json").write_text(
+        text.replace(json.dumps(LONG_INTEGER), "9" * 5000))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(["verify", str(base / "boundary-config.json"),
+                         str(base / "mutated-cert.json")])
+        except SystemExit as exc:
+            code = exc.code
+            assert code == 2
+    if isinstance(cert, dict) and not unreadable:
+        assert code in (0, 1), err.getvalue()
+    else:
+        assert code == 2
         assert err.getvalue().startswith("error: ")
         assert len(err.getvalue().splitlines()) == 1

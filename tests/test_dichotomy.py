@@ -1,12 +1,13 @@
+import hashlib
+import itertools
 import random
 from math import comb
 
 import pytest
 
 from ffrigidity.dichotomy import (BasisTooLarge, Polynomial, dichotomy,
-                                  enumerate_monomials, monomial_basis,
-                                  monomial_values)
-from ffrigidity.field import PrimeField, kernel_basis
+                                  enumerate_monomials, monomial_values)
+from ffrigidity.field import PrimeField, rref
 from ffrigidity.geometry import all_projective_directions
 
 
@@ -47,20 +48,19 @@ def test_polynomial_evaluate():
 
 
 def test_evaluation_matrix_single_direction_linear():
-    basis = monomial_basis(3, 1)
-    mat = monomial_values([(2, 3, 4)], basis.exponents, 7)
+    mat = monomial_values([(2, 3, 4)], enumerate_monomials(3, 1), 7)
     assert mat.tolist() == [[2, 3, 4]]
 
 
 def test_evaluation_matrix_rescaling_keeps_kernel():
+    # rescaling a direction scales its row, so the row space, and with it
+    # the kernel, is unchanged: the two reduced forms are equal
     q = 7
-    basis = monomial_basis(3, 2)
+    exponents = enumerate_monomials(3, 2)
     dirs = [(1, 2, 3), (1, 0, 5), (0, 1, 6)]
     scaled = [tuple(3 * c % q for c in n) for n in dirs]
-    k1 = kernel_basis(monomial_values(dirs, basis.exponents, q), PrimeField(q))
-    k2 = kernel_basis(monomial_values(scaled, basis.exponents, q),
-                      PrimeField(q))
-    assert k1 == k2
+    assert rref(monomial_values(dirs, exponents, q), PrimeField(q)) == rref(
+        monomial_values(scaled, exponents, q), PrimeField(q))
 
 
 def test_dichotomy_single_direction():
@@ -90,6 +90,42 @@ def test_dichotomy_small_sets_always_algebraic():
         assert res.branch == "algebraic"
         for v in dirs:
             assert res.poly.evaluate(v, q) == 0
+
+
+def _pinned_draws():
+    rng = random.Random(30)
+    for _ in range(300):
+        q = rng.choice((3, 5, 7, 11, 13, 61))
+        nvars = rng.randrange(2, 5)
+        D = rng.randrange(1, 4)
+        dim = comb(nvars + D - 1, nvars - 1)
+        n = rng.randrange(1, 2 * dim + 1)
+        yield [tuple(rng.randrange(q) for _ in range(nvars))
+               for _ in range(n)], D, q
+    # criterion 4's shapes: fewer directions of P^2 than the basis size,
+    # and the whole plane
+    for q in (3, 5, 7, 11, 13):
+        plane = [v for v in itertools.product(range(q), repeat=3) if any(v)]
+        for D in (1, 2, 3):
+            yield rng.sample(plane, rng.randrange(1, comb(D + 2, 2))), D, q
+            yield plane, D, q
+
+
+def test_dichotomy_results_pinned():
+    # every result over fixed draws, 164 algebraic and 166 large, pinned
+    # by one digest: any change in the form read off rref, its scaling,
+    # its term order or the int type of its coefficients fails here
+    h = hashlib.sha256()
+    branches = []
+    for dirs, D, q in _pinned_draws():
+        r = dichotomy(dirs, D, q)
+        branches.append(r.branch)
+        h.update(repr((r.branch, r.poly and r.poly.terms, r.n_directions,
+                       r.basis_size, r.degree)).encode())
+    assert branches.count("algebraic") == 164
+    assert branches.count("large") == 166
+    assert h.hexdigest() == (
+        "df4e3bc216cfe8f0638390113d09012ba7a1f6083ddffd8ceebd8ee82d7aefcd")
 
 
 def test_dichotomy_full_projective_space_large_quadratic():

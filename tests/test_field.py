@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ffrigidity.field import (NotAPrime, PrimeField, inverse_table,
-                              is_odd_prime, kernel_basis, residue_dtype, rref)
+                              is_odd_prime, residue_dtype, rref)
 
 
 # oracle: rank by exhaustive search for the largest invertible minor,
@@ -34,10 +34,6 @@ def rank_oracle(mat, q):
                 if det_mod(sub, q):
                     return r
     return 0
-
-
-def solves_homogeneous(mat, v, q):
-    return all(sum(a * b for a, b in zip(row, v)) % q == 0 for row in mat)
 
 
 # oracle: textbook Gauss-Jordan on Python integer lists, reducing every
@@ -89,11 +85,10 @@ def test_prime_field_rejects_bad_moduli():
 
 def test_inverse_property_all_elements():
     for q in (3, 5, 7, 11, 13):
-        f = PrimeField(q)
+        table = inverse_table(q)
         for a in range(1, q):
-            assert a * f.inv(a) % q == 1
-        with pytest.raises(ZeroDivisionError):
-            f.inv(0)
+            assert a * int(table[a]) % q == 1
+        assert table[0] == 0
 
 
 def test_field_equality_and_hash():
@@ -108,12 +103,6 @@ def test_rref_known_example():
     # invertible, so reduces to the identity
     assert rows == ((1, 0), (0, 1))
     assert pivots == (0, 1)
-
-
-def test_kernel_of_ones_row_mod_5():
-    f = PrimeField(5)
-    basis = kernel_basis([[1, 1]], f)
-    assert basis == ((1, 4),)
 
 
 def test_rref_idempotent_random():
@@ -138,37 +127,6 @@ def test_rank_matches_minor_oracle():
         cols = rng.randrange(1, 4)
         mat = [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)]
         assert len(rref(mat, f)[1]) == rank_oracle(mat, q)
-
-
-def test_kernel_vectors_solve_and_span_correct_count():
-    rng = random.Random(4)
-    for _ in range(50):
-        q = rng.choice((3, 5, 7, 11))
-        f = PrimeField(q)
-        rows = rng.randrange(1, 4)
-        cols = rng.randrange(1, 5)
-        mat = [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)]
-        basis = kernel_basis(mat, f)
-        assert len(basis) == cols - rank_oracle(mat, q)
-        for v in basis:
-            assert solves_homogeneous(mat, v, q)
-            lead = next(c for c in v if c)
-            assert lead == 1
-
-
-def test_kernel_exhaustive_small():
-    # over F_3 with 3 columns the kernel can be enumerated directly
-    f = PrimeField(3)
-    mat = [[1, 2, 0], [0, 0, 1]]
-    basis = kernel_basis(mat, f)
-    solutions = {v for v in itertools.product(range(3), repeat=3)
-                 if solves_homogeneous(mat, v, 3)}
-    spanned = set()
-    for coeffs in itertools.product(range(3), repeat=len(basis)):
-        vec = tuple(sum(c * b[i] for c, b in zip(coeffs, basis)) % 3
-                    for i in range(3))
-        spanned.add(vec)
-    assert spanned == solutions
 
 
 def test_pivot_columns_have_unit_columns():

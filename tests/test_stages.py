@@ -1,12 +1,13 @@
-"""Every extract stage earns its place, and the isotropic-line fixtures.
+"""Every extract stage earns its place, and the isotropic fixtures.
 
 A stage is skipped by monkeypatching the name the pipeline calls it
 through, with no library option.  For each stage one config is named on
 which the skip changes the certificate.
 
-The fixtures are the near-extremal configs of d = 3: k parallel
-isotropic lines i*w + t*v (i < k, t in F_q) in the tangent plane v^perp
-of their direction v, each point the centre of a zero-radius sphere.
+The fixtures are near-extremal configs: in d = 3, k parallel isotropic
+lines i*w + t*v (i < k, t in F_q) in the tangent plane v^perp of their
+direction v, and in d = 4 a totally isotropic plane; each point is the
+centre of a zero-radius sphere.
 """
 
 import itertools
@@ -38,6 +39,36 @@ def isotropic_lines(q, k):
     config = make_config(make_space(q, 3), points,
                          [Sphere(p, 0) for p in points])
     return config, v
+
+
+def isotropic_plane(q):
+    """The totally isotropic plane {s*u + t*v} of d = 4, with
+    u = (1, 0, a, b), v = (0, 1, b, -a) and (a, b) the least pair with
+    a*a + b*b = -1 (mod q): u.u = v.v = u.v = 0, so every difference of
+    two points, itself in the plane, is isotropic, and every sphere of S,
+    the zero-radius spheres centred on P, holds every point."""
+    a, b = next((a, b) for a in range(q) for b in range(q)
+                if (a * a + b * b + 1) % q == 0)
+    points = [(s, t, (s * a + t * b) % q, (s * b - t * a) % q)
+              for s in range(q) for t in range(q)]
+    return make_config(make_space(q, 4), points,
+                       [Sphere(p, 0) for p in points])
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
+def test_isotropic_plane_is_near_extremal_and_certifies(q):
+    # K = sqrt(q) * (1 - 1/q) passes 3, the default of experiment
+    # --guard-k, from q = 11 on, though the config is valid
+    config = isotropic_plane(q)
+    K2 = energies(config).K2
+    assert K2 == Fraction((q - 1) ** 2, q)
+    assert (K2 > 9) == (q >= 11)
+    cert = extract_certificate(config)
+    assert (cert.params["K"] > 3.0) == (q >= 11)
+    assert cert.case == (CASE_DIRECTIONAL if q <= 7 else CASE_FLAT)
+    assert verify_certificate(config, cert.to_dict()) == []
+    assert cert.points_idx == tuple(range(q * q))
+    assert cert.spheres_idx == tuple(range(q * q))
 
 
 def _plane(v):

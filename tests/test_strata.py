@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ffrigidity import field, geometry
 from ffrigidity.geometry import (Hyperplane, Sphere, hyperplane_contains,
@@ -13,7 +15,7 @@ from ffrigidity.geometry import (Hyperplane, Sphere, hyperplane_contains,
                                  radical_hyperplanes)
 from ffrigidity.stats import energies, make_config, membership_matrix
 from ffrigidity.strata import (dyadic_class, persistent_pairs, regularize,
-                               stratify)
+                               rich_subfamily, stratify)
 from ffrigidity.multiset import HyperplaneMultiset, build_multiset
 
 
@@ -507,3 +509,26 @@ def test_regularize_matches_scalar_buckets():
         assert hyperplanes(reg.multiset.support) == support
         assert reg.multiset.counts.tolist() == [members[h] for h in support]
         assert reg.richness_scale == 1 << jh
+
+
+def _rich_subfamily_oracle(degs):
+    """The largest threshold t in 1, 2, 4, ... up to the largest degree
+    whose spheres of degree >= t keep at least half of the total, and
+    those spheres, by a scan of the thresholds with a list sum at each."""
+    total = sum(degs)
+    if total == 0:
+        return 1, ()
+    t = best = 1
+    while t <= max(degs):
+        if 2 * sum(v for v in degs if v >= t) >= total:
+            best = t
+        t *= 2
+    return best, tuple(i for i, v in enumerate(degs) if v >= best)
+
+
+@given(st.lists(st.one_of(st.just(0), st.integers(0, 5000)), max_size=29))
+def test_rich_subfamily_matches_threshold_scan(degs):
+    threshold, spheres = rich_subfamily(np.array(degs, dtype=np.int64))
+    # Python ints, as the certificate's JSON is written from them
+    assert type(threshold) is int
+    assert (threshold, spheres) == _rich_subfamily_oracle(degs)
