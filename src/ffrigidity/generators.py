@@ -23,7 +23,7 @@ import numpy as np
 
 from .geometry import (AmbientSpace, Hyperplane, SpaceTooLarge, Sphere,
                        all_projective_directions, canonical_hyperplane,
-                       make_space, point_grid, sphere_incidence)
+                       lift, make_space, point_grid)
 from .stats import Config, make_config
 
 PRNG_NAME = "python-random-mt19937"
@@ -120,7 +120,7 @@ def _random_hyperplane(q: int, d: int, rng: random.Random,
                        non_isotropic: bool) -> Hyperplane:
     dirs = all_projective_directions(q, d)
     if non_isotropic:
-        dirs = dirs[(dirs * dirs).sum(axis=1) % q != 0]
+        dirs = dirs[lift(dirs, q)[:, d] != 0]
     normal = dirs[rng.choice(range(len(dirs)))].tolist()
     return canonical_hyperplane(normal, rng.randrange(q), q)
 
@@ -149,7 +149,7 @@ def _generate(spec: GeneratorSpec, space: AmbientSpace) -> GeneratedConfig:
     elif kind == "quadric-planted":
         quadric_r = rng.randrange(1, q)
         grid = point_grid(q, d)
-        on = sphere_incidence(grid, np.array([[0] * d + [quadric_r]]), q)[:, 0]
+        on = lift(grid, q)[:, d] == quadric_r
         quadric, complement = grid[on], grid[~on]
         if n_on > len(quadric):
             raise BadGeneratorSpec("n_points: more on-structure points than "

@@ -213,39 +213,36 @@ def point_grid(q: int, d: int) -> np.ndarray:
 _BLOCK_CELLS = 1 << 15
 
 
-def _vanishing(pts: np.ndarray, forms: np.ndarray, col_terms: np.ndarray,
-               q: int, row_terms: np.ndarray | None = None) -> np.ndarray:
-    """Boolean matrix whose [i, j] entry says
-    pts[i] . forms[j] + row_terms[i] + col_terms[j] = 0 (mod q),
-    without a row term when row_terms is None.
+def lift(pts, q: int) -> np.ndarray:
+    """The lifted points [x mod q | ||x|| mod q | 1] of an integer (n, d)
+    array, as int64 (n, d+2) rows, the one form the incidence kernels
+    read.  x is reduced first, so ||x|| < d*q*q in int64 for any input."""
+    rows = np.ones((len(pts), pts.shape[1] + 2), dtype=np.int64)
+    x = np.remainder(pts, q, out=rows[:, :-2])
+    np.remainder(np.einsum("ij,ij->i", x, x), q, out=rows[:, -2])
+    return rows
 
-    The kernels reduce their coordinates mod q first, so the absolute
-    values of the terms of a sum add up to less than 4*d*q*q + q.  The
-    sums are one BLAS product of the rows [x | 1 | row term] and the
-    columns [form | col term | 1], row block by row block of at most
-    2**15 cells, so no |P| x m temporary is built: in float32 while that
-    bound is below 2**22, else in float64, so every partial sum is an
-    integer the dtype holds exactly, in any summation order, and so is
-    the sum v.  An entry is divisible by q exactly when
-    v == rint(v * (1/q)) * q: the right side is always an exact multiple
-    of q, and when q divides v the rounded quotient is exact, because
-    its error, under |v/q| * 2**-22 (float32) or |v/q| * 2**-51
-    (float64), stays below 1/2.
+
+def _vanishing(rows: np.ndarray, cols: np.ndarray, q: int) -> np.ndarray:
+    """Boolean matrix whose [i, j] entry says rows[i] . cols[:, j] = 0
+    (mod q), for lifted points `rows` (n, k) and a lifted (k, m) family
+    `cols`, both residues in [0, q), so no sum exceeds k*(q-1)**2.
+
+    The sums are one BLAS product per row block of at most 2**15 cells,
+    so no |P| x m temporary is built: in float32 while that bound is
+    below 2**22, else in float64, so every partial sum is an integer the
+    dtype holds exactly, in any summation order, and so is the sum v.
+    An entry is divisible by q exactly when v == rint(v * (1/q)) * q: the
+    right side is always an exact multiple of q, and when q divides v the
+    rounded quotient is exact, because its error, under |v/q| * 2**-22
+    (float32) or |v/q| * 2**-51 (float64), stays below 1/2.
     """
-    n, (m, d) = len(pts), forms.shape
-    assert 4 * d * q * q < 1 << 50, "modulus too large for exact float64 sums"
-    dtype = np.float32 if 4 * d * q * q + q < 1 << 22 else np.float64
+    n, (k, m) = len(rows), cols.shape
+    bound = k * (q - 1) ** 2
+    assert bound < 1 << 50, "modulus too large for exact float64 sums"
+    dtype = np.float32 if bound < 1 << 22 else np.float64
     out = np.empty((n, m), dtype=bool)
-    k = d + 1 if row_terms is None else d + 2
-    rows = np.empty((n, k), dtype=dtype)
-    rows[:, :d] = pts
-    rows[:, d] = 1
-    cols = np.empty((k, m), dtype=dtype)
-    cols[:d] = forms.T
-    cols[d] = col_terms
-    if row_terms is not None:
-        rows[:, d + 1] = row_terms
-        cols[d + 1] = 1
+    rows, cols = rows.astype(dtype), cols.astype(dtype)
     step = max(1, _BLOCK_CELLS // max(m, 1))
     inv = 1.0 / q
     for start in range(0, n, step):
@@ -288,28 +285,29 @@ def incidence_counts(inc: np.ndarray, axis: int,
     return counts.astype(np.int64)
 
 
-def hyperplane_incidence(pts, hyperplanes, q: int) -> np.ndarray:
+def hyperplane_incidence(lifted, hyperplanes, q: int) -> np.ndarray:
     """Boolean |P| x |H| matrix whose [i, j] entry says <n_j, x_i> = b_j,
-    for an int64 (|P|, d) point array and int64 (|H|, d+1) rows
-    (normal, offset)."""
+    for points lifted by `lift` and int64 (|H|, d+1) rows (normal,
+    offset): hyperplane j is lifted to the column [n_j | 0 | -b_j]."""
     aug = hyperplanes % q
-    return _vanishing(pts % q, aug[:, :-1], -aug[:, -1], q)
+    cols = np.zeros((aug.shape[1] + 1, len(aug)), dtype=residue_dtype(q))
+    cols[:-2] = aug[:, :-1].T
+    cols[-1] = -aug[:, -1] % q
+    return _vanishing(lifted, cols, q)
 
 
-def sphere_incidence(pts, spheres, q: int) -> np.ndarray:
+def sphere_incidence(lifted, spheres, q: int) -> np.ndarray:
     """Boolean |P| x |S| matrix whose [i, j] entry says ||x_i - c_j|| = r_j,
-    for an int64 (|P|, d) point array and int64 (|S|, d+1) rows
-    (center, r), such as `Config.sphere_array`.
-
-    The form is expanded as ||x|| - 2<x, c> + ||c||, so no |P| x |S| x d
-    difference array is built: the point norms are the row terms and
-    ||c|| - r the column terms of `_vanishing`.
-    """
-    aug, pts = spheres % q, pts % q
-    centers = aug[:, :-1]
-    return _vanishing(pts, -2 * centers,
-                      (centers * centers).sum(axis=1) - aug[:, -1], q,
-                      row_terms=(pts * pts).sum(axis=1))
+    for points lifted by `lift` and int64 (|S|, d+1) rows (center, r),
+    such as `Config.sphere_array`: sphere j is lifted to the column
+    [-2c_j | 1 | ||c_j|| - r_j] mod q of the expanded form
+    ||x|| - 2<x, c> + ||c|| - r, so no |P| x |S| x d difference array is
+    built."""
+    aug = spheres % q
+    cols = np.ones((aug.shape[1] + 1, len(aug)), dtype=residue_dtype(q))
+    cols[:-2] = -2 * aug[:, :-1].T % q
+    cols[-1] = (np.square(aug[:, :-1]).sum(axis=1) - aug[:, -1]) % q
+    return _vanishing(lifted, cols, q)
 
 
 def incidence_gram(inc: np.ndarray) -> np.ndarray:
@@ -328,17 +326,17 @@ def incidence_gram(inc: np.ndarray) -> np.ndarray:
 
 def hyperplane_points(h: Hyperplane, space: AmbientSpace):
     pts = point_grid(space.q, space.d)
-    rows = np.array([[*h.normal, h.offset]], dtype=np.int64)
-    sel = pts[hyperplane_incidence(pts, rows, space.q)[:, 0]]
-    return [tuple(int(c) for c in row) for row in sel]
+    on = hyperplane_incidence(lift(pts, space.q), np.array(
+        [[*h.normal, h.offset]], dtype=np.int64), space.q)[:, 0]
+    return list(map(tuple, pts[on].tolist()))
 
 
 def flat_points(flat: Flat, space: AmbientSpace):
     """All q**(d-2) points of the flat, in lexicographic order."""
     pts = point_grid(space.q, space.d)
-    rows = np.column_stack([flat.rows, flat.values]).astype(np.int64)
-    sel = pts[hyperplane_incidence(pts, rows, space.q).all(axis=1)]
-    return [tuple(int(c) for c in row) for row in sel]
+    on = hyperplane_incidence(lift(pts, space.q), np.column_stack(
+        [flat.rows, flat.values]).astype(np.int64), space.q).all(axis=1)
+    return list(map(tuple, pts[on].tolist()))
 
 
 @lru_cache(maxsize=32)

@@ -286,7 +286,7 @@ def extract_certificate(config: Config,
     sphere_min, spheres_idx = rich_subfamily(
         incidence_counts(membership[idx], 0))
 
-    assert hyperplane_incidence(config.point_array[idx],
+    assert hyperplane_incidence(config.point_lift[idx],
                                 retained.support[k:k + 1], q).all()
 
     return Certificate(

@@ -19,18 +19,19 @@ from operator import mod
 import numpy as np
 
 from .geometry import (AmbientSpace, Sphere, incidence_counts, incidence_gram,
-                       sphere_incidence)
+                       lift, sphere_incidence)
 
 
 @dataclass(frozen=True)
 class Config:
-    """`point_array` and `sphere_array` are the read-only int64 (|P|, d)
-    points and (|S|, d+1) sphere rows (center, r) for the array kernels;
-    derived from the tuples, they are not compared."""
+    """`point_lift`, the (|P|, d+2) `geometry.lift` of the points, its first
+    d columns `point_array` and `sphere_array`, the (|S|, d+1) sphere rows
+    (center, r), are read-only int64, derived from the tuples, not compared."""
     space: AmbientSpace
     points: tuple
     spheres: tuple
     point_array: np.ndarray = field(compare=False, hash=False, repr=False)
+    point_lift: np.ndarray = field(compare=False, hash=False, repr=False)
     sphere_array: np.ndarray = field(compare=False, hash=False, repr=False)
 
     @property
@@ -55,9 +56,9 @@ def make_config(space: AmbientSpace, points, spheres) -> Config:
         raise ValueError(f"point {bad!r} does not have dimension {d}")
     coords = map(mod, chain.from_iterable(points), repeat(q))
     pts = tuple(dict.fromkeys(zip(*[coords] * d)))
-    arr = np.fromiter(chain.from_iterable(pts), dtype=np.int64,
-                      count=len(pts) * d).reshape(len(pts), d)
-    arr.setflags(write=False)
+    lifted = lift(np.fromiter(chain.from_iterable(pts), dtype=np.int64,
+                              count=len(pts) * d).reshape(len(pts), d), q)
+    lifted.setflags(write=False)
     # a Sphere is a (center, r) tuple, so any such pair reads the same way
     sph = tuple(dict.fromkeys(Sphere(tuple(c % q for c in s[0]), s[1] % q)
                               for s in spheres))
@@ -67,13 +68,13 @@ def make_config(space: AmbientSpace, points, spheres) -> Config:
     rows = np.array([(*s.center, s.r) for s in sph],
                     dtype=np.int64).reshape(len(sph), d + 1)
     rows.setflags(write=False)
-    return Config(space=space, points=pts, spheres=sph, point_array=arr,
-                  sphere_array=rows)
+    return Config(space=space, points=pts, spheres=sph, point_lift=lifted,
+                  point_array=lifted[:, :d], sphere_array=rows)
 
 
 def membership_matrix(config: Config) -> np.ndarray:
     """Boolean |P| x |S| matrix of point-on-sphere incidences."""
-    return sphere_incidence(config.point_array, config.sphere_array, config.q)
+    return sphere_incidence(config.point_lift, config.sphere_array, config.q)
 
 
 @dataclass(frozen=True)

@@ -70,7 +70,7 @@ def _bisectors(config: Config):
         h = radical_hyperplane(spheres[0], spheres[1], q)
         assert index[0] < 0 if h is None else (
             index[0] >= 0 and rows[index[0]].tolist() == [*h.normal, h.offset])
-    return rows, hyperplane_incidence(config.point_array, rows, q), index
+    return rows, hyperplane_incidence(config.point_lift, rows, q), index
 
 
 @dataclass(frozen=True, eq=False)

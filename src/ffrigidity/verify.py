@@ -6,15 +6,15 @@ alone, with its own code: every listed point lies on the named
 hyperplane, every listed sphere holds at least `sphere_min` of them,
 and a witness flat lies in the hyperplane.  The sphere check evaluates
 the same expanded form ||x|| - 2<x, c> + ||c|| - r as the pipeline's
-kernel, as one float32 or float64 product per row block of lifted
-points and spheres, but from residues centred in (-q/2, q/2] and under
-its own guards, d*q*q < 2**23 for float32 and d*q*q < 2**52 (see
-`_sphere_degrees`).  It does not yet re-derive everything: K and the
-two floors `min_points` and `sphere_min` are still taken from the
-document, not recomputed from the configuration, so a document that
-lowers its own floors still verifies.  Each failure
-is reported as a human-readable string; an empty list means the
-certificate verifies.
+kernel, one float product per row block of lifted points and spheres,
+but keeps its own centred lift of `Config.point_array` (it never reads
+`Config.point_lift`), residues in (-q/2, q/2], and its own guards,
+d*q*q < 2**23 for float32 and d*q*q < 2**52 (see `_sphere_degrees`).
+It does not yet re-derive everything: K and the two floors
+`min_points` and `sphere_min` are still taken from the document, not
+recomputed from the configuration, so a document that lowers its own
+floors still verifies.  Each failure is reported as a human-readable
+string; an empty list means the certificate verifies.
 """
 
 from __future__ import annotations

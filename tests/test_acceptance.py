@@ -21,7 +21,7 @@ from ffrigidity.field import PrimeField
 from ffrigidity.generators import GeneratorSpec, generate
 from ffrigidity.geometry import (Hyperplane, Sphere, flat_from_pair,
                                  hyperplane_contains, make_space, point_grid,
-                                 quad_norm, radical_hyperplane,
+                                 lift, quad_norm, radical_hyperplane,
                                  sphere_incidence)
 from ffrigidity.multiset import (build_multiset, mass_retention,
                                  popular_hyperplane)
@@ -76,7 +76,7 @@ def test_criterion_01_radical_containment():
                 spheres.append(s)
         grid = point_grid(q, d)
         rows = make_config(make_space(q, d), [], spheres).sphere_array
-        inc = sphere_incidence(grid, rows, q)
+        inc = sphere_incidence(lift(grid, q), rows, q)
         cache = {s: frozenset(map(tuple, grid[inc[:, k]].tolist()))
                  for k, s in enumerate(spheres)}
         done = 0

@@ -15,7 +15,7 @@ from ffrigidity.geometry import (IDENTICAL, PARALLEL_DISJOINT, Flat,
                                  flat_points, hyperplane_contains,
                                  hyperplane_incidence, hyperplane_points,
                                  incidence_counts, incidence_gram,
-                                 make_space, point_grid,
+                                 lift, make_space, point_grid,
                                  quad_norm, radical_hyperplane,
                                  sphere_contains, sphere_incidence)
 
@@ -68,7 +68,8 @@ def test_sphere_points_match_oracle():
         for _ in range(10):
             s = Sphere(tuple(rng.randrange(q) for _ in range(3)),
                        rng.randrange(q))
-            rows = grid[sphere_incidence(grid, _rows([s], 3), q)[:, 0]]
+            on = sphere_incidence(lift(grid, q), _rows([s], 3), q)[:, 0]
+            rows = grid[on]
             assert list(map(tuple, rows.tolist())) == sphere_points_oracle(s, q, 3)
 
 
@@ -105,8 +106,8 @@ def test_masks_agree_with_membership():
         hyperplanes = [canonical_hyperplane(v, rng.randrange(q), q)
                        for v in (tuple(rng.randrange(q) for _ in range(d))
                                  for _ in range(6)) if any(v)]
-        ms = sphere_incidence(grid, _rows(spheres, d), q)
-        mh = hyperplane_incidence(grid, _rows(hyperplanes, d), q)
+        ms = sphere_incidence(lift(grid, q), _rows(spheres, d), q)
+        mh = hyperplane_incidence(lift(grid, q), _rows(hyperplanes, d), q)
         assert ms.shape == (len(grid), len(spheres))
         assert mh.shape == (len(grid), len(hyperplanes))
         for i, row in enumerate(grid):
@@ -116,16 +117,18 @@ def test_masks_agree_with_membership():
             for j, h in enumerate(hyperplanes):
                 assert mh[i, j] == hyperplane_contains(h, x, q)
         pts, none = grid[::7], _rows([], d)
-        assert (sphere_incidence(pts, _rows(spheres, d), q)
+        assert (sphere_incidence(lift(pts, q), _rows(spheres, d), q)
                 == ms[::7]).all()
-        assert (hyperplane_incidence(pts, _rows(hyperplanes, d), q)
+        assert (hyperplane_incidence(lift(pts, q), _rows(hyperplanes, d), q)
                 == mh[::7]).all()
-        assert sphere_incidence(pts[:0], _rows(spheres, d),
+        assert sphere_incidence(lift(pts[:0], q), _rows(spheres, d),
                                 q).shape == (0, len(spheres))
-        assert hyperplane_incidence(pts[:0], _rows(hyperplanes, d),
+        assert hyperplane_incidence(lift(pts[:0], q), _rows(hyperplanes, d),
                                     q).shape == (0, len(hyperplanes))
-        assert sphere_incidence(pts, none, q).shape == (len(pts), 0)
-        assert hyperplane_incidence(pts, none, q).shape == (len(pts), 0)
+        assert sphere_incidence(lift(pts, q), none,
+                                q).shape == (len(pts), 0)
+        assert hyperplane_incidence(lift(pts, q), none,
+                                    q).shape == (len(pts), 0)
         for inc in (ms, mh, ms[:0], mh[:, :0]):
             dense = inc.astype(np.int64)
             assert (incidence_gram(inc) == dense.T @ dense).all()
@@ -211,8 +214,9 @@ def test_incidence_kernels_match_scalar_oracles_at_block_edges(q, d):
     assert ms.any() and mh.any() and not ms.all() and not mh.all()
     # no points, one point, exactly one row block, one block and one row
     for n in (0, 1, step, step + 1):
-        assert (sphere_incidence(pts[:n], spheres, q) == ms[:n]).all()
-        assert (hyperplane_incidence(pts[:n], hyperplanes, q)
+        assert (sphere_incidence(lift(pts[:n], q), spheres, q)
+                == ms[:n]).all()
+        assert (hyperplane_incidence(lift(pts[:n], q), hyperplanes, q)
                 == mh[:n]).all()
 
 
@@ -226,17 +230,18 @@ def test_incidence_kernels_with_more_columns_than_a_block(q, d):
     ms = _oracle(sphere_contains, reduced_s, pts, q)
     mh = _oracle(hyperplane_contains, reduced_h, pts, q)
     assert ms.any() and mh.any() and not ms.all() and not mh.all()
-    assert (sphere_incidence(pts, spheres, q) == ms).all()
-    assert (hyperplane_incidence(pts, hyperplanes, q) == mh).all()
+    assert (sphere_incidence(lift(pts, q), spheres, q) == ms).all()
+    assert (hyperplane_incidence(lift(pts, q), hyperplanes, q) == mh).all()
 
 
 def test_incidence_kernels_refuse_modulus_beyond_float64_exactness():
-    q = 1 << 25  # 4 * d * q * q reaches 2**50 already at d = 1
+    q = 1 << 25  # (d + 2) * (q - 1)**2 passes 2**50 already at d = 1
     pts = np.zeros((2, 3), dtype=np.int64)
     with pytest.raises(AssertionError):
-        sphere_incidence(pts, _rows([Sphere((0, 0, 0), 0)], 3), q)
+        sphere_incidence(lift(pts, q), _rows([Sphere((0, 0, 0), 0)], 3), q)
     with pytest.raises(AssertionError):
-        hyperplane_incidence(pts, _rows([Hyperplane((1, 0, 0), 0)], 3), q)
+        hyperplane_incidence(lift(pts, q),
+                             _rows([Hyperplane((1, 0, 0), 0)], 3), q)
 
 
 @pytest.mark.parametrize("block", [None, 1, 7 * 120 + 5])
@@ -273,9 +278,10 @@ def test_sphere_incidence_memory_is_bounded():
     pts = rng.integers(0, q, size=(2000, 3))
     spheres = np.column_stack([rng.integers(0, q, size=(120, 3)),
                                rng.integers(0, q, size=120)])
+    lifted = lift(pts, q)
     tracemalloc.start()
     try:
-        inc = sphere_incidence(pts, spheres, q)
+        inc = sphere_incidence(lifted, spheres, q)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

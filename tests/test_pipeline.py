@@ -547,6 +547,36 @@ def test_extract_computes_each_incidence_once(monkeypatch):
                          "sphere_incidence": 1}
 
 
+def test_extract_lifts_no_point(monkeypatch):
+    # make_config lifts the points once; an extract reads
+    # config.point_lift and lifts none itself
+    calls = []
+    true_lift = geometry.lift
+
+    def counting(pts, q):
+        calls.append(len(pts))
+        return true_lift(pts, q)
+
+    patched = set()
+    for name, module in list(sys.modules.items()):
+        if ((name == "ffrigidity" or name.startswith("ffrigidity."))
+                and getattr(module, "lift", None) is true_lift):
+            monkeypatch.setattr(module, "lift", counting)
+            patched.add(name)
+    assert patched >= {"ffrigidity.geometry", "ffrigidity.stats"}
+    for (kind, q, d, np_, ns, seed, noise, c_const, b0, case,
+         _) in GOLDEN_CERTIFICATES:
+        cfg = generate(GeneratorSpec(kind, q, d, np_, ns, seed, noise)).config
+        calls.clear()
+        again = make_config(cfg.space, cfg.points, cfg.spheres)
+        assert calls == [len(cfg.points)]
+        calls.clear()
+        cert = extract_certificate(
+            again, ExtractOptions(c_const=Fraction(c_const), b0=b0))
+        assert cert.case == case
+        assert calls == []
+
+
 def test_directional_extract_runs_no_dichotomy(monkeypatch):
     # h0 comes from the popular direction and offset alone; no vanishing
     # form is solved for on the extract path
@@ -858,13 +888,13 @@ def _seam_families(rng, q, d, n, m):
 @pytest.mark.parametrize("module", [geometry, verify])
 def test_incidence_counts_exact_at_the_float32_seam(module, d, block,
                                                     monkeypatch):
-    # float32 sums below each guard, 4*d*q*q + q < 2**22 for the two
+    # float32 sums below each guard, (d+2)*(q-1)**2 < 2**22 for the two
     # incidence kernels and d*q*q < 2**23 for verify's sphere check, and
     # float64 from the next prime on; 100 points over 40 columns make
     # row blocks of one row, of 7 with a ragged last one, or one block
     if block is not None:
         monkeypatch.setattr(module, "_BLOCK_CELLS", block)
-    fits = ((lambda q: 4 * d * q * q + q < 1 << 22) if module is geometry
+    fits = ((lambda q: (d + 2) * (q - 1) ** 2 < 1 << 22) if module is geometry
             else (lambda q: d * q * q < 1 << 23))
     for q in _seam_primes(fits):
         pts, spheres, hyperplanes = _seam_families(random.Random(q + d), q,
@@ -876,10 +906,11 @@ def test_incidence_counts_exact_at_the_float32_seam(module, d, block,
                        for x in points])
         assert ms.any() and mh.any() and not ms.all() and not mh.all()
         if module is geometry:
-            assert (geometry.sphere_incidence(pts, rows(spheres), q)
+            lifted = geometry.lift(pts, q)
+            assert (geometry.sphere_incidence(lifted, rows(spheres), q)
                     == ms).all()
-            assert (geometry.hyperplane_incidence(pts, rows(hyperplanes), q)
-                    == mh).all()
+            assert (geometry.hyperplane_incidence(lifted, rows(hyperplanes),
+                                                  q) == mh).all()
         else:
             assert (verify._sphere_degrees(pts, rows(spheres), q).tolist()
                     == ms.sum(axis=0).tolist())
@@ -1009,6 +1040,25 @@ def test_verify_catches_a_broken_pipeline_sphere_kernel(monkeypatch):
                             [spheres[:, :-1], spheres[:, -1] - 1]), q))
     doc = json.loads(json.dumps(extract_certificate(g.config).to_dict()))
     failures = verify_certificate(g.config, doc)
+    assert failures
+    assert all(" structured points, need " in f for f in failures)
+
+
+def test_verify_reads_no_shared_point_lift():
+    # verify lifts config.point_array itself: a point lift whose ||x||
+    # slot is off by one makes the pipeline pick a sphere subfamily that
+    # verify, counting against the true points, rejects
+    g = generate(GeneratorSpec("reflected-pairs", 13, 3, 150, 40, seed=0,
+                               noise=0.1))
+    d, q = g.config.d, g.config.q
+    bad = g.config.point_lift.copy()
+    bad[:, d] = (bad[:, d] + 1) % q
+    bad.setflags(write=False)
+    broken = dataclasses.replace(g.config, point_lift=bad)
+    assert (broken.point_array == g.config.point_array).all()
+    doc = json.loads(json.dumps(extract_certificate(broken).to_dict()))
+    assert doc["case"] != CASE_NO_SIGNAL
+    failures = verify_certificate(broken, doc)
     assert failures
     assert all(" structured points, need " in f for f in failures)
 

@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ffrigidity.geometry import Sphere, hyperplane_points, make_space, canonical_hyperplane
+from ffrigidity.geometry import (Sphere, canonical_hyperplane, hyperplane_points,
+                                 make_space, quad_norm)
 from ffrigidity.stats import (Config, ceil_sqrt, energies, make_config,
                               membership_matrix, near_extremality_from_counts)
 
@@ -88,12 +89,12 @@ def test_config_equality_ignores_point_array():
 
 
 def test_config_sphere_array_is_the_spheres_as_frozen_rows():
-    # the one field beside point_array that the array kernels read: the
-    # spheres as int64 rows (center, r), out of equality and hashing
+    # the one field beside the point arrays that the array kernels read:
+    # the spheres as int64 rows (center, r), out of equality and hashing
     fields = {f.name: f for f in dataclasses.fields(Config)}
     assert list(fields) == ["space", "points", "spheres", "point_array",
-                            "sphere_array"]
-    for name in ("point_array", "sphere_array"):
+                            "point_lift", "sphere_array"]
+    for name in ("point_array", "point_lift", "sphere_array"):
         assert not fields[name].compare and not fields[name].hash
     sp = make_space(7, 3)
     spheres = [Sphere((1, 8, 3), 9), ((1, 1, 1), 2), Sphere((1, 1, 8), 2)]
@@ -110,6 +111,33 @@ def test_config_sphere_array_is_the_spheres_as_frozen_rows():
         empty = make_config(make_space(5, d), [(0,) * d], [])
         assert empty.sphere_array.shape == (0, d + 1)
         assert empty.sphere_array.dtype == np.int64
+
+
+def test_config_point_lift_is_the_frozen_lift_of_the_points():
+    # the rows [x mod q | ||x|| mod q | 1] the incidence kernels read, in
+    # deduplicated input order, from unreduced and negative coordinates
+    # up to 2**40 * q away from their residues; point_array is a view of
+    # its first d columns, so a config holds its coordinates once
+    rng = random.Random(37)
+    for q, d in ((5, 3), (61, 3), (13, 4)):
+        raw = [tuple(rng.choice((0, q - 1, rng.randrange(q)))
+                     + q * rng.choice((-1 << 40, -1, 0, 1, 1 << 40))
+                     for _ in range(d)) for _ in range(40)]
+        raw += [tuple(-c for c in x) for x in raw[:8]] + raw[:8]
+        first = {}
+        for x in raw:
+            first.setdefault(tuple(c % q for c in x), x)
+        cfg = make_config(make_space(q, d), raw, [])
+        assert cfg.point_lift.dtype == np.int64
+        assert cfg.point_lift.tolist() == [[*p, quad_norm(x, q), 1]
+                                           for p, x in first.items()]
+        assert np.shares_memory(cfg.point_array, cfg.point_lift)
+        assert cfg.point_array.tolist() == cfg.point_lift[:, :d].tolist()
+        with pytest.raises(ValueError):
+            cfg.point_lift[0, d] = 0
+        empty = make_config(make_space(q, d), [], [Sphere((0,) * d, 1)])
+        assert empty.point_lift.shape == (0, d + 2)
+        assert empty.point_lift.dtype == np.int64
 
 
 def test_empty_sides_allowed_but_k_guarded():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ffrigidity import field, geometry
 from ffrigidity.geometry import (Hyperplane, Sphere, hyperplane_contains,
-                                 hyperplane_incidence, incidence_gram,
+                                 hyperplane_incidence, incidence_gram, lift,
                                  make_space, quad_norm, radical_hyperplane,
                                  radical_hyperplanes)
 from ffrigidity.stats import energies, make_config, membership_matrix
@@ -305,7 +305,7 @@ def test_persistent_pairs_match_argsort_reference(q, n):
     ns = len(cfg.spheres)
     rows, index = radical_hyperplanes(cfg.sphere_array, q)
     assert (index < 0).any()
-    richness = hyperplane_incidence(cfg.point_array, rows, q).sum(axis=0)
+    richness = hyperplane_incidence(cfg.point_lift, rows, q).sum(axis=0)
     top = int(richness.max())
     for cutoff in (0, 1, top // 2, top, top + 1):
         pp = persistent_pairs(cfg, cutoff_K(cutoff, q, 3), C)
@@ -411,7 +411,7 @@ def test_regularize_postconditions():
         ms = build_multiset(pp)
         support = hyperplanes(ms.support)
         reg = regularize(
-            hyperplane_incidence(cfg.point_array, ms.support, cfg.q), ms)
+            hyperplane_incidence(cfg.point_lift, ms.support, cfg.q), ms)
         hits += 1
         lam1 = reg.richness_scale
         kept = [cfg.points[i] for i in reg.point_idx.tolist()]
@@ -438,7 +438,7 @@ def test_regularize_uniform_input_unchanged():
     cfg = make_config(sp, pts, [s1, s2])
     pp = persistent_pairs(cfg, cutoff_K(1, q, 3), C)
     ms = build_multiset(pp)
-    reg = regularize(hyperplane_incidence(cfg.point_array, ms.support, q), ms)
+    reg = regularize(hyperplane_incidence(cfg.point_lift, ms.support, q), ms)
     assert reg.point_idx.tolist() == list(range(len(cfg.points)))
     assert hyperplanes(reg.multiset.support) == [h]
     assert reg.multiset.counts.tolist() == ms.counts.tolist() == [2]
@@ -459,7 +459,7 @@ def test_regularize_degenerate_raises():
     assert not len(ms.support)
     for m in (lone, ms):
         with pytest.raises(AssertionError):
-            regularize(hyperplane_incidence(cfg.point_array, m.support, 5),
+            regularize(hyperplane_incidence(cfg.point_lift, m.support, 5),
                        m)
 
 
@@ -482,7 +482,7 @@ def test_regularize_matches_scalar_buckets():
                             counts=np.ones(2, dtype=np.int64),
                             columns=np.arange(2))
     pts = np.array([(0, 1, 1), (0, 0, 1), (1, 0, 1)])
-    inc = hyperplane_incidence(pts, ms.support, 5)
+    inc = hyperplane_incidence(lift(pts, 5), ms.support, 5)
     reg = regularize(inc, ms)
     assert reg.point_idx.tolist() == [1]
     assert inc[reg.point_idx].sum(axis=1).tolist() == [2]
@@ -494,7 +494,7 @@ def test_regularize_matches_scalar_buckets():
         if not len(ms.support):
             continue
         q = cfg.q
-        inc = hyperplane_incidence(cfg.point_array, ms.support, q)
+        inc = hyperplane_incidence(cfg.point_lift, ms.support, q)
         members = dict(zip(hyperplanes(ms.support), ms.counts.tolist()))
         jp, points = _heaviest_bucket_oracle(cfg.points, lambda p: sum(
             hyperplane_contains(h, p, q) for h in members))
