@@ -18,6 +18,7 @@ import math
 import random
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -116,11 +117,20 @@ def _plane_points(h: Hyperplane, q: int, d: int, codes, delta=0):
     return x
 
 
+@lru_cache(maxsize=32)
+def _non_isotropic_directions(q: int, d: int) -> np.ndarray:
+    """The rows of `all_projective_directions(q, d)` of nonzero norm, in
+    its order, as a read-only array cached like that table."""
+    dirs = all_projective_directions(q, d)
+    dirs = dirs[lift(dirs, q)[:, d] != 0]
+    dirs.setflags(write=False)
+    return dirs
+
+
 def _random_hyperplane(q: int, d: int, rng: random.Random,
                        non_isotropic: bool) -> Hyperplane:
-    dirs = all_projective_directions(q, d)
-    if non_isotropic:
-        dirs = dirs[lift(dirs, q)[:, d] != 0]
+    dirs = (_non_isotropic_directions(q, d) if non_isotropic
+            else all_projective_directions(q, d))
     normal = dirs[rng.choice(range(len(dirs)))].tolist()
     return canonical_hyperplane(normal, rng.randrange(q), q)
 

@@ -208,9 +208,19 @@ def point_grid(q: int, d: int) -> np.ndarray:
 
 
 # Cells per row block of the incidence kernels and `incidence_counts`:
-# each block's sums and quotients then take at most 256 KiB apiece,
-# whatever |P| is.
-_BLOCK_CELLS = 1 << 15
+# up to 2**11 columns, each kernel's two float buffers then take at most
+# 128 KiB apiece (64 KiB in float32), allocated once per call, whatever
+# |P| is.  Wider blocks keep _MIN_BLOCK_ROWS rows: one-row blocks spent
+# more on per-call overhead than on their cells (the kernel ran 1.5x and
+# the column counts 2.5x slower at 2000 x 10457), and a buffer of 8 rows
+# takes at most 64 bytes a column, 64/|P| of the |P| x m boolean result.
+_BLOCK_CELLS = 1 << 14
+_MIN_BLOCK_ROWS = 8
+
+
+def _block_rows(m: int) -> int:
+    """Rows per block of a kernel or count over m columns."""
+    return max(_MIN_BLOCK_ROWS, _BLOCK_CELLS // max(m, 1))
 
 
 def lift(pts, q: int) -> np.ndarray:
@@ -228,14 +238,17 @@ def _vanishing(rows: np.ndarray, cols: np.ndarray, q: int) -> np.ndarray:
     (mod q), for lifted points `rows` (n, k) and a lifted (k, m) family
     `cols`, both residues in [0, q), so no sum exceeds k*(q-1)**2.
 
-    The sums are one BLAS product per row block of at most 2**15 cells,
-    so no |P| x m temporary is built: in float32 while that bound is
-    below 2**22, else in float64, so every partial sum is an integer the
-    dtype holds exactly, in any summation order, and so is the sum v.
-    An entry is divisible by q exactly when v == rint(v * (1/q)) * q: the
-    right side is always an exact multiple of q, and when q divides v the
-    rounded quotient is exact, because its error, under |v/q| * 2**-22
-    (float32) or |v/q| * 2**-51 (float64), stays below 1/2.
+    The sums are one BLAS product per row block of `_block_rows(m)`
+    rows, written into the product buffer `v`; its quotient is formed in
+    place in the buffer `t`, and both buffers are allocated once per
+    call, so no |P| x m temporary or per-block array is built.  The sums
+    are in float32 while that bound is below 2**22, else in float64, so
+    every partial sum is an integer the dtype holds exactly, in any
+    summation order, and so is the sum v.  An entry is divisible by q
+    exactly when v == rint(v * (1/q)) * q: the right side is always an
+    exact multiple of q, and when q divides v the rounded quotient is
+    exact, because its error, under |v/q| * 2**-22 (float32) or
+    |v/q| * 2**-51 (float64), stays below 1/2.
     """
     n, (k, m) = len(rows), cols.shape
     bound = k * (q - 1) ** 2
@@ -243,46 +256,68 @@ def _vanishing(rows: np.ndarray, cols: np.ndarray, q: int) -> np.ndarray:
     dtype = np.float32 if bound < 1 << 22 else np.float64
     out = np.empty((n, m), dtype=bool)
     rows, cols = rows.astype(dtype), cols.astype(dtype)
-    step = max(1, _BLOCK_CELLS // max(m, 1))
+    step = _block_rows(m)
+    v = np.empty((min(step, n), m), dtype=dtype)
+    t = np.empty_like(v)
     inv = 1.0 / q
     for start in range(0, n, step):
-        v = rows[start:start + step] @ cols
-        t = v * inv
-        np.rint(t, out=t)
-        t *= q
-        np.equal(v, t, out=out[start:start + step])
-        del v, t  # freed before the next block allocates its own
+        block = rows[start:start + step]
+        vb, tb = v[:len(block)], t[:len(block)]
+        np.matmul(block, cols, out=vb)
+        np.multiply(vb, inv, out=tb)
+        np.rint(tb, out=tb)
+        tb *= q
+        np.equal(vb, tb, out=out[start:start + step])
     return out
 
 
 def incidence_counts(inc: np.ndarray, axis: int,
-                     rows: np.ndarray | None = None) -> np.ndarray:
+                     mask: np.ndarray | None = None) -> np.ndarray:
     """Row (axis=1) or column (axis=0) counts of a boolean matrix or of
-    its float32 copy, as int64; the column counts over only the rows of
-    the boolean mask `rows`, when it is given.  One float32
-    matrix-vector product per row block of at most `_BLOCK_CELLS` cells,
-    so no whole-matrix copy is made: exact, as every partial sum is a
-    count, asserted below 2**24."""
+    its float32 copy, as int64; when the boolean `mask` over the summed
+    axis is given (columns for row counts, rows for column counts), only
+    its entries are counted.  One float32 matrix-vector product per row
+    block of `_block_rows(m)` rows, a boolean block converted into one
+    float32 buffer allocated per call, so no whole-matrix copy is made:
+    exact, as every partial sum is a count, asserted below 2**24."""
     n, m = inc.shape
     assert n < 1 << 24 and m < 1 << 24, "too many cells for exact float32 counts"
-    step = max(1, _BLOCK_CELLS // max(m, 1))
-    if axis:
-        ones = np.ones(m, dtype=np.float32)
-        if n <= step:
-            return np.dot(inc.astype(np.float32, copy=False),
-                          ones).astype(np.int64)
-        return np.concatenate([np.dot(inc[start:start + step].astype(
-            np.float32, copy=False), ones) for start in range(0, n, step)]
-        ).astype(np.int64)
-    w = (np.ones(n, dtype=np.float32) if rows is None
-         else rows.astype(np.float32))
+    step = _block_rows(m)
+    w = (np.ones(inc.shape[axis], dtype=np.float32) if mask is None
+         else mask.astype(np.float32))
     if n <= step:
-        return np.dot(w, inc.astype(np.float32, copy=False)).astype(np.int64)
-    counts = np.zeros(m, dtype=np.float32)
+        x = inc.astype(np.float32, copy=False)
+        return (np.dot(x, w) if axis else np.dot(w, x)).astype(np.int64)
+    copied = inc.dtype != np.float32
+    buf = np.empty((step if copied else 0, m), dtype=np.float32)
+    if axis:
+        counts = np.empty(n, dtype=np.float32)
+    else:
+        counts, part = np.zeros(m, dtype=np.float32), np.empty(m, np.float32)
     for start in range(0, n, step):
-        counts += np.dot(w[start:start + step], inc[start:start + step].astype(
-            np.float32, copy=False))
+        x = inc[start:start + step]
+        if copied:
+            np.copyto(buf[:len(x)], x)
+            x = buf[:len(x)]
+        if axis:
+            np.dot(x, w, out=counts[start:start + step])
+        else:
+            np.dot(w[start:start + step], x, out=part)
+            counts += part
     return counts.astype(np.int64)
+
+
+def incidence_submatrix(inc: np.ndarray, rows: np.ndarray,
+                        cols: np.ndarray) -> np.ndarray:
+    """inc[np.ix_(rows, cols)] for a boolean matrix, gathered one row
+    block at a time: each block's full rows, then its columns, the two
+    temporaries together no larger than one float32 kernel buffer.  The
+    two one-axis gathers ran 3-8x faster than numpy's two-index gather."""
+    out = np.empty((len(rows), len(cols)), dtype=bool)
+    step = 2 * _block_rows(inc.shape[1])
+    for start in range(0, len(rows), step):
+        out[start:start + step] = inc[rows[start:start + step]][:, cols]
+    return out
 
 
 def hyperplane_incidence(lifted, hyperplanes, q: int) -> np.ndarray:

@@ -23,7 +23,8 @@ from fractions import Fraction
 import numpy as np
 
 from .field import PrimeField, place_values, residue_dtype, scale_to_lead
-from .geometry import Flat, Hyperplane, hyperplane_incidence, incidence_counts
+from .geometry import (Flat, Hyperplane, hyperplane_incidence,
+                       incidence_counts, incidence_submatrix)
 from .multiset import build_multiset, mass_retention, popular_hyperplane
 from .stats import (Config, ceil_sqrt, membership_matrix,
                     near_extremality_from_counts)
@@ -234,6 +235,12 @@ def extract_certificate(config: Config,
     error, when no sphere pair persists at the richness threshold.  A
     persistent pair's bisector holds a point, so regularization and mass
     retention then always keep a non-empty system.
+
+    An extract keeps one bisector incidence, `PersistentPairs.incidence`:
+    `regularize` reads it in place, and the only copy taken of it is its
+    P' rows of the retained columns.  The sphere degrees into the
+    certificate points are counted through a row mask of the membership
+    matrix, not a copy of its rows.
     """
     opts = options or ExtractOptions()
     q, d = config.q, config.d
@@ -253,23 +260,24 @@ def extract_certificate(config: Config,
             params={"K": K, "B0": b0, "min_points": 0, "sphere_min": 0})
     # the support lies in the bisector set, the retained support in the
     # support, and the pencil and h0 in the retained support: every
-    # incidence below is a slice of the bisector incidence, whose columns
-    # off the support are released here
-    inc = pp.incidence.take(ms.columns, axis=1)
+    # incidence below is read off the one bisector incidence, of which
+    # only the P' rows of the retained columns are ever copied
+    inc = pp.incidence
     del pp
     reg = regularize(inc, ms)
     retained = mass_retention(reg.multiset).retained
 
-    # only the P' rows of the retained columns outlive flat_profile, the
-    # extract's memory peak
-    inc = inc.take(reg.point_idx, axis=0).take(
-        np.searchsorted(ms.columns, retained.columns), axis=1)
-    profile = flat_profile(retained.support, fq)
+    # that copy alone of the bisector incidence outlives flat_profile
+    inc = incidence_submatrix(inc, reg.point_idx, retained.columns)
+    # a flat lies in at most all m retained members, so with m <= b0 the
+    # flat case cannot fire and flat_profile is not run
+    profile = (flat_profile(retained.support, fq)
+               if len(retained.support) > b0 else None)
 
     # flat concentration when some flat sits in more than b0 members, and
     # then h0 is the first pencil member of the largest richness, the
     # least one: k is its row in the retained support, in tuple order
-    if profile.max_multiplicity > b0:
+    if profile is not None and profile.max_multiplicity > b0:
         case, witness = CASE_FLAT, profile.witness
         rich = incidence_counts(inc.take(profile.pencil, axis=1), 0)
         k = profile.pencil[int(np.argmax(rich))]
@@ -279,12 +287,14 @@ def extract_certificate(config: Config,
     *normal, offset = retained.support[k].tolist()
     h0 = Hyperplane(tuple(normal), offset)
     idx = reg.point_idx[inc[:, k]]
+    on_h0 = np.zeros(len(config.points), dtype=bool)
+    on_h0[idx] = True
     points_idx = tuple(idx.tolist())
     lam1 = reg.richness_scale
     assert len(points_idx) >= lam1
 
     sphere_min, spheres_idx = rich_subfamily(
-        incidence_counts(membership[idx], 0))
+        incidence_counts(membership, 0, on_h0))
 
     assert hyperplane_incidence(config.point_lift[idx],
                                 retained.support[k:k + 1], q).all()

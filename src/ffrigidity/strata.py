@@ -160,17 +160,19 @@ class RegularizedConfig:
     richness_scale: int
 
 
-def regularize(inc: np.ndarray, ms: HyperplaneMultiset) -> RegularizedConfig:
+def regularize(incidence: np.ndarray,
+               ms: HyperplaneMultiset) -> RegularizedConfig:
     """One point-degree pass, then one hyperplane-richness pass.
 
-    `inc` is the boolean incidence matrix of the input points on the
-    geometric support of the input multiset, one column per support
-    hyperplane in support order.  Point degrees are its row sums; the
-    dyadic degree bucket with the largest summed degree is kept (ties to
-    the larger class), fixing the degree scale M1.  Hyperplane richness
-    is then recounted against the surviving points, from the kept rows
-    of the same matrix, and bucketed the same way, fixing the richness
-    scale L1.
+    `incidence` is the whole boolean bisector incidence of the input
+    points (`PersistentPairs.incidence`), read in place: the support's
+    columns are `ms.columns`, increasing and inside the matrix.  Point
+    degrees are its row counts over those columns, through a column
+    mask; the dyadic degree bucket with the largest summed degree is
+    kept (ties to the larger class), fixing the degree scale M1.
+    Hyperplane richness is then recounted against the surviving points,
+    as the column counts over the kept rows gathered at `ms.columns`,
+    and bucketed the same way, fixing the richness scale L1.
     Retained points have degree in [M1, 2*M1) with respect to the input
     support, and retained hyperplanes hold between L1 and 2*L1 - 1 of
     the retained points.  Some point must lie on a support hyperplane,
@@ -178,11 +180,19 @@ def regularize(inc: np.ndarray, ms: HyperplaneMultiset) -> RegularizedConfig:
     point: then every kept point lies on one, so both passes keep a
     non-empty class.
     """
-    assert inc.shape[1] == len(ms.support), "one column per support hyperplane"
-    degrees = incidence_counts(inc, 1)
+    columns = ms.columns
+    inside = not len(columns) or (
+        0 <= columns[0] and columns[-1] < incidence.shape[1])
+    assert len(columns) == len(ms.support) and inside and (
+        columns[1:] > columns[:-1]).all(), \
+        "support columns must be increasing and inside the incidence"
+    on_support = np.zeros(incidence.shape[1], dtype=bool)
+    on_support[columns] = True
+    degrees = incidence_counts(incidence, 1, on_support)
     assert degrees.any(), "some point must lie on a support hyperplane"
     _, kept = _heaviest_class(degrees)
-    jh, heavy = _heaviest_class(incidence_counts(inc, 0, kept))
+    jh, heavy = _heaviest_class(
+        incidence_counts(incidence, 0, kept).take(columns))
     return RegularizedConfig(
         point_idx=np.flatnonzero(kept),
         multiset=ms.restrict(heavy),

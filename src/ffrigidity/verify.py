@@ -77,7 +77,11 @@ def _sphere_degrees(pts: np.ndarray, spheres: np.ndarray,
     rint(form * (1/q)) * q == form: a quotient k has |k| <= d*q + 1, so
     the two roundings of form * (1/q) move it by less than
     1/q + 2**-23, below 1/3 for q >= 5 and 1/2 at q = 3; otherwise the
-    right side is another multiple of q, itself exact."""
+    right side is another multiple of q, itself exact.  Each block runs
+    in the two buffers `form` and `t`, allocated once per call: the
+    divisibility test writes 1 or 0 into `t`, and a product with ones
+    counts its columns, exact as every partial count is below 2**24;
+    the float64 total is exact below 2**53."""
     (n, d), m = pts.shape, len(spheres)
     assert d * q * q < 1 << 52, "modulus too large for exact float64 forms"
     if not m:
@@ -94,15 +98,23 @@ def _sphere_degrees(pts: np.ndarray, spheres: np.ndarray,
     cols[:d] = -2 * centers.T
     cols[d + 1] = (centers * centers).sum(axis=1) - r
     step = max(1, _BLOCK_CELLS // m)
+    assert step < 1 << 24, "too many rows for exact float32 counts"
+    form = np.empty((min(step, n), m), dtype=dtype)
+    t = np.empty_like(form)
+    ones, part = np.ones(len(form), dtype=dtype), np.empty(m, dtype=dtype)
     inv = 1.0 / q
-    degrees = np.zeros(m, dtype=np.int64)
+    degrees = np.zeros(m, dtype=np.float64)
     for start in range(0, n, step):
-        form = rows[start:start + step] @ cols
-        t = form * inv
-        np.rint(t, out=t)
-        t *= q
-        degrees += (t == form).sum(axis=0)
-    return degrees
+        block = rows[start:start + step]
+        f, u = form[:len(block)], t[:len(block)]
+        np.matmul(block, cols, out=f)
+        np.multiply(f, inv, out=u)
+        np.rint(u, out=u)
+        u *= q
+        np.equal(u, f, out=u, casting="unsafe")
+        np.matmul(ones[:len(block)], u, out=part)
+        degrees += part
+    return degrees.astype(np.int64)
 
 
 def verify_certificate(config: Config, cert: dict) -> list:

@@ -498,9 +498,13 @@ def test_experiment_deterministic_modulo_runtime(tmp_path, capsys):
     assert strip(out1) == strip(out2)
 
 
-def test_experiment_output_matches_pinned_digest(tmp_path, capsys):
-    """The CSV without its runtime column is pinned: its K column prints
-    the float K of each cell."""
+EXPERIMENT_DIGEST = (
+    "c026a6bb5f56806931db960563d4719c23af8926686ae74e8a8dabc62d3d8b14")
+
+
+def _experiment_digest(tmp_path, capsys):
+    """sha256 of the CSV of a small pinned grid without its runtime
+    column."""
     grid = grid_file(tmp_path, {"q": [5, 7],
                                 "kind": ["reflected-pairs", "uniform-random"],
                                 "np": [14], "ns": [6], "seed": [1, 2]})
@@ -508,8 +512,21 @@ def test_experiment_output_matches_pinned_digest(tmp_path, capsys):
     assert code == 0, err
     rows = "".join(line.rpartition(",")[0] + "\n"
                    for line in out.splitlines())
-    assert hashlib.sha256(rows.encode()).hexdigest() == (
-        "c026a6bb5f56806931db960563d4719c23af8926686ae74e8a8dabc62d3d8b14")
+    return hashlib.sha256(rows.encode()).hexdigest()
+
+
+def test_experiment_output_matches_pinned_digest(tmp_path, capsys):
+    """The CSV without its runtime column is pinned: its K column prints
+    the float K of each cell."""
+    assert _experiment_digest(tmp_path, capsys) == EXPERIMENT_DIGEST
+
+
+def test_experiment_digest_profiles_only_families_larger_than_b0(
+        tmp_path, capsys, refuse_flat_profile_within_b0):
+    # every cell of the grid takes the default b0
+    b0s, _ = refuse_flat_profile_within_b0
+    assert _experiment_digest(tmp_path, capsys) == EXPERIMENT_DIGEST
+    assert len(b0s) == 8
 
 
 def test_experiment_grid_errors(tmp_path, capsys):

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from ffrigidity import generators
 from ffrigidity.generators import (MAX_D, PRNG_NAME, BadGeneratorSpec,
                                    GeneratorSpec, generate)
-from ffrigidity.geometry import (hyperplane_contains, quad_norm,
+from ffrigidity.geometry import (all_projective_directions,
+                                 hyperplane_contains, quad_norm,
                                  radical_hyperplane)
 from ffrigidity.multiset import build_multiset
 from ffrigidity.stats import energies
@@ -45,6 +47,14 @@ def test_generate_keeps_no_point_grid():
     finally:
         tracemalloc.stop()
     assert retained < 1 << 20
+
+
+def test_non_isotropic_direction_table_is_cached_and_read_only():
+    dirs = generators._non_isotropic_directions(13, 3)
+    assert dirs is generators._non_isotropic_directions(13, 3)
+    assert not dirs.flags.writeable
+    assert dirs.tolist() == [row for row in all_projective_directions(
+        13, 3).tolist() if quad_norm(row, 13)]
 
 
 def test_generate_seed_changes_output():

@@ -15,7 +15,7 @@ from ffrigidity.geometry import (IDENTICAL, PARALLEL_DISJOINT, Flat,
                                  flat_points, hyperplane_contains,
                                  hyperplane_incidence, hyperplane_points,
                                  incidence_counts, incidence_gram,
-                                 lift, make_space, point_grid,
+                                 incidence_submatrix, lift, make_space, point_grid,
                                  quad_norm, radical_hyperplane,
                                  sphere_contains, sphere_incidence)
 
@@ -221,8 +221,11 @@ def test_incidence_kernels_match_scalar_oracles_at_block_edges(q, d):
 
 
 @pytest.mark.parametrize("q, d", [(61, 3), (65521, 4)])
-def test_incidence_kernels_with_more_columns_than_a_block(q, d):
-    # more than 2**15 columns: every row block is a single row
+def test_incidence_kernels_with_more_columns_than_a_block(q, d,
+                                                          monkeypatch):
+    # more than `_BLOCK_CELLS` columns and no row floor: every row block
+    # is a single row
+    monkeypatch.setattr(geometry, "_MIN_BLOCK_ROWS", 1)
     rng = random.Random(q + d)
     m = geometry._BLOCK_CELLS + 1
     pts, spheres, hyperplanes, reduced_s, reduced_h = _edge_families(
@@ -246,22 +249,30 @@ def test_incidence_kernels_refuse_modulus_beyond_float64_exactness():
 
 @pytest.mark.parametrize("block", [None, 1, 7 * 120 + 5])
 def test_incidence_counts_match_sum(block, monkeypatch):
-    # default blocks of 273 rows at 120 columns: shapes at the block edge,
-    # past it, ragged, wider than a block, and with no rows or columns
+    # default blocks of 136 rows at 120 columns: shapes at the block edge,
+    # past it, ragged, in blocks of the 8-row floor past 2**11 columns,
+    # wider than a block, and with no rows or columns; masks over the rows
+    # and over the columns, of a boolean matrix and of its float32 copy;
+    # a patched block size comes without the row floor
     if block is not None:
         monkeypatch.setattr(geometry, "_BLOCK_CELLS", block)
+        monkeypatch.setattr(geometry, "_MIN_BLOCK_ROWS", 1)
     rng = np.random.default_rng(23)
-    shapes = [(0, 0), (0, 7), (9, 0), (1, 1), (13, 3), (40, 7), (273, 120),
-              (274, 120), (547, 120), (2, (1 << 15) + 1)]
+    shapes = [(0, 0), (0, 7), (9, 0), (1, 1), (13, 3), (40, 7), (136, 120),
+              (137, 120), (273, 120), (274, 120), (547, 120), (19, 4097),
+              (2, (1 << 15) + 1)]
     for n, m in shapes:
         inc = rng.random((n, m)) < rng.random()
-        kept = rng.random(n) < 0.5
-        for got, want in ((incidence_counts(inc, 1), inc.sum(axis=1)),
-                          (incidence_counts(inc, 0), inc.sum(axis=0)),
-                          (incidence_counts(inc, 0, kept),
-                           inc[kept].sum(axis=0))):
-            assert got.dtype == np.int64 and got.shape == want.shape
-            assert got.tolist() == want.tolist()
+        kept, cols = rng.random(n) < 0.5, rng.random(m) < 0.5
+        for x in (inc, inc.astype(np.float32)):
+            for got, want in ((incidence_counts(x, 1), inc.sum(axis=1)),
+                              (incidence_counts(x, 0), inc.sum(axis=0)),
+                              (incidence_counts(x, 0, kept),
+                               inc[kept].sum(axis=0)),
+                              (incidence_counts(x, 1, cols),
+                               inc[:, cols].sum(axis=1))):
+                assert got.dtype == np.int64 and got.shape == want.shape
+                assert got.tolist() == want.tolist()
     full = np.ones((40000, 3), dtype=bool)
     assert incidence_counts(full, 0).tolist() == [40000] * 3
     # shapes past float32 exactness, with no cells allocated
@@ -270,8 +281,64 @@ def test_incidence_counts_match_sum(block, monkeypatch):
             incidence_counts(np.zeros(shape, dtype=bool), 0)
 
 
+@pytest.mark.parametrize("block", [None, 1, 7 * 120 + 5])
+def test_incidence_submatrix_matches_two_index_gather(block, monkeypatch):
+    # default blocks of 2 * 136 rows at 120 columns; rows and columns
+    # chosen, in order or not, repeated, all, or none
+    if block is not None:
+        monkeypatch.setattr(geometry, "_BLOCK_CELLS", block)
+        monkeypatch.setattr(geometry, "_MIN_BLOCK_ROWS", 1)
+    rng = np.random.default_rng(29)
+    for n, m in ((0, 0), (0, 7), (9, 0), (13, 3), (600, 120), (40, 4097)):
+        inc = rng.random((n, m)) < 0.5
+        for rows, cols in ((np.arange(n), np.arange(m)),
+                           (np.flatnonzero(rng.random(n) < 0.6),
+                            np.flatnonzero(rng.random(m) < 0.6)),
+                           (rng.integers(0, max(n, 1), n if m else 0),
+                            rng.permutation(m)),
+                           (np.arange(n)[:0], np.arange(m)[:0])):
+            got = incidence_submatrix(inc, rows, cols)
+            want = inc[np.ix_(rows, cols)]
+            assert got.dtype == bool and got.shape == want.shape
+            assert (got == want).all()
+
+
+@pytest.mark.parametrize("block", [None, 1, 7 * 40 + 3])
+@pytest.mark.parametrize("q", [61, 65521])
+def test_vanishing_matches_scalar_oracle(q, block, monkeypatch):
+    # q = 61 sums in float32 and q = 65521 in float64; shapes with no
+    # rows, no columns, a ragged last block, blocks of the row floor with
+    # a ragged last one, and more columns than a block; a patched block
+    # size comes without the row floor, so that every block of the last
+    # two shapes is one row
+    if block is not None:
+        monkeypatch.setattr(geometry, "_BLOCK_CELLS", block)
+        monkeypatch.setattr(geometry, "_MIN_BLOCK_ROWS", 1)
+    rng = random.Random(q)
+    cells, floor = geometry._BLOCK_CELLS, geometry._MIN_BLOCK_ROWS
+    residue = lambda: rng.choice((0, q - 1, rng.randrange(q)))
+    for n, m in ((0, 5), (6, 0), (0, 0), (2 * max(1, cells // 40) + 3, 40),
+                 (2 * floor + 3, cells // 4 + 1), (3, cells + 1)):
+        rows = [[residue() for _ in range(4)] + [1] for _ in range(n)]
+        cols = []
+        for _ in range(m):
+            col = [residue() for _ in range(4)]
+            # through a chosen row, or off it
+            x = rng.choice(rows) if rows and rng.random() < 0.7 else [0] * 5
+            cols.append(col + [-sum(a * b for a, b in zip(x, col)) % q])
+        want = [[sum(a * b for a, b in zip(x, c)) % q == 0 for c in cols]
+                for x in rows]
+        got = geometry._vanishing(np.array(rows, dtype=np.int64).reshape(
+            n, 5), np.array(cols, dtype=np.int64).reshape(m, 5).T, q)
+        assert got.dtype == bool and got.shape == (n, m)
+        assert got.tolist() == want
+        if n * m >= 40:
+            assert got.any() and not got.all()
+
+
 def test_sphere_incidence_memory_is_bounded():
-    # the |P| x |S| bool output is 0.23 MB; whole-matrix int64
+    # the |P| x |S| bool output is 0.23 MB, the float32 lifted points
+    # 0.04 MB and the two block buffers 64 KiB each; whole-matrix int64
     # temporaries would take 1.9 MB each
     rng = np.random.default_rng(19)
     q = 61
@@ -286,7 +353,7 @@ def test_sphere_incidence_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert inc.shape == (2000, 120) and inc.any()
-    assert peak < 1 << 20
+    assert peak < 0.45 * (1 << 20)
 
 
 def test_canonical_hyperplane_same_solution_set():

@@ -547,6 +547,42 @@ def test_extract_computes_each_incidence_once(monkeypatch):
                          "sphere_incidence": 1}
 
 
+def test_extract_profiles_only_families_larger_than_b0(
+        refuse_flat_profile_within_b0):
+    # the golden bytes stay as they are, and a flat-concentration
+    # certificate still comes from a profile
+    b0s, profiled = refuse_flat_profile_within_b0
+    for (kind, q, d, np_, ns, seed, noise, c_const, b0, case,
+         digest) in GOLDEN_CERTIFICATES:
+        if b0 is not None:
+            b0s.append(b0)
+        profiled.clear()
+        gconf = generate(GeneratorSpec(kind, q, d, np_, ns, seed, noise))
+        cert = extract_certificate(
+            gconf.config, ExtractOptions(c_const=Fraction(c_const), b0=b0))
+        text = json.dumps(cert.to_dict(), indent=2) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        if case == CASE_FLAT:
+            assert len(profiled) == 1
+
+
+def test_extract_keeps_one_bisector_incidence():
+    # null q = 31, 2000 points, 80 spheres: about 3000 bisectors, whose
+    # |P| x B boolean incidence is most of the extract's memory; a copy of
+    # its support columns beside it took the peak to 2.6 |P| B bytes
+    cfg = generate(GeneratorSpec("uniform-random", 31, 3, 2000, 80, 0)).config
+    n_bisectors = len(strata.persistent_pairs(
+        cfg, Fraction(0), ExtractOptions().c_const).bisectors)
+    assert n_bisectors > 2000
+    tracemalloc.start()
+    try:
+        extract_certificate(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(cfg.points) * n_bisectors
+
+
 def test_extract_lifts_no_point(monkeypatch):
     # make_config lifts the points once; an extract reads
     # config.point_lift and lifts none itself
@@ -894,6 +930,8 @@ def test_incidence_counts_exact_at_the_float32_seam(module, d, block,
     # row blocks of one row, of 7 with a ragged last one, or one block
     if block is not None:
         monkeypatch.setattr(module, "_BLOCK_CELLS", block)
+        if module is geometry:
+            monkeypatch.setattr(module, "_MIN_BLOCK_ROWS", 1)
     fits = ((lambda q: (d + 2) * (q - 1) ** 2 < 1 << 22) if module is geometry
             else (lambda q: d * q * q < 1 << 23))
     for q in _seam_primes(fits):

@@ -410,8 +410,7 @@ def test_regularize_postconditions():
             continue
         ms = build_multiset(pp)
         support = hyperplanes(ms.support)
-        reg = regularize(
-            hyperplane_incidence(cfg.point_lift, ms.support, cfg.q), ms)
+        reg = regularize(pp.incidence, ms)
         hits += 1
         lam1 = reg.richness_scale
         kept = [cfg.points[i] for i in reg.point_idx.tolist()]
@@ -438,7 +437,7 @@ def test_regularize_uniform_input_unchanged():
     cfg = make_config(sp, pts, [s1, s2])
     pp = persistent_pairs(cfg, cutoff_K(1, q, 3), C)
     ms = build_multiset(pp)
-    reg = regularize(hyperplane_incidence(cfg.point_lift, ms.support, q), ms)
+    reg = regularize(pp.incidence, ms)
     assert reg.point_idx.tolist() == list(range(len(cfg.points)))
     assert hyperplanes(reg.multiset.support) == [h]
     assert reg.multiset.counts.tolist() == ms.counts.tolist() == [2]
@@ -457,10 +456,28 @@ def test_regularize_degenerate_raises():
     pp = persistent_pairs(cfg, Fraction(0), C)
     ms = build_multiset(pp)
     assert not len(ms.support)
-    for m in (lone, ms):
+    for inc, m in ((hyperplane_incidence(cfg.point_lift, lone.support, 5),
+                    lone), (pp.incidence, ms)):
         with pytest.raises(AssertionError):
-            regularize(hyperplane_incidence(cfg.point_lift, m.support, 5),
-                       m)
+            regularize(inc, m)
+
+
+def test_regularize_refuses_support_columns_off_the_incidence():
+    # every point of F_5^3, so each of the three bisectors holds points
+    sp = make_space(5, 3)
+    pts = [tuple(x) for x in geometry.point_grid(5, 3).tolist()]
+    cfg = make_config(sp, pts, [Sphere((1, 0, 0), 2), Sphere((4, 0, 0), 2),
+                                Sphere((0, 2, 0), 1)])
+    pp = persistent_pairs(cfg, Fraction(0), C)
+    ms = build_multiset(pp)
+    cols, n_cols = ms.columns, pp.incidence.shape[1]
+    assert len(cols) == n_cols == 3
+    regularize(pp.incidence, ms)
+    # out of order, repeated, past the last column, before the first
+    for bad in (cols[::-1], cols[[0, 0, 1]], cols + 1, cols - 1):
+        with pytest.raises(AssertionError):
+            regularize(pp.incidence,
+                       HyperplaneMultiset(ms.support, ms.counts, bad))
 
 
 def _heaviest_bucket_oracle(items, value):
@@ -494,7 +511,9 @@ def test_regularize_matches_scalar_buckets():
         if not len(ms.support):
             continue
         q = cfg.q
+        # the support's columns of the bisector incidence regularize reads
         inc = hyperplane_incidence(cfg.point_lift, ms.support, q)
+        assert (pp.incidence[:, ms.columns] == inc).all()
         members = dict(zip(hyperplanes(ms.support), ms.counts.tolist()))
         jp, points = _heaviest_bucket_oracle(cfg.points, lambda p: sum(
             hyperplane_contains(h, p, q) for h in members))
@@ -502,7 +521,7 @@ def test_regularize_matches_scalar_buckets():
             hyperplane_contains(h, p, q) for p in points))
         # every support hyperplane holds a point, so both classes exist
         assert jp is not None and jh is not None
-        reg = regularize(inc, ms)
+        reg = regularize(pp.incidence, ms)
         assert [cfg.points[i] for i in reg.point_idx.tolist()] == points
         assert {dyadic_class(v) for v in
                 inc[reg.point_idx].sum(axis=1).tolist()} == {jp}
