@@ -273,51 +273,36 @@ def _vanishing(rows: np.ndarray, cols: np.ndarray, q: int) -> np.ndarray:
 
 def incidence_counts(inc: np.ndarray, axis: int,
                      mask: np.ndarray | None = None) -> np.ndarray:
-    """Row (axis=1) or column (axis=0) counts of a boolean matrix or of
-    its float32 copy, as int64; when the boolean `mask` over the summed
-    axis is given (columns for row counts, rows for column counts), only
-    its entries are counted.  One float32 matrix-vector product per row
-    block of `_block_rows(m)` rows, a boolean block converted into one
-    float32 buffer allocated per call, so no whole-matrix copy is made:
-    exact, as every partial sum is a count, asserted below 2**24."""
+    """Row (axis=1) or column (axis=0) counts of a boolean matrix, as
+    int64; when the boolean `mask` over the summed axis is given (columns
+    for row counts, rows for column counts), only its entries are
+    counted.  One float32 matrix-vector product per row block of
+    `_block_rows(m)` rows, each block converted into one float32 buffer
+    allocated per call, so no whole-matrix copy is made: exact, as every
+    partial sum is a count, asserted below 2**24."""
     n, m = inc.shape
     assert n < 1 << 24 and m < 1 << 24, "too many cells for exact float32 counts"
     step = _block_rows(m)
     w = (np.ones(inc.shape[axis], dtype=np.float32) if mask is None
          else mask.astype(np.float32))
     if n <= step:
-        x = inc.astype(np.float32, copy=False)
+        x = inc.astype(np.float32)
         return (np.dot(x, w) if axis else np.dot(w, x)).astype(np.int64)
-    copied = inc.dtype != np.float32
-    buf = np.empty((step if copied else 0, m), dtype=np.float32)
+    buf = np.empty((step, m), dtype=np.float32)
     if axis:
         counts = np.empty(n, dtype=np.float32)
     else:
         counts, part = np.zeros(m, dtype=np.float32), np.empty(m, np.float32)
     for start in range(0, n, step):
-        x = inc[start:start + step]
-        if copied:
-            np.copyto(buf[:len(x)], x)
-            x = buf[:len(x)]
+        block = inc[start:start + step]
+        x = buf[:len(block)]
+        np.copyto(x, block)
         if axis:
             np.dot(x, w, out=counts[start:start + step])
         else:
             np.dot(w[start:start + step], x, out=part)
             counts += part
     return counts.astype(np.int64)
-
-
-def incidence_submatrix(inc: np.ndarray, rows: np.ndarray,
-                        cols: np.ndarray) -> np.ndarray:
-    """inc[np.ix_(rows, cols)] for a boolean matrix, gathered one row
-    block at a time: each block's full rows, then its columns, the two
-    temporaries together no larger than one float32 kernel buffer.  The
-    two one-axis gathers ran 3-8x faster than numpy's two-index gather."""
-    out = np.empty((len(rows), len(cols)), dtype=bool)
-    step = 2 * _block_rows(inc.shape[1])
-    for start in range(0, len(rows), step):
-        out[start:start + step] = inc[rows[start:start + step]][:, cols]
-    return out
 
 
 def hyperplane_incidence(lifted, hyperplanes, q: int) -> np.ndarray:
@@ -346,8 +331,7 @@ def sphere_incidence(lifted, spheres, q: int) -> np.ndarray:
 
 
 def incidence_gram(inc: np.ndarray) -> np.ndarray:
-    """Column Gram matrix inc.T @ inc of a boolean incidence matrix, or
-    of its float32 copy, which is then read in place.
+    """Column Gram matrix inc.T @ inc of a boolean incidence matrix.
 
     Entry [a, b] counts the rows incident to both columns a and b.  It is
     one float32 BLAS product (numpy's integer matmul has no BLAS kernel),
@@ -355,7 +339,7 @@ def incidence_gram(inc: np.ndarray) -> np.ndarray:
     count, and float32 holds every integer below 2**24.
     """
     assert inc.shape[0] < 1 << 24, "too many rows for an exact float32 Gram"
-    x = inc.astype(np.float32, copy=False)
+    x = inc.astype(np.float32)
     return (x.T @ x).astype(np.int64)
 
 

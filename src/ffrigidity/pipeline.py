@@ -23,8 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .field import PrimeField, place_values, residue_dtype, scale_to_lead
-from .geometry import (Flat, Hyperplane, hyperplane_incidence,
-                       incidence_counts, incidence_submatrix)
+from .geometry import Flat, Hyperplane, hyperplane_incidence, incidence_counts
 from .multiset import build_multiset, mass_retention, popular_hyperplane
 from .stats import (Config, ceil_sqrt, membership_matrix,
                     near_extremality_from_counts)
@@ -44,10 +43,10 @@ _BLOCK_PAIRS = 1 << 12
 
 @dataclass(frozen=True, eq=False)
 class FlatProfile:
-    """The largest number of family members through one codimension-2
-    flat (0 when all pairs are parallel), the least such flat in Flat
-    tuple order and the increasing indices of the members through it."""
-    max_multiplicity: int
+    """The least codimension-2 flat in Flat tuple order that lies in the
+    most family members, and the increasing indices of those members;
+    (None, ()) when all pairs are parallel.  The largest flat
+    multiplicity is len(pencil)."""
     witness: Flat | None
     pencil: tuple
 
@@ -64,20 +63,20 @@ def flat_profile(aug: np.ndarray, field: PrimeField) -> FlatProfile:
     key is a's marker a * q**(d+1), whose group counts 0.  When
     m * q**(d+1) >= 2**63 the words a, r_0, ..., r_d go through
     np.lexsort instead.  A flat of members a1 < ... < ak is a group of
-    k - 1 in row a1 and smaller ones later: m_max is one more than the
-    largest group, the pencil a largest group with its row, and the
-    witness the least flat of the largest groups, one pair each reduced
-    in closed form.  Blocks of at most `_BLOCK_PAIRS` pairs (one row at
-    least), each freed before the next, keep memory O(block + m).
-    Asserted: canonical, distinct input; the residue bound; nesting
-    groups (a flat of k members gives one group of each size 1 .. k - 1);
-    the fiber bound per row (later non-parallel partners <= groups *
-    largest group); the members through the witness are the pencil.
+    k - 1 in row a1 and smaller ones later: the witness is the least flat
+    of the largest groups, one pair each reduced in closed form, and the
+    pencil the members that contain it, read off one row-span test.
+    Blocks of at most `_BLOCK_PAIRS` pairs (one row at least), each freed
+    before the next, keep memory O(block + m).  Asserted: canonical,
+    distinct input; the residue bound; nesting groups (a flat of k
+    members gives one group of each size 1 .. k - 1); the fiber bound per
+    row (later non-parallel partners <= groups * largest group); the
+    pencil is one member more than the largest group.
     """
     q = field.q
     n = len(aug)
     if n < 2:
-        return FlatProfile(0, None, ())
+        return FlatProfile(None, ())
     d = aug.shape[1] - 1
     lead = (aug[:, :d] != 0).argmax(axis=1)
     assert ((aug >= 0) & (aug < q)).all() and \
@@ -91,7 +90,7 @@ def flat_profile(aug: np.ndarray, field: PrimeField) -> FlatProfile:
     ends = np.concatenate([[0], np.cumsum(later)])
 
     # rows lo .. hi - 1, row a's pairs from start[a - lo]: their group
-    # sizes and the best (top, key, pencil) so far; freed on return
+    # sizes and the best (top, key) so far; freed on return
     def block(lo, hi, best):
         span, start = later[lo:hi], ends[lo:hi] - ends[lo]
         b = np.arange(ends[hi] - ends[lo]) + (
@@ -100,6 +99,7 @@ def flat_profile(aug: np.ndarray, field: PrimeField) -> FlatProfile:
         r = cols[:, lo:hi].repeat(span, axis=1)
         r *= negated.take(lead_at[lo:hi].repeat(span) + b)
         r += cols.take(b, axis=1)
+        del b
         t = r // q
         t *= q
         r -= t
@@ -111,14 +111,15 @@ def flat_profile(aug: np.ndarray, field: PrimeField) -> FlatProfile:
             for row in r:
                 packed *= q
                 packed += row
-            words, ordered = [packed], [np.sort(packed)]
-            del r
+            ordered = [np.sort(packed)]
         else:
             words = [packed, *r]
             order = np.lexsort(words[::-1])
             ordered = [w.take(order) for w in words]
+            del words, order
+        del packed, r
         # runs of equal keys are the groups; each row's pairs keep place
-        edge = np.ones(len(b) + 1, dtype=bool)
+        edge = np.ones(len(ordered[0]) + 1, dtype=bool)
         edge[1:-1] = np.logical_or.reduce([w[1:] != w[:-1] for w in ordered])
         bounds = edge.nonzero()[0]
         heads = [w.take(bounds[:-1]) for w in ordered]
@@ -149,23 +150,20 @@ def flat_profile(aug: np.ndarray, field: PrimeField) -> FlatProfile:
         i = int(np.lexsort(keys.T[::-1])[0])
         key = keys[i].tolist()
         if top > best[0] or key < best[1]:
-            g = maximal[i]
-            member = np.logical_and.reduce(
-                [w == head[g] for w, head in zip(words, heads)])
-            best = (top, key, (int(ha[i]), *b[member].tolist()))
+            best = (top, key)
         return sizes, best
 
     size_counts = np.zeros(n, dtype=np.int64)
-    best, hi = (0, None, ()), 0
+    best, hi = (0, None), 0
     while hi < n - 1:
         lo = hi
         hi = int(ends.searchsorted(ends[lo] + _BLOCK_PAIRS, "right")) - 1
         hi = min(max(hi, lo + 1), n - 1)
         sizes, best = block(lo, hi, best)
         size_counts += sizes
-    top, key, pencil = best
+    top, key = best
     if not top:
-        return FlatProfile(0, None, ())
+        return FlatProfile(None, ())
     assert (size_counts[2:] <= size_counts[1:-1]).all(), "pair groups must nest"
     witness = Flat(rows=(tuple(key[:d]), tuple(key[d:2 * d])),
                    values=tuple(key[2 * d:]))
@@ -173,9 +171,10 @@ def flat_profile(aug: np.ndarray, field: PrimeField) -> FlatProfile:
     # of the two reduced rows taken at their pivot columns
     w = np.column_stack([witness.rows, witness.values])
     residual = (aug - aug[:, (w[:, :d] != 0).argmax(axis=1)] @ w) % q
-    assert np.flatnonzero(~residual.any(axis=1)).tolist() == list(pencil), \
-        "the pencil must be the members containing the witness"
-    return FlatProfile(top + 1, witness, pencil)
+    pencil = tuple(np.flatnonzero(~residual.any(axis=1)).tolist())
+    assert len(pencil) == top + 1, \
+        "the members containing the witness must be the largest group's"
+    return FlatProfile(witness, pencil)
 
 
 @dataclass(frozen=True)
@@ -236,11 +235,14 @@ def extract_certificate(config: Config,
     persistent pair's bisector holds a point, so regularization and mass
     retention then always keep a non-empty system.
 
-    An extract keeps one bisector incidence, `PersistentPairs.incidence`:
-    `regularize` reads it in place, and the only copy taken of it is its
-    P' rows of the retained columns.  The sphere degrees into the
-    certificate points are counted through a row mask of the membership
-    matrix, not a copy of its rows.
+    The bisector incidence, `PersistentPairs.incidence`, is read in
+    place by `regularize` and dropped there.  h0 and its points are then
+    read off one hyperplane kernel over P': its candidates are the pencil
+    in the flat case and the popular hyperplane in the directional one,
+    and h0 is the first of them, the least in tuple order, with the most
+    points of P'.  The sphere degrees into the certificate points are
+    counted through a row mask of the membership matrix, not a copy of
+    its rows.
     """
     opts = options or ExtractOptions()
     q, d = config.q, config.d
@@ -258,46 +260,38 @@ def extract_certificate(config: Config,
             case=CASE_NO_SIGNAL, hyperplane=None, points_idx=(),
             spheres_idx=(), witness_flat=None, flags=("no-persistent-pairs",),
             params={"K": K, "B0": b0, "min_points": 0, "sphere_min": 0})
-    # the support lies in the bisector set, the retained support in the
-    # support, and the pencil and h0 in the retained support: every
-    # incidence below is read off the one bisector incidence, of which
-    # only the P' rows of the retained columns are ever copied
-    inc = pp.incidence
+    reg = regularize(pp.incidence, ms)
     del pp
-    reg = regularize(inc, ms)
     retained = mass_retention(reg.multiset).retained
-
-    # that copy alone of the bisector incidence outlives flat_profile
-    inc = incidence_submatrix(inc, reg.point_idx, retained.columns)
     # a flat lies in at most all m retained members, so with m <= b0 the
     # flat case cannot fire and flat_profile is not run
     profile = (flat_profile(retained.support, fq)
                if len(retained.support) > b0 else None)
 
-    # flat concentration when some flat sits in more than b0 members, and
-    # then h0 is the first pencil member of the largest richness, the
-    # least one: k is its row in the retained support, in tuple order
-    if profile is not None and profile.max_multiplicity > b0:
-        case, witness = CASE_FLAT, profile.witness
-        rich = incidence_counts(inc.take(profile.pencil, axis=1), 0)
-        k = profile.pencil[int(np.argmax(rich))]
+    # flat concentration when some flat sits in more than b0 members
+    if profile is not None and len(profile.pencil) > b0:
+        case, witness, candidates = CASE_FLAT, profile.witness, profile.pencil
     else:
         case, witness = CASE_DIRECTIONAL, None
-        k = popular_hyperplane(retained, q)
-    *normal, offset = retained.support[k].tolist()
+        candidates = (popular_hyperplane(retained, q),)
+    on = hyperplane_incidence(config.point_lift[reg.point_idx],
+                              retained.support.take(candidates, axis=0), q)
+    rich = incidence_counts(on, 0)
+    # by the bisector incidence every retained member holds at least L1
+    # points of P', its richness bucket; the kernel recounts them here
+    lam1 = reg.richness_scale
+    assert (rich >= lam1).all(), "the candidates must keep their richness"
+    j = int(np.argmax(rich))
+    *normal, offset = retained.support[candidates[j]].tolist()
     h0 = Hyperplane(tuple(normal), offset)
-    idx = reg.point_idx[inc[:, k]]
+    idx = reg.point_idx[on[:, j]]
     on_h0 = np.zeros(len(config.points), dtype=bool)
     on_h0[idx] = True
     points_idx = tuple(idx.tolist())
-    lam1 = reg.richness_scale
     assert len(points_idx) >= lam1
 
     sphere_min, spheres_idx = rich_subfamily(
         incidence_counts(membership, 0, on_h0))
-
-    assert hyperplane_incidence(config.point_lift[idx],
-                                retained.support[k:k + 1], q).all()
 
     return Certificate(
         case=case,

@@ -128,14 +128,14 @@ def energies(config: Config) -> IncidenceStats:
     The off-diagonal energy is computed from the sphere-pair Gram matrix
     rather than from point degrees, so the exact identity
     energy = incidences + off_diagonal, which is asserted, is a real
-    cross-check.  The membership matrix is converted to float32 once,
-    and the Gram, the point degrees (its row counts, by
-    `incidence_counts`) and the sphere degrees (the Gram's diagonal) all
-    read that copy.  The Gram is kept for `strata.stratify`.
+    cross-check.  The Gram and the point degrees (its row counts, by
+    `incidence_counts`) read the boolean membership matrix, and the
+    sphere degrees are the Gram's diagonal.  The Gram is kept for
+    `strata.stratify`.
     """
-    x = membership_matrix(config).astype(np.float32)
-    gram = incidence_gram(x)
-    point_deg = incidence_counts(x, 1)
+    inc = membership_matrix(config)
+    gram = incidence_gram(inc)
+    point_deg = incidence_counts(inc, 1)
     sphere_deg = np.diagonal(gram)
     incidences = int(point_deg.sum())
     energy = int((point_deg * point_deg).sum())

@@ -210,7 +210,7 @@ def test_criterion_07_fiber_bound(grid_configs):
     for cfg, ms in families:
         field = PrimeField(cfg.q)
         prof = flat_profile(ms.support, field)
-        B = prof.max_multiplicity
+        B = len(prof.pencil)
         support = _hyperplanes(ms.support)
         for h in support:
             partners = [h2 for h2 in support

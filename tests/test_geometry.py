@@ -15,7 +15,7 @@ from ffrigidity.geometry import (IDENTICAL, PARALLEL_DISJOINT, Flat,
                                  flat_points, hyperplane_contains,
                                  hyperplane_incidence, hyperplane_points,
                                  incidence_counts, incidence_gram,
-                                 incidence_submatrix, lift, make_space, point_grid,
+                                 lift, make_space, point_grid,
                                  quad_norm, radical_hyperplane,
                                  sphere_contains, sphere_incidence)
 
@@ -252,8 +252,8 @@ def test_incidence_counts_match_sum(block, monkeypatch):
     # default blocks of 136 rows at 120 columns: shapes at the block edge,
     # past it, ragged, in blocks of the 8-row floor past 2**11 columns,
     # wider than a block, and with no rows or columns; masks over the rows
-    # and over the columns, of a boolean matrix and of its float32 copy;
-    # a patched block size comes without the row floor
+    # and over the columns; a patched block size comes without the row
+    # floor
     if block is not None:
         monkeypatch.setattr(geometry, "_BLOCK_CELLS", block)
         monkeypatch.setattr(geometry, "_MIN_BLOCK_ROWS", 1)
@@ -264,43 +264,20 @@ def test_incidence_counts_match_sum(block, monkeypatch):
     for n, m in shapes:
         inc = rng.random((n, m)) < rng.random()
         kept, cols = rng.random(n) < 0.5, rng.random(m) < 0.5
-        for x in (inc, inc.astype(np.float32)):
-            for got, want in ((incidence_counts(x, 1), inc.sum(axis=1)),
-                              (incidence_counts(x, 0), inc.sum(axis=0)),
-                              (incidence_counts(x, 0, kept),
-                               inc[kept].sum(axis=0)),
-                              (incidence_counts(x, 1, cols),
-                               inc[:, cols].sum(axis=1))):
-                assert got.dtype == np.int64 and got.shape == want.shape
-                assert got.tolist() == want.tolist()
+        for got, want in ((incidence_counts(inc, 1), inc.sum(axis=1)),
+                          (incidence_counts(inc, 0), inc.sum(axis=0)),
+                          (incidence_counts(inc, 0, kept),
+                           inc[kept].sum(axis=0)),
+                          (incidence_counts(inc, 1, cols),
+                           inc[:, cols].sum(axis=1))):
+            assert got.dtype == np.int64 and got.shape == want.shape
+            assert got.tolist() == want.tolist()
     full = np.ones((40000, 3), dtype=bool)
     assert incidence_counts(full, 0).tolist() == [40000] * 3
     # shapes past float32 exactness, with no cells allocated
     for shape in ((1 << 24, 0), (0, 1 << 24)):
         with pytest.raises(AssertionError):
             incidence_counts(np.zeros(shape, dtype=bool), 0)
-
-
-@pytest.mark.parametrize("block", [None, 1, 7 * 120 + 5])
-def test_incidence_submatrix_matches_two_index_gather(block, monkeypatch):
-    # default blocks of 2 * 136 rows at 120 columns; rows and columns
-    # chosen, in order or not, repeated, all, or none
-    if block is not None:
-        monkeypatch.setattr(geometry, "_BLOCK_CELLS", block)
-        monkeypatch.setattr(geometry, "_MIN_BLOCK_ROWS", 1)
-    rng = np.random.default_rng(29)
-    for n, m in ((0, 0), (0, 7), (9, 0), (13, 3), (600, 120), (40, 4097)):
-        inc = rng.random((n, m)) < 0.5
-        for rows, cols in ((np.arange(n), np.arange(m)),
-                           (np.flatnonzero(rng.random(n) < 0.6),
-                            np.flatnonzero(rng.random(m) < 0.6)),
-                           (rng.integers(0, max(n, 1), n if m else 0),
-                            rng.permutation(m)),
-                           (np.arange(n)[:0], np.arange(m)[:0])):
-            got = incidence_submatrix(inc, rows, cols)
-            want = inc[np.ix_(rows, cols)]
-            assert got.dtype == bool and got.shape == want.shape
-            assert (got == want).all()
 
 
 @pytest.mark.parametrize("block", [None, 1, 7 * 40 + 3])

@@ -19,12 +19,13 @@ from hypothesis import strategies as st
 
 from ffrigidity import field, geometry, pipeline, stats, strata, verify
 from ffrigidity.field import PrimeField
-from ffrigidity.geometry import (PARALLEL_DISJOINT, Sphere,
+from ffrigidity.geometry import (PARALLEL_DISJOINT, Hyperplane, Sphere,
                                  canonical_hyperplane, flat_contained_in,
                                  flat_from_pair, flat_points,
                                  hyperplane_contains, make_space,
                                  radical_hyperplane, sphere_contains)
 from ffrigidity.generators import GeneratorSpec, generate
+from ffrigidity.multiset import build_multiset, mass_retention
 from ffrigidity.pipeline import (CASE_DIRECTIONAL, CASE_FLAT, CASE_NO_SIGNAL,
                                  ExtractOptions, default_b0,
                                  extract_certificate, flat_profile)
@@ -56,7 +57,7 @@ def test_flat_profile_pencil():
     # k planes a*x1 + b*x2 = 0 all contain the z axis
     hs = [canonical_hyperplane((1, b, 0), 0, q) for b in range(4)]
     prof = flat_profile(rows(hs), f)
-    assert prof.max_multiplicity == 4
+    assert len(prof.pencil) == 4
     witness_pts = flat_points(prof.witness, make_space(q, 3))
     assert witness_pts == [(0, 0, t) for t in range(q)]
 
@@ -82,7 +83,7 @@ def test_flat_profile_three_coordinate_planes():
           canonical_hyperplane((0, 1, 0), 0, q),
           canonical_hyperplane((0, 0, 1), 0, q)]
     prof = flat_profile(rows(hs), f)
-    assert prof.max_multiplicity == 2
+    assert len(prof.pencil) == 2
     # the three coordinate axes; the least in Flat order is x2 = x3 = 0
     assert prof.witness == min(flat_from_pair(a, b, f)
                                for a, b in itertools.combinations(hs, 2))
@@ -110,7 +111,7 @@ def test_flat_profile_multiplicity_matches_containment_oracle():
                                      for x in pts))
     top = max(len(v) for v in members.values())
     prof = flat_profile(rows(hs), f)
-    assert prof.max_multiplicity == top
+    assert len(prof.pencil) == top
     assert prof.witness == min(l for l, v in members.items() if len(v) == top)
     assert prof.pencil == members[prof.witness]
 
@@ -169,7 +170,7 @@ def _check_against_scalar_oracle(hs, q, d, monkeypatch):
     for block in (1, 7, pipeline._BLOCK_PAIRS):
         monkeypatch.setattr(pipeline, "_BLOCK_PAIRS", block)
         prof = flat_profile(rows(hs), f)
-        assert prof.max_multiplicity == top
+        assert len(prof.pencil) == top
         if top:
             witness = min(l for l, v in grouped.items() if len(v) == top)
             assert prof.witness == witness
@@ -191,7 +192,7 @@ def test_flat_profile_matches_scalar_oracle(q, d, monkeypatch):
                                          monkeypatch)
     hs = _family(rng, q, d, 12)
     prof = _check_against_scalar_oracle(hs, q, d, monkeypatch)
-    assert prof.max_multiplicity >= 3 and _pair_flats(hs, PrimeField(q))[1]
+    assert len(prof.pencil) >= 3 and _pair_flats(hs, PrimeField(q))[1]
     with pytest.raises(AssertionError, match="distinct"):
         flat_profile(rows(hs + [hs[5]]), PrimeField(q))
 
@@ -261,7 +262,7 @@ def test_flat_profile_counts_no_parallel_group(q, d, monkeypatch):
     offsets = rng.sample(range(q), min(q, 12))
     parallel = [canonical_hyperplane(normal, b, q) for b in offsets]
     prof = flat_profile(rows(parallel), PrimeField(q))
-    assert (prof.max_multiplicity, prof.witness, prof.pencil) == (0, None, ())
+    assert (prof.witness, prof.pencil) == (None, ())
     others = [h for h in _family(rng, q, d, 4) if h.normal != tuple(normal)]
     _check_against_scalar_oracle(parallel + others, q, d, monkeypatch)
 
@@ -307,7 +308,7 @@ def test_flat_profile_calls_no_scalar_elimination(monkeypatch):
         monkeypatch.setattr(pipeline, "_BLOCK_PAIRS", block)
         for (hs, q), want in zip(families, expected):
             prof = flat_profile(rows(hs), PrimeField(q))
-            assert (prof.max_multiplicity, prof.witness,
+            assert (len(prof.pencil), prof.witness,
                     prof.pencil) == want
 
 
@@ -325,7 +326,7 @@ def test_flat_profile_memory_is_bounded():
     finally:
         tracemalloc.stop()
     # the planted pencil holds all q + 1 planes through its line
-    assert prof.max_multiplicity == q + 1
+    assert len(prof.pencil) == q + 1
     assert peak < 1 << 19
 
 
@@ -508,10 +509,12 @@ def test_certificate_bytes_match_golden_digests():
 
 
 def test_extract_computes_each_incidence_once(monkeypatch):
-    # the bisector incidence is sliced, never recomputed, past strata;
     # K comes from the count of the one membership matrix, with no Gram
-    # and no energies, and the only other hyperplane incidence is the
-    # final guard's column of P' on h0
+    # and no energies; the bisector incidence is computed once and read
+    # by nothing after regularize (wiping it there leaves the golden
+    # bytes as they are), and the one other hyperplane incidence is that
+    # of P' on the candidates for h0: the pencil, each member holding the
+    # witness flat, or h0 alone
     calls = collections.Counter()
     hyperplane_args = []
 
@@ -519,9 +522,14 @@ def test_extract_computes_each_incidence_once(monkeypatch):
         def wrapper(*args, **kwargs):
             calls[kernel.__name__] += 1
             if kernel is geometry.hyperplane_incidence:
-                hyperplane_args.append(args[1])
+                hyperplane_args.append(args[:2])
             return kernel(*args, **kwargs)
         return wrapper
+
+    def wiping(incidence, ms):
+        reg = strata.regularize(incidence, ms)
+        incidence[...] = False
+        return reg
 
     # every name an extract stage could call a kernel through
     for module in (strata, pipeline, stats):
@@ -532,19 +540,64 @@ def test_extract_computes_each_incidence_once(monkeypatch):
                                     counting(getattr(geometry, name)))
         if hasattr(module, "energies"):
             monkeypatch.setattr(module, "energies", counting(stats.energies))
+    monkeypatch.setattr(pipeline, "regularize", wiping)
     for (kind, q, d, np_, ns, seed, noise, c_const, b0, case,
-         _) in GOLDEN_CERTIFICATES:
+         digest) in GOLDEN_CERTIFICATES:
         calls.clear()
         hyperplane_args.clear()
-        gconf = generate(GeneratorSpec(kind, q, d, np_, ns, seed, noise))
+        cfg = generate(GeneratorSpec(kind, q, d, np_, ns, seed, noise)).config
         cert = extract_certificate(
-            gconf.config, ExtractOptions(c_const=Fraction(c_const), b0=b0))
-        assert cert.case == case
-        guard = ([rows([cert.hyperplane]).tolist()]
-                 if case != CASE_NO_SIGNAL else [])
-        assert [a.tolist() for a in hyperplane_args[1:]] == guard
-        assert calls == {"hyperplane_incidence": 1 + len(guard),
-                         "sphere_incidence": 1}
+            cfg, ExtractOptions(c_const=Fraction(c_const), b0=b0))
+        text = json.dumps(cert.to_dict(), indent=2) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        if case == CASE_NO_SIGNAL:
+            assert calls == {"hyperplane_incidence": 1,
+                             "sphere_incidence": 1}
+            continue
+        assert calls == {"hyperplane_incidence": 2, "sphere_incidence": 1}
+        lifted, candidates = hyperplane_args[1]
+        position = {tuple(x): i for i, x in enumerate(
+            cfg.point_lift.tolist())}
+        p_prime = [position[tuple(x)] for x in lifted.tolist()]
+        assert p_prime == sorted(set(p_prime))
+        assert set(cert.points_idx) <= set(p_prime)
+        h0 = rows([cert.hyperplane]).tolist()
+        if case == CASE_FLAT:
+            fq = PrimeField(q)
+            assert h0[0] in candidates.tolist()
+            assert len(candidates) > cert.params["B0"]
+            assert all(flat_contained_in(
+                cert.witness_flat, Hyperplane(tuple(h[:-1]), h[-1]), fq)
+                for h in candidates.tolist())
+        else:
+            assert candidates.tolist() == h0
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_flat_case_h0_is_the_least_richest_pencil_member(seed):
+    # null q = 19, 300 points, 28 spheres, the null-flats bench shape:
+    # several pencil members tie for the most points of P', counted one
+    # point at a time, and h0 is the least of them in tuple order
+    q = 19
+    cfg = generate(GeneratorSpec("uniform-random", q, 3, 300, 28, seed)).config
+    cert = extract_certificate(cfg)
+    assert cert.case == CASE_FLAT
+    K2, _ = stats.near_extremality_from_counts(
+        int(np.count_nonzero(stats.membership_matrix(cfg))),
+        len(cfg.points), len(cfg.spheres), q, 3)
+    pp = strata.persistent_pairs(cfg, K2, ExtractOptions().c_const)
+    reg = strata.regularize(pp.incidence, build_multiset(pp))
+    retained = mass_retention(reg.multiset).retained
+    pencil = flat_profile(retained.support, PrimeField(q)).pencil
+    members = [Hyperplane(tuple(h[:-1]), h[-1])
+               for h in retained.support[list(pencil)].tolist()]
+    p_prime = [cfg.points[i] for i in reg.point_idx.tolist()]
+    counts = [sum(hyperplane_contains(h, x, q) for x in p_prime)
+              for h in members]
+    richest = [h for h, c in zip(members, counts) if c == max(counts)]
+    assert len(richest) > 1 and richest == sorted(richest)
+    assert cert.hyperplane == richest[0]
+    assert len(cert.points_idx) == max(counts)
 
 
 def test_extract_profiles_only_families_larger_than_b0(

@@ -123,7 +123,7 @@ def _skip(monkeypatch, stage):
     else:
         assert stage == "flat/directional split"
         monkeypatch.setattr(pipeline, "flat_profile",
-                            lambda aug, field: FlatProfile(0, None, ()))
+                            lambda aug, field: FlatProfile(None, ()))
 
 
 def _config(name):
