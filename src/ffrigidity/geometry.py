@@ -233,10 +233,11 @@ def lift(pts, q: int) -> np.ndarray:
     return rows
 
 
-def _vanishing(rows: np.ndarray, cols: np.ndarray, q: int) -> np.ndarray:
+def _vanishing(rows, cols, q: int, count: bool = False):
     """Boolean matrix whose [i, j] entry says rows[i] . cols[:, j] = 0
     (mod q), for lifted points `rows` (n, k) and a lifted (k, m) family
-    `cols`, both residues in [0, q), so no sum exceeds k*(q-1)**2.
+    `cols`, both residues in [0, q), so no sum exceeds k*(q-1)**2; with
+    `count`, its int64 row and column counts instead, and no matrix.
 
     The sums are one BLAS product per row block of `_block_rows(m)`
     rows, written into the product buffer `v`; its quotient is formed in
@@ -248,17 +249,24 @@ def _vanishing(rows: np.ndarray, cols: np.ndarray, q: int) -> np.ndarray:
     exactly when v == rint(v * (1/q)) * q: the right side is always an
     exact multiple of q, and when q divides v the rounded quotient is
     exact, because its error, under |v/q| * 2**-22 (float32) or
-    |v/q| * 2**-51 (float64), stays below 1/2.
+    |v/q| * 2**-51 (float64), stays below 1/2.  Counting writes the test
+    as 0/1 into `t` and adds its row and column sums, BLAS products with
+    a ones vector, exact as every partial sum is a count below 2**24
+    (asserted); the two totals must agree.
     """
     n, (k, m) = len(rows), cols.shape
     bound = k * (q - 1) ** 2
     assert bound < 1 << 50, "modulus too large for exact float64 sums"
+    assert not count or max(n, m) < 1 << 24, "too many cells to count"
     dtype = np.float32 if bound < 1 << 22 else np.float64
-    out = np.empty((n, m), dtype=bool)
     rows, cols = rows.astype(dtype), cols.astype(dtype)
     step = _block_rows(m)
     v = np.empty((min(step, n), m), dtype=dtype)
     t = np.empty_like(v)
+    if count:
+        ones, sums = np.ones(max(m, len(v)), dtype), np.zeros(n + m, dtype)
+    else:
+        out = np.empty((n, m), dtype=bool)
     inv = 1.0 / q
     for start in range(0, n, step):
         block = rows[start:start + step]
@@ -267,8 +275,15 @@ def _vanishing(rows: np.ndarray, cols: np.ndarray, q: int) -> np.ndarray:
         np.multiply(vb, inv, out=tb)
         np.rint(tb, out=tb)
         tb *= q
-        np.equal(vb, tb, out=out[start:start + step])
-    return out
+        np.equal(vb, tb, out=tb if count else out[start:start + step])
+        if count:
+            np.dot(tb, ones[:m], out=sums[start:start + len(block)])
+            sums[n:] += np.dot(ones[:len(block)], tb, out=v[0])
+    if not count:
+        return out
+    sums = sums.astype(np.int64)
+    assert sums[:n].sum() == sums[n:].sum(), "row and column totals differ"
+    return sums[:n], sums[n:]
 
 
 def incidence_counts(inc: np.ndarray, axis: int,
@@ -305,15 +320,16 @@ def incidence_counts(inc: np.ndarray, axis: int,
     return counts.astype(np.int64)
 
 
-def hyperplane_incidence(lifted, hyperplanes, q: int) -> np.ndarray:
+def hyperplane_incidence(lifted, hyperplanes, q: int, count: bool = False):
     """Boolean |P| x |H| matrix whose [i, j] entry says <n_j, x_i> = b_j,
     for points lifted by `lift` and int64 (|H|, d+1) rows (normal,
-    offset): hyperplane j is lifted to the column [n_j | 0 | -b_j]."""
+    offset): hyperplane j is lifted to the column [n_j | 0 | -b_j].
+    With `count`, its row and column counts instead (`_vanishing`)."""
     aug = hyperplanes % q
     cols = np.zeros((aug.shape[1] + 1, len(aug)), dtype=residue_dtype(q))
     cols[:-2] = aug[:, :-1].T
     cols[-1] = -aug[:, -1] % q
-    return _vanishing(lifted, cols, q)
+    return _vanishing(lifted, cols, q, count)
 
 
 def sphere_incidence(lifted, spheres, q: int) -> np.ndarray:

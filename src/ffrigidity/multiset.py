@@ -19,8 +19,8 @@ from .field import group_rows
 class HyperplaneMultiset:
     """`support`: the distinct hyperplanes as (m, d+1) int64 rows
     (normal, offset) in Hyperplane tuple order; `counts`: their int64
-    multiplicities; `columns`: each row's column in the bisector
-    incidence (`strata.PersistentPairs.incidence`), increasing."""
+    multiplicities; `columns`: each row's index in the bisector rows
+    and counts of `strata.PersistentPairs`, increasing."""
     support: np.ndarray
     counts: np.ndarray
     columns: np.ndarray

@@ -235,14 +235,14 @@ def extract_certificate(config: Config,
     persistent pair's bisector holds a point, so regularization and mass
     retention then always keep a non-empty system.
 
-    The bisector incidence, `PersistentPairs.incidence`, is read in
-    place by `regularize` and dropped there.  h0 and its points are then
-    read off one hyperplane kernel over P': its candidates are the pencil
+    No |P| x B bisector incidence is built: persistence and `regularize`
+    read counts off the kernel, and of `PersistentPairs` only what
+    `regularize` reads lives through it.  h0 and its points are read off
+    one boolean hyperplane kernel over P': its candidates are the pencil
     in the flat case and the popular hyperplane in the directional one,
     and h0 is the first of them, the least in tuple order, with the most
     points of P'.  The sphere degrees into the certificate points are
-    counted through a row mask of the membership matrix, not a copy of
-    its rows.
+    counted through a row mask of the membership matrix, not a copy.
     """
     opts = options or ExtractOptions()
     q, d = config.q, config.d
@@ -260,8 +260,10 @@ def extract_certificate(config: Config,
             case=CASE_NO_SIGNAL, hyperplane=None, points_idx=(),
             spheres_idx=(), witness_flat=None, flags=("no-persistent-pairs",),
             params={"K": K, "B0": b0, "min_points": 0, "sphere_min": 0})
-    reg = regularize(pp.incidence, ms)
+    bisectors, richness, degrees = pp.bisectors, pp.richness, pp.degrees
     del pp
+    reg = regularize(config.point_lift, bisectors, richness, degrees, ms, q)
+    del bisectors, richness, degrees
     retained = mass_retention(reg.multiset).retained
     # a flat lies in at most all m retained members, so with m <= b0 the
     # flat case cannot fire and flat_profile is not run
@@ -277,7 +279,7 @@ def extract_certificate(config: Config,
     on = hyperplane_incidence(config.point_lift[reg.point_idx],
                               retained.support.take(candidates, axis=0), q)
     rich = incidence_counts(on, 0)
-    # by the bisector incidence every retained member holds at least L1
+    # by regularize's counts every retained member holds at least L1
     # points of P', its richness bucket; the kernel recounts them here
     lam1 = reg.richness_scale
     assert (rich >= lam1).all(), "the candidates must keep their richness"

@@ -14,8 +14,8 @@ from math import isqrt
 
 import numpy as np
 
-from .geometry import (hyperplane_incidence, incidence_counts, pair_indices,
-                       radical_hyperplane, radical_hyperplanes)
+from .geometry import (hyperplane_incidence, pair_indices, radical_hyperplane,
+                       radical_hyperplanes)
 from .multiset import HyperplaneMultiset
 from .stats import Config, ceil_sqrt
 
@@ -58,21 +58,6 @@ def stratify(gram: np.ndarray) -> DyadicLayers:
         zero_pairs=counts[0])
 
 
-def _bisectors(config: Config):
-    """The distinct radical hyperplanes of the sphere pairs as (B, d+1)
-    int64 rows (normal, offset) in Hyperplane tuple order, their |P| x |B|
-    point incidence, and the bisector index of every pair i < j
-    (`pair_indices` order; -1 when concentric).  As a guard, the first
-    pair is recomputed by the scalar `radical_hyperplane`."""
-    spheres, q = config.spheres, config.q
-    rows, index = radical_hyperplanes(config.sphere_array, q)
-    if len(index):
-        h = radical_hyperplane(spheres[0], spheres[1], q)
-        assert index[0] < 0 if h is None else (
-            index[0] >= 0 and rows[index[0]].tolist() == [*h.normal, h.offset])
-    return rows, hyperplane_incidence(config.point_lift, rows, q), index
-
-
 @dataclass(frozen=True, eq=False)
 class PersistentPairs:
     """The bisector of every persistent pair, with the bisector arrays
@@ -83,12 +68,14 @@ class PersistentPairs:
     persist; each persistent pair stands for both of its orders.
     `bisectors` holds the distinct radical hyperplanes of the sphere
     pairs as (B, d+1) int64 rows (normal, offset) in Hyperplane tuple
-    order, and `incidence` is the boolean |P| x B matrix of the points
-    on them.
+    order, `richness` the number of points of P on each and `degrees`
+    each point's number of bisectors, both int64 counts; no |P| x B
+    incidence is kept.
     """
     pair_bisector: np.ndarray
     bisectors: np.ndarray = dataclass_field(repr=False)
-    incidence: np.ndarray = dataclass_field(repr=False)
+    richness: np.ndarray = dataclass_field(repr=False)
+    degrees: np.ndarray = dataclass_field(repr=False)
 
     @property
     def pairs(self) -> np.ndarray:
@@ -116,14 +103,19 @@ def persistent_pairs(config: Config, K2: Fraction,
     """
     c = Fraction(c_const)
     assert c > 0, "c_const must be positive"
-    cutoff = max(1, ceil_sqrt(K2 and c * c * K2 * config.q ** (config.d - 1)))
-    bisectors, incidence, index = _bisectors(config)
+    q, spheres = config.q, config.spheres
+    cutoff = max(1, ceil_sqrt(K2 and c * c * K2 * q ** (config.d - 1)))
+    rows, index = radical_hyperplanes(config.sphere_array, q)
+    if len(index):
+        h = radical_hyperplane(spheres[0], spheres[1], q)
+        assert index[0] < 0 if h is None else (
+            index[0] >= 0 and rows[index[0]].tolist() == [*h.normal, h.offset])
+    degrees, richness = hyperplane_incidence(config.point_lift, rows, q,
+                                             count=True)
     # a concentric pair keeps its index -1; it reads the appended entry,
     # so the take stays in range when no pair has a bisector
-    richness = np.append(incidence_counts(incidence, 0), -1)
-    return PersistentPairs(
-        pair_bisector=np.where(richness.take(index) >= cutoff, index, -1),
-        bisectors=bisectors, incidence=incidence)
+    live = np.append(richness, -1).take(index) >= cutoff
+    return PersistentPairs(np.where(live, index, -1), rows, richness, degrees)
 
 
 def _heaviest_class(values: np.ndarray):
@@ -160,19 +152,23 @@ class RegularizedConfig:
     richness_scale: int
 
 
-def regularize(incidence: np.ndarray,
-               ms: HyperplaneMultiset) -> RegularizedConfig:
+def regularize(lifted: np.ndarray, bisectors: np.ndarray,
+               richness: np.ndarray, degrees: np.ndarray,
+               ms: HyperplaneMultiset, q: int) -> RegularizedConfig:
     """One point-degree pass, then one hyperplane-richness pass.
 
-    `incidence` is the whole boolean bisector incidence of the input
-    points (`PersistentPairs.incidence`), read in place: the support's
-    columns are `ms.columns`, increasing and inside the matrix.  Point
-    degrees are its row counts over those columns, through a column
-    mask; the dyadic degree bucket with the largest summed degree is
-    kept (ties to the larger class), fixing the degree scale M1.
-    Hyperplane richness is then recounted against the surviving points,
-    as the column counts over the kept rows gathered at `ms.columns`,
-    and bucketed the same way, fixing the richness scale L1.
+    `lifted` are the input points lifted by `geometry.lift`; `bisectors`,
+    `richness` and `degrees` are those of `PersistentPairs`, and the
+    support is the rows `ms.columns` of `bisectors`, increasing.  Point
+    degrees over the support are `degrees` less a count over the other
+    bisectors that hold a point (none when every such bisector persists);
+    the dyadic degree bucket with the largest summed degree is kept (ties
+    to the larger class), fixing the degree scale M1.  The support's
+    richness over the kept points is its `richness` less a count over
+    the dropped points, or a count over the kept points where they are
+    fewer, bucketed the same way, fixing the richness scale L1.  Each
+    count is one counting call of the hyperplane kernel, and a
+    subtracted count must not go negative.
     Retained points have degree in [M1, 2*M1) with respect to the input
     support, and retained hyperplanes hold between L1 and 2*L1 - 1 of
     the retained points.  Some point must lie on a support hyperplane,
@@ -182,17 +178,28 @@ def regularize(incidence: np.ndarray,
     """
     columns = ms.columns
     inside = not len(columns) or (
-        0 <= columns[0] and columns[-1] < incidence.shape[1])
+        0 <= columns[0] and columns[-1] < len(bisectors))
     assert len(columns) == len(ms.support) and inside and (
         columns[1:] > columns[:-1]).all(), \
-        "support columns must be increasing and inside the incidence"
-    on_support = np.zeros(incidence.shape[1], dtype=bool)
-    on_support[columns] = True
-    degrees = incidence_counts(incidence, 1, on_support)
+        "support rows must be increasing and inside the bisectors"
+    outside = richness > 0
+    outside[columns] = False
+    if outside.any():
+        degrees = degrees - hyperplane_incidence(
+            lifted, bisectors[outside], q, count=True)[0]
+        assert degrees.min() >= 0, "a subtracted count went negative"
     assert degrees.any(), "some point must lie on a support hyperplane"
     _, kept = _heaviest_class(degrees)
-    jh, heavy = _heaviest_class(
-        incidence_counts(incidence, 0, kept).take(columns))
+    # a point on no support row is never kept, and counts on none
+    dropped = (degrees > 0) & ~kept
+    rich = richness.take(columns)
+    if np.count_nonzero(kept) <= np.count_nonzero(dropped):
+        rich = hyperplane_incidence(lifted[kept], ms.support, q, count=True)[1]
+    elif dropped.any():
+        rich -= hyperplane_incidence(lifted[dropped], ms.support, q,
+                                     count=True)[1]
+        assert rich.min() >= 0, "a subtracted count went negative"
+    jh, heavy = _heaviest_class(rich)
     return RegularizedConfig(
         point_idx=np.flatnonzero(kept),
         multiset=ms.restrict(heavy),

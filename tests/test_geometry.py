@@ -195,6 +195,15 @@ def _edge_families(rng, q, d, n, m):
             reduced_h)
 
 
+def _check_counts(counts, inc):
+    """The counting kernel's (row counts, column counts) are the boolean
+    matrix's, as `incidence_counts` takes them, in int64."""
+    rows, cols = counts
+    assert rows.dtype == cols.dtype == np.int64
+    assert rows.tolist() == incidence_counts(inc, 1).tolist()
+    assert cols.tolist() == incidence_counts(inc, 0).tolist()
+
+
 def _oracle(contains, family, pts, q):
     points = [tuple(row) for row in pts.tolist()]
     return np.asarray([[contains(f, x, q) for f in family] for x in points],
@@ -212,12 +221,15 @@ def test_incidence_kernels_match_scalar_oracles_at_block_edges(q, d):
     ms = _oracle(sphere_contains, reduced_s, pts, q)
     mh = _oracle(hyperplane_contains, reduced_h, pts, q)
     assert ms.any() and mh.any() and not ms.all() and not mh.all()
-    # no points, one point, exactly one row block, one block and one row
+    # no points, one point, exactly one row block, one block and one row;
+    # the counting kernel gives the boolean kernel's row and column counts
     for n in (0, 1, step, step + 1):
         assert (sphere_incidence(lift(pts[:n], q), spheres, q)
                 == ms[:n]).all()
         assert (hyperplane_incidence(lift(pts[:n], q), hyperplanes, q)
                 == mh[:n]).all()
+        _check_counts(hyperplane_incidence(lift(pts[:n], q), hyperplanes, q,
+                                           count=True), mh[:n])
 
 
 @pytest.mark.parametrize("q, d", [(61, 3), (65521, 4)])
@@ -235,6 +247,54 @@ def test_incidence_kernels_with_more_columns_than_a_block(q, d,
     assert ms.any() and mh.any() and not ms.all() and not mh.all()
     assert (sphere_incidence(lift(pts, q), spheres, q) == ms).all()
     assert (hyperplane_incidence(lift(pts, q), hyperplanes, q) == mh).all()
+    _check_counts(hyperplane_incidence(lift(pts, q), hyperplanes, q,
+                                       count=True), mh)
+
+
+@pytest.mark.parametrize("q", [31, 65521])
+def test_counting_kernel_complement_rule(q):
+    # regularize's two rules: column counts over the kept points are the
+    # whole column counts less those over the dropped ones, and row counts
+    # over some columns are the whole row counts less those over the
+    # rest; with no point, some points and every point dropped
+    rng = random.Random(q)
+    d = 3
+    pts = np.array([[rng.randrange(3) for _ in range(d)]
+                    for _ in range(300)], dtype=np.int64)
+    # hyperplanes through chosen points, so that most hold several
+    hyperplanes = []
+    for _ in range(70):
+        normal = [1] + [rng.randrange(q) for _ in range(d - 1)]
+        x = pts[rng.randrange(len(pts))].tolist()
+        hyperplanes.append(canonical_hyperplane(
+            normal, sum(a * b for a, b in zip(normal, x)), q))
+    rows = _rows(hyperplanes, d)
+    lifted = lift(pts, q)
+    inc = hyperplane_incidence(lifted, rows, q)
+    degrees, richness = hyperplane_incidence(lifted, rows, q, count=True)
+    assert inc.any(axis=0).all() and (inc.sum(axis=1) > 1).any()
+    n = len(pts)
+    for dropped in (np.zeros(n, dtype=bool), np.arange(n) % 3 == 1,
+                    np.ones(n, dtype=bool)):
+        kept = ~dropped
+        want = incidence_counts(inc, 0, kept)
+        part = hyperplane_incidence(lifted[dropped], rows, q, count=True)[1]
+        assert (richness - part).tolist() == want.tolist()
+        assert hyperplane_incidence(lifted[kept], rows, q,
+                                    count=True)[1].tolist() == want.tolist()
+    other = np.arange(len(rows)) % 4 == 0
+    part = hyperplane_incidence(lifted, rows[other], q, count=True)[0]
+    assert (degrees - part).tolist() == incidence_counts(
+        inc, 1, ~other).tolist()
+
+
+def test_counting_kernel_refuses_counts_beyond_float32_exactness():
+    # read-only broadcast views: the asserts fire before any cell is made
+    lifted = np.broadcast_to(np.ones(5, dtype=np.int64), (1 << 24, 5))
+    cols = np.broadcast_to(np.ones((5, 1), dtype=np.int64), (5, 1 << 24))
+    for rows, family in ((lifted, cols[:, :1]), (lifted[:1], cols)):
+        with pytest.raises(AssertionError, match="too many cells"):
+            geometry._vanishing(rows, family, 61, count=True)
 
 
 def test_incidence_kernels_refuse_modulus_beyond_float64_exactness():
@@ -305,10 +365,12 @@ def test_vanishing_matches_scalar_oracle(q, block, monkeypatch):
             cols.append(col + [-sum(a * b for a, b in zip(x, col)) % q])
         want = [[sum(a * b for a, b in zip(x, c)) % q == 0 for c in cols]
                 for x in rows]
-        got = geometry._vanishing(np.array(rows, dtype=np.int64).reshape(
-            n, 5), np.array(cols, dtype=np.int64).reshape(m, 5).T, q)
+        rows = np.array(rows, dtype=np.int64).reshape(n, 5)
+        cols = np.array(cols, dtype=np.int64).reshape(m, 5).T
+        got = geometry._vanishing(rows, cols, q)
         assert got.dtype == bool and got.shape == (n, m)
         assert got.tolist() == want
+        _check_counts(geometry._vanishing(rows, cols, q, count=True), got)
         if n * m >= 40:
             assert got.any() and not got.all()
 

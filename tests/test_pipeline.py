@@ -510,25 +510,28 @@ def test_certificate_bytes_match_golden_digests():
 
 def test_extract_computes_each_incidence_once(monkeypatch):
     # K comes from the count of the one membership matrix, with no Gram
-    # and no energies; the bisector incidence is computed once and read
-    # by nothing after regularize (wiping it there leaves the golden
-    # bytes as they are), and the one other hyperplane incidence is that
-    # of P' on the candidates for h0: the pencil, each member holding the
-    # witness flat, or h0 alone
-    calls = collections.Counter()
-    hyperplane_args = []
+    # and no energies.  No extract builds the bisector incidence: the
+    # counting kernel runs once over every point and bisector, then at
+    # most once per regularize pass (every point on the bisectors outside
+    # the support that hold a point, then the kept or the dropped points
+    # on the support), and nothing reads the bisector rows and counts
+    # after regularize (wiping them there leaves the golden bytes as they
+    # are).  The one boolean hyperplane kernel is of P' on the candidates
+    # for h0: the pencil, each member holding the witness flat, or h0
+    # alone
+    calls = []
 
-    def counting(kernel):
+    def recording(kernel):
         def wrapper(*args, **kwargs):
-            calls[kernel.__name__] += 1
-            if kernel is geometry.hyperplane_incidence:
-                hyperplane_args.append(args[:2])
+            count = kwargs.get("count", args[3] if len(args) > 3 else False)
+            calls.append((kernel.__name__, bool(count), args[:2]))
             return kernel(*args, **kwargs)
         return wrapper
 
-    def wiping(incidence, ms):
-        reg = strata.regularize(incidence, ms)
-        incidence[...] = False
+    def wiping(lifted, bisectors, richness, degrees, ms, q):
+        reg = strata.regularize(lifted, bisectors, richness, degrees, ms, q)
+        for array in (bisectors, richness, degrees):
+            array[...] = -1
         return reg
 
     # every name an extract stage could call a kernel through
@@ -537,25 +540,39 @@ def test_extract_computes_each_incidence_once(monkeypatch):
                      "incidence_gram"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name,
-                                    counting(getattr(geometry, name)))
+                                    recording(getattr(geometry, name)))
         if hasattr(module, "energies"):
-            monkeypatch.setattr(module, "energies", counting(stats.energies))
+            monkeypatch.setattr(module, "energies", recording(stats.energies))
     monkeypatch.setattr(pipeline, "regularize", wiping)
+    passes_seen = collections.Counter()
     for (kind, q, d, np_, ns, seed, noise, c_const, b0, case,
          digest) in GOLDEN_CERTIFICATES:
         calls.clear()
-        hyperplane_args.clear()
         cfg = generate(GeneratorSpec(kind, q, d, np_, ns, seed, noise)).config
         cert = extract_certificate(
             cfg, ExtractOptions(c_const=Fraction(c_const), b0=b0))
         text = json.dumps(cert.to_dict(), indent=2) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+        counting = [args for name, count, args in calls if count]
+        boolean = [args for name, count, args in calls
+                   if name == "hyperplane_incidence" and not count]
+        # the first count is of every point on every bisector
+        lifted, bisectors = counting[0]
+        assert lifted is cfg.point_lift
+        passes = []
+        for lifted, family in counting[1:]:
+            assert len(family) < len(bisectors) or len(lifted) < np_
+            passes.append("outside" if len(lifted) == np_ else "points")
+        assert passes in ([], ["outside"], ["points"], ["outside", "points"])
+        passes_seen.update(passes)
+        assert collections.Counter(name for name, _, _ in calls) == {
+            "sphere_incidence": 1,
+            "hyperplane_incidence": len(counting) + len(boolean)}
         if case == CASE_NO_SIGNAL:
-            assert calls == {"hyperplane_incidence": 1,
-                             "sphere_incidence": 1}
+            assert len(counting) == 1 and not boolean
             continue
-        assert calls == {"hyperplane_incidence": 2, "sphere_incidence": 1}
-        lifted, candidates = hyperplane_args[1]
+        assert len(boolean) == 1
+        lifted, candidates = boolean[0]
         position = {tuple(x): i for i, x in enumerate(
             cfg.point_lift.tolist())}
         p_prime = [position[tuple(x)] for x in lifted.tolist()]
@@ -571,6 +588,8 @@ def test_extract_computes_each_incidence_once(monkeypatch):
                 for h in candidates.tolist())
         else:
             assert candidates.tolist() == h0
+    # some golden extract recounts over part of the points
+    assert passes_seen["points"]
 
 
 @pytest.mark.parametrize("seed", [0, 2])
@@ -586,7 +605,8 @@ def test_flat_case_h0_is_the_least_richest_pencil_member(seed):
         int(np.count_nonzero(stats.membership_matrix(cfg))),
         len(cfg.points), len(cfg.spheres), q, 3)
     pp = strata.persistent_pairs(cfg, K2, ExtractOptions().c_const)
-    reg = strata.regularize(pp.incidence, build_multiset(pp))
+    reg = strata.regularize(cfg.point_lift, pp.bisectors, pp.richness,
+                            pp.degrees, build_multiset(pp), q)
     retained = mass_retention(reg.multiset).retained
     pencil = flat_profile(retained.support, PrimeField(q)).pencil
     members = [Hyperplane(tuple(h[:-1]), h[-1])
@@ -621,8 +641,9 @@ def test_extract_profiles_only_families_larger_than_b0(
 
 def test_extract_keeps_one_bisector_incidence():
     # null q = 31, 2000 points, 80 spheres: about 3000 bisectors, whose
-    # |P| x B boolean incidence is most of the extract's memory; a copy of
-    # its support columns beside it took the peak to 2.6 |P| B bytes
+    # |P| x B boolean incidence was once most of the extract's memory, and
+    # a copy of its support columns beside it took the peak to 2.6 |P| B
+    # bytes; the extract now builds neither
     cfg = generate(GeneratorSpec("uniform-random", 31, 3, 2000, 80, 0)).config
     n_bisectors = len(strata.persistent_pairs(
         cfg, Fraction(0), ExtractOptions().c_const).bisectors)
@@ -634,6 +655,20 @@ def test_extract_keeps_one_bisector_incidence():
     finally:
         tracemalloc.stop()
     assert peak < 2 * len(cfg.points) * n_bisectors
+
+
+def test_extract_memory_has_no_bisector_incidence():
+    # null q = 31, 1000 points, 120 spheres: about 7000 bisectors, whose
+    # |P| x B boolean incidence alone would take about 6.6 MiB; the
+    # extract counts them in row blocks and keeps no such matrix
+    cfg = generate(GeneratorSpec("uniform-random", 31, 3, 1000, 120, 7)).config
+    tracemalloc.start()
+    try:
+        extract_certificate(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (1 << 20)
 
 
 def test_extract_lifts_no_point(monkeypatch):

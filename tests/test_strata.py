@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ffrigidity import field, geometry
+from ffrigidity import field, geometry, strata
 from ffrigidity.geometry import (Hyperplane, Sphere, hyperplane_contains,
                                  hyperplane_incidence, incidence_gram, lift,
                                  make_space, quad_norm, radical_hyperplane,
@@ -38,6 +38,13 @@ def cutoff_K(t, q, d):
     """The exact K**2 whose persistence cutoff before the floor of one
     point, at c = C = 1/4, is t: K = 4 t / q**((d-1)/2)."""
     return Fraction(16 * t * t, q ** (d - 1))
+
+
+def regularize_pp(cfg, pp, ms=None):
+    """`regularize` on a `persistent_pairs` result, as the extract calls
+    it: the lifted points, the bisector rows and counts, the multiset."""
+    return regularize(cfg.point_lift, pp.bisectors, pp.richness, pp.degrees,
+                      build_multiset(pp) if ms is None else ms, cfg.q)
 
 
 def random_config(rng, q=7, d=3, n_points=25, n_spheres=10):
@@ -271,10 +278,13 @@ def test_bisector_consumers_match_scalar_recount(q, d):
         assert pp.bisectors.shape == (len(distinct), d + 1)
         assert ms.support.shape == (len(kept), d + 1)
         assert hyperplanes(pp.bisectors) == distinct
-        assert pp.incidence.tolist() == [
-            [hyperplane_contains(g, p, q) for g in distinct]
+        # the two count arrays that stand for the bisector incidence: the
+        # points on each bisector, and each point's bisectors
+        assert pp.richness.dtype == pp.degrees.dtype == np.int64
+        assert pp.richness.tolist() == [rich[g] for g in distinct]
+        assert pp.degrees.tolist() == [
+            sum(hyperplane_contains(g, p, q) for g in distinct)
             for p in cfg.points]
-        assert pp.incidence.sum(axis=0).tolist() == [rich[g] for g in distinct]
 
 
 def _argsort_pairs(index, richness, cutoff, ns):
@@ -410,7 +420,7 @@ def test_regularize_postconditions():
             continue
         ms = build_multiset(pp)
         support = hyperplanes(ms.support)
-        reg = regularize(pp.incidence, ms)
+        reg = regularize_pp(cfg, pp, ms)
         hits += 1
         lam1 = reg.richness_scale
         kept = [cfg.points[i] for i in reg.point_idx.tolist()]
@@ -426,7 +436,7 @@ def test_regularize_postconditions():
     assert hits >= 5
 
 
-def test_regularize_uniform_input_unchanged():
+def test_regularize_uniform_input_unchanged(monkeypatch):
     # all points on one hyperplane, multiset = that one hyperplane
     sp = make_space(5, 3)
     s1, s2 = Sphere((1, 0, 0), 2), Sphere((4, 0, 0), 2)
@@ -437,7 +447,10 @@ def test_regularize_uniform_input_unchanged():
     cfg = make_config(sp, pts, [s1, s2])
     pp = persistent_pairs(cfg, cutoff_K(1, q, 3), C)
     ms = build_multiset(pp)
-    reg = regularize(pp.incidence, ms)
+    # every point is kept and the support is every bisector with a point,
+    # so regularize reads the persistence counts and counts nothing more
+    monkeypatch.setattr(strata, "hyperplane_incidence", None)
+    reg = regularize_pp(cfg, pp, ms)
     assert reg.point_idx.tolist() == list(range(len(cfg.points)))
     assert hyperplanes(reg.multiset.support) == [h]
     assert reg.multiset.counts.tolist() == ms.counts.tolist() == [2]
@@ -456,10 +469,12 @@ def test_regularize_degenerate_raises():
     pp = persistent_pairs(cfg, Fraction(0), C)
     ms = build_multiset(pp)
     assert not len(ms.support)
-    for inc, m in ((hyperplane_incidence(cfg.point_lift, lone.support, 5),
-                    lone), (pp.incidence, ms)):
-        with pytest.raises(AssertionError):
-            regularize(inc, m)
+    degrees, richness = hyperplane_incidence(cfg.point_lift, lone.support, 5,
+                                             count=True)
+    with pytest.raises(AssertionError, match="some point"):
+        regularize(cfg.point_lift, lone.support, richness, degrees, lone, 5)
+    with pytest.raises(AssertionError, match="some point"):
+        regularize_pp(cfg, pp, ms)
 
 
 def test_regularize_refuses_support_columns_off_the_incidence():
@@ -470,14 +485,14 @@ def test_regularize_refuses_support_columns_off_the_incidence():
                                 Sphere((0, 2, 0), 1)])
     pp = persistent_pairs(cfg, Fraction(0), C)
     ms = build_multiset(pp)
-    cols, n_cols = ms.columns, pp.incidence.shape[1]
+    cols, n_cols = ms.columns, len(pp.bisectors)
     assert len(cols) == n_cols == 3
-    regularize(pp.incidence, ms)
-    # out of order, repeated, past the last column, before the first
+    regularize_pp(cfg, pp, ms)
+    # out of order, repeated, past the last row, before the first
     for bad in (cols[::-1], cols[[0, 0, 1]], cols + 1, cols - 1):
-        with pytest.raises(AssertionError):
-            regularize(pp.incidence,
-                       HyperplaneMultiset(ms.support, ms.counts, bad))
+        with pytest.raises(AssertionError, match="support rows"):
+            regularize_pp(cfg, pp,
+                          HyperplaneMultiset(ms.support, ms.counts, bad))
 
 
 def _heaviest_bucket_oracle(items, value):
@@ -493,41 +508,67 @@ def _heaviest_bucket_oracle(items, value):
     return best, buckets[best]
 
 
-def test_regularize_matches_scalar_buckets():
+def test_regularize_matches_scalar_buckets(monkeypatch):
     # degrees 2, 1, 1 tie the classes 1 and 0 at summed degree 2
     ms = HyperplaneMultiset(support=np.array([[0, 1, 0, 0], [1, 0, 0, 0]]),
                             counts=np.ones(2, dtype=np.int64),
                             columns=np.arange(2))
     pts = np.array([(0, 1, 1), (0, 0, 1), (1, 0, 1)])
     inc = hyperplane_incidence(lift(pts, 5), ms.support, 5)
-    reg = regularize(inc, ms)
+    degrees, richness = hyperplane_incidence(lift(pts, 5), ms.support, 5,
+                                             count=True)
+    reg = regularize(lift(pts, 5), ms.support, richness, degrees, ms, 5)
     assert reg.point_idx.tolist() == [1]
     assert inc[reg.point_idx].sum(axis=1).tolist() == [2]
+    # every counting call regularize makes, by the points it counts over
+    calls = []
+
+    def recording(lifted, rows, q, count):
+        calls.append(len(lifted))
+        return hyperplane_incidence(lifted, rows, q, count)
+
+    monkeypatch.setattr(strata, "hyperplane_incidence", recording)
     rng = random.Random(51)
-    for _ in range(40):
-        cfg = random_config(rng, q=5, n_points=25, n_spheres=8)
-        pp = persistent_pairs(cfg, Fraction(0), C)
-        ms = build_multiset(pp)
-        if not len(ms.support):
-            continue
-        q = cfg.q
-        # the support's columns of the bisector incidence regularize reads
-        inc = hyperplane_incidence(cfg.point_lift, ms.support, q)
-        assert (pp.incidence[:, ms.columns] == inc).all()
-        members = dict(zip(hyperplanes(ms.support), ms.counts.tolist()))
-        jp, points = _heaviest_bucket_oracle(cfg.points, lambda p: sum(
-            hyperplane_contains(h, p, q) for h in members))
-        jh, support = _heaviest_bucket_oracle(members, lambda h: sum(
-            hyperplane_contains(h, p, q) for p in points))
-        # every support hyperplane holds a point, so both classes exist
-        assert jp is not None and jh is not None
-        reg = regularize(pp.incidence, ms)
-        assert [cfg.points[i] for i in reg.point_idx.tolist()] == points
-        assert {dyadic_class(v) for v in
-                inc[reg.point_idx].sum(axis=1).tolist()} == {jp}
-        assert hyperplanes(reg.multiset.support) == support
-        assert reg.multiset.counts.tolist() == [members[h] for h in support]
-        assert reg.richness_scale == 1 << jh
+    branches = collections.Counter()
+    for threshold in (0, 6):
+        for _ in range(40):
+            cfg = random_config(rng, q=5, n_points=25, n_spheres=8)
+            pp = persistent_pairs(cfg, cutoff_K(threshold, 5, 3), C)
+            ms = build_multiset(pp)
+            if not len(ms.support):
+                continue
+            q = cfg.q
+            inc = hyperplane_incidence(cfg.point_lift, ms.support, q)
+            assert pp.richness[ms.columns].tolist() == inc.sum(axis=0).tolist()
+            # at cutoff 1 every bisector that holds a point is in the
+            # support, so the degrees over all bisectors are the support's
+            if threshold == 0:
+                assert pp.degrees.tolist() == inc.sum(axis=1).tolist()
+            members = dict(zip(hyperplanes(ms.support), ms.counts.tolist()))
+            jp, points = _heaviest_bucket_oracle(cfg.points, lambda p: sum(
+                hyperplane_contains(h, p, q) for h in members))
+            jh, support = _heaviest_bucket_oracle(members, lambda h: sum(
+                hyperplane_contains(h, p, q) for p in points))
+            # every support hyperplane holds a point, so both classes exist
+            assert jp is not None and jh is not None
+            calls.clear()
+            reg = regularize_pp(cfg, pp, ms)
+            assert [cfg.points[i] for i in reg.point_idx.tolist()] == points
+            assert {dyadic_class(v) for v in
+                    inc[reg.point_idx].sum(axis=1).tolist()} == {jp}
+            assert hyperplanes(reg.multiset.support) == support
+            assert reg.multiset.counts.tolist() == [members[h]
+                                                    for h in support]
+            assert reg.richness_scale == 1 << jh
+            # at most one count per pass: the other bisectors that hold a
+            # point over every point, then the kept or the dropped points
+            kinds = ["outside" if n == len(cfg.points) else
+                     "kept" if n == len(points) else "dropped" for n in calls]
+            assert kinds in ([], ["outside"], ["kept"], ["dropped"],
+                             ["outside", "kept"], ["outside", "dropped"])
+            branches.update(kinds or ["none"])
+    assert min(branches[k] for k in ("outside", "kept", "dropped")) >= 2, \
+        branches
 
 
 def _rich_subfamily_oracle(degs):
